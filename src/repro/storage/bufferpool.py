@@ -171,64 +171,76 @@ class BufferPool:
         self._misses = 0
         self._evictions = 0
         self._invalidations = 0
+        self._pinned = 0  # resident entries with pins > 0
         _all_pools.add(self)
 
     # ------------------------------------------------------------------
     # Lookup / admission (called by HeapFile after charge + injector)
     # ------------------------------------------------------------------
     @staticmethod
-    def fingerprint(relation: "HeapFile") -> str:
-        """Identity of the relation *contents* a key was built against.
+    def key_prefix(relation: "HeapFile") -> tuple[str, str]:
+        """``(name, fingerprint)`` — a key minus the block id, naming the
+        relation *contents* it is built against.
 
         The per-heap storage token distinguishes same-named relations from
         different databases (or a drop-and-recreate); the size components
         make a grown heap miss naturally even before the explicit
-        mutation-time eviction lands.
+        mutation-time eviction lands. Batched readers compute it once per
+        call and hand it to :meth:`get_or_admit` with every block.
         """
-        return (
+        return relation.name, (
             f"{relation.storage_token}:"
             f"{relation.tuple_count}:{relation.block_count}"
         )
 
     def get_or_admit(
-        self, relation: "HeapFile", block_id: int
+        self,
+        relation: "HeapFile",
+        block_id: int,
+        prefix: tuple[str, str] | None = None,
     ) -> tuple[_BlockEntry, bool]:
         """The resident entry for one block, admitting it on miss.
 
         Returns ``(entry, hit)``. Must be called only after the block's
         ``BLOCK_READ`` was charged and the fault injector consulted: a
         read that raised never reaches this point, so faulted reads are
-        never admitted.
+        never admitted. ``prefix`` is ``key_prefix(relation)`` when the
+        caller already has it.
+
+        Replacement contract: victims are taken LRU-first, skipping pinned
+        entries (a stage holds a live reference to their columns) and the
+        block just admitted; when everything else is pinned the pool
+        transiently exceeds capacity and the next unpinned miss trims it
+        back. The walk starts at the LRU end and stops at the last victim,
+        so a miss costs O(1 + pinned entries at the LRU end).
         """
-        key = (relation.name, self.fingerprint(relation), block_id)
+        if prefix is None:
+            prefix = self.key_prefix(relation)
+        key = (*prefix, block_id)
         evicted: list[_BlockEntry] = []
         with self._lock:
-            entry = self._entries.get(key)
+            entries = self._entries
+            entry = entries.get(key)
             if entry is not None:
-                self._entries.move_to_end(key)
+                entries.move_to_end(key)
                 self._hits += 1
                 return entry, True
             self._misses += 1
-            entry = _BlockEntry(
-                key, tuple(relation.block_rows_uncharged(block_id)), relation.schema
-            )
-            self._entries[key] = entry
-            # Evict LRU-first, skipping pinned entries (a stage holds a
-            # live reference to their columns); the pool may transiently
-            # exceed capacity when everything resident is pinned.
-            if len(self._entries) > self.capacity:
-                for candidate_key in list(self._entries):
-                    if len(self._entries) <= self.capacity:
-                        break
-                    candidate = self._entries[candidate_key]
-                    if candidate.pins > 0 or candidate_key == key:
-                        continue
-                    del self._entries[candidate_key]
-                    evicted.append(candidate)
+            entry = _BlockEntry(key, relation.block_tuple(block_id), relation.schema)
+            entries[key] = entry
+            excess = len(entries) - self.capacity
+            if excess > 0:
+                for candidate in entries.values():
+                    if candidate.pins == 0 and candidate is not entry:
+                        evicted.append(candidate)
+                        if len(evicted) == excess:
+                            break
+                for victim in evicted:
+                    del entries[victim.key]
                 self._evictions += len(evicted)
         for victim in evicted:
             self._emit(
-                BufferEvicted(relation=victim.key[0], block_id=victim.key[2])
+                BufferEvicted, relation=victim.key[0], block_id=victim.key[2]
             )
         return entry, False
 
@@ -238,24 +250,30 @@ class BufferPool:
         """Report one batched read's hit/miss split to the pool's sink."""
         if blocks:
             self._emit(
-                BufferHit(
-                    relation=relation_name,
-                    blocks=blocks,
-                    hits=hits,
-                    misses=misses,
-                )
+                BufferHit,
+                relation=relation_name,
+                blocks=blocks,
+                hits=hits,
+                misses=misses,
             )
 
-    def _emit(self, event) -> None:
-        """Emit to the pool's sink, swallowing sink failures.
+    def _emit(self, event_type, **fields) -> None:
+        """Build and emit one event — unless nobody is listening.
 
-        Buffer events are pure observability; a broken sink (say, a
-        JSONL file closed after its server was torn down) must never
-        leak an exception into a query that happened to touch the pool —
-        that would violate the on/off bit-identity contract.
+        The one place that decides: with the default ``NULL_SINK`` no
+        event object is built at all. The sink is read here, at emit time,
+        because :meth:`route_events` swaps it. Sink failures are
+        swallowed: buffer events are pure observability; a broken sink
+        (say, a JSONL file closed after its server was torn down) must
+        never leak an exception into a query that happened to touch the
+        pool — that would violate the on/off bit-identity contract.
         """
+        sink = self.sink
+        if sink is NULL_SINK:
+            return
+        event = event_type(**fields)
         try:
-            self.sink.emit(event)
+            sink.emit(event)
         except Exception:
             pass
 
@@ -294,12 +312,19 @@ class BufferPool:
     def pin(self, entries: Sequence[_BlockEntry]) -> None:
         with self._lock:
             for entry in entries:
+                if entry.pins == 0 and self._entries.get(entry.key) is entry:
+                    self._pinned += 1
                 entry.pins += 1
 
     def unpin(self, entries: Sequence[_BlockEntry]) -> None:
+        # An entry dropped while pinned (invalidated, cleared) left the
+        # pinned count then; only resident entries are counted down here.
         with self._lock:
             for entry in entries:
-                entry.pins = max(0, entry.pins - 1)
+                if entry.pins > 0:
+                    entry.pins -= 1
+                    if entry.pins == 0 and self._entries.get(entry.key) is entry:
+                        self._pinned -= 1
 
     # ------------------------------------------------------------------
     # Invalidation and introspection
@@ -323,10 +348,11 @@ class BufferPool:
                 if key[0] == name or key[0].startswith(shard_prefix)
             ]
             for key in doomed:
-                del self._entries[key]
+                if self._entries.pop(key).pins > 0:
+                    self._pinned -= 1
             self._invalidations += len(doomed)
         if doomed:
-            self._emit(BufferInvalidated(relation=name, entries=len(doomed)))
+            self._emit(BufferInvalidated, relation=name, entries=len(doomed))
         return len(doomed)
 
     def info(self) -> BufferPoolInfo:
@@ -339,13 +365,14 @@ class BufferPool:
                 currsize=len(self._entries),
                 evictions=self._evictions,
                 invalidations=self._invalidations,
-                pinned=sum(1 for e in self._entries.values() if e.pins > 0),
+                pinned=self._pinned,
             )
 
     def clear(self) -> None:
         """Drop all entries and reset counters (tests; catalog reloads)."""
         with self._lock:
             self._entries.clear()
+            self._pinned = 0
             self._hits = 0
             self._misses = 0
             self._evictions = 0

@@ -96,6 +96,15 @@ class HeapFile:
     def __len__(self) -> int:
         return self._tuple_count
 
+    def _no_such_block(self, block_id: int) -> StorageError:
+        """The error every bounds check on a block id raises."""
+        return StorageError(
+            f"relation {self.name!r} has no block {block_id} "
+            f"(has {len(self._blocks)})",
+            relation=self.name,
+            block_id=block_id,
+        )
+
     def _injector_shard(self, block_id: int) -> int | None:
         """Which shard (if any) a block belongs to, for shard-targeted faults.
 
@@ -122,12 +131,7 @@ class HeapFile:
         a stall penalty.
         """
         if not 0 <= block_id < len(self._blocks):
-            raise StorageError(
-                f"relation {self.name!r} has no block {block_id} "
-                f"(has {len(self._blocks)})",
-                relation=self.name,
-                block_id=block_id,
-            )
+            raise self._no_such_block(block_id)
         charger.charge(CostKind.BLOCK_READ, 1)
         if injector is not None:
             injector.on_block_read(
@@ -199,20 +203,16 @@ class HeapFile:
         rows: list[Row] = []
         entries = []
         hits = 0
+        prefix = pool.key_prefix(self)
         for block_id in block_ids:
             if not 0 <= block_id < len(self._blocks):
-                raise StorageError(
-                    f"relation {self.name!r} has no block {block_id} "
-                    f"(has {len(self._blocks)})",
-                    relation=self.name,
-                    block_id=block_id,
-                )
+                raise self._no_such_block(block_id)
             charger.charge(CostKind.BLOCK_READ, 1)
             if injector is not None:
                 injector.on_block_read(
                     self.name, block_id, charger, shard=self._injector_shard(block_id)
                 )
-            entry, hit = pool.get_or_admit(self, block_id)
+            entry, hit = pool.get_or_admit(self, block_id, prefix)
             hits += hit
             entries.append(entry)
             rows.extend(entry.rows)
@@ -235,15 +235,21 @@ class HeapFile:
             rows.extend(block.rows)
         return rows
 
-    def block_rows_uncharged(self, block_id: int) -> list[Row]:
-        """One block's rows without charging — for tests only."""
+    def block_tuple(self, block_id: int) -> tuple[Row, ...]:
+        """One block's rows as an immutable tuple, uncharged.
+
+        The buffer pool's admission path: the caller charged the block's
+        ``BLOCK_READ`` already, and the pool shares the tuple between
+        readers, so it is copied once and can never be mutated.
+        """
         if not 0 <= block_id < len(self._blocks):
-            raise StorageError(
-                f"no block {block_id} in {self.name!r}",
-                relation=self.name,
-                block_id=block_id,
-            )
-        return list(self._blocks[block_id].rows)
+            raise self._no_such_block(block_id)
+        return tuple(self._blocks[block_id].rows)
+
+    def block_rows_uncharged(self, block_id: int) -> list[Row]:
+        """One block's rows without charging — for tests, ground-truth
+        checks and the ablation experiments."""
+        return list(self.block_tuple(block_id))
 
     def __repr__(self) -> str:
         return (

@@ -274,9 +274,13 @@ class HeapShard:
             )
         return blocks[local_id]
 
+    def block_tuple(self, local_id: int) -> tuple[Row, ...]:
+        """One shard block's rows, uncharged (buffer-pool admission)."""
+        return self.parent.block_tuple(self.to_global(local_id))
+
     def block_rows_uncharged(self, local_id: int) -> list[Row]:
-        """One shard block's rows without charging (buffer-pool admission)."""
-        return self.parent.block_rows_uncharged(self.to_global(local_id))
+        """One shard block's rows without charging — for tests."""
+        return list(self.block_tuple(local_id))
 
     def __repr__(self) -> str:
         return (
@@ -423,14 +427,15 @@ class PartitionedHeapFile(HeapFile):
         shard_blocks_read: dict[int, int] = {}
         shard_tuples_read: dict[int, int] = {}
         shard_hits: dict[int, int] = {}
+        # Nothing prefetched (injector active): every block is admitted below.
+        prefixes = (
+            [pool.key_prefix(view) for view in self.shards]
+            if pool is not None and not prefetched
+            else []
+        )
         for block_id in block_ids:
             if not 0 <= block_id < len(self._blocks):
-                raise StorageError(
-                    f"relation {self.name!r} has no block {block_id} "
-                    f"(has {len(self._blocks)})",
-                    relation=self.name,
-                    block_id=block_id,
-                )
+                raise self._no_such_block(block_id)
             shard = assignment.shard_of_block[block_id]
             charger.charge(CostKind.BLOCK_READ, 1)
             if injector is not None:
@@ -440,7 +445,9 @@ class PartitionedHeapFile(HeapFile):
                     entry, hit = prefetched[block_id]
                 else:
                     entry, hit = pool.get_or_admit(
-                        self.shards[shard], assignment.local_ids[block_id]
+                        self.shards[shard],
+                        assignment.local_ids[block_id],
+                        prefixes[shard],
                     )
                 entries.append(entry)
                 block_rows = entry.rows
@@ -486,11 +493,12 @@ class PartitionedHeapFile(HeapFile):
         """Worker body: materialize one shard's drawn blocks (no charges)."""
         assignment = self.assignment
         view = self.shards[shard]
+        prefix = pool.key_prefix(view) if pool is not None else None
         out: dict[int, tuple] = {}
         for block_id in shard_blocks:
             if pool is not None:
                 out[block_id] = pool.get_or_admit(
-                    view, assignment.local_ids[block_id]
+                    view, assignment.local_ids[block_id], prefix
                 )
             else:
                 out[block_id] = list(self._blocks[block_id].rows)
