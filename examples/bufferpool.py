@@ -4,9 +4,10 @@ The engine charges *simulated* time per sampled block either way; what the
 buffer pool changes is how much *wall-clock* work the host process repeats.
 This example walks the contract end to end:
 
-1. the same query, same seed, runs with the pool off and with it on — the
-   estimate, stage schedule, and charged simulated time are **bit-equal**
-   (the pool is invisible to the paper's controller);
+1. the same query, same seed, runs through an isolated one-block pool
+   (every read a miss) and through a roomy one — the estimate, stage
+   schedule, and charged simulated time are **bit-equal** (what the pool
+   holds is invisible to the paper's controller);
 2. a repeat query over the same relation hits blocks the first one
    admitted — ``caches.get("bufferpool").info()`` shows the decode-once sharing;
 3. a server stream shares blocks *across requests*, surfacing hit/miss
@@ -54,21 +55,25 @@ def main() -> None:
     panel = rel("orders").where(cmp("qty", "<", 10))
 
     # -- 1. the pool never changes what the controller sees -----------
-    off = build_database().estimate(
-        panel, quota=3.0, seed=1, options=QueryOptions(bufferpool=False)
+    thrash = BufferPool(capacity=1)  # isolated: shares nothing, keeps nothing
+    tiny = build_database().estimate(
+        panel, quota=3.0, seed=1, options=QueryOptions(bufferpool=thrash)
     )
-    pool = BufferPool()
-    on = build_database().estimate(
-        panel, quota=3.0, seed=1, options=QueryOptions(bufferpool=pool)
+    roomy = BufferPool()
+    big = build_database().estimate(
+        panel, quota=3.0, seed=1, options=QueryOptions(bufferpool=roomy)
     )
-    assert signature(on) == signature(off)
-    print(f"pool off vs on : estimate {on.value:.1f} — bit-identical runs")
+    assert signature(big) == signature(tiny)
+    print(
+        f"1-block vs roomy: estimate {big.value:.1f} — bit-identical runs "
+        f"({thrash.info().evictions} vs {roomy.info().evictions} evictions)"
+    )
 
     # -- 2. a replayed query shares the first run's decoded blocks ----
     db = build_database()
-    db.estimate(panel, quota=20.0, seed=2, options=QueryOptions(bufferpool=True))
+    db.estimate(panel, quota=20.0, seed=2)  # bufferpool=None: the process pool
     cold = caches.get("bufferpool").info()
-    db.estimate(panel, quota=20.0, seed=2, options=QueryOptions(bufferpool=True))
+    db.estimate(panel, quota=20.0, seed=2)
     warm = caches.get("bufferpool").info()
     print(
         f"second query   : {warm.hits - cold.hits} block hits, "
@@ -77,9 +82,7 @@ def main() -> None:
 
     # -- 3. a server shares blocks across the request stream ----------
     caches.get("bufferpool").clear()
-    server = QueryServer(
-        build_database(), policy=DegradeInfeasible(), bufferpool=True
-    )
+    server = QueryServer(build_database(), policy=DegradeInfeasible())
     for i in range(4):
         server.serve(QueryRequest(expr=panel, quota=20.0, seed=10 + i))
     metrics = server.metrics

@@ -3,18 +3,19 @@
 A partitioned relation splits its blocks across K deterministic shards;
 with ``QueryOptions(partitions=W)`` each stage's drawn blocks are
 materialized by W shard workers in parallel. Invariant 10 is the
-contract that makes the knob safe to flip anywhere: estimates, charged
-costs, and stage schedules are **bit-identical** partitions on or off —
-only the ``shard_scan_started`` / ``shard_merged`` trace markers differ.
+contract that makes the worker count safe to set anywhere: estimates,
+charged costs, and stage schedules are **bit-identical** to the same rows
+in a plain relation, at any worker count — only the
+``shard_scan_started`` / ``shard_merged`` trace markers differ.
 This example walks the surface end to end:
 
-1. the same query, same seed, runs with partitioning off and with four
-   shard workers — the answers and stage schedules are bit-equal;
+1. the same query, same seed, runs over a plain relation, and over the
+   partitioned one with one and with four shard workers — the answers and
+   stage schedules are bit-equal;
 2. the trace stream shows every shard pulling its share of each stage's
    draw, merged back in global draw order;
-3. ``repro.core.switches.describe()`` reports how the partitions switch
-   resolved (explicit > options > env > default) — the same registry the
-   docs table is generated from;
+3. the worker count is a plain option, not a switch: the plan's scan
+   reports how many workers it reads with;
 4. the shard metadata cache is a first-class handle in ``repro.caches``,
    and a write invalidates it like every other derived layer;
 5. a server priced with ``shard_parallelism=4`` admits work a serial
@@ -26,7 +27,6 @@ Run:  python examples/partitions.py
 from __future__ import annotations
 
 from repro import Database, QueryOptions, caches, cmp, rel
-from repro.core.switches import describe
 from repro.observability import RecordingSink
 from repro.server import QueryServer
 from repro.server.admission import minimum_stage_cost
@@ -34,13 +34,13 @@ from repro.server.admission import minimum_stage_cost
 PARTITIONS = 8
 
 
-def build_database(seed: int = 7) -> Database:
+def build_database(seed: int = 7, partitions: int | None = PARTITIONS) -> Database:
     db = Database(seed=seed)
     db.create_relation(
         "orders",
         [("order_id", "int"), ("qty", "int")],
         rows=[(i, (i * 7919) % 200) for i in range(30_000)],
-        partitions=PARTITIONS,
+        partitions=partitions,
     )
     return db
 
@@ -57,15 +57,16 @@ def signature(result) -> tuple:
 def main() -> None:
     panel = rel("orders").where(cmp("qty", "<", 10))
 
-    # -- 1. partitions on/off never changes what the controller sees --
-    off = build_database().estimate(
-        panel, quota=3.0, seed=1, options=QueryOptions(partitions=False)
-    )
-    on = build_database().estimate(
+    # -- 1. shards and workers never change what the controller sees --
+    plain = build_database(partitions=None).estimate(panel, quota=3.0, seed=1)
+    serial = build_database().estimate(panel, quota=3.0, seed=1)
+    four = build_database().estimate(
         panel, quota=3.0, seed=1, options=QueryOptions(partitions=4)
     )
-    assert signature(on) == signature(off)
-    print(f"off vs 4 workers : estimate {on.value:.1f} — bit-identical runs")
+    assert signature(four) == signature(serial) == signature(plain)
+    print(
+        f"plain / 1 / 4 workers: estimate {four.value:.1f} — bit-identical runs"
+    )
 
     # -- 2. the trace shows every shard pulling its share -------------
     sink = RecordingSink()
@@ -83,15 +84,14 @@ def main() -> None:
         f"per-shard blocks {dict(sorted(shares.items()))}"
     )
 
-    # -- 3. one registry explains how every switch resolved -----------
-    state = next(
-        s
-        for s in describe(options=QueryOptions(partitions=4))
-        if s.name == "partitions"
+    # -- 3. the worker count is an option the scan carries ------------
+    probe = build_database().open_session(
+        panel, quota=3.0, options=QueryOptions(partitions=4)
     )
+    (scan,) = probe.plan.scans
     print(
-        f"switches         : partitions -> {state.value} "
-        f"(source: {state.source})"
+        f"worker count     : {scan.shard_workers} workers over "
+        f"{len(scan.relation.shards)} shards (default: 1, serial)"
     )
 
     # -- 4. the shard metadata cache is a handle like any other -------

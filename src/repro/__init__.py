@@ -52,11 +52,7 @@ from repro.faults import (
     FaultRecord,
     FaultSalvaged,
 )
-from repro.kernels import (
-    KernelCacheInfo,
-    clear_kernel_cache,
-    kernel_cache_info,
-)
+from repro.kernels import KernelCacheInfo
 from repro.observability import (
     JsonlSink,
     NullSink,
@@ -65,13 +61,7 @@ from repro.observability import (
     TraceEvent,
     TraceSink,
 )
-from repro.planner import (
-    PlanExplanation,
-    RuleApplication,
-    clear_plan_cache,
-    optimizer_enabled,
-    plan_cache_info,
-)
+from repro.planner import PlanExplanation, RuleApplication, optimizer_enabled
 from repro.relational import (
     attr,
     cmp,
@@ -89,8 +79,6 @@ from repro.storage.bufferpool import (
     BufferPool,
     BufferPoolInfo,
     PooledBatch,
-    bufferpool_cache_info,
-    clear_bufferpool_cache,
     default_pool,
     invalidate_bufferpool_relation,
 )
@@ -208,11 +196,7 @@ __all__ = [
     "WallClock",
     "attr",
     "avg_of",
-    "bufferpool_cache_info",
     "caches",
-    "clear_bufferpool_cache",
-    "clear_kernel_cache",
-    "clear_plan_cache",
     "cmp",
     "count",
     "count_exact",
@@ -223,9 +207,7 @@ __all__ = [
     "invalidate_bufferpool_relation",
     "invalidate_shard_cache_relation",
     "join",
-    "kernel_cache_info",
     "optimizer_enabled",
-    "plan_cache_info",
     "project",
     "rel",
     "select",

@@ -1,10 +1,8 @@
 """Unified management surface for every process-wide cache.
 
-The library grew four process-wide caches, each with its own pair of
-module-level helpers (``kernel_cache_info``/``clear_kernel_cache``,
-``plan_cache_info``/``clear_plan_cache``, ``bufferpool_cache_info``/
-``clear_bufferpool_cache``, and the shard-metadata cache). This module
-replaces that sprawl with one registry of named handles::
+One registry of named handles over the library's four process-wide
+caches (compiled predicates, logical plans, the default buffer pool, and
+the shard-metadata cache)::
 
     from repro import caches
 
@@ -17,11 +15,10 @@ replaces that sprawl with one registry of named handles::
 Each handle's ``info()`` returns that cache's own counters dataclass
 (every one carries at least ``hits``/``misses``/``maxsize``/``currsize``,
 ``lru_cache.cache_info()``-style), and ``clear()`` empties the cache and
-resets its counters. The six pre-existing module-level helpers still work
-but emit :class:`DeprecationWarning` and delegate here; *relation-keyed
-invalidation* hooks (``invalidate_plan_cache_relation``,
-``invalidate_bufferpool_relation``, ``invalidate_shard_cache_relation``)
-are not deprecated — they are mutation plumbing, not management surface.
+resets its counters. The *relation-keyed invalidation* hooks
+(``invalidate_plan_cache_relation``, ``invalidate_bufferpool_relation``,
+``invalidate_shard_cache_relation``) live with their caches — they are
+mutation plumbing, not management surface.
 
 The registry holds no cache state itself: handles call through to the
 owning modules, so a cache's behavior is unchanged whether it is managed
@@ -112,7 +109,7 @@ def _shards_clear() -> None:
 _REGISTRY: tuple[CacheHandle, ...] = (
     CacheHandle(
         "kernels",
-        "compiled predicate and sort-key LRUs (repro.kernels.cache)",
+        "compiled-predicate LRU (repro.kernels.cache)",
         _kernels_info,
         _kernels_clear,
     ),

@@ -22,7 +22,6 @@ Typical use::
 
 from __future__ import annotations
 
-import warnings
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
@@ -337,9 +336,9 @@ class Database:
         Notable options: ``clock`` places several sessions on one shared
         timeline (how :class:`repro.server.QueryServer` multiplexes
         deadline-bound queries over one simulated machine — such sessions
-        must run serially); ``vectorized`` selects the columnar kernels vs
-        the row-at-a-time reference path (both charge bit-identical
-        simulated costs); ``trace_costs=True`` emits one event per primitive
+        must run serially); ``bufferpool`` attaches an isolated
+        :class:`~repro.storage.bufferpool.BufferPool` instead of the
+        process-wide one; ``trace_costs=True`` emits one event per primitive
         cost charge; ``fault_plan`` arms deterministic fault injection
         (see :mod:`repro.faults`).
 
@@ -368,19 +367,6 @@ class Database:
             binder = SynopsisBinder(
                 self.synopses, self.catalog, sink=resolved_sink
             )
-        # None → honour REPRO_BUFFERPOOL (default ON: the pool is a pure
-        # wall-clock optimization — charged costs, estimates, and traces
-        # are bit-identical either way). A BufferPool instance attaches
-        # that specific pool; True/False select the process-wide default
-        # pool or none.
-        from repro.storage.bufferpool import BufferPool, default_pool
-
-        if isinstance(opts.bufferpool, BufferPool):
-            bufferpool = opts.bufferpool
-        elif resolve_switch(opts.bufferpool, "REPRO_BUFFERPOOL", default=True):
-            bufferpool = default_pool()
-        else:
-            bufferpool = None
         rng = self._spawn_rng(seed)
         injector = None
         if opts.fault_plan is not None and opts.fault_plan.active:
@@ -422,10 +408,9 @@ class Database:
             zero_fix_beta=opts.zero_fix_beta,
             hint_provider=hint_provider,
             pin_selectivities=opts.selectivity_source == "prestored",
-            vectorized=opts.vectorized,
             optimize=opts.optimize,
             binder=binder,
-            bufferpool=bufferpool,
+            bufferpool=opts.bufferpool,
             partitions=opts.partitions,
         )
 
@@ -517,46 +502,3 @@ class Database:
         return self.open_session(
             expr, quota, options, aggregate=agg, seed=seed, **overrides
         ).run()
-
-    # ------------------------------------------------------------------
-    # Deprecated one-shot conveniences (use :meth:`estimate`)
-    # ------------------------------------------------------------------
-    def count_estimate(
-        self, expr: Expression, quota: float, **kwargs
-    ) -> QueryResult:
-        """Deprecated: use ``estimate(expr, quota=quota, ...)``."""
-        warnings.warn(
-            "Database.count_estimate() is deprecated; use "
-            "Database.estimate(expr, quota=...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.estimate(expr, quota=quota, **kwargs)
-
-    def sum_estimate(
-        self, expr: Expression, attribute: str, quota: float, **kwargs
-    ) -> QueryResult:
-        """Deprecated: use ``estimate(expr, sum_of(attr), quota=quota)``."""
-        from repro.estimation.aggregates import sum_of
-
-        warnings.warn(
-            "Database.sum_estimate() is deprecated; use "
-            "Database.estimate(expr, sum_of(attribute), quota=...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.estimate(expr, sum_of(attribute), quota=quota, **kwargs)
-
-    def avg_estimate(
-        self, expr: Expression, attribute: str, quota: float, **kwargs
-    ) -> QueryResult:
-        """Deprecated: use ``estimate(expr, avg_of(attr), quota=quota)``."""
-        from repro.estimation.aggregates import avg_of
-
-        warnings.warn(
-            "Database.avg_estimate() is deprecated; use "
-            "Database.estimate(expr, avg_of(attribute), quota=...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.estimate(expr, avg_of(attribute), quota=quota, **kwargs)

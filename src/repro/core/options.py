@@ -2,7 +2,7 @@
 
 :class:`QueryOptions` collects every tuning knob a time-constrained run
 accepts (strategy, stopping criterion, sampling controls, cost-model
-overrides, tracing, clock sharing, vectorization, fault plan) into a single
+overrides, tracing, clock sharing, fault plan) into a single
 immutable value that can be built once and reused across queries::
 
     opts = QueryOptions(strategy=OneAtATimeInterval(d_beta=24),
@@ -53,20 +53,15 @@ class QueryOptions:
     catalog (:mod:`repro.synopses`): ``None`` honours ``REPRO_SYNOPSES``
     (default *off* — the catalog carries state between runs, so it is
     opt-in); ``False`` is bit-identical to an engine without the catalog.
-    ``bufferpool`` selects the cross-query block cache
-    (:mod:`repro.storage.bufferpool`): ``None`` honours
-    ``REPRO_BUFFERPOOL`` (default *on* — the pool is a pure wall-clock
-    optimization, bit-identical to running without it); ``True``/``False``
-    force the process-wide pool on or off, and a
-    :class:`~repro.storage.bufferpool.BufferPool` instance attaches that
-    specific pool (isolated pools for tests and experiments).
-    ``partitions`` selects sharded execution over partitioned relations
-    (:mod:`repro.storage.partitioned`): ``None`` honours
-    ``REPRO_PARTITIONS`` (default *on*, serial — invariant 10 makes the
-    sharded path bit-identical to the global one); ``False`` (or ``0``)
-    forces the global unsharded read path even on partitioned relations;
-    ``True`` forces the sharded path with one worker; an integer ``N >= 1``
-    forces it with ``N`` shard workers (a pure wall-clock knob).
+    ``bufferpool`` attaches a specific
+    :class:`~repro.storage.bufferpool.BufferPool` (isolated pools for
+    tests and experiments); ``None`` reads through the process-wide
+    default pool. Every plan reads through a pool — it is a pure
+    wall-clock structure, invisible to charges, estimates and traces.
+    ``partitions`` is the shard **worker count** for reads over
+    partitioned relations (:mod:`repro.storage.partitioned`): an integer
+    ``N >= 1`` fetches shards with ``N`` workers, ``None`` means one
+    (serial) — also wall-clock only.
     """
 
     strategy: "TimeControlStrategy | None" = None
@@ -82,11 +77,10 @@ class QueryOptions:
     sink: "TraceSink | None" = None
     trace_costs: bool = False
     clock: "Clock | None" = None
-    vectorized: bool | None = None
     optimize: bool | None = None
     synopses: bool | None = None
-    bufferpool: "bool | BufferPool | None" = None
-    partitions: bool | int | None = None
+    bufferpool: "BufferPool | None" = None
+    partitions: int | None = None
     block_size: int | None = None
     fault_plan: "FaultPlan | None" = None
 
@@ -100,14 +94,18 @@ class QueryOptions:
             raise ReproError(f"max_stages must be >= 1: {self.max_stages}")
         if self.block_size is not None and self.block_size <= 0:
             raise ReproError(f"block_size must be positive: {self.block_size}")
-        if (
-            self.partitions is not None
-            and not isinstance(self.partitions, bool)
-            and self.partitions < 0
+        if self.bufferpool is not None:
+            from repro.storage.bufferpool import resolve_pool
+
+            resolve_pool(self.bufferpool)  # rejects the removed on/off forms
+        if self.partitions is not None and (
+            isinstance(self.partitions, bool) or self.partitions < 1
         ):
             raise ReproError(
-                f"partitions must be a bool or a worker count >= 0: "
-                f"{self.partitions}"
+                f"partitions must be a shard worker count >= 1 or None, got "
+                f"{self.partitions!r}; the unsharded read path over "
+                "partitioned relations is gone, so the on/off forms "
+                "(True / False / 0) were removed"
             )
 
     def replace(self, **changes) -> "QueryOptions":

@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.catalog.catalog import Catalog
 from repro.core.result import QueryResult
-from repro.core.switches import resolve_partitions, resolve_switch
+from repro.core.switches import resolve_switch
 from repro.costmodel.model import CostModel
 from repro.engine.plan import StagedPlan
 from repro.errors import ReproError
@@ -97,11 +97,10 @@ class QuerySession:
         zero_fix_beta: float | None = None,
         hint_provider=None,
         pin_selectivities: bool = False,
-        vectorized: bool | None = None,
         optimize: bool | None = None,
         binder=None,
         bufferpool=None,
-        partitions: bool | int | None = None,
+        partitions: int | None = None,
     ) -> None:
         from repro.estimation.aggregates import COUNT
 
@@ -111,11 +110,6 @@ class QuerySession:
         self.label = f"session-{next(_session_counter)}"
         # None → honour the process-wide REPRO_OPTIMIZE switch (default on).
         self.optimize = resolve_switch(optimize, "REPRO_OPTIMIZE", default=True)
-        # None → honour REPRO_PARTITIONS (default on, serial). The resolved
-        # (enabled, workers) pair only selects the read path over relations
-        # that actually are partitioned; invariant 10 keeps answers
-        # bit-identical either way.
-        self.partitions = resolve_partitions(partitions)
         self.strategy = (
             strategy if strategy is not None else OneAtATimeInterval(d_beta=24.0)
         )
@@ -133,15 +127,14 @@ class QuerySession:
             hint_provider=hint_provider,
             pin_selectivities=pin_selectivities,
             sink=context.sink,
-            vectorized=vectorized,
             injector=context.injector,
             optimize=self.optimize,
             binder=binder,
             bufferpool=bufferpool,
-            partitions=self.partitions,
+            partitions=partitions,
         )
         self.binder = binder
-        self.bufferpool = bufferpool
+        self.bufferpool = self.plan.bufferpool
         self.executor = TimeConstrainedExecutor(
             self.plan,
             self.strategy,

@@ -1,18 +1,11 @@
 """Process-wide feature switches resolved from the environment.
 
-Several engine features default to "on" but can be forced off for A/B
-comparison, CI matrix legs, and bit-identity regression runs:
-
-* ``REPRO_KERNELS`` — the vectorized columnar kernels
-  (:func:`repro.kernels.kernels_enabled`);
-* ``REPRO_OPTIMIZE`` — the logical query optimizer
-  (:func:`repro.planner.optimizer_enabled`);
-* ``REPRO_SYNOPSES`` — the cross-query synopsis catalog;
-* ``REPRO_BUFFERPOOL`` — the decoded-block buffer pool;
-* ``REPRO_PARTITIONS`` — sharded execution over partitioned relations
-  (an integer value also sets the shard worker count);
-* ``REPRO_PREEMPT`` — the query server's stage-boundary EDF preemption
-  (default off; off is byte-identical to run-to-completion serving).
+A switch selects between two *behaviours* of the engine or the server —
+what a run computes, stores, or schedules — and is declared exactly once,
+in :data:`SWITCHES` (name, option field, environment variable, default).
+How the host computes a stage (columnar kernels, the buffer pool, sharded
+reads) is not a switch: those are the engine, pinned invisible to every
+charged cost and estimate by differential tests.
 
 All switches share one resolution rule, implemented here once: an explicit
 per-session value beats the :class:`~repro.core.options.QueryOptions`
@@ -23,15 +16,14 @@ whitespace-tolerant) means *off*; anything else means *on*. Switches are
 read at plan-construction time, never cached at import, so tests can flip
 them per query with ``monkeypatch.setenv``.
 
-The full switch inventory is introspectable: :data:`SWITCHES` declares
-every switch, :func:`describe` resolves each one (reporting the winning
-source), and :func:`switch_table_markdown` renders the precedence table
-embedded in ``docs/api.md`` — the docs are regenerated from this module,
-so they cannot drift (a test pins the embedded table to the generated
-one).
+The switch inventory is introspectable: :func:`describe` resolves each
+declared switch (reporting the winning source), and
+:func:`switch_table_markdown` renders the precedence table embedded in
+``docs/api.md`` — the docs are regenerated from this module, so they
+cannot drift (a test pins the embedded table to the generated one).
 
 This module must stay import-light (standard library only): it is imported
-from low-level packages such as :mod:`repro.kernels` while
+from low-level packages such as :mod:`repro.planner` while
 :mod:`repro.core` itself may still be mid-initialization.
 """
 
@@ -68,53 +60,6 @@ def resolve_switch(explicit: bool | None, name: str, default: bool = True) -> bo
 
 
 # ----------------------------------------------------------------------
-# Partitioned execution (value is (enabled, workers), not just a bool)
-# ----------------------------------------------------------------------
-def env_partitions(name: str = "REPRO_PARTITIONS") -> tuple[bool, int]:
-    """Resolve the partitions switch from the environment.
-
-    Unset → on with one (serial) shard worker. A falsey spelling → off.
-    An integer ``N >= 1`` → on with ``N`` shard workers (``0`` → off).
-    Any other truthy value → on, serial.
-    """
-    raw = os.environ.get(name)
-    if raw is None:
-        return True, 1
-    text = raw.strip().lower()
-    if text in _FALSEY:
-        return False, 1
-    try:
-        workers = int(text)
-    except ValueError:
-        return True, 1
-    if workers < 1:
-        return False, 1
-    return True, workers
-
-
-def resolve_partitions(explicit: "bool | int | None") -> tuple[bool, int]:
-    """Resolve the partitions switch to ``(enabled, workers)``.
-
-    ``None`` falls back to :func:`env_partitions`; ``True``/``False``
-    force the sharded path on (serial) or off; an integer ``N >= 1``
-    forces it on with ``N`` shard workers (``0`` forces it off). Note the
-    switch governs the *execution path* only — how many shards a relation
-    has is fixed at :meth:`~repro.core.database.Database.create_relation`
-    time, and invariant 10 makes the answers identical either way.
-    """
-    if explicit is None:
-        return env_partitions()
-    if explicit is True:
-        return True, 1
-    if explicit is False:
-        return False, 1
-    workers = int(explicit)
-    if workers < 1:
-        return False, 1
-    return True, workers
-
-
-# ----------------------------------------------------------------------
 # The introspectable switch inventory
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
@@ -122,8 +67,7 @@ class Switch:
     """Declaration of one engine switch (see :data:`SWITCHES`)."""
 
     name: str
-    """Registry key: ``kernels`` / ``optimize`` / ``synopses`` /
-    ``bufferpool`` / ``partitions``."""
+    """Registry key, as reported by :func:`describe`."""
 
     title: str
     """Human-readable name used in the docs table."""
@@ -137,11 +81,8 @@ class Switch:
     env: str
     """The environment variable."""
 
-    default: "bool | tuple[bool, int]"
+    default: bool
     """Built-in default when nothing else is set."""
-
-    default_label: str
-    """How the default renders in the docs table."""
 
 
 SWITCHES: tuple[Switch, ...] = (
@@ -152,16 +93,6 @@ SWITCHES: tuple[Switch, ...] = (
         option_note="",
         env="REPRO_OPTIMIZE",
         default=True,
-        default_label="on",
-    ),
-    Switch(
-        name="kernels",
-        title="vectorized kernels",
-        option="vectorized",
-        option_note="",
-        env="REPRO_KERNELS",
-        default=True,
-        default_label="on",
     ),
     Switch(
         name="synopses",
@@ -170,25 +101,6 @@ SWITCHES: tuple[Switch, ...] = (
         option_note="",
         env="REPRO_SYNOPSES",
         default=False,
-        default_label="off",
-    ),
-    Switch(
-        name="bufferpool",
-        title="buffer pool",
-        option="bufferpool",
-        option_note=" (also takes a `BufferPool`)",
-        env="REPRO_BUFFERPOOL",
-        default=True,
-        default_label="on",
-    ),
-    Switch(
-        name="partitions",
-        title="partitioned execution",
-        option="partitions",
-        option_note=" (also takes a worker count)",
-        env="REPRO_PARTITIONS",
-        default=(True, 1),
-        default_label="on, 1 worker",
     ),
     Switch(
         name="preempt",
@@ -197,7 +109,6 @@ SWITCHES: tuple[Switch, ...] = (
         option_note=" (`QueryServer` kwarg)",
         env="REPRO_PREEMPT",
         default=False,
-        default_label="off",
     ),
 )
 
@@ -209,33 +120,11 @@ class SwitchState:
     name: str
     option: str
     env: str
-    value: "bool | tuple[bool, int]"
+    value: bool
     source: str
     """``explicit`` > ``options`` > ``env`` > ``default`` — whichever won."""
 
-    default: "bool | tuple[bool, int]"
-
-    @property
-    def enabled(self) -> bool:
-        """The switch's on/off reading regardless of its value shape."""
-        if isinstance(self.value, tuple):
-            return bool(self.value[0])
-        return bool(self.value)
-
-
-def _resolve_state(switch: Switch, raw: object, source: str) -> SwitchState:
-    if switch.name == "partitions":
-        value: "bool | tuple[bool, int]" = resolve_partitions(raw)  # type: ignore[arg-type]
-    else:
-        value = bool(raw)
-    return SwitchState(
-        name=switch.name,
-        option=switch.option,
-        env=switch.env,
-        value=value,
-        source=source,
-        default=switch.default,
-    )
+    default: bool
 
 
 def describe(options=None, explicit=None) -> tuple[SwitchState, ...]:
@@ -243,45 +132,29 @@ def describe(options=None, explicit=None) -> tuple[SwitchState, ...]:
 
     ``options`` is an optional :class:`~repro.core.options.QueryOptions`
     (or anything duck-typed with the option fields); ``explicit`` is an
-    optional mapping from option field name (``vectorized`` / ``optimize``
-    / ``synopses`` / ``bufferpool`` / ``partitions``) to the per-session
-    kwarg value. Resolution is the engine's: explicit > options > env >
-    default.
+    optional mapping from a switch's option field name (each
+    :attr:`Switch.option` in :data:`SWITCHES`) to the per-session kwarg
+    value. Resolution is the engine's: explicit > options > env > default.
     """
     explicit = explicit or {}
     states: list[SwitchState] = []
     for switch in SWITCHES:
-        raw = explicit.get(switch.option)
-        if raw is not None:
-            states.append(_resolve_state(switch, raw, "explicit"))
-            continue
-        raw = getattr(options, switch.option, None) if options is not None else None
-        if raw is not None:
-            states.append(_resolve_state(switch, raw, "options"))
-            continue
-        if os.environ.get(switch.env) is not None:
-            if switch.name == "partitions":
-                value: "bool | tuple[bool, int]" = env_partitions(switch.env)
-            else:
-                value = env_switch(switch.env, bool(switch.default))
-            states.append(
-                SwitchState(
-                    name=switch.name,
-                    option=switch.option,
-                    env=switch.env,
-                    value=value,
-                    source="env",
-                    default=switch.default,
-                )
-            )
-            continue
+        from_options = getattr(options, switch.option, None)
+        if explicit.get(switch.option) is not None:
+            value, source = bool(explicit[switch.option]), "explicit"
+        elif from_options is not None:
+            value, source = bool(from_options), "options"
+        elif os.environ.get(switch.env) is not None:
+            value, source = env_switch(switch.env, switch.default), "env"
+        else:
+            value, source = switch.default, "default"
         states.append(
             SwitchState(
                 name=switch.name,
                 option=switch.option,
                 env=switch.env,
-                value=switch.default,
-                source="default",
+                value=value,
+                source=source,
                 default=switch.default,
             )
         )
@@ -302,6 +175,6 @@ def switch_table_markdown() -> str:
     for switch in SWITCHES:
         lines.append(
             f"| {switch.title} | `{switch.option}=`{switch.option_note} "
-            f"| `{switch.env}` | {switch.default_label} |"
+            f"| `{switch.env}` | {'on' if switch.default else 'off'} |"
         )
     return "\n".join(lines)

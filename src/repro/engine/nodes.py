@@ -42,15 +42,12 @@ from repro.costmodel.model import CostModel
 from repro.errors import TimeControlError
 from repro.estimation.selectivity import SelectivityTracker
 from repro.kernels import runs as _kernels
-from repro.kernels.cache import cached_sort_key, compiled_predicate
+from repro.kernels.cache import compiled_predicate
 from repro.kernels.columns import ColumnBatch
 from repro.relational.operators import (
-    apply_select,
     charge_external_sort,
     charge_merge,
     external_sort,
-    merge_intersect,
-    merge_join,
     project_rows,
     whole_row_key,
 )
@@ -130,7 +127,11 @@ class StagedNode(Protocol):
 
 
 class _NodeBase:
-    """Shared region bookkeeping over the base relations under a node."""
+    """Shared region bookkeeping over the base relations under a node.
+
+    The constructor takes the per-plan machinery every node of one plan
+    shares; subclasses forward it untouched as ``**common``.
+    """
 
     schema: Schema
     tracker: SelectivityTracker | None = None
@@ -142,21 +143,19 @@ class _NodeBase:
         block_size: int,
         full_fulfillment: bool,
         spool: "Spool | None" = None,
-        vectorized: bool = False,
         injector: "FaultInjector | None" = None,
     ) -> None:
         self.charger = charger
         self.cost_model = cost_model
         self.block_size = block_size
         self.full_fulfillment = full_fulfillment
-        self.vectorized = vectorized
         self.injector = injector
         self.spool = spool if spool is not None else Spool(block_size)
         self.stage = 0  # completed stages
         self.cum_out_tuples = 0
         self.points_so_far = 0
-        # Columnar view of this node's latest stage output; consumed by a
-        # vectorized parent so columns decoded here aren't decoded twice.
+        # Columnar view of this node's latest stage output; consumed by
+        # the parent so columns decoded here aren't decoded twice.
         self.stage_columns: ColumnBatch | None = None
 
     def _child_batch(self, child: "StagedNode", rows: list[Row]) -> ColumnBatch:
@@ -249,26 +248,12 @@ class StagedScan(_NodeBase):
         self,
         relation: HeapFile,
         sampler: BlockSampler,
-        charger: CostCharger,
-        cost_model: CostModel,
-        block_size: int,
-        full_fulfillment: bool,
-        spool: "Spool | None" = None,
-        vectorized: bool = False,
-        injector: "FaultInjector | None" = None,
-        bufferpool: "BufferPool | None" = None,
-        partitions: tuple[bool, int] | None = None,
+        bufferpool: "BufferPool",
+        partitions: int | None = None,
         shard_seeds: tuple[int, ...] = (),
+        **common,
     ) -> None:
-        super().__init__(
-            charger,
-            cost_model,
-            block_size,
-            full_fulfillment,
-            spool,
-            vectorized,
-            injector,
-        )
+        super().__init__(**common)
         self.relation = relation
         self.sampler = sampler
         self.bufferpool = bufferpool
@@ -276,12 +261,11 @@ class StagedScan(_NodeBase):
         self.cum_tuples = 0
         self.new_tuples = 0
         self._stage_rows: list[Row] = []
-        # Sharded execution: only when the switch is on AND the relation
-        # actually is partitioned. The global sampler permutation is drawn
-        # either way, so the switch never perturbs the session RNG stream.
-        enabled, workers = partitions if partitions is not None else (False, 1)
-        self.sharded = bool(enabled) and bool(getattr(relation, "shards", None))
-        self.shard_workers = max(1, workers)
+        # A partitioned relation is read shard by shard with ``partitions``
+        # workers (None = 1). The global sampler permutation is drawn either
+        # way, so sharding never perturbs the session RNG stream.
+        self.sharded = bool(getattr(relation, "shards", None))
+        self.shard_workers = partitions or 1
         self.shard_seeds = shard_seeds
         # Per-shard tallies of the latest sharded stage read; StagedPlan
         # turns them into ShardScanStarted/ShardMerged trace events.
@@ -312,44 +296,32 @@ class StagedScan(_NodeBase):
         if fraction is None:
             raise TimeControlError("scan.advance needs the stage fraction")
         d = self._blocks_for(fraction)
-        batch: ColumnBatch | None = None
         with self.charger.measure() as meter:
             block_ids = self.sampler.draw(d)
+            # Resident blocks hand back their decode-once arrays; charges
+            # and injector consultations are issued per block, in global
+            # draw order, exactly as the pool-less reference read does.
             if self.sharded:
-                # Shard workers materialize each shard's drawn blocks in
-                # parallel (wall-clock only); the relation replays the
-                # reference bounds → charge → injector → pool sequence per
-                # block in global draw order, so charged costs and fault
-                # streams are bit-identical to the unsharded branches below.
+                # Shard workers admit each shard's drawn blocks in parallel
+                # (wall-clock only) before the serial per-block replay.
                 rows, batch, self.last_shard_stats = self.relation.read_sharded(
                     block_ids,
                     self.charger,
-                    injector=self.injector,
+                    self.injector,
                     pool=self.bufferpool,
                     workers=self.shard_workers,
-                    decoded=self.vectorized,
-                )
-            elif self.bufferpool is not None and self.vectorized:
-                # Pooled + columnar: resident blocks hand back their
-                # decode-once arrays. Charges and injector consultations
-                # are issued per block exactly as on the plain path.
-                rows, batch = self.relation.read_blocks_decoded(
-                    block_ids, self.charger, self.injector, self.bufferpool
                 )
             else:
-                rows = self.relation.read_blocks(
-                    block_ids, self.charger, self.injector, self.bufferpool
+                rows, batch = self.relation.read_blocks_decoded(
+                    block_ids, self.charger, self.injector, pool=self.bufferpool
                 )
         if d:
             self.cost_model.observe(step_names.SCAN_READ, [d, 1.0], meter.elapsed)
         self._stage_rows = rows
-        if self.vectorized:
-            # Decode the stage's blocks into the columnar view once; every
-            # term that shares this scan reuses the same batch. Uncharged:
-            # the simulated block reads above already paid for the I/O.
-            self.stage_columns = (
-                batch if batch is not None else ColumnBatch(rows, self.schema)
-            )
+        # The stage's columnar view, decoded once; every term that shares
+        # this scan reuses the same batch. Uncharged: the simulated block
+        # reads above already paid for the I/O.
+        self.stage_columns = batch
         self.new_tuples = len(rows)
         self.cum_tuples += len(rows)
         self.stage = stage
@@ -388,47 +360,23 @@ class StagedScan(_NodeBase):
 class StagedSelect(_NodeBase):
     """Staged selection (Figure 4.3 / equation 4.1).
 
-    ``predicate`` may be the :class:`~repro.relational.predicate.Predicate`
-    AST — compiled exactly once at construction, through the process-wide
-    kernel cache, into both the row function and the vectorized mask — or a
-    pre-compiled row callable (legacy form), which forces this node onto
-    the row-at-a-time path since no mask can be derived from it.
+    ``predicate`` is the :class:`~repro.relational.predicate.Predicate`
+    AST, compiled exactly once at construction, through the process-wide
+    kernel cache, into the whole-stage column mask :meth:`_filter` applies.
     """
 
     def __init__(
         self,
         child: "StagedNode",
-        predicate: "Predicate | Callable[[Row], bool]",
+        predicate: Predicate,
         label: str,
         initial_selectivity: float,
-        charger: CostCharger,
-        cost_model: CostModel,
-        block_size: int,
-        full_fulfillment: bool,
-        spool: "Spool | None" = None,
-        vectorized: bool = False,
-        injector: "FaultInjector | None" = None,
+        **common,
     ) -> None:
-        super().__init__(
-            charger,
-            cost_model,
-            block_size,
-            full_fulfillment,
-            spool,
-            vectorized,
-            injector,
-        )
+        super().__init__(**common)
         self.child = child
         self.schema = child.schema
-        if isinstance(predicate, Predicate):
-            compiled = compiled_predicate(predicate, child.schema)
-            self.predicate_fn = compiled.row_fn
-            self._mask_fn = compiled.mask_fn
-            self.comparison_count = compiled.comparison_count
-        else:  # bare callable: no columnar counterpart available
-            self.predicate_fn = predicate
-            self._mask_fn = None
-            self.comparison_count = 1
+        self._mask_fn = compiled_predicate(predicate, child.schema).mask_fn
         self.tracker = SelectivityTracker(label, initial_selectivity)
 
     def base_scans(self) -> list[StagedScan]:
@@ -437,7 +385,7 @@ class StagedSelect(_NodeBase):
     def iter_nodes(self) -> list["StagedNode"]:
         return [self, *self.child.iter_nodes()]
 
-    def _select_vectorized(self, rows: list[Row]) -> list[Row]:
+    def _filter(self, rows: list[Row]) -> list[Row]:
         """Whole-stage filter: same charges as ``apply_select``, one mask."""
         self.charger.charge(CostKind.OP_INIT, 1)
         if rows:
@@ -454,12 +402,7 @@ class StagedSelect(_NodeBase):
         self._check_stage(stage)
         rows = self.child.advance(stage)
         with self.charger.measure() as meter:
-            if self.vectorized and self._mask_fn is not None:
-                out = self._select_vectorized(rows)
-            else:
-                out = apply_select(
-                    rows, self.predicate_fn, self.charger, self._bf()
-                )
+            out = self._filter(rows)
         pages = -(-len(out) // self._bf()) if out else 0
         self.cost_model.observe(
             step_names.SELECT_OP, [len(rows), pages, 1.0], meter.elapsed
@@ -492,16 +435,17 @@ class _StagedBinary(_NodeBase):
     writes + sorts the new runs and performs the full- or partial-fulfillment
     merges, charging equations (4.2)–(4.4).
 
-    Two execution paths compute the same stage. The row-at-a-time reference
-    path loops a pairwise sorted merge over every old run, so Python work
-    per stage grows with the stage count. The vectorized path keeps **one
-    consolidated sorted run per side** (:class:`repro.kernels.SortedRun`):
-    all new x old pairs are answered by a single ``searchsorted`` probe and
-    split back into per-old-run outputs by stage tag, after which the new
-    run is merged in once. The *charged* simulated costs — temp writes,
-    sorts, and one :func:`charge_merge` per (new, old-run) pair in run
-    order — are issued identically on both paths, so estimates, traces,
-    and charged times are bit-identical; only wall-clock time differs.
+    :meth:`_stage` keeps **one consolidated sorted run per side**
+    (:class:`repro.kernels.SortedRun`): all new x old pairs are answered by
+    a single ``searchsorted`` probe and split back into per-old-run outputs
+    by stage tag, after which the new run is merged in once. The *charged*
+    simulated costs — temp writes, sorts, and one :func:`charge_merge` per
+    (new, old-run) pair in run order — are issued exactly as by pairwise
+    :func:`~repro.relational.operators.merge_join` /
+    :func:`~repro.relational.operators.merge_intersect` merges over every
+    old run (the reference the differential tests substitute for
+    :meth:`_stage`), so estimates, traces, and charged times are
+    bit-identical to it; only wall-clock time differs.
     """
 
     write_step: str
@@ -514,23 +458,9 @@ class _StagedBinary(_NodeBase):
         right: "StagedNode",
         label: str,
         initial_selectivity: float,
-        charger: CostCharger,
-        cost_model: CostModel,
-        block_size: int,
-        full_fulfillment: bool,
-        spool: "Spool | None" = None,
-        vectorized: bool = False,
-        injector: "FaultInjector | None" = None,
+        **common,
     ) -> None:
-        super().__init__(
-            charger,
-            cost_model,
-            block_size,
-            full_fulfillment,
-            spool,
-            vectorized,
-            injector,
-        )
+        super().__init__(**common)
         self.left = left
         self.right = right
         self.tracker = SelectivityTracker(label, initial_selectivity)
@@ -538,11 +468,8 @@ class _StagedBinary(_NodeBase):
         self._right_runs: list[SpoolFile] = []
         self.cum_left_in = 0
         self.cum_right_in = 0
-        self._sort_key_pair: tuple[
-            Callable[[Row], tuple], Callable[[Row], tuple]
-        ] | None = None
-        # Consolidated sorted runs (vectorized full fulfillment only;
-        # partial fulfillment never revisits old runs).
+        # Consolidated sorted runs (full fulfillment only; partial
+        # fulfillment never revisits old runs).
         self._left_sorted = _kernels.SortedRun()
         self._right_sorted = _kernels.SortedRun()
 
@@ -553,21 +480,8 @@ class _StagedBinary(_NodeBase):
         return [self, *self.left.iter_nodes(), *self.right.iter_nodes()]
 
     # Subclass hooks ----------------------------------------------------
-    def _sort_keys(self) -> tuple[Callable[[Row], tuple], Callable[[Row], tuple]]:
-        """Row-path sort keys, built once at first use and cached."""
-        if self._sort_key_pair is None:
-            left_pos, right_pos = self._key_positions()
-            self._sort_key_pair = (
-                cached_sort_key(left_pos),
-                cached_sort_key(right_pos),
-            )
-        return self._sort_key_pair
-
     def _key_positions(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(left, right) attribute positions forming the merge key."""
-        raise NotImplementedError
-
-    def _merge(self, left_run: list[Row], right_run: list[Row]) -> list[Row]:
         raise NotImplementedError
 
     def _vec_new_new(
@@ -589,17 +503,12 @@ class _StagedBinary(_NodeBase):
         self._check_stage(stage)
         new_left = self.left.advance(stage)
         new_right = self.right.advance(stage)
-        if self.vectorized:
-            out, left_file, right_file = self._stage_vectorized(
-                stage, new_left, new_right
-            )
-        else:
-            out, left_file, right_file = self._stage_rowwise(new_left, new_right)
+        out, left_file, right_file = self._stage(stage, new_left, new_right)
 
         if self.full_fulfillment:
             # The runs must survive for future cross-stage merges. (The
-            # vectorized path reads them back via the consolidated runs but
-            # retains the files so temp-space accounting is path-invariant.)
+            # stage reads them back via the consolidated runs; the files
+            # are retained for the paper's temp-space accounting.)
             self._left_runs.append(left_file)
             self._right_runs.append(right_file)
         else:
@@ -627,55 +536,10 @@ class _StagedBinary(_NodeBase):
         )
         return left_file, right_file
 
-    def _stage_rowwise(
-        self, new_left: list[Row], new_right: list[Row]
-    ) -> tuple[list[Row], SpoolFile, SpoolFile]:
-        """The reference path: pairwise merges against every old run."""
-        left_file, right_file = self._spool_and_charge_writes(new_left, new_right)
-        total_in = len(new_left) + len(new_right)
-
-        # Step (2): sort the temporary files.
-        left_key, right_key = self._sort_keys()
-        with self.charger.measure() as meter:
-            left_file.replace_rows(
-                external_sort(left_file.rows, left_key, self.charger)
-            )
-            right_file.replace_rows(
-                external_sort(right_file.rows, right_key, self.charger)
-            )
-        self.cost_model.observe(
-            self.sort_step,
-            [_nlogn(len(new_left)) + _nlogn(len(new_right)), total_in, 1.0],
-            meter.elapsed,
-        )
-
-        # Step (3): merge — new×new always; cross-stage merges only under
-        # full fulfillment (Figure 4.5).
-        out: list[Row] = []
-        reads = 0
-        merges = 0
-        with self.charger.measure() as meter:
-            out.extend(self._merge(left_file.rows, right_file.rows))
-            reads += len(left_file) + len(right_file)
-            merges += 1
-            if self.full_fulfillment:
-                for old_right in self._right_runs:
-                    out.extend(self._merge(left_file.rows, old_right.rows))
-                    reads += len(left_file) + len(old_right)
-                    merges += 1
-                for old_left in self._left_runs:
-                    out.extend(self._merge(old_left.rows, right_file.rows))
-                    reads += len(old_left) + len(right_file)
-                    merges += 1
-        self.cost_model.observe(
-            self.merge_step, [reads, len(out), merges], meter.elapsed
-        )
-        return out, left_file, right_file
-
-    def _stage_vectorized(
+    def _stage(
         self, stage: int, new_left: list[Row], new_right: list[Row]
     ) -> tuple[list[Row], SpoolFile, SpoolFile]:
-        """The kernel path: identical charges, bulk computation."""
+        """One stage's write, sort and merges: reference charges, bulk work."""
         left_file, right_file = self._spool_and_charge_writes(new_left, new_right)
         total_in = len(new_left) + len(new_right)
         left_pos, right_pos = self._key_positions()
@@ -827,15 +691,9 @@ class StagedIntersect(_StagedBinary):
         left.schema.require_compatible(right.schema, "intersect")
         self.schema = left.schema
 
-    def _sort_keys(self):
-        return whole_row_key, whole_row_key
-
     def _key_positions(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         positions = tuple(range(len(self.schema.attributes)))
         return positions, positions
-
-    def _merge(self, left_run: list[Row], right_run: list[Row]) -> list[Row]:
-        return merge_intersect(left_run, right_run, self.charger, self._bf())
 
     def _vec_new_new(
         self, left: "_kernels.KeyedRows", right: "_kernels.KeyedRows"
@@ -877,16 +735,6 @@ class StagedJoin(_StagedBinary):
     def _key_positions(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         return tuple(self._left_key), tuple(self._right_key)
 
-    def _merge(self, left_run: list[Row], right_run: list[Row]) -> list[Row]:
-        return merge_join(
-            left_run,
-            right_run,
-            self._left_key,
-            self._right_key,
-            self.charger,
-            self._bf(),
-        )
-
     def _vec_new_new(
         self, left: "_kernels.KeyedRows", right: "_kernels.KeyedRows"
     ) -> list[Row]:
@@ -916,23 +764,9 @@ class StagedProject(_NodeBase):
         attrs: Sequence[str],
         label: str,
         initial_selectivity: float,
-        charger: CostCharger,
-        cost_model: CostModel,
-        block_size: int,
-        full_fulfillment: bool,
-        spool: "Spool | None" = None,
-        vectorized: bool = False,
-        injector: "FaultInjector | None" = None,
+        **common,
     ) -> None:
-        super().__init__(
-            charger,
-            cost_model,
-            block_size,
-            full_fulfillment,
-            spool,
-            vectorized,
-            injector,
-        )
+        super().__init__(**common)
         self.child = child
         self.attrs = tuple(attrs)
         self._positions = [child.schema.index_of(a) for a in self.attrs]

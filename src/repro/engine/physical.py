@@ -71,14 +71,13 @@ class PhysicalPlanBuilder:
         rng: np.random.Generator,
         block_size: int,
         full_fulfillment: bool,
-        vectorized: bool,
+        bufferpool: "BufferPool",
         injector: "FaultInjector | None" = None,
         initial_selectivities: dict[str, float] | None = None,
         hint_provider=None,
         pin_selectivities: bool = False,
         binder: "SynopsisBinder | None" = None,
-        bufferpool: "BufferPool | None" = None,
-        partitions: tuple[bool, int] | None = None,
+        partitions: int | None = None,
     ) -> None:
         self.catalog = catalog
         self.charger = charger
@@ -86,10 +85,9 @@ class PhysicalPlanBuilder:
         self.rng = rng
         self.block_size = block_size
         self.full_fulfillment = full_fulfillment
-        self.vectorized = vectorized
         self.injector = injector
         self.bufferpool = bufferpool
-        self.partitions = partitions if partitions is not None else (False, 1)
+        self.partitions = partitions
         self._hint_provider = hint_provider
         self._pin_selectivities = pin_selectivities
         self._binder = binder
@@ -118,7 +116,6 @@ class PhysicalPlanBuilder:
             block_size=self.block_size,
             full_fulfillment=self.full_fulfillment,
             spool=self.spool,
-            vectorized=self.vectorized,
             injector=self.injector,
         )
 
@@ -156,12 +153,10 @@ class PhysicalPlanBuilder:
                 shards = getattr(relation, "shards", ())
                 # Per-shard seeds derive from the session RNG's seed
                 # material without consuming the stream: the sampler's
-                # global permutation below draws identically with
-                # partitions on or off (invariant 10).
-                seeds = (
-                    tuple(shard_seed(self.rng, i) for i in range(len(shards)))
-                    if self.partitions[0] and shards
-                    else ()
+                # global permutation below draws identically over a
+                # partitioned and a plain relation (invariant 10).
+                seeds = tuple(
+                    shard_seed(self.rng, i) for i in range(len(shards))
                 )
                 self._scans[expr.name] = StagedScan(
                     relation,

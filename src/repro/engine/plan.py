@@ -51,7 +51,6 @@ from repro.estimation.count_estimators import (
 from repro.estimation.estimate import Estimate
 from repro.estimation.goodman import goodman_estimate
 from repro.estimation.selectivity import SelectivityTracker
-from repro.kernels import kernels_enabled
 from repro.observability.trace import (
     NULL_SINK,
     NullSink,
@@ -64,6 +63,7 @@ from repro.observability.trace import (
 from repro.relational.expression import Expression
 from repro.relational.inclusion_exclusion import expand_count
 from repro.sampling.point_space import PointSpace
+from repro.storage.bufferpool import resolve_pool
 from repro.storage.events import ShardMerged, ShardScanStarted
 from repro.storage.heapfile import DEFAULT_BLOCK_SIZE
 from repro.timekeeping.charger import CostCharger
@@ -167,17 +167,15 @@ class StagedPlan:
         hint_provider=None,
         pin_selectivities: bool = False,
         sink: TraceSink | None = None,
-        vectorized: bool | None = None,
         injector: "FaultInjector | None" = None,
         optimize: bool = False,
         binder: "SynopsisBinder | None" = None,
         bufferpool: "BufferPool | None" = None,
-        partitions: tuple[bool, int] | None = None,
+        partitions: int | None = None,
     ) -> None:
         self.expr = expr
-        self.bufferpool = bufferpool
-        # None → honour the process-wide REPRO_KERNELS switch (default on).
-        self.vectorized = kernels_enabled() if vectorized is None else vectorized
+        # None → the process-wide default pool, wherever the plan is built.
+        self.bufferpool = resolve_pool(bufferpool)
         self.sink: TraceSink = sink if sink is not None else NULL_SINK
         self.injector = injector
         self.aggregate = aggregate
@@ -236,13 +234,12 @@ class StagedPlan:
             rng=rng,
             block_size=block_size,
             full_fulfillment=full_fulfillment,
-            vectorized=self.vectorized,
+            bufferpool=self.bufferpool,
             injector=injector,
             initial_selectivities=initial_selectivities,
             hint_provider=hint_provider,
             pin_selectivities=pin_selectivities,
             binder=binder,
-            bufferpool=bufferpool,
             partitions=partitions,
         )
         self.binder = binder
@@ -346,15 +343,10 @@ class StagedPlan:
             if trace:
                 # Shard events precede the merged ScanAdvance, mirroring
                 # execution: shards read, then merge in global draw order.
-                # They appear only on the sharded path — invariant 10 pins
-                # estimates/costs/schedules, not traces, partitions on/off.
+                # They appear only for partitioned relations — invariant 10
+                # pins estimates/costs/schedules, not these events.
                 if scan.sharded and scan.last_shard_stats:
                     for shard_stat in scan.last_shard_stats:
-                        seed = (
-                            scan.shard_seeds[shard_stat.shard]
-                            if shard_stat.shard < len(scan.shard_seeds)
-                            else 0
-                        )
                         self.sink.emit(
                             ShardScanStarted(
                                 relation=scan.relation.name,
@@ -362,7 +354,7 @@ class StagedPlan:
                                 stage=stage,
                                 blocks=shard_stat.blocks,
                                 tuples=shard_stat.tuples,
-                                seed=seed,
+                                seed=scan.shard_seeds[shard_stat.shard],
                             )
                         )
                     self.sink.emit(

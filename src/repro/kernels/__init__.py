@@ -8,24 +8,19 @@ bulk primitives (vectorized predicate masks, lexicographic sorts,
 sorted run per operand side) that the staged nodes use to *compute* each
 stage, while every charged cost — block reads, comparisons, sort and merge
 steps — is issued in exactly the sequence and amounts of the row-at-a-time
-reference path. Estimates, trace events, and charged simulated times are
-bit-identical with kernels on or off; only wall-clock time changes.
-
-Switching the kernels off (``REPRO_KERNELS=0`` in the environment, or
-``open_session(vectorized=False)``) routes execution through the original
-row-at-a-time operators, which remain the reference implementation.
+operators in :mod:`repro.relational.operators`. Those
+operators stay in the library — the exact evaluator runs on them — and are
+the reference every kernel is tested against: estimates, trace events, and
+charged simulated times are bit-identical to a stage computed with them;
+only wall-clock time differs.
 """
 
 from __future__ import annotations
 
-from repro.core.switches import env_switch
 from repro.kernels.cache import (
     CompiledPredicate,
     KernelCacheInfo,
-    cached_sort_key,
-    clear_kernel_cache,
     compiled_predicate,
-    kernel_cache_info,
 )
 from repro.kernels.columns import ColumnBatch, column_array, columnize
 from repro.kernels.runs import (
@@ -37,33 +32,17 @@ from repro.kernels.runs import (
     stable_lexsort,
 )
 
-def kernels_enabled() -> bool:
-    """Process-wide default for the vectorized kernels (env-controlled).
-
-    ``REPRO_KERNELS=0`` (or ``false``/``off``/``no``) forces the
-    row-at-a-time fallback; anything else — including the variable being
-    unset — enables the kernels. Read at plan construction time, so tests
-    can flip it per query. Resolution lives in
-    :func:`repro.core.switches.env_switch`, shared with ``REPRO_OPTIMIZE``.
-    """
-    return env_switch("REPRO_KERNELS", default=True)
-
-
 __all__ = [
     "ColumnBatch",
     "CompiledPredicate",
     "KernelCacheInfo",
     "KeyedRows",
     "SortedRun",
-    "cached_sort_key",
-    "clear_kernel_cache",
     "column_array",
     "columnize",
     "compiled_predicate",
     "encode_columns",
     "first_occurrence",
-    "kernel_cache_info",
-    "kernels_enabled",
     "match_pairs",
     "stable_lexsort",
 ]

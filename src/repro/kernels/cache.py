@@ -1,4 +1,4 @@
-"""Compilation caches — predicates and sort keys built once, not per stage.
+"""Compilation cache — predicates compiled once, not per stage.
 
 ``Predicate`` nodes and :class:`~repro.catalog.schema.Schema` are frozen
 (hashable) dataclasses, so one process-wide LRU maps
@@ -13,13 +13,11 @@ the cache is an optimization, never a requirement.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
 from repro.catalog.schema import Schema
-from repro.relational.operators.sort import SortKey, key_for_positions
 from repro.relational.predicate import ColumnMask, Predicate
 from repro.storage.block import Row
 
@@ -52,15 +50,9 @@ def compiled_predicate(predicate: Predicate, schema: Schema) -> CompiledPredicat
         return _compile(predicate, schema)
 
 
-@lru_cache(maxsize=512)
-def cached_sort_key(positions: tuple[int, ...]) -> SortKey:
-    """Shared sort-key extractor for attribute ``positions``."""
-    return key_for_positions(positions)
-
-
 @dataclass(frozen=True)
 class KernelCacheInfo:
-    """Combined counters of both compile LRUs, ``cache_info()``-style.
+    """Counters of the predicate-compile LRU, ``cache_info()``-style.
 
     Matches the shape of :class:`repro.planner.cache.PlanCacheInfo` and
     :class:`repro.storage.bufferpool.BufferPoolInfo` — one introspection
@@ -74,40 +66,16 @@ class KernelCacheInfo:
 
 
 def _kernel_cache_info() -> KernelCacheInfo:
-    """Summed hit/miss/size counters of the predicate and sort-key LRUs."""
-    predicate = _cached_compile.cache_info()
-    sort_key = cached_sort_key.cache_info()
+    """Hit/miss/size counters of the predicate-compile LRU."""
+    info = _cached_compile.cache_info()
     return KernelCacheInfo(
-        hits=predicate.hits + sort_key.hits,
-        misses=predicate.misses + sort_key.misses,
-        maxsize=(predicate.maxsize or 0) + (sort_key.maxsize or 0),
-        currsize=predicate.currsize + sort_key.currsize,
+        hits=info.hits,
+        misses=info.misses,
+        maxsize=info.maxsize or 0,
+        currsize=info.currsize,
     )
 
 
 def _clear_kernel_cache() -> None:
-    """Drop both compile LRUs and reset their counters (tests)."""
+    """Drop the compile LRU and reset its counters (tests)."""
     _cached_compile.cache_clear()
-    cached_sort_key.cache_clear()
-
-
-def kernel_cache_info() -> KernelCacheInfo:
-    """Deprecated: use ``repro.caches.get("kernels").info()``."""
-    warnings.warn(
-        "kernel_cache_info() is deprecated; use "
-        "repro.caches.get('kernels').info() or repro.caches.info()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _kernel_cache_info()
-
-
-def clear_kernel_cache() -> None:
-    """Deprecated: use ``repro.caches.get("kernels").clear()``."""
-    warnings.warn(
-        "clear_kernel_cache() is deprecated; use "
-        "repro.caches.get('kernels').clear() or repro.caches.clear()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    _clear_kernel_cache()

@@ -17,8 +17,8 @@ Planning a query is a three-phase pipeline:
    turns the (optimized or verbatim) tree into staged operator trees over
    shared sampling scans.
 
-The optimizer is on by default and controlled like the kernels: per query
-via ``QueryOptions(optimize=...)`` / ``open_session(optimize=...)``, or
+The optimizer is on by default and controlled per query via
+``QueryOptions(optimize=...)`` / ``open_session(optimize=...)``, or
 process-wide via the ``REPRO_OPTIMIZE`` environment switch. With
 ``optimize=False`` the expression is lowered verbatim — bit-identical to
 the engine before this package existed.
@@ -33,11 +33,7 @@ requests are admitted against the plan that will actually run.
 from __future__ import annotations
 
 from repro.core.switches import env_switch
-from repro.planner.cache import (
-    PlanCacheInfo,
-    clear_plan_cache,
-    plan_cache_info,
-)
+from repro.planner.cache import PlanCacheInfo
 from repro.planner.explain import (
     NodeCost,
     PlanCosts,
@@ -72,7 +68,7 @@ def optimizer_enabled() -> bool:
     verbatim; anything else — including the variable being unset — enables
     the optimizer. Read at session-construction time, so tests can flip it
     per query. Resolution lives in
-    :func:`repro.core.switches.env_switch`, shared with ``REPRO_KERNELS``.
+    :func:`repro.core.switches.env_switch`, shared by every switch.
     """
     return env_switch("REPRO_OPTIMIZE", default=True)
 
@@ -92,11 +88,9 @@ __all__ = [
     "SelectionFusion",
     "SetOpNormalize",
     "build_explanation",
-    "clear_plan_cache",
     "default_rules",
     "optimize_expression",
     "optimizer_enabled",
-    "plan_cache_info",
     "plan_logical",
     "predicted_stage_costs",
     "render_tree",

@@ -20,7 +20,6 @@ stale decision. Hint-dependent planning never touches the cache at all
 from __future__ import annotations
 
 import threading
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -91,16 +90,6 @@ def _plan_cache_info() -> PlanCacheInfo:
         )
 
 
-def plan_cache_info() -> PlanCacheInfo:
-    """Deprecated: use ``repro.caches.get("plans").info()``."""
-    warnings.warn(
-        "plan_cache_info() is deprecated; use "
-        "repro.caches.get('plans').info() or repro.caches.info()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _plan_cache_info()
-
 
 def invalidate_plan_cache_relation(name: str) -> int:
     """Drop every entry whose fingerprint references relation ``name``.
@@ -133,14 +122,3 @@ def _clear_plan_cache() -> None:
         _cache.clear()
         _hits = 0
         _misses = 0
-
-
-def clear_plan_cache() -> None:
-    """Deprecated: use ``repro.caches.get("plans").clear()``."""
-    warnings.warn(
-        "clear_plan_cache() is deprecated; use "
-        "repro.caches.get('plans').clear() or repro.caches.clear()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    _clear_plan_cache()

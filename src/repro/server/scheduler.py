@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, ContextManager, Iterable, Sequence
 
@@ -76,6 +75,7 @@ from repro.server.events import (
 from repro.server.metrics import ServerMetrics
 from repro.server.preempt import PreemptDecision, should_preempt
 from repro.server.request import Outcome, QueryRequest, RequestOutcome
+from repro.storage.bufferpool import resolve_pool
 from repro.synopses.catalog import relation_fingerprint
 from repro.synopses.events import SynopsisRefreshed
 from repro.timecontrol.stopping import HardDeadline
@@ -190,7 +190,6 @@ class QueryServer:
         max_fault_retries: int = 1,
         retry_backoff: float = 0.05,
         synopses: bool | None = None,
-        bufferpool: bool | None = None,
         shard_parallelism: float = 1.0,
         preempt: bool | None = None,
     ) -> None:
@@ -232,28 +231,16 @@ class QueryServer:
         self.synopses = resolve_switch(synopses, "REPRO_SYNOPSES", default=False)
         if self.synopses:
             self.database.synopses.sink = self.sink
-        # None → honour REPRO_BUFFERPOOL (default on). When on, every
-        # session the server opens shares the process-wide buffer pool —
-        # concurrent requests sampling the same relation hit each other's
-        # decoded blocks — and, while *this* server is processing, the
-        # pool's hit/miss/eviction events are routed onto the server's
-        # metrics stream (never the per-session traces, which stay
-        # bit-identical pool on/off). Routing is scoped per call rather
-        # than a permanent sink reassignment: the pool outlives any one
-        # server, and a later server must not inherit a torn-down sink.
-        self.bufferpool = resolve_switch(
-            bufferpool, "REPRO_BUFFERPOOL", default=True
-        )
-        from repro.storage.bufferpool import BufferPool, default_pool
-
-        pool_setting = self.session_kwargs.get("bufferpool", self.bufferpool)
-        self._pool: BufferPool | None
-        if isinstance(pool_setting, BufferPool):
-            self._pool = pool_setting
-        elif resolve_switch(pool_setting, "REPRO_BUFFERPOOL", default=True):
-            self._pool = default_pool()
-        else:
-            self._pool = None
+        # Every session the server opens shares one buffer pool — the
+        # process-wide one unless ``session_kwargs`` attaches another —
+        # so concurrent requests sampling the same relation hit each
+        # other's decoded blocks, and, while *this* server is processing,
+        # the pool's hit/miss/eviction events are routed onto the server's
+        # metrics stream (never the per-session traces). Routing is scoped
+        # per call rather than a permanent sink reassignment: the pool
+        # outlives any one server, and a later server must not inherit a
+        # torn-down sink.
+        self._pool = resolve_pool(self.session_kwargs.get("bufferpool"))
         self.preempt = resolve_switch(preempt, "REPRO_PREEMPT", default=False)
         self._seq = itertools.count()
         self._refresh_counter = itertools.count(1)
@@ -319,8 +306,6 @@ class QueryServer:
         the pool falls back to its own sink, so two servers over one
         process-wide pool never see each other's counters (and a closed
         sink from a torn-down server can never poison a later one)."""
-        if self._pool is None:
-            return nullcontext()
         return self._pool.route_events(self.sink)
 
     def serve(self, request: QueryRequest) -> RequestOutcome:
@@ -356,10 +341,9 @@ class QueryServer:
         arrivals.insert(index, request)
 
     def _session_overrides(self) -> dict:
-        """Per-session keyword overrides: the synopses and bufferpool
-        flags, then the caller's ``session_kwargs`` (which win on
-        conflict)."""
-        overrides = {"synopses": self.synopses, "bufferpool": self.bufferpool}
+        """Per-session keyword overrides: the synopses flag, then the
+        caller's ``session_kwargs`` (which win on conflict)."""
+        overrides = {"synopses": self.synopses}
         overrides.update(self.session_kwargs)
         return overrides
 

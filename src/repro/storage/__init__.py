@@ -5,8 +5,6 @@ from repro.storage.bufferpool import (
     BufferPool,
     BufferPoolInfo,
     PooledBatch,
-    bufferpool_cache_info,
-    clear_bufferpool_cache,
     default_pool,
     invalidate_bufferpool_relation,
 )
@@ -27,8 +25,6 @@ __all__ = [
     "Row",
     "Spool",
     "SpoolFile",
-    "bufferpool_cache_info",
-    "clear_bufferpool_cache",
     "default_pool",
     "invalidate_bufferpool_relation",
 ]

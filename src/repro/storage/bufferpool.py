@@ -11,8 +11,11 @@ block_id)``, both the raw row tuples and their lazily decoded columnar
 arrays, so the decode happens once and every later reader shares it.
 
 The hard contract (invariant 9 in ``docs/architecture.md``): **charged
-simulated costs, estimates, stage schedules, and traces are bit-identical
-with the pool on or off.** Concretely:
+simulated costs, estimates, stage schedules, and traces never depend on
+what the pool holds** — cold, warm, thrashing at capacity 1, or shared by
+50 interleaved sessions — and equal the pool-less storage reference
+:meth:`HeapFile.read_blocks <repro.storage.heapfile.HeapFile.read_blocks>`.
+Concretely:
 
 * every sampled block is still charged one full ``BLOCK_READ`` — a cache
   hit is a wall-clock shortcut, never a cost-model change;
@@ -48,7 +51,6 @@ from __future__ import annotations
 
 import itertools
 import threading
-import warnings
 import weakref
 from collections import OrderedDict
 from contextlib import contextmanager
@@ -58,6 +60,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 import numpy as np
 
 from repro.catalog.schema import Schema
+from repro.errors import ReproError
 from repro.kernels.columns import ColumnBatch, column_array
 from repro.observability.trace import NULL_SINK, TraceSink
 from repro.storage.block import Row
@@ -266,7 +269,7 @@ class BufferPool:
         swallowed: buffer events are pure observability; a broken sink
         (say, a JSONL file closed after its server was torn down) must
         never leak an exception into a query that happened to touch the
-        pool — that would violate the on/off bit-identity contract.
+        pool — that would violate the bit-identity contract.
         """
         sink = self.sink
         if sink is NULL_SINK:
@@ -395,40 +398,36 @@ _DEFAULT_POOL = BufferPool()
 
 
 def default_pool() -> BufferPool:
-    """The process-wide pool sessions share when ``REPRO_BUFFERPOOL`` is on."""
+    """The process-wide pool every plan shares unless given its own."""
     return _DEFAULT_POOL
 
 
+def resolve_pool(pool: "BufferPool | None") -> BufferPool:
+    """The pool a plan reads through: ``pool``, or the default for ``None``.
+
+    The one place that decides — plans, options and servers all resolve
+    here, so ``None`` means the same pool wherever a plan is built.
+    """
+    if pool is None:
+        return _DEFAULT_POOL
+    if not isinstance(pool, BufferPool):
+        raise ReproError(
+            f"bufferpool must be a BufferPool instance or None, got "
+            f"{pool!r}; every plan reads through a pool, so the on/off "
+            "forms (True / False) were removed — pass BufferPool(...) for "
+            "an isolated pool"
+        )
+    return pool
+
+
 def _bufferpool_cache_info() -> BufferPoolInfo:
-    """Counters of the process-wide default pool (non-deprecated impl)."""
+    """Counters of the process-wide default pool."""
     return _DEFAULT_POOL.info()
 
 
 def _clear_bufferpool_cache() -> None:
     """Drop all entries of the default pool and reset its counters."""
     _DEFAULT_POOL.clear()
-
-
-def bufferpool_cache_info() -> BufferPoolInfo:
-    """Deprecated alias — use ``repro.caches.get("bufferpool").info()``."""
-    warnings.warn(
-        "bufferpool_cache_info() is deprecated; use "
-        "repro.caches.get('bufferpool').info() or repro.caches.info()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _bufferpool_cache_info()
-
-
-def clear_bufferpool_cache() -> None:
-    """Deprecated alias — use ``repro.caches.get("bufferpool").clear()``."""
-    warnings.warn(
-        "clear_bufferpool_cache() is deprecated; use "
-        "repro.caches.get('bufferpool').clear() or repro.caches.clear()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    _clear_bufferpool_cache()
 
 
 def invalidate_bufferpool_relation(name: str) -> int:

@@ -10,9 +10,8 @@ containing them round-trip through
 :func:`~repro.observability.trace.event_from_dict`.
 
 Buffer events deliberately do **not** flow into per-session trace sinks:
-the pool is a wall-clock optimization and session traces must stay
-bit-identical with the pool on or off (invariant 9 in
-``docs/architecture.md``). They go to the pool's *own* sink, which
+the pool is a wall-clock optimization and session traces must not depend
+on what the pool holds (invariant 9 in ``docs/architecture.md``). They go to the pool's *own* sink, which
 :class:`~repro.server.QueryServer` routes onto its metrics stream for the
 duration of its own processing.
 """
@@ -70,8 +69,8 @@ class ShardScanStarted(TraceEvent):
 
     Unlike buffer events, shard events **do** flow into per-session trace
     sinks: invariant 10 pins estimates, charged costs, and stage schedules
-    bit-identical partitions on/off, but explicitly lets traces differ by
-    these shard markers. ``seed`` is the shard's derived stream identity
+    bit-identical to an unpartitioned relation's, but explicitly lets
+    traces differ by these shard markers. ``seed`` is the shard's derived stream identity
     (:func:`~repro.sampling.derive_shard_rng` seeded from the session seed
     without consuming the session stream).
     """

@@ -110,7 +110,7 @@ class HeapFile:
 
         Plain heap files have no shards; :class:`~repro.storage.partitioned.
         PartitionedHeapFile` overrides this so shard faults fire identically
-        on the sharded and the inherited global read paths (invariant 10).
+        on the sharded read and the inherited reference reads (invariant 10).
         """
         return None
 
@@ -144,21 +144,16 @@ class HeapFile:
         block_ids: Sequence[int],
         charger: CostCharger,
         injector: "FaultInjector | None" = None,
-        pool: "BufferPool | None" = None,
     ) -> list[Row]:
         """Read several blocks (each charged), concatenating their rows.
 
-        With a :class:`~repro.storage.bufferpool.BufferPool`, resident
-        blocks skip re-materialization — but the charge and the injector
-        consultation happen per block either way, in the same order, so
-        simulated costs and fault streams are bit-identical pool on/off.
+        The pool-less storage reference: the engine reads through
+        :meth:`read_blocks_decoded`, which must charge, consult the
+        injector and return rows exactly as this loop does.
         """
-        if pool is None:
-            rows: list[Row] = []
-            for block_id in block_ids:
-                rows.extend(self.read_block(block_id, charger, injector))
-            return rows
-        rows, _ = self._read_pooled(block_ids, charger, injector, pool)
+        rows: list[Row] = []
+        for block_id in block_ids:
+            rows.extend(self.read_block(block_id, charger, injector))
         return rows
 
     def read_blocks_decoded(
@@ -166,22 +161,20 @@ class HeapFile:
         block_ids: Sequence[int],
         charger: CostCharger,
         injector: "FaultInjector | None" = None,
-        pool: "BufferPool | None" = None,
+        *,
+        pool: "BufferPool",
     ) -> "tuple[list[Row], ColumnBatch]":
-        """Like :meth:`read_blocks`, plus a lazy columnar view of the rows.
+        """Read several blocks through ``pool``, plus a lazy columnar view.
 
-        With a pool, the batch is a :class:`~repro.storage.bufferpool.
-        PooledBatch` sharing each block's decode-once arrays (pinned while
-        the batch lives); without one it is a plain
-        :class:`~repro.kernels.columns.ColumnBatch` over the fresh rows.
-        Either way ``batch.rows`` *is* the returned list, so the engine's
+        Resident blocks skip re-materialization — but the charge and the
+        injector consultation happen per block, in the same order as in
+        :meth:`read_blocks`, so simulated costs and fault streams never
+        depend on what the pool holds. The batch is a
+        :class:`~repro.storage.bufferpool.PooledBatch` sharing each
+        block's decode-once arrays (pinned while the batch lives), and
+        ``batch.rows`` *is* the returned list, so the engine's
         batch-identity handoff between nodes keeps working.
         """
-        from repro.kernels.columns import ColumnBatch
-
-        if pool is None:
-            rows = self.read_blocks(block_ids, charger, injector)
-            return rows, ColumnBatch(rows, self.schema)
         rows, entries = self._read_pooled(block_ids, charger, injector, pool)
         return rows, pool.batch(rows, self.schema, entries)
 

@@ -14,9 +14,10 @@ assignment on top (``round_robin``: ``block_id % K``; ``hash``: a
 splitmix64 bit-mix of the block id modulo ``K``). Because block identity
 and content are untouched, the global :class:`~repro.sampling.BlockSampler`
 permutation, every drawn block, and every charged ``BLOCK_READ`` are
-*structurally* identical to the unsharded run — the heart of invariant 10
-(``docs/architecture.md``): partitions on/off produce bit-identical
-estimates, charged costs, and stage schedules.
+*structurally* identical to a run over the same rows in a plain heap file —
+the heart of invariant 10 (``docs/architecture.md``): a partitioned and an
+unpartitioned relation produce bit-identical estimates, charged costs, and
+stage schedules, at any shard worker count.
 
 Each shard is a :class:`HeapShard` view with its own name
 (``"<relation>/shard<i>"``) and its own storage token, so the buffer pool
@@ -43,7 +44,6 @@ plan-cache/synopsis/buffer-pool invalidation.
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
@@ -219,14 +219,6 @@ def _shard_executor(workers: int) -> ThreadPoolExecutor:
         return pool
 
 
-def default_shard_workers() -> int:
-    """Worker count used when partitions are on without an explicit count."""
-    try:
-        return max(1, len(os.sched_getaffinity(0)))
-    except AttributeError:  # pragma: no cover - non-Linux fallback
-        return max(1, os.cpu_count() or 1)
-
-
 class HeapShard:
     """A read-only view of one shard of a :class:`PartitionedHeapFile`.
 
@@ -302,10 +294,10 @@ class PartitionedHeapFile(HeapFile):
     """A heap file whose blocks are deterministically assigned to K shards.
 
     The global block layout — ids, contents, packing order — is exactly a
-    plain :class:`HeapFile`'s; only the shard overlay is new. Reading
-    through :meth:`read_blocks` (partitions switched off) therefore behaves
-    identically to an unpartitioned relation, which is what invariant 10's
-    on/off identity tests pin.
+    plain :class:`HeapFile`'s; only the shard overlay is new. The inherited
+    pool-less :meth:`read_blocks` therefore behaves identically to an
+    unpartitioned relation's — the reference invariant 10's identity tests
+    compare :meth:`read_sharded` against.
     """
 
     def __init__(
@@ -373,28 +365,26 @@ class PartitionedHeapFile(HeapFile):
         block_ids: Sequence[int],
         charger: CostCharger,
         injector: "FaultInjector | None" = None,
-        pool: "BufferPool | None" = None,
+        *,
+        pool: "BufferPool",
         workers: int = 1,
-        decoded: bool = False,
-    ) -> "tuple[list[Row], ColumnBatch | None, list[ShardReadStats]]":
+    ) -> "tuple[list[Row], ColumnBatch, list[ShardReadStats]]":
         """Read drawn global blocks with shard workers; replay charges serially.
 
         Returns ``(rows, batch, stats)``: the rows concatenated in *global
         draw order* (element-for-element what :meth:`read_blocks` returns),
-        a columnar batch when ``decoded`` (a
-        :class:`~repro.storage.bufferpool.PooledBatch` over shard entries
-        when a pool is present), and per-shard read tallies for the
+        a :class:`~repro.storage.bufferpool.PooledBatch` over the shard
+        entries, and per-shard read tallies for the
         ``ShardScanStarted``/``ShardMerged`` trace events.
 
-        Worker threads only *materialize* (and, with a pool and no
-        injector, admit) shard blocks — pure wall-clock work. The main
-        thread then replays the reference per-block sequence — bounds
-        check → ``BLOCK_READ`` charge → injector → pool lookup — in draw
-        order, so charged costs, fault streams, and row order are
-        bit-identical to the unsharded read regardless of worker
-        scheduling. With an injector the prefetch is skipped entirely:
-        admission must stay strictly after each block's injector
-        consultation so a faulted read is never admitted.
+        Worker threads only *admit* shard blocks into ``pool`` — pure
+        wall-clock work. The main thread then replays the reference
+        per-block sequence — bounds check → ``BLOCK_READ`` charge →
+        injector → pool lookup — in draw order, so charged costs, fault
+        streams, and row order are bit-identical to the reference read
+        regardless of worker scheduling. With an injector the prefetch is
+        skipped entirely: admission must stay strictly after each block's
+        injector consultation so a faulted read is never admitted.
         """
         assignment = self.assignment
         in_bounds = all(0 <= b < len(self._blocks) for b in block_ids)
@@ -407,19 +397,16 @@ class PartitionedHeapFile(HeapFile):
 
         prefetched: dict[int, tuple] = {}
         if in_bounds and injector is None and groups:
-            fetch_jobs = [
-                (shard, shard_blocks) for shard, shard_blocks in groups.items()
-            ]
-            if workers > 1 and len(fetch_jobs) > 1:
+            if workers > 1 and len(groups) > 1:
                 executor = _shard_executor(workers)
                 futures = [
                     executor.submit(self._fetch_shard, shard, shard_blocks, pool)
-                    for shard, shard_blocks in fetch_jobs
+                    for shard, shard_blocks in groups.items()
                 ]
                 for future in futures:
                     prefetched.update(future.result())
             else:
-                for shard, shard_blocks in fetch_jobs:
+                for shard, shard_blocks in groups.items():
                     prefetched.update(self._fetch_shard(shard, shard_blocks, pool))
 
         rows: list[Row] = []
@@ -429,9 +416,7 @@ class PartitionedHeapFile(HeapFile):
         shard_hits: dict[int, int] = {}
         # Nothing prefetched (injector active): every block is admitted below.
         prefixes = (
-            [pool.key_prefix(view) for view in self.shards]
-            if pool is not None and not prefetched
-            else []
+            [] if prefetched else [pool.key_prefix(view) for view in self.shards]
         )
         for block_id in block_ids:
             if not 0 <= block_id < len(self._blocks):
@@ -440,69 +425,45 @@ class PartitionedHeapFile(HeapFile):
             charger.charge(CostKind.BLOCK_READ, 1)
             if injector is not None:
                 injector.on_block_read(self.name, block_id, charger, shard=shard)
-            if pool is not None:
-                if block_id in prefetched:
-                    entry, hit = prefetched[block_id]
-                else:
-                    entry, hit = pool.get_or_admit(
-                        self.shards[shard],
-                        assignment.local_ids[block_id],
-                        prefixes[shard],
-                    )
-                entries.append(entry)
-                block_rows = entry.rows
-                shard_hits[shard] = shard_hits.get(shard, 0) + hit
-            elif block_id in prefetched:
-                block_rows = prefetched[block_id]
+            if block_id in prefetched:
+                entry, hit = prefetched[block_id]
             else:
-                block_rows = list(self._blocks[block_id].rows)
-            rows.extend(block_rows)
+                entry, hit = pool.get_or_admit(
+                    self.shards[shard],
+                    assignment.local_ids[block_id],
+                    prefixes[shard],
+                )
+            entries.append(entry)
+            rows.extend(entry.rows)
+            shard_hits[shard] = shard_hits.get(shard, 0) + hit
             shard_blocks_read[shard] = shard_blocks_read.get(shard, 0) + 1
             shard_tuples_read[shard] = shard_tuples_read.get(shard, 0) + len(
-                block_rows
+                entry.rows
             )
 
-        if pool is not None:
-            for shard in sorted(shard_blocks_read):
-                blocks = shard_blocks_read[shard]
-                hits = shard_hits.get(shard, 0)
-                pool.note_read(self.shards[shard].name, blocks, hits, blocks - hits)
-
-        batch: "ColumnBatch | None" = None
-        if decoded:
-            if pool is not None:
-                batch = pool.batch(rows, self.schema, entries)
-            else:
-                from repro.kernels.columns import ColumnBatch
-
-                batch = ColumnBatch(rows, self.schema)
-
-        stats = [
-            ShardReadStats(
-                shard=shard,
-                blocks=shard_blocks_read[shard],
-                tuples=shard_tuples_read[shard],
+        stats = []
+        for shard in sorted(shard_blocks_read):
+            blocks = shard_blocks_read[shard]
+            hits = shard_hits[shard]
+            pool.note_read(self.shards[shard].name, blocks, hits, blocks - hits)
+            stats.append(
+                ShardReadStats(
+                    shard=shard, blocks=blocks, tuples=shard_tuples_read[shard]
+                )
             )
-            for shard in sorted(shard_blocks_read)
-        ]
-        return rows, batch, stats
+        return rows, pool.batch(rows, self.schema, entries), stats
 
     def _fetch_shard(
-        self, shard: int, shard_blocks: list[int], pool: "BufferPool | None"
+        self, shard: int, shard_blocks: list[int], pool: "BufferPool"
     ) -> dict[int, tuple]:
-        """Worker body: materialize one shard's drawn blocks (no charges)."""
-        assignment = self.assignment
+        """Worker body: admit one shard's drawn blocks (no charges)."""
         view = self.shards[shard]
-        prefix = pool.key_prefix(view) if pool is not None else None
-        out: dict[int, tuple] = {}
-        for block_id in shard_blocks:
-            if pool is not None:
-                out[block_id] = pool.get_or_admit(
-                    view, assignment.local_ids[block_id], prefix
-                )
-            else:
-                out[block_id] = list(self._blocks[block_id].rows)
-        return out
+        prefix = pool.key_prefix(view)
+        local_ids = self.assignment.local_ids
+        return {
+            block_id: pool.get_or_admit(view, local_ids[block_id], prefix)
+            for block_id in shard_blocks
+        }
 
     def __repr__(self) -> str:
         return (

@@ -3,8 +3,8 @@
 Covers the pool in isolation — hit/miss accounting, LRU order, capacity
 and eviction, pinning via live :class:`PooledBatch` objects, decode-once
 column sharing, explicit invalidation, event emission and JSONL round-trip,
-and the unified ``*_cache_info()`` / ``clear_*_cache()`` surface shared
-with the planner and kernel caches. Engine-level identity contracts live
+and the unified ``repro.caches`` surface shared with the planner and
+kernel caches. Engine-level identity contracts live
 in ``test_bufferpool_identity.py``.
 """
 
@@ -40,7 +40,7 @@ def heap(int_schema):
 
 
 def read(pool, heap, block_ids, charger):
-    return heap.read_blocks(block_ids, charger, pool=pool)
+    return heap.read_blocks_decoded(block_ids, charger, pool=pool)[0]
 
 
 class TestLookupAndLRU:
@@ -222,6 +222,31 @@ class TestUnifiedCacheSurface:
         caches.get("bufferpool").clear()
         assert caches.get("bufferpool").info().currsize == 0
 
+    def test_directly_built_plan_reads_through_the_default_pool(self, heap):
+        """``bufferpool=None`` means the process pool wherever a plan is
+        built — not only behind ``Database.open_session``."""
+        from repro.catalog.catalog import Catalog
+        from repro.costmodel.model import CostModel
+        from repro.engine.plan import StagedPlan
+        from repro.relational.expression import rel
+        from repro.timekeeping.charger import CostCharger
+        from repro.timekeeping.profile import MachineProfile
+
+        caches.get("bufferpool").clear()
+        catalog = Catalog()
+        catalog.register("r1", heap)
+        plan = StagedPlan(
+            rel("r1"),
+            catalog,
+            CostCharger(MachineProfile.uniform(0.0)),
+            CostModel(),
+            np.random.default_rng(0),
+        )
+        assert plan.bufferpool is default_pool()
+        stats = plan.advance_stage(0.4)
+        info = caches.get("bufferpool").info()
+        assert info.misses == info.currsize == stats.blocks_read > 0
+
     def test_kernel_cache_info_counts_compiles(self):
         from repro.catalog.schema import Schema
         from repro.catalog.types import AttributeType
@@ -243,12 +268,7 @@ class TestUnifiedCacheSurface:
         import repro
 
         for name in (
-            "plan_cache_info",
-            "clear_plan_cache",
-            "kernel_cache_info",
-            "clear_kernel_cache",
-            "bufferpool_cache_info",
-            "clear_bufferpool_cache",
+            "caches",
             "BufferPool",
             "BufferPoolInfo",
             "KernelCacheInfo",

@@ -1,12 +1,17 @@
 """Bit-identity pins for the buffer pool (invariant 9).
 
-The pool is a wall-clock optimization and nothing else: charged simulated
-costs, estimates, stage schedules, and per-session trace streams must be
-bit-identical with the pool on or off, cold or warm, interleaved or
-serial, faulted or not. These tests pin that contract over both kernel
-paths, the three canonical query shapes, a 50-session interleave stress,
-and injected-fault replay; ``test_bufferpool.py`` covers the pool's own
-mechanics.
+The pool is a wall-clock structure and nothing else: charged simulated
+costs, estimates, stage schedules, and per-session trace streams must not
+depend on what it holds — cold, warm, shared by interleaved sessions,
+faulted or not. Every plan reads through a pool, so "pool off" is played
+by ``BufferPool(capacity=1)``: every read is a miss plus an eviction, i.e.
+the pool never saves a single materialization. At the storage level the
+pooled read is pinned against the pool-less reference
+``HeapFile.read_blocks`` in rows, charges and injector consultations. The
+contract is checked on the engine and on the row-at-a-time stage oracle
+(ids ``vectorized`` / ``python``), over the three canonical query shapes,
+a 50-session interleave stress, and injected-fault replay;
+``test_bufferpool.py`` covers the pool's own mechanics.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from repro.storage.bufferpool import BufferPool
 from repro.timekeeping.charger import CostCharger
 from repro.timekeeping.profile import MachineProfile
 from tests.conftest import make_relation
+from tests.rowwise_oracle import rowwise_stages
 
 
 @pytest.fixture(autouse=True)
@@ -61,12 +67,23 @@ QUERIES = [
 ]
 
 
-def run_signature(db: Database, expr, quota: float, seed: int, **options):
+def thrashing_pool() -> BufferPool:
+    """The "pool off" stand-in: nothing read is ever found resident."""
+    return BufferPool(capacity=1)
+
+
+def run_signature(
+    db: Database, expr, quota: float, seed: int, rowwise: bool = False, **options
+):
     """Everything observable about a run, traces included."""
     sink = RecordingSink()
-    result = db.estimate(
-        expr, quota=quota, seed=seed, options=QueryOptions(sink=sink, **options)
-    )
+    with rowwise_stages(rowwise):
+        result = db.estimate(
+            expr,
+            quota=quota,
+            seed=seed,
+            options=QueryOptions(sink=sink, **options),
+        )
     report = result.report
     return (
         None if report.estimate is None else (
@@ -84,26 +101,27 @@ def run_signature(db: Database, expr, quota: float, seed: int, **options):
     )
 
 
-@pytest.mark.parametrize("vectorized", [False, True], ids=["python", "vectorized"])
+@pytest.mark.parametrize("rowwise", [True, False], ids=["python", "vectorized"])
 @pytest.mark.parametrize("expr,quota", QUERIES, ids=["select", "conjunct", "join"])
 class TestOnOffIdentity:
-    def test_pool_on_equals_pool_off(self, vectorized, expr, quota):
+    def test_pool_on_equals_pool_off(self, rowwise, expr, quota):
+        thrash = thrashing_pool()
         off = run_signature(
-            make_db(), expr, quota, seed=5,
-            vectorized=vectorized, bufferpool=False,
+            make_db(), expr, quota, seed=5, rowwise=rowwise, bufferpool=thrash
         )
+        assert thrash.info().hits == 0 and thrash.info().evictions > 0
         caches.get("plans").clear()
         on = run_signature(
-            make_db(), expr, quota, seed=5,
-            vectorized=vectorized, bufferpool=BufferPool(),
+            make_db(), expr, quota, seed=5, rowwise=rowwise,
+            bufferpool=BufferPool(),
         )
         assert on == off
 
-    def test_warm_pool_equals_cold_pool(self, vectorized, expr, quota):
+    def test_warm_pool_equals_cold_pool(self, rowwise, expr, quota):
         """A pool full of this very query's blocks changes nothing."""
         db = make_db()
         pool = BufferPool()
-        opts = dict(vectorized=vectorized, bufferpool=pool)
+        opts = dict(rowwise=rowwise, bufferpool=pool)
         cold = run_signature(db, expr, quota, seed=5, **opts)
         assert pool.info().misses > 0  # the run really went through it
         caches.get("plans").clear()
@@ -113,7 +131,8 @@ class TestOnOffIdentity:
 
 
 class TestSharedPoolStress:
-    """The session-stress mix over one shared pool = pool off, bit for bit."""
+    """The session-stress mix over one shared pool = each session alone on
+    a pool that never holds anything for it, bit for bit."""
 
     SESSIONS = 50
 
@@ -155,7 +174,9 @@ class TestSharedPoolStress:
         db_off = demo_database(seed=29, tuples=1_200, analyze=False)
         baseline = {}
         for i in range(self.SESSIONS):
-            session = db_off.open_session(bufferpool=False, **self._spec(i))
+            session = db_off.open_session(
+                bufferpool=thrashing_pool(), **self._spec(i)
+            )
             baseline[i] = self._signature(session.run())
 
         db_on = demo_database(seed=29, tuples=1_200, analyze=False)
@@ -183,7 +204,7 @@ class TestFaults:
             FaultPlan(read_error_prob=1.0), np.random.default_rng(3)
         )
         with pytest.raises(InjectedFault):
-            heap.read_blocks([0, 1], charger, injector, pool)
+            heap.read_blocks_decoded([0, 1], charger, injector, pool=pool)
         assert pool.info().currsize == 0  # nothing poisoned the cache
         assert pool.info().misses == 0
 
@@ -200,16 +221,16 @@ class TestFaults:
             np.random.default_rng(3),
         )
         with pytest.raises(InjectedFault):
-            heap.read_blocks([0, 1], charger, injector, pool)
+            heap.read_blocks_decoded([0, 1], charger, injector, pool=pool)
         assert pool.info().currsize == 0
-        rows = heap.read_blocks([0, 1], charger, injector, pool)
+        rows, _ = heap.read_blocks_decoded([0, 1], charger, injector, pool=pool)
         assert len(rows) == 10
         assert pool.info().currsize == 2
 
     @pytest.mark.parametrize(
-        "vectorized", [False, True], ids=["python", "vectorized"]
+        "rowwise", [True, False], ids=["python", "vectorized"]
     )
-    def test_chaos_replay_identical_pool_on_and_off(self, vectorized):
+    def test_chaos_replay_identical_pool_on_and_off(self, rowwise):
         plan = FaultPlan(
             read_error_prob=0.03,
             slow_read_prob=0.05,
@@ -219,12 +240,57 @@ class TestFaults:
         )
         expr, quota = QUERIES[0]
         off = run_signature(
-            make_db(), expr, quota, seed=5,
-            vectorized=vectorized, bufferpool=False, fault_plan=plan,
+            make_db(), expr, quota, seed=5, rowwise=rowwise,
+            bufferpool=thrashing_pool(), fault_plan=plan,
         )
         caches.get("plans").clear()
         on = run_signature(
-            make_db(), expr, quota, seed=5,
-            vectorized=vectorized, bufferpool=BufferPool(), fault_plan=plan,
+            make_db(), expr, quota, seed=5, rowwise=rowwise,
+            bufferpool=BufferPool(), fault_plan=plan,
         )
         assert on == off
+
+
+class TestStorageReference:
+    """``_read_pooled`` ≡ the pool-less ``read_blocks`` loop, block for block."""
+
+    DRAW = [3, 0, 4, 0, 2]  # includes a repeat: a hit inside one batch
+
+    @staticmethod
+    def _read(heap, pool, salt):
+        """One charged, fault-injected read; everything it did observably."""
+        import numpy as np
+
+        rng = np.random.default_rng(salt)
+        charger = CostCharger(MachineProfile.sun3_60(), rng=rng)
+        sink = RecordingSink()
+        injector = FaultInjector(
+            FaultPlan(slow_read_prob=0.5, slow_read_factor=3.0),
+            np.random.default_rng(salt + 1),
+            sink,
+        )
+        if pool is None:
+            rows = heap.read_blocks(TestStorageReference.DRAW, charger, injector)
+        else:
+            rows, batch = heap.read_blocks_decoded(
+                TestStorageReference.DRAW, charger, injector, pool=pool
+            )
+            assert batch.rows is rows
+        return (
+            rows,
+            charger.clock.now(),
+            sorted((k.name, v) for k, v in charger.totals.items()),
+            sorted((k.name, v) for k, v in charger.counts.items()),
+            [e.to_dict() for e in sink],
+        )
+
+    def test_pooled_read_equals_poolless_reference(self, int_schema):
+        heap = make_relation("r1", int_schema, [(i, i % 3) for i in range(25)])
+        reference = self._read(heap, None, salt=9)
+        assert reference[4]  # the injector really was consulted and fired
+        pool = BufferPool()
+        assert self._read(heap, pool, salt=9) == reference  # cold
+        assert pool.info().misses == 4 and pool.info().hits == 1
+        assert self._read(heap, pool, salt=9) == reference  # warm
+        assert pool.info().hits == 6
+        assert self._read(heap, thrashing_pool(), salt=9) == reference

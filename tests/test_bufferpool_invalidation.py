@@ -53,27 +53,18 @@ def mutate_drop(db: Database) -> None:
 
 
 def mutate_write_task(db: Database) -> None:
-    # A transaction must carry at least one query; run it with the pool
-    # off so the *observation* below sees the commit's eviction, not the
-    # follow-up query's re-admissions.
-    import os
-
-    previous = os.environ.get("REPRO_BUFFERPOOL")
-    os.environ["REPRO_BUFFERPOOL"] = "0"
-    try:
-        result = TransactionScheduler(db).run(
-            [
-                WriteTask("w", "r1", [(10**6 + i, 1) for i in range(3)]),
-                QueryTask("q", rel("r1").where(cmp("a", "<", 50))),
-            ],
-            deadline=5.0,
-            seed=9,
-        )
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_BUFFERPOOL", None)
-        else:
-            os.environ["REPRO_BUFFERPOOL"] = previous
+    # A transaction must carry at least one query; it reads through a
+    # scratch pool so the *observation* below sees the commit's eviction
+    # in the watched pools, not the follow-up query's re-admissions.
+    result = TransactionScheduler(db).run(
+        [
+            WriteTask("w", "r1", [(10**6 + i, 1) for i in range(3)]),
+            QueryTask("q", rel("r1").where(cmp("a", "<", 50))),
+        ],
+        deadline=5.0,
+        seed=9,
+        bufferpool=BufferPool(),
+    )
     assert result.met_deadline
 
 
@@ -94,7 +85,7 @@ def test_mutation_evicts_bufferpool_plan_cache_and_synopses(mutate):
     # run, a custom session pool on the second.
     db.estimate(
         query(), quota=5.0, seed=3,
-        options=QueryOptions(synopses=True, bufferpool=True),
+        options=QueryOptions(synopses=True),
     )
     db.estimate(query(), quota=5.0, seed=4, options=QueryOptions(bufferpool=custom))
     assert caches.get("bufferpool").info().currsize > 0
@@ -123,10 +114,7 @@ def test_unrelated_relation_survives_mutation(mutate):
         [("id", "int"), ("a", "int")],
         rows=[(i, i % 10) for i in range(1_000)],
     )
-    db.estimate(
-        rel("r2").where(cmp("a", "<", 5)), quota=5.0, seed=3,
-        options=QueryOptions(bufferpool=True),
-    )
+    db.estimate(rel("r2").where(cmp("a", "<", 5)), quota=5.0, seed=3)
     resident_before = caches.get("bufferpool").info().currsize
     assert resident_before > 0
     mutate(db)
@@ -137,7 +125,7 @@ def test_unrelated_relation_survives_mutation(mutate):
 def test_post_mutation_reads_see_new_contents():
     db = make_db()
     exact_before = db.relation("r1").tuple_count
-    db.estimate(query(), quota=5.0, seed=3, options=QueryOptions(bufferpool=True))
+    db.estimate(query(), quota=5.0, seed=3)
     db.append_rows("r1", [(10**6 + i, 1) for i in range(50)])
     assert db.relation("r1").tuple_count == exact_before + 50
     # A fresh read through the pool returns the grown relation's rows,
@@ -149,5 +137,5 @@ def test_post_mutation_reads_see_new_contents():
     from repro.timekeeping.profile import MachineProfile
 
     charger = CostCharger(MachineProfile.uniform(0.0))
-    rows = relation.read_blocks([last], charger, pool=pool)
+    rows, _ = relation.read_blocks_decoded([last], charger, pool=pool)
     assert rows == relation.block_rows_uncharged(last)

@@ -253,7 +253,10 @@ def test_entries_examined_per_miss_do_not_grow_with_capacity(
     _, batch = heap.read_blocks_decoded(
         list(range(pinned_prefix)), free_charger, pool=pool
     )
-    heap.read_blocks(list(range(pinned_prefix, capacity)), free_charger, pool=pool)
+    # (result dropped at once: its batch unpins, only the prefix stays pinned)
+    heap.read_blocks_decoded(
+        list(range(pinned_prefix, capacity)), free_charger, pool=pool
+    )
     assert pool.info().currsize == capacity
     assert pool.info().pinned == pinned_prefix
 

@@ -1,19 +1,15 @@
-"""The unified cache registry — ``repro.caches`` — and the legacy names.
+"""The unified cache registry — ``repro.caches``.
 
 One management surface for all four process-wide caches (kernels, plans,
-bufferpool, shards): named handles with ``info()``/``clear()``, whole-
-registry ``caches.info()``/``caches.clear()``, and the six pre-existing
-module-level helpers demoted to ``DeprecationWarning``-emitting delegates
-that still work. The suite's CI runs a ``-W error::DeprecationWarning``
-leg, so everything internal goes through the registry; these tests are the
-one sanctioned place the old names are still called.
+bufferpool, shards): named handles with ``info()``/``clear()`` and whole-
+registry ``caches.info()``/``caches.clear()``. The relation-keyed
+invalidation hooks stay with their caches as mutation plumbing.
 """
 
 from __future__ import annotations
 
 import pytest
 
-import repro
 from repro import caches
 from repro.core.database import Database
 from repro.errors import ReproError
@@ -37,10 +33,7 @@ def populate_all_caches():
         rows=[(i, i % 7) for i in range(3_000)],
         partitions=2,
     )
-    db.estimate(
-        rel("r1").where(cmp("a", "<", 3)), quota=4.0, seed=1,
-        vectorized=True, bufferpool=True, partitions=1,
-    )
+    db.estimate(rel("r1").where(cmp("a", "<", 3)), quota=4.0, seed=1)
 
 
 class TestRegistry:
@@ -83,37 +76,9 @@ class TestRegistry:
             assert counters.hits == 0, name
 
 
-LEGACY = [
-    ("kernels", "kernel_cache_info", "clear_kernel_cache"),
-    ("plans", "plan_cache_info", "clear_plan_cache"),
-    ("bufferpool", "bufferpool_cache_info", "clear_bufferpool_cache"),
-]
-
-
 class TestLegacyNames:
-    @pytest.mark.parametrize("cache,info_name,clear_name", LEGACY)
-    def test_old_info_warns_and_matches_registry(
-        self, cache, info_name, clear_name
-    ):
-        populate_all_caches()
-        with pytest.warns(DeprecationWarning, match=f"{info_name}.*repro.caches"):
-            legacy = getattr(repro, info_name)()
-        assert legacy == caches.get(cache).info()
-
-    @pytest.mark.parametrize("cache,info_name,clear_name", LEGACY)
-    def test_old_clear_warns_and_clears(self, cache, info_name, clear_name):
-        populate_all_caches()
-        with pytest.warns(DeprecationWarning, match=f"{clear_name}.*repro.caches"):
-            getattr(repro, clear_name)()
-        assert caches.get(cache).info().currsize == 0
-
-    def test_all_six_still_exported_from_repro(self):
-        for _, info_name, clear_name in LEGACY:
-            assert callable(getattr(repro, info_name))
-            assert callable(getattr(repro, clear_name))
-
     def test_relation_invalidation_hooks_do_not_warn(self, recwarn):
-        """Mutation plumbing is not deprecated — only the management names."""
+        """Mutation plumbing is public API: calling it never warns."""
         from repro.planner.cache import invalidate_plan_cache_relation
         from repro.storage.bufferpool import invalidate_bufferpool_relation
         from repro.storage.partitioned import invalidate_shard_cache_relation

@@ -13,8 +13,7 @@ import pytest
 
 from repro.catalog.schema import Attribute, Schema
 from repro.catalog.types import AttributeType
-from repro.kernels import kernels_enabled
-from repro.kernels.cache import cached_sort_key, compiled_predicate
+from repro.kernels.cache import compiled_predicate
 from repro.kernels.columns import ColumnBatch, column_array, columnize
 from repro.kernels.runs import (
     KeyedRows,
@@ -29,11 +28,7 @@ from repro.kernels.runs import (
     rows_array,
     stable_lexsort,
 )
-from repro.relational.operators import (
-    key_for_positions,
-    merge_intersect,
-    merge_join,
-)
+from repro.relational.operators import merge_intersect, merge_join
 from repro.relational.predicate import And, Not, Or, TruePredicate, attr, cmp
 from repro.storage.block import DiskBlock
 from repro.timekeeping.charger import CostCharger
@@ -334,29 +329,3 @@ def test_compiled_predicate_unhashable_constant_falls_back():
     sneaky = cmp("a", "==", [1, 2])  # list constant: unhashable
     compiled = compiled_predicate(sneaky, SCHEMA)
     assert compiled.row_fn((1, 0.0, "x")) is False
-
-
-def test_cached_sort_key_is_shared():
-    assert cached_sort_key((0, 2)) is cached_sort_key((0, 2))
-    key = cached_sort_key((2, 0))
-    assert key(("r", 1.0, "k")) == key_for_positions([2, 0])(("r", 1.0, "k"))
-
-
-# ----------------------------------------------------------------------
-# Environment switch
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("value,expected", [
-    (None, True),
-    ("1", True),
-    ("yes", True),
-    ("0", False),
-    ("false", False),
-    ("OFF", False),
-    (" no ", False),
-])
-def test_kernels_enabled_env_switch(monkeypatch, value, expected):
-    if value is None:
-        monkeypatch.delenv("REPRO_KERNELS", raising=False)
-    else:
-        monkeypatch.setenv("REPRO_KERNELS", value)
-    assert kernels_enabled() is expected

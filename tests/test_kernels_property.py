@@ -1,11 +1,12 @@
-"""Property-based bit-identity: vectorized kernels vs row-at-a-time path.
+"""Property-based bit-identity: the kernel engine vs the row-at-a-time oracle.
 
-The kernel layer's contract is absolute: for ANY SJIP expression, ANY stage
-schedule, and ANY seed, running the staged plan with ``vectorized=True``
-must produce byte-for-byte the same observable behaviour as the
-row-at-a-time reference — the same output rows in the same order, the same
-estimates (value *and* variance), and the same charged simulated time down
-to every per-kind total. The noisy ``sun3_60`` profile makes this stringent:
+The kernel layer's contract (invariant 6) is absolute: for ANY SJIP
+expression, ANY stage schedule, and ANY seed, the staged plan must produce
+byte-for-byte the same observable behaviour as the same plan with its
+stages computed by the row-at-a-time operators
+(``tests/rowwise_oracle.py``) — the same output rows in the same order, the
+same estimates (value *and* variance), and the same charged simulated time
+down to every per-kind total. The noisy ``sun3_60`` profile makes this stringent:
 cost jitter draws from the same RNG stream as the block sampler, so even
 one extra or re-ordered charge on either path would desynchronise all
 subsequent sampling and show up here.
@@ -25,6 +26,7 @@ from repro.relational.predicate import And, cmp
 from repro.timekeeping.charger import CostCharger
 from repro.timekeeping.profile import MachineProfile
 from tests.conftest import make_relation
+from tests.rowwise_oracle import rowwise_stages
 
 
 def build_catalog() -> Catalog:
@@ -75,17 +77,15 @@ def sjip_expression(draw):
     return node
 
 
-def run_plan(expr, fractions, seed, vectorized):
+def run_plan(expr, fractions, seed, rowwise):
     """One full staged run; returns everything observable about it."""
     catalog = build_catalog()
     rng = np.random.default_rng(seed)
     # The charger shares the sampler's RNG stream (as sessions do), so the
     # charge sequence itself is under test, not just the charge totals.
     charger = CostCharger(MachineProfile.sun3_60(), rng=rng)
-    plan = StagedPlan(
-        expr, catalog, charger, CostModel(), rng, vectorized=vectorized
-    )
-    assert plan.vectorized is vectorized
+    with rowwise_stages(rowwise):
+        plan = StagedPlan(expr, catalog, charger, CostModel(), rng)
     stage_rows: list[list] = []
     stage_stats: list[tuple] = []
     for stage, fraction in enumerate(fractions, start=1):
@@ -114,10 +114,10 @@ def run_plan(expr, fractions, seed, vectorized):
 )
 def test_vectorized_run_is_bit_identical_to_rowwise(expr, fractions, seed):
     vec_rows, vec_stats, vec_totals, vec_counts = run_plan(
-        expr, fractions, seed, vectorized=True
+        expr, fractions, seed, rowwise=False
     )
     ref_rows, ref_stats, ref_totals, ref_counts = run_plan(
-        expr, fractions, seed, vectorized=False
+        expr, fractions, seed, rowwise=True
     )
     # Identical rows, in identical order, at every operator stage.
     assert vec_rows == ref_rows
@@ -134,19 +134,14 @@ def test_vectorized_run_is_bit_identical_to_rowwise(expr, fractions, seed):
     seed=st.integers(0, 2**12),
 )
 def test_partial_fulfillment_paths_also_identical(expr, seed):
-    def run(vectorized):
+    def run(rowwise):
         catalog = build_catalog()
         rng = np.random.default_rng(seed)
         charger = CostCharger(MachineProfile.sun3_60(), rng=rng)
-        plan = StagedPlan(
-            expr,
-            catalog,
-            charger,
-            CostModel(),
-            rng,
-            full_fulfillment=False,
-            vectorized=vectorized,
-        )
+        with rowwise_stages(rowwise):
+            plan = StagedPlan(
+                expr, catalog, charger, CostModel(), rng, full_fulfillment=False
+            )
         plan.advance_stage(0.2)
         plan.advance_stage(0.2)
         estimate = plan.estimate()

@@ -1,14 +1,14 @@
-"""Kernel-switch stress: the 50-session interleave, kernels on vs off.
+"""Kernel stress: the 50-session interleave, engine vs row-at-a-time oracle.
 
 Re-runs the session-isolation stress workload (see
-``test_session_stress.py``) under both execution paths and demands
-bit-identical run signatures: interleaving 50 vectorized sessions must
-match running the same 50 sessions serially with the row-at-a-time
-fallback, and vice versa. This is the end-to-end acceptance check that the
-kernel layer changes wall-clock behaviour only — every estimate, stage
-fraction, simulated duration, and block count is path-invariant even with
-50 plans' worth of kernel state (consolidated runs, column caches) alive
-at once.
+``test_session_stress.py``) on the engine and on the row-at-a-time stage
+oracle (``tests/rowwise_oracle.py``) and demands bit-identical run
+signatures: interleaving 50 engine sessions must match running the same 50
+sessions serially on the oracle. This is the end-to-end acceptance check
+that the kernel layer changes wall-clock behaviour only — every estimate,
+stage fraction, simulated duration, and block count is the reference's even
+with 50 plans' worth of kernel state (consolidated runs, column caches)
+alive at once.
 """
 
 from __future__ import annotations
@@ -17,32 +17,41 @@ import random
 
 import pytest
 
+from tests.rowwise_oracle import rowwise_stages
 from tests.test_session_stress import SESSIONS, make_db, signature, spec
 
 
-def run_serial(vectorized: bool | None) -> dict[int, tuple]:
+def open_sessions(rowwise) -> dict:
+    """All 50 sessions on one database; ``rowwise(i)`` picks the oracle."""
+    db = make_db()
+    sessions = {}
+    for i in range(SESSIONS):
+        with rowwise_stages(rowwise(i)):
+            sessions[i] = db.open_session(**spec(i))
+    return sessions
+
+
+def run_serial(rowwise: bool) -> dict[int, tuple]:
     db = make_db()
     signatures = {}
     for i in range(SESSIONS):
-        session = db.open_session(vectorized=vectorized, **spec(i))
+        with rowwise_stages(rowwise):
+            session = db.open_session(**spec(i))
         signatures[i] = signature(session.run())
     return signatures
 
 
 @pytest.fixture(scope="module")
 def serial_rowwise():
-    return run_serial(vectorized=False)
+    return run_serial(rowwise=True)
 
 
 def test_vectorized_serial_matches_rowwise_serial(serial_rowwise):
-    assert run_serial(vectorized=True) == serial_rowwise
+    assert run_serial(rowwise=False) == serial_rowwise
 
 
 def test_vectorized_interleaved_matches_rowwise_serial(serial_rowwise):
-    db = make_db()
-    sessions = {
-        i: db.open_session(vectorized=True, **spec(i)) for i in range(SESSIONS)
-    }
+    sessions = open_sessions(lambda i: False)
     order = list(range(SESSIONS))
     random.Random(13).shuffle(order)
     interleaved = {i: signature(sessions[i].run()) for i in order}
@@ -50,27 +59,9 @@ def test_vectorized_interleaved_matches_rowwise_serial(serial_rowwise):
 
 
 def test_mixed_paths_interleaved_match_too(serial_rowwise):
-    """Alternating vectorized and fallback sessions on one database."""
-    db = make_db()
-    sessions = {
-        i: db.open_session(vectorized=(i % 2 == 0), **spec(i))
-        for i in range(SESSIONS)
-    }
+    """Alternating engine and oracle sessions on one database."""
+    sessions = open_sessions(lambda i: i % 2 == 1)
     order = list(range(SESSIONS))
     random.Random(17).shuffle(order)
     mixed = {i: signature(sessions[i].run()) for i in order}
     assert mixed == serial_rowwise
-
-
-def test_env_switch_selects_the_fallback_path(monkeypatch, serial_rowwise):
-    """``REPRO_KERNELS=0`` routes whole sessions through the reference path."""
-    monkeypatch.setenv("REPRO_KERNELS", "0")
-    db = make_db()
-    for i in (0, 1, 2, 3):
-        session = db.open_session(**spec(i))  # vectorized=None → env
-        assert session.plan.vectorized is False
-        assert signature(session.run()) == serial_rowwise[i]
-    monkeypatch.setenv("REPRO_KERNELS", "1")
-    session = db.open_session(**spec(4))
-    assert session.plan.vectorized is True
-    assert signature(session.run()) == serial_rowwise[4]

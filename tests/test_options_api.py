@@ -74,13 +74,23 @@ class TestQueryOptionsValue:
         with pytest.raises(ReproError, match="block_size"):
             QueryOptions(block_size=-4)
 
-    def test_partitions_accepts_bool_and_worker_count(self):
-        for value in (None, True, False, 0, 1, 8):
+    def test_partitions_is_a_worker_count(self):
+        for value in (None, 1, 8):
             assert QueryOptions(partitions=value).partitions == value
 
     def test_negative_partitions_rejected(self):
         with pytest.raises(ReproError, match="partitions"):
             QueryOptions(partitions=-2)
+
+    @pytest.mark.parametrize("value", [True, False, 0])
+    def test_partitions_on_off_forms_removed(self, value):
+        with pytest.raises(ReproError, match="unsharded read path.*gone"):
+            QueryOptions(partitions=value)
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bufferpool_on_off_forms_removed(self, value):
+        with pytest.raises(ReproError, match="on/off forms.*removed"):
+            QueryOptions(bufferpool=value)
 
     def test_replace_partitions_round_trips(self):
         base = QueryOptions()
@@ -88,7 +98,7 @@ class TestQueryOptionsValue:
         changed = base.replace(partitions=4)
         assert changed.partitions == 4
         assert base.partitions is None  # original untouched
-        assert changed.replace(partitions=False).partitions is False
+        assert changed.replace(partitions=None).partitions is None
 
 
 class TestEstimateEntrypoint:
@@ -185,19 +195,15 @@ class TestEstimateEntrypoint:
         sharded = db.open_session(
             EXPR, 1.0, options=QueryOptions(partitions=4)
         )
-        assert sharded.partitions == (True, 4)
-        off = db.open_session(EXPR, 1.0, options=QueryOptions(partitions=False))
-        assert off.partitions == (False, 1)
+        assert [s.shard_workers for s in sharded.plan.scans] == [4]
+        serial = db.open_session(EXPR, 1.0)
+        assert [s.shard_workers for s in serial.plan.scans] == [1]
         # Keyword override beats the bundle, like every other option.
         overridden = db.open_session(
-            EXPR, 1.0, options=QueryOptions(partitions=4), partitions=False
+            EXPR, 1.0, options=QueryOptions(partitions=4), partitions=2
         )
-        assert overridden.partitions == (False, 1)
+        assert [s.shard_workers for s in overridden.plan.scans] == [2]
 
-
-class TestDeprecatedWrapperParity:
-    def test_wrappers_warn_and_delegate(self, db):
-        fresh = db.estimate(EXPR, quota=1.0, seed=12)
-        with pytest.warns(DeprecationWarning, match="count_estimate"):
-            legacy = db.count_estimate(EXPR, quota=1.0, seed=12)
-        assert sig(legacy) == sig(fresh)
+    def test_vectorized_is_no_longer_an_option(self, db):
+        with pytest.raises(ReproError, match="unknown query option.*vectorized"):
+            db.open_session(EXPR, 1.0, vectorized=True)

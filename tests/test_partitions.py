@@ -20,6 +20,7 @@ from repro.core.database import Database
 from repro.core.options import QueryOptions
 from repro.errors import ReproError, StorageError
 from repro.faults.plan import FaultPlan
+from repro.kernels.columns import ColumnBatch
 from repro.observability import RecordingSink
 from repro.observability.trace import event_from_dict
 from repro.relational.expression import rel
@@ -217,9 +218,11 @@ class TestReadSharded:
         heap = make_partitioned()
         ref_charger, shard_charger = unit_charger(), unit_charger()
         expected = heap.read_blocks(self.DRAW, ref_charger)
-        rows, batch, stats = heap.read_sharded(self.DRAW, shard_charger)
+        rows, batch, stats = heap.read_sharded(
+            self.DRAW, shard_charger, pool=BufferPool()
+        )
         assert rows == expected
-        assert batch is None
+        assert batch.rows is rows
         assert shard_charger.total_charged() == ref_charger.total_charged()
         assert sum(s.blocks for s in stats) == len(self.DRAW)
         assert sum(s.tuples for s in stats) == len(rows)
@@ -227,10 +230,10 @@ class TestReadSharded:
     def test_parallel_workers_match_serial(self):
         heap = make_partitioned()
         serial_rows, _, serial_stats = heap.read_sharded(
-            self.DRAW, unit_charger(), workers=1
+            self.DRAW, unit_charger(), pool=BufferPool(), workers=1
         )
         parallel_rows, _, parallel_stats = heap.read_sharded(
-            self.DRAW, unit_charger(), workers=4
+            self.DRAW, unit_charger(), pool=BufferPool(), workers=4
         )
         assert parallel_rows == serial_rows
         assert parallel_stats == serial_stats
@@ -251,10 +254,11 @@ class TestReadSharded:
     def test_decoded_returns_column_batch(self):
         heap = make_partitioned()
         rows, batch, _ = heap.read_sharded(
-            self.DRAW, unit_charger(), decoded=True
+            self.DRAW, unit_charger(), pool=BufferPool()
         )
-        assert batch is not None
+        assert isinstance(batch, ColumnBatch)
         assert len(batch) == len(rows)
+        assert batch.column(0).tolist() == [row[0] for row in rows]
 
     def test_out_of_bounds_charges_then_raises_like_reference(self):
         heap = make_partitioned()
@@ -263,14 +267,14 @@ class TestReadSharded:
         with pytest.raises(StorageError):
             heap.read_blocks(bad, ref_charger)
         with pytest.raises(StorageError):
-            heap.read_sharded(bad, shard_charger)
+            heap.read_sharded(bad, shard_charger, pool=BufferPool())
         assert shard_charger.total_charged() == ref_charger.total_charged()
 
     def test_pool_invalidation_covers_shard_prefix(self):
         heap = make_partitioned(partitions=3)
         pool = BufferPool()
         heap.read_sharded(self.DRAW, unit_charger(), pool=pool)
-        heap.read_blocks(self.DRAW, unit_charger(), pool=pool)
+        heap.read_blocks_decoded(self.DRAW, unit_charger(), pool=pool)
         assert pool.info().currsize > len(set(self.DRAW))  # both key spaces
         pool.invalidate_relation("orders")
         assert pool.info().currsize == 0
@@ -303,12 +307,13 @@ class TestShardFaults:
             FaultPlan(fail_shards=(0, 1)), np.random.default_rng(2), sink
         )
         draw = list(range(8))  # two blocks of every shard, in order
+        pool = BufferPool()
         # First two reads trip the two targeted shards, once each …
         for _ in range(2):
             with pytest.raises(InjectedFault):
-                heap.read_sharded(draw, unit_charger(), injector=injector)
+                heap.read_sharded(draw, unit_charger(), injector, pool=pool)
         # … then the stream is clean and the read completes normally.
-        rows, _, _ = heap.read_sharded(draw, unit_charger(), injector=injector)
+        rows, _, _ = heap.read_sharded(draw, unit_charger(), injector, pool=pool)
         assert rows == heap.read_blocks(draw, unit_charger())
         injected = sink.of_kind("fault_injected")
         assert len(injected) == 2
@@ -333,25 +338,31 @@ class TestShardFaults:
         assert result.report.termination  # … and the run still finished
 
     def test_fail_shards_fires_on_the_unsharded_path_too(self):
-        """Shard-targeted faults key off block→shard, not the read path."""
-        def faults(partitions_opt):
-            db = Database(seed=5)
-            db.create_relation(
-                "r1", [("id", "int"), ("a", "int")],
-                rows=[(i, i % 9) for i in range(4_000)], partitions=4,
-            )
+        """Shard-targeted faults key off block→shard, not the read path:
+        the pool-less reference read trips exactly what the sharded one does."""
+        from repro.errors import InjectedFault
+        from repro.faults.injector import FaultInjector
+
+        heap = make_partitioned(partitions=4)
+        draw = list(range(8))
+
+        def faults(read):
             sink = RecordingSink()
-            db.estimate(
-                rel("r1").where(cmp("a", "<", 5)), quota=8.0, seed=2,
-                options=QueryOptions(
-                    sink=sink,
-                    partitions=partitions_opt,
-                    fault_plan=FaultPlan(fail_shards=(1,)),
-                ),
+            injector = FaultInjector.for_session(
+                FaultPlan(fail_shards=(1,)), np.random.default_rng(2), sink
             )
+            with pytest.raises(InjectedFault):
+                read(injector)
+            read(injector)  # the shard fails once; the retry is clean
             return [e.to_dict() for e in sink.of_kind("fault_injected")]
 
-        assert faults(False) == faults(2)
+        reference = faults(lambda inj: heap.read_blocks(draw, unit_charger(), inj))
+        sharded = faults(
+            lambda inj: heap.read_sharded(
+                draw, unit_charger(), inj, pool=BufferPool()
+            )
+        )
+        assert reference == sharded and len(reference) == 1
 
     def test_negative_fail_shards_rejected(self):
         with pytest.raises(ReproError, match="fail_shards"):
@@ -417,11 +428,11 @@ def _request():
 
 class TestShardTraceEvents:
     @staticmethod
-    def run_traced(partitions_opt):
+    def run_traced(partitions_opt, shards=4):
         db = Database(seed=9)
         db.create_relation(
             "r1", [("id", "int"), ("a", "int")],
-            rows=[(i, i % 9) for i in range(4_000)], partitions=4,
+            rows=[(i, i % 9) for i in range(4_000)], partitions=shards,
         )
         sink = RecordingSink()
         db.estimate(
@@ -443,7 +454,7 @@ class TestShardTraceEvents:
             assert merge.tuples == sum(e.tuples for e in stage_starts)
 
     def test_unsharded_run_emits_none(self):
-        sink = self.run_traced(False)
+        sink = self.run_traced(2, shards=None)
         assert not sink.of_kind("shard_scan_started")
         assert not sink.of_kind("shard_merged")
 

@@ -1,17 +1,20 @@
-"""Invariant 10 — partitioned execution is bit-identical to unsharded.
+"""Invariant 10 — a partitioned relation is bit-identical to a plain one.
 
-The contract (``docs/architecture.md``): for the same seed, partitions
-on/off — and any shard worker count — produce bit-identical estimates,
+The contract (``docs/architecture.md``): for the same seed, the same rows
+loaded into a plain relation ("off") and into a ``partitions=4`` relation
+("on") — at any shard worker count — produce bit-identical estimates,
 charged costs, and stage schedules. Partitioning is a *block-granularity*
 overlay: global block ids, contents, and the sampler's global permutation
 are untouched, so the only permitted trace difference is the presence of
-``shard_scan_started``/``shard_merged`` events (which the sharded path
-emits and the global path cannot). That is deliberately *weaker* than the
-buffer pool's invariant 9, which pins traces verbatim.
+``shard_scan_started``/``shard_merged`` events (which only the sharded
+read emits). That is deliberately *weaker* than the buffer pool's
+invariant 9, which pins traces verbatim.
 
-The battery mirrors ``test_bufferpool_identity.py``: on/off across both
-kernel paths × pool on/off × three query shapes, a 50-session stress mix
-over one shared partitioned relation, and fault-replay identity.
+The battery mirrors ``test_bufferpool_identity.py``: plain vs partitioned
+on the engine and the row-at-a-time oracle (ids ``vectorized`` /
+``python``) × thrashing/roomy pool × three query shapes, a 50-session
+stress mix over one shared partitioned relation, and fault-replay
+identity.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from repro.observability import RecordingSink
 from repro.relational.expression import join, rel
 from repro.relational.predicate import cmp
 from repro.storage.bufferpool import BufferPool
+from tests.rowwise_oracle import rowwise_stages
 
 SHARD_KINDS = ("shard_scan_started", "shard_merged")
 
@@ -64,12 +68,23 @@ QUERIES = [
 ]
 
 
-def run_signature(db: Database, expr, quota: float, seed: int, **options):
+def plain_db(seed: int = 11) -> Database:
+    """The same rows in plain heap files: the unsharded reference."""
+    return make_db(seed, partitions=None)
+
+
+def run_signature(
+    db: Database, expr, quota: float, seed: int, rowwise: bool = False, **options
+):
     """Everything invariant 10 pins, plus traces minus shard events."""
     sink = RecordingSink()
-    result = db.estimate(
-        expr, quota=quota, seed=seed, options=QueryOptions(sink=sink, **options)
-    )
+    with rowwise_stages(rowwise):
+        result = db.estimate(
+            expr,
+            quota=quota,
+            seed=seed,
+            options=QueryOptions(sink=sink, **options),
+        )
     report = result.report
     return (
         None if report.estimate is None else (
@@ -87,62 +102,63 @@ def run_signature(db: Database, expr, quota: float, seed: int, **options):
     )
 
 
-@pytest.mark.parametrize("vectorized", [False, True], ids=["python", "vectorized"])
+@pytest.mark.parametrize("rowwise", [True, False], ids=["python", "vectorized"])
 @pytest.mark.parametrize("expr,quota", QUERIES, ids=["select", "conjunct", "join"])
 class TestOnOffIdentity:
-    def test_partitions_on_equals_off(self, vectorized, expr, quota):
+    def test_partitions_on_equals_off(self, rowwise, expr, quota):
         off = run_signature(
-            make_db(), expr, quota, seed=5,
-            vectorized=vectorized, bufferpool=False, partitions=False,
+            plain_db(), expr, quota, seed=5,
+            rowwise=rowwise, bufferpool=BufferPool(capacity=1),
         )
-        caches.get("plans").clear()
-        on = run_signature(
-            make_db(), expr, quota, seed=5,
-            vectorized=vectorized, bufferpool=False, partitions=2,
-        )
-        assert on == off
+        for workers in (1, 4):
+            caches.get("plans").clear()
+            on = run_signature(
+                make_db(), expr, quota, seed=5, rowwise=rowwise,
+                bufferpool=BufferPool(capacity=1), partitions=workers,
+            )
+            assert on == off
 
-    def test_identity_holds_through_the_pool(self, vectorized, expr, quota):
+    def test_identity_holds_through_the_pool(self, rowwise, expr, quota):
         """Sharded pool keys vs global pool keys — same answers either way."""
         off = run_signature(
-            make_db(), expr, quota, seed=5,
-            vectorized=vectorized, bufferpool=BufferPool(), partitions=False,
+            plain_db(), expr, quota, seed=5,
+            rowwise=rowwise, bufferpool=BufferPool(),
         )
         caches.get("plans").clear()
         on = run_signature(
             make_db(), expr, quota, seed=5,
-            vectorized=vectorized, bufferpool=BufferPool(), partitions=2,
+            rowwise=rowwise, bufferpool=BufferPool(), partitions=2,
         )
         assert on == off
 
-    def test_worker_count_is_invisible(self, vectorized, expr, quota):
+    def test_worker_count_is_invisible(self, rowwise, expr, quota):
         one = run_signature(
             make_db(), expr, quota, seed=5,
-            vectorized=vectorized, bufferpool=BufferPool(), partitions=1,
+            rowwise=rowwise, bufferpool=BufferPool(), partitions=1,
         )
         caches.get("plans").clear()
         four = run_signature(
             make_db(), expr, quota, seed=5,
-            vectorized=vectorized, bufferpool=BufferPool(), partitions=4,
+            rowwise=rowwise, bufferpool=BufferPool(), partitions=4,
         )
         assert four == one
 
-    def test_unpartitioned_relation_ignores_the_switch(self, vectorized, expr, quota):
+    def test_unpartitioned_relation_ignores_the_switch(self, rowwise, expr, quota):
         """partitions=N over plain heap files is a no-op, not an error."""
-        plain_off = run_signature(
-            make_db(partitions=None), expr, quota, seed=5,
-            vectorized=vectorized, bufferpool=False, partitions=False,
+        plain_serial = run_signature(
+            plain_db(), expr, quota, seed=5,
+            rowwise=rowwise, bufferpool=BufferPool(capacity=1),
         )
         caches.get("plans").clear()
-        plain_on = run_signature(
-            make_db(partitions=None), expr, quota, seed=5,
-            vectorized=vectorized, bufferpool=False, partitions=4,
+        plain_four = run_signature(
+            plain_db(), expr, quota, seed=5,
+            rowwise=rowwise, bufferpool=BufferPool(capacity=1), partitions=4,
         )
-        assert plain_on == plain_off
+        assert plain_four == plain_serial
 
 
 class TestSharedShardStress:
-    """50 interleaved sessions over one partitioned db = unsharded, bit for bit."""
+    """50 sessions over one partitioned db = over the plain db, bit for bit."""
 
     SESSIONS = 50
 
@@ -154,7 +170,7 @@ class TestSharedShardStress:
             signatures.append(
                 run_signature(
                     db, expr, quota, seed=100 + i,
-                    vectorized=bool(i % 2),
+                    rowwise=not i % 2,
                     bufferpool=pool,
                     partitions=partitions_opt,
                 )
@@ -162,7 +178,7 @@ class TestSharedShardStress:
         return signatures
 
     def test_stress_mix_identical(self):
-        baseline = self.mix(make_db(), False, False)
+        baseline = self.mix(plain_db(), None, BufferPool(capacity=1))
         caches.get("plans").clear()
         sharded = self.mix(make_db(), 4, BufferPool())
         assert sharded == baseline
@@ -173,8 +189,7 @@ class TestFaultReplayIdentity:
 
     PLAN = FaultPlan(read_error_prob=0.05, slow_read_prob=0.05, seed_salt=3)
 
-    def run_faulted(self, partitions_opt):
-        db = make_db(seed=21)
+    def run_faulted(self, db, partitions_opt):
         sink = RecordingSink()
         result = db.estimate(
             QUERIES[0][0], quota=QUERIES[0][1], seed=8,
@@ -192,7 +207,7 @@ class TestFaultReplayIdentity:
         )
 
     def test_fault_stream_identical_on_off(self):
-        off = self.run_faulted(False)
+        off = self.run_faulted(plain_db(seed=21), None)
         caches.get("plans").clear()
-        on = self.run_faulted(2)
+        on = self.run_faulted(make_db(seed=21), 2)
         assert on == off

@@ -257,3 +257,15 @@ class TestSharedState:
         kinds = set(sink.kinds())
         assert "request_started" in kinds
         assert "stage_end" in kinds  # per-query events share the stream
+
+    def test_session_pool_is_an_instance_or_the_default(self, db):
+        from repro.errors import ReproError
+        from repro.storage.bufferpool import BufferPool, default_pool
+
+        assert QueryServer(db)._pool is default_pool()
+        own = BufferPool(capacity=64)
+        server = QueryServer(db, session_kwargs={"bufferpool": own})
+        server.serve(request(quota=2.0, seed=1))
+        assert server._pool is own and own.info().misses > 0
+        with pytest.raises(ReproError, match="on/off forms.*removed"):
+            QueryServer(db, session_kwargs={"bufferpool": False})

@@ -2,9 +2,7 @@
 
 A session owns one run's mutable machinery; the Database facade's
 ``estimate`` entrypoint is a one-line wrapper over
-``open_session(...).run()``, and the legacy ``count_estimate`` /
-``sum_estimate`` / ``avg_estimate`` conveniences delegate to it with a
-``DeprecationWarning``.
+``open_session(...).run()``.
 """
 
 from __future__ import annotations
@@ -132,27 +130,7 @@ class TestFacadeRoutesThroughSessions:
         assert result.estimate.value == pytest.approx(exact, rel=0.5)
 
 
-class TestDeprecatedWrappers:
-    def test_count_estimate_warns_and_delegates(self, db):
-        with pytest.warns(DeprecationWarning, match="count_estimate"):
-            via_wrapper = db.count_estimate(EXPR, quota=5.0, seed=3)
-        via_entrypoint = db.estimate(EXPR, quota=5.0, seed=3)
-        assert via_wrapper.estimate == via_entrypoint.estimate
-
-    def test_sum_estimate_warns_and_delegates(self, db):
-        with pytest.warns(DeprecationWarning, match="sum_estimate"):
-            via_wrapper = db.sum_estimate(EXPR, "a", quota=5.0, seed=3)
-        via_entrypoint = db.estimate(EXPR, sum_of("a"), quota=5.0, seed=3)
-        assert via_wrapper.estimate == via_entrypoint.estimate
-        assert via_wrapper.report.aggregate == "sum"
-
-    def test_avg_estimate_warns_and_delegates(self, db):
-        with pytest.warns(DeprecationWarning, match="avg_estimate"):
-            via_wrapper = db.avg_estimate(EXPR, "a", quota=5.0, seed=3)
-        via_entrypoint = db.estimate(EXPR, avg_of("a"), quota=5.0, seed=3)
-        assert via_wrapper.estimate == via_entrypoint.estimate
-        assert via_wrapper.report.aggregate == "avg"
-
+class TestOptionValidation:
     def test_invalid_selectivity_source_rejected(self, db):
         with pytest.raises(ReproError, match="selectivity_source"):
             db.open_session(EXPR, quota=5.0, selectivity_source="psychic")

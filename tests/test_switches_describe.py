@@ -1,12 +1,13 @@
-"""The switch registry — ``describe()``, partitions parsing, docs drift.
+"""The switch registry — ``describe()``, env spellings, docs drift, retirement.
 
-Every engine switch (optimize / kernels / synopses / bufferpool /
-partitions) resolves through one rule: explicit per-session value beats
-the ``QueryOptions`` bundle, which beats the environment variable, which
-beats the built-in default. :func:`repro.core.switches.describe` reports
-each switch's resolved value *and the winning source*, and
+Every engine switch resolves through one rule: explicit per-session value
+beats the ``QueryOptions`` bundle, which beats the environment variable,
+which beats the built-in default. :func:`repro.core.switches.describe`
+reports each switch's resolved value *and the winning source*, and
 :func:`switch_table_markdown` renders the precedence table embedded in
 ``docs/api.md`` — pinned here so the docs cannot drift from the registry.
+Only switches that change *behaviour* are declared; the retired wall-clock
+switches must stay gone from ``src/``.
 """
 
 from __future__ import annotations
@@ -19,11 +20,11 @@ from repro.core.options import QueryOptions
 from repro.core.switches import (
     SWITCHES,
     describe,
-    env_partitions,
-    resolve_partitions,
+    env_switch,
     switch_table_markdown,
 )
 
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 ALL_ENV = [s.env for s in SWITCHES]
 
 
@@ -46,85 +47,75 @@ class TestDescribe:
         states = describe()
         assert all(s.source == "default" for s in states)
         assert state(states, "optimize").value is True
-        assert state(states, "kernels").value is True
         assert state(states, "synopses").value is False
-        assert state(states, "bufferpool").value is True
-        assert state(states, "partitions").value == (True, 1)
+        assert state(states, "preempt").value is False
 
     def test_env_beats_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNELS", "0")
-        monkeypatch.setenv("REPRO_PARTITIONS", "8")
+        monkeypatch.setenv("REPRO_OPTIMIZE", "0")
+        monkeypatch.setenv("REPRO_PREEMPT", "yes")
         states = describe()
-        kernels = state(states, "kernels")
-        assert (kernels.value, kernels.source) == (False, "env")
-        partitions = state(states, "partitions")
-        assert (partitions.value, partitions.source) == ((True, 8), "env")
-        assert state(states, "optimize").source == "default"
+        optimize = state(states, "optimize")
+        assert (optimize.value, optimize.source) == (False, "env")
+        preempt = state(states, "preempt")
+        assert (preempt.value, preempt.source) == (True, "env")
+        assert state(states, "synopses").source == "default"
 
     def test_options_beat_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNELS", "0")
-        monkeypatch.setenv("REPRO_PARTITIONS", "0")
-        states = describe(options=QueryOptions(vectorized=True, partitions=4))
-        kernels = state(states, "kernels")
-        assert (kernels.value, kernels.source) == (True, "options")
-        partitions = state(states, "partitions")
-        assert (partitions.value, partitions.source) == ((True, 4), "options")
+        monkeypatch.setenv("REPRO_OPTIMIZE", "0")
+        monkeypatch.setenv("REPRO_SYNOPSES", "1")
+        states = describe(options=QueryOptions(optimize=True, synopses=False))
+        optimize = state(states, "optimize")
+        assert (optimize.value, optimize.source) == (True, "options")
+        synopses = state(states, "synopses")
+        assert (synopses.value, synopses.source) == (False, "options")
 
-    def test_explicit_beats_options(self, monkeypatch):
+    def test_explicit_beats_options(self):
         states = describe(
-            options=QueryOptions(vectorized=True, partitions=4),
-            explicit={"vectorized": False, "partitions": 2},
+            options=QueryOptions(optimize=True, synopses=True),
+            explicit={"optimize": False, "preempt": True},
         )
-        kernels = state(states, "kernels")
-        assert (kernels.value, kernels.source) == (False, "explicit")
-        partitions = state(states, "partitions")
-        assert (partitions.value, partitions.source) == ((True, 2), "explicit")
-
-    def test_enabled_property_reads_both_value_shapes(self):
-        states = describe(explicit={"partitions": 0, "synopses": True})
-        assert state(states, "partitions").enabled is False
-        assert state(states, "synopses").enabled is True
-        assert state(states, "bufferpool").enabled is True
+        optimize = state(states, "optimize")
+        assert (optimize.value, optimize.source) == (False, "explicit")
+        preempt = state(states, "preempt")
+        assert (preempt.value, preempt.source) == (True, "explicit")
+        assert state(states, "synopses").source == "options"
 
 
-class TestPartitionsParsing:
-    @pytest.mark.parametrize(
-        "raw,expected",
-        [
-            (None, (True, 1)),
-            ("0", (False, 1)),
-            ("false", (False, 1)),
-            (" OFF ", (False, 1)),
-            ("no", (False, 1)),
-            ("1", (True, 1)),
-            ("6", (True, 6)),
-            ("-2", (False, 1)),
-            ("yes", (True, 1)),
-        ],
-    )
-    def test_env_partitions(self, monkeypatch, raw, expected):
-        if raw is None:
-            monkeypatch.delenv("REPRO_PARTITIONS", raising=False)
-        else:
-            monkeypatch.setenv("REPRO_PARTITIONS", raw)
-        assert env_partitions() == expected
+@pytest.mark.parametrize("value,expected", [
+    (None, True),
+    ("1", True),
+    ("yes", True),
+    ("0", False),
+    ("false", False),
+    ("OFF", False),
+    (" no ", False),
+])
+def test_env_switch_spellings(monkeypatch, value, expected):
+    if value is not None:
+        monkeypatch.setenv("REPRO_OPTIMIZE", value)
+    assert env_switch("REPRO_OPTIMIZE", default=True) is expected
 
-    @pytest.mark.parametrize(
-        "explicit,expected",
-        [
-            (True, (True, 1)),
-            (False, (False, 1)),
-            (0, (False, 1)),
-            (1, (True, 1)),
-            (5, (True, 5)),
-        ],
-    )
-    def test_resolve_partitions_explicit(self, explicit, expected):
-        assert resolve_partitions(explicit) == expected
 
-    def test_resolve_partitions_none_reads_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARTITIONS", "3")
-        assert resolve_partitions(None) == (True, 3)
+class TestRetiredSwitches:
+    """Kernels, buffer pool and partitions are the engine, not modes."""
+
+    RETIRED = ("REPRO_" + "KERNELS", "REPRO_" + "BUFFERPOOL", "REPRO_" + "PARTITIONS")
+
+    def test_only_behavioural_switches_are_declared(self):
+        assert {s.env for s in SWITCHES} == {
+            "REPRO_OPTIMIZE",
+            "REPRO_SYNOPSES",
+            "REPRO_PREEMPT",
+        }
+
+    def test_no_source_file_mentions_a_retired_variable(self):
+        offenders = [
+            f"{path.relative_to(ROOT)}: {name}"
+            for path in sorted((ROOT / "src").rglob("*.py"))
+            for name in self.RETIRED
+            if name in path.read_text()
+        ]
+        assert offenders == []
 
 
 class TestDocsTable:
@@ -133,9 +124,7 @@ class TestDocsTable:
 
     def test_api_docs_table_matches_registry(self):
         """docs/api.md embeds exactly what switch_table_markdown renders."""
-        api_md = (
-            pathlib.Path(__file__).resolve().parent.parent / "docs" / "api.md"
-        ).read_text()
+        api_md = (ROOT / "docs" / "api.md").read_text()
         assert self.MARKER_BEGIN in api_md and self.MARKER_END in api_md
         embedded = api_md.split(self.MARKER_BEGIN, 1)[1].split(
             self.MARKER_END, 1

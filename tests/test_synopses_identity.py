@@ -16,6 +16,7 @@ from repro.core.database import Database
 from repro.core.options import QueryOptions
 from repro import caches
 from repro.relational import cmp, join, rel
+from tests.rowwise_oracle import rowwise_stages
 
 
 @pytest.fixture(autouse=True)
@@ -48,10 +49,13 @@ QUERIES = [
 ]
 
 
-def run_signature(db: Database, expr, quota: float, seed: int, **options):
-    result = db.estimate(
-        expr, quota=quota, seed=seed, options=QueryOptions(**options)
-    )
+def run_signature(
+    db: Database, expr, quota: float, seed: int, rowwise: bool = False, **options
+):
+    with rowwise_stages(rowwise):  # the row-at-a-time stage oracle, or the engine
+        result = db.estimate(
+            expr, quota=quota, seed=seed, options=QueryOptions(**options)
+        )
     report = result.report
     return (
         None if report.estimate is None else (
@@ -68,13 +72,13 @@ def run_signature(db: Database, expr, quota: float, seed: int, **options):
     )
 
 
-@pytest.mark.parametrize("vectorized", [False, True], ids=["python", "vectorized"])
+@pytest.mark.parametrize("rowwise", [True, False], ids=["python", "vectorized"])
 @pytest.mark.parametrize(
     "expr,quota", QUERIES, ids=["select", "conjunct", "join"]
 )
-def test_disabled_synopses_bit_identical_to_baseline(vectorized, expr, quota):
+def test_disabled_synopses_bit_identical_to_baseline(rowwise, expr, quota):
     baseline_db = make_db()
-    baseline = run_signature(baseline_db, expr, quota, seed=5, vectorized=vectorized)
+    baseline = run_signature(baseline_db, expr, quota, seed=5, rowwise=rowwise)
 
     db = make_db()
     # Populate the catalog so there is real state that *could* leak in.
@@ -82,7 +86,7 @@ def test_disabled_synopses_bit_identical_to_baseline(vectorized, expr, quota):
     assert db.synopses.info().answers >= 1
     caches.get("plans").clear()
     with_state = run_signature(
-        db, expr, quota, seed=5, vectorized=vectorized, synopses=False
+        db, expr, quota, seed=5, rowwise=rowwise, synopses=False
     )
 
     assert with_state == baseline
