@@ -18,8 +18,9 @@ This example walks the surface end to end:
    reports how many workers it reads with;
 4. the shard metadata cache is a first-class handle in ``repro.caches``,
    and a write invalidates it like every other derived layer;
-5. a server priced with ``shard_parallelism=4`` admits work a serial
-   pricing would consider infeasible.
+5. a server needs no sharding knob: admission prices *charged* seconds,
+   which shards and workers leave untouched, and ``session_kwargs``
+   carries the worker count into every session it opens.
 
 Run:  python examples/partitions.py
 """
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 from repro import Database, QueryOptions, caches, cmp, rel
 from repro.observability import RecordingSink
-from repro.server import QueryServer
+from repro.server import QueryRequest, QueryServer
 from repro.server.admission import minimum_stage_cost
 
 PARTITIONS = 8
@@ -105,14 +106,20 @@ def main() -> None:
         f"registry handles {list(caches.names())}"
     )
 
-    # -- 5. admission pricing can credit the parallel overlap ---------
-    session = db.open_session(panel, quota=3.0, seed=2)
-    serial = minimum_stage_cost(session)
-    overlapped = minimum_stage_cost(session, shard_parallelism=4.0)
-    QueryServer(db, shard_parallelism=4.0)  # the server-level knob
+    # -- 5. the server prices charged seconds: no sharding knob -------
+    plain_price = minimum_stage_cost(
+        build_database(partitions=None).open_session(panel, quota=3.0, seed=2)
+    )
+    sharded_price = minimum_stage_cost(
+        build_database().open_session(panel, quota=3.0, seed=2, partitions=4)
+    )
+    assert plain_price == sharded_price
+    server = QueryServer(build_database(), session_kwargs={"partitions": 4})
+    outcome = server.serve(QueryRequest(expr=panel, quota=10.0, seed=2))
     print(
-        f"admission        : min stage cost {serial:.4f}s serial -> "
-        f"{overlapped:.4f}s priced with 4-way shard overlap"
+        f"admission        : min stage cost {sharded_price:.4f}s, plain or "
+        f"sharded; served with 4 workers -> {outcome.outcome.value}, "
+        f"{outcome.result.blocks} blocks"
     )
 
 

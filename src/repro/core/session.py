@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import overload
 
 import numpy as np
 
@@ -187,28 +188,27 @@ class QuerySession:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def run(self) -> QueryResult:
+    @overload
+    def run(self, checkpoint: None = None) -> QueryResult: ...
+
+    @overload
+    def run(self, checkpoint: Checkpoint) -> QueryResult | None: ...
+
+    def run(
+        self, checkpoint: Checkpoint | None = None
+    ) -> QueryResult | None:
         """Execute the session's plan within its quota, exactly once.
 
         A session is one run: its sampler state, cost-model fit, and trace
         are that run's record. Re-running would silently continue the same
         sample — open a fresh session instead.
-        """
-        result = self.run_preemptible(checkpoint=None)
-        assert result is not None  # no checkpoint → can never suspend
-        return result
 
-    def run_preemptible(
-        self, checkpoint: Checkpoint | None = None
-    ) -> QueryResult | None:
-        """Like :meth:`run`, but suspendable at stage boundaries.
-
-        When ``checkpoint`` answers ``True`` between stages the session
-        parks instead of finishing: this returns ``None``,
+        With a ``checkpoint`` the run is suspendable at stage boundaries:
+        when the callback answers ``True`` between stages the session
+        parks instead of finishing — this returns ``None``,
         :attr:`suspended` flips on, and :meth:`resume` continues the run
-        later — bit-identically, since suspension charges nothing and
-        draws no randomness. Without a checkpoint this is exactly
-        :meth:`run`.
+        later, bit-identically, since suspension charges nothing and
+        draws no randomness. Without one the result is never ``None``.
         """
         if self._result is not None:
             raise ReproError(

@@ -30,9 +30,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Iterable
 
 from repro.core.session import QuerySession
 from repro.planner.explain import predicted_stage_costs
+from repro.server.preempt import projected_handback
 from repro.server.request import QueryRequest
 
 
@@ -81,9 +83,7 @@ class AdmissionDecision:
     reason: str
 
 
-def minimum_stage_cost(
-    session: QuerySession, shard_parallelism: float = 1.0
-) -> float:
+def minimum_stage_cost(session: QuerySession) -> float:
     """Price of the cheapest useful stage of ``session``'s plan (seconds).
 
     Stage overhead plus ``QCOST`` at the minimum feasible fraction (one new
@@ -93,32 +93,37 @@ def minimum_stage_cost(
     ``Database.explain`` (:func:`repro.planner.explain.
     predicted_stage_costs`), and the probe plan is built exactly like the
     dispatch plan — optimizer included — so admission rules on the plan
-    that will actually execute.
-
-    ``shard_parallelism > 1`` discounts the *scan* portion of the price
-    for partitioned relations: a relation split into K shards read by W
-    workers overlaps its block I/O up to ``min(W, K)``-way, so the wall
-    clock a dispatch slot actually occupies shrinks even though the
-    *charged* simulated cost is invariant (invariant 10). The discount
-    applies only to scans over relations that really have more than one
-    shard; operator compute and stage overhead are priced undiscounted.
+    that will actually execute. The price is in *charged* seconds, which
+    sharded reads leave untouched (invariant 10).
     """
-    costs = predicted_stage_costs(session.plan)
-    if shard_parallelism <= 1.0:
-        return costs.total
-    shard_counts = {
-        scan.relation.name: len(getattr(scan.relation, "shards", ()) or ())
-        for scan in session.plan.scans
-    }
-    discount = 0.0
-    for node in costs.nodes:
-        if not (node.label.startswith("scan(") and node.label.endswith(")")):
-            continue
-        shards = shard_counts.get(node.label[len("scan(") : -1], 0)
-        if shards > 1:
-            overlap = min(shard_parallelism, float(shards))
-            discount += node.seconds - node.seconds / overlap
-    return costs.total - discount
+    return predicted_stage_costs(session.plan).total
+
+
+def projected_wait(
+    request: QueryRequest,
+    queue: Iterable,
+    now: float,
+    running=None,
+) -> float:
+    """Expected queue delay: planned spend of work dispatched first.
+
+    The work ahead of ``request`` is every queued ticket whose EDF key
+    does not come after its own, walked in dispatch order by
+    :func:`~repro.server.preempt.projected_handback` — the same arithmetic
+    overload shedding and the preemption rule use. Tickets are duck-typed
+    as there: ``priority`` / ``deadline`` / ``planned_spend(now)``.
+
+    ``running`` is the mid-flight ticket when admission happens at a
+    preemption checkpoint: it occupies the server ahead of this
+    arrival unless the arrival's EDF key would preempt it.
+    """
+    key = (request.priority, request.deadline)
+    ahead = sorted(
+        ticket for ticket in queue if (ticket.priority, ticket.deadline) <= key
+    )
+    if running is not None and (running.priority, running.deadline) <= key:
+        ahead.insert(0, running)
+    return projected_handback(ahead, now) - now
 
 
 class AdmissionPolicy:
@@ -143,13 +148,13 @@ class AdmissionPolicy:
 
 
 @dataclass
-class RejectInfeasible(AdmissionPolicy):
-    """Admit feasible requests; reject the rest at the door.
+class FeasibilityPolicy(AdmissionPolicy):
+    """Admit feasible requests; subclasses rule on the rest.
 
     ``safety_margin`` scales the feasibility floor: the budget at projected
     dispatch must cover ``safety_margin ×`` the minimum stage cost. Values
     above 1 absorb cost-model optimism and execution jitter at the price of
-    rejecting marginal requests.
+    turning away marginal requests.
     """
 
     safety_margin: float = 1.5
@@ -163,6 +168,26 @@ class RejectInfeasible(AdmissionPolicy):
                 f"budget {feasibility.budget_at_start:.3f}s covers "
                 f"minimum stage {feasibility.min_stage_cost:.3f}s",
             )
+        return self.refuse(request, feasibility)
+
+    def refuse(
+        self, request: QueryRequest, feasibility: FeasibilityReport
+    ) -> AdmissionDecision:
+        """The ruling on a request that failed the feasibility test."""
+        raise NotImplementedError
+
+    def describe(self) -> str:
+        return f"{type(self).__name__}(margin={self.safety_margin:g})"
+
+
+@dataclass
+class RejectInfeasible(FeasibilityPolicy):
+    """Admit feasible requests; reject the rest at the door (the client
+    can retry with a bigger quota)."""
+
+    def refuse(
+        self, request: QueryRequest, feasibility: FeasibilityReport
+    ) -> AdmissionDecision:
         return AdmissionDecision(
             AdmissionAction.REJECT,
             f"infeasible: budget at dispatch "
@@ -171,12 +196,9 @@ class RejectInfeasible(AdmissionPolicy):
             f"{feasibility.min_stage_cost:.3f}s",
         )
 
-    def describe(self) -> str:
-        return f"RejectInfeasible(margin={self.safety_margin:g})"
-
 
 @dataclass
-class DegradeInfeasible(AdmissionPolicy):
+class DegradeInfeasible(FeasibilityPolicy):
     """Admit feasible requests; answer the rest without sampling.
 
     The zero-sampling fallback (:mod:`repro.server.degrade`) returns a wide
@@ -186,25 +208,14 @@ class DegradeInfeasible(AdmissionPolicy):
     cannot cover are rejected with that reason.
     """
 
-    safety_margin: float = 1.5
-
-    def decide(
+    def refuse(
         self, request: QueryRequest, feasibility: FeasibilityReport
     ) -> AdmissionDecision:
-        if feasibility.feasible(self.safety_margin):
-            return AdmissionDecision(
-                AdmissionAction.ADMIT,
-                f"budget {feasibility.budget_at_start:.3f}s covers "
-                f"minimum stage {feasibility.min_stage_cost:.3f}s",
-            )
         return AdmissionDecision(
             AdmissionAction.DEGRADE,
             f"infeasible within quota {request.quota:g}s; answering "
             "without sampling",
         )
-
-    def describe(self) -> str:
-        return f"DegradeInfeasible(margin={self.safety_margin:g})"
 
 
 class AdmitAll(AdmissionPolicy):

@@ -18,12 +18,12 @@ scheduler can evolve its ticket type freely. The rule:
   bounding preemptions per request by the number of distinct earlier
   arrivals.
 * The runner must have **slack**: project when the earlier work would
-  hand the server back (accumulating planned spends in dispatch order,
-  the same arithmetic as overload shedding) and require the runner's
-  residual budget at that instant to still cover its minimum useful
-  stage. A runner without slack keeps the server — suspending it would
-  trade a guaranteed answer for nothing, since its banked estimate would
-  be all it ever gets.
+  hand the server back (:func:`projected_handback` — the one EDF
+  planned-spend accumulation, shared with the admission wait and with
+  overload shedding) and require the runner's residual budget at that
+  instant to still cover its minimum useful stage. A runner without
+  slack keeps the server — suspending it would trade a guaranteed answer
+  for nothing, since its banked estimate would be all it ever gets.
 
 Suspension itself is free and deterministic: it charges no simulated
 time, draws no randomness, and keeps the original absolute deadline, so a
@@ -34,7 +34,7 @@ suspended-then-resumed run is bit-identical to an uninterrupted one
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 
 @dataclass(frozen=True)
@@ -54,6 +54,23 @@ class PreemptDecision:
     """The runner's budget at ``projected_resume`` (>= its min stage)."""
 
 
+def projected_handback(tickets: Iterable, now: float) -> float:
+    """When ``tickets``, dispatched in the given order from ``now``, hand
+    the server back.
+
+    Each ticket's planned spend is priced at the clock position *its* turn
+    would start, not at ``now``: a later ticket's spend is capped by a
+    deadline that has drifted closer by the time its turn comes, so
+    summing every spend at a fixed ``now`` over-prices the queue. Callers
+    pass tickets in dispatch (EDF) order; the admission wait, overload
+    shedding and :func:`should_preempt` all project through here.
+    """
+    projected = now
+    for ticket in tickets:
+        projected += ticket.planned_spend(projected)
+    return projected
+
+
 def should_preempt(
     running, queue: Sequence, now: float
 ) -> PreemptDecision | None:
@@ -71,9 +88,7 @@ def should_preempt(
     )
     if not earlier:
         return None
-    projected = now
-    for ticket in earlier:
-        projected += ticket.planned_spend(projected)
+    projected = projected_handback(earlier, now)
     residual = running.deadline - projected
     if residual < running.min_cost:
         return None

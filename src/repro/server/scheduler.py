@@ -6,7 +6,11 @@ the paper motivates in Section 1: once each query's execution time is
 pinned to its quota, transaction completion times become predictable and a
 scheduler can enforce deadlines across a whole request stream.
 
-The model is a single-server queue on the database's simulated clock:
+The model is a single-server queue on the database's simulated clock.
+Every request is a :class:`Ticket` walking one lifecycle (:data:`LIFECYCLE`;
+``docs/architecture.md`` has the table), and
+:meth:`QueryServer._transition` is the only code that moves a ticket along
+it, banks its accounting, builds its outcome, or emits a lifecycle event:
 
 * **Arrival.** Each request's absolute deadline is fixed at
   ``arrival + quota``. The admission controller prices the cheapest useful
@@ -45,22 +49,33 @@ emitted as a trace event (:mod:`repro.server.events`).
 
 from __future__ import annotations
 
+import bisect
+import dataclasses
+import enum
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, ContextManager, Iterable, Sequence
+from functools import partial
+from operator import attrgetter
+from typing import Callable, Iterable
 
 from repro.core.database import Database
+from repro.core.options import QueryOptions
+from repro.core.result import QueryResult
+from repro.core.session import QuerySession
 from repro.core.switches import resolve_switch
 from repro.costmodel.model import CostModel
-from repro.errors import StorageError
-from repro.observability.trace import NULL_SINK, TeeSink, TraceSink
+from repro.errors import ReproError, StorageError
+from repro.estimation.estimate import Estimate
+from repro.observability.trace import TeeSink, TraceSink
 from repro.server.admission import (
     AdmissionAction,
+    AdmissionDecision,
     AdmissionPolicy,
     FeasibilityReport,
     RejectInfeasible,
     minimum_stage_cost,
+    projected_wait,
 )
 from repro.server.degrade import degraded_estimate, synopsis_degraded_estimate
 from repro.server.events import (
@@ -73,7 +88,7 @@ from repro.server.events import (
     RequestStarted,
 )
 from repro.server.metrics import ServerMetrics
-from repro.server.preempt import PreemptDecision, should_preempt
+from repro.server.preempt import PreemptDecision, projected_handback, should_preempt
 from repro.server.request import Outcome, QueryRequest, RequestOutcome
 from repro.storage.bufferpool import resolve_pool
 from repro.synopses.catalog import relation_fingerprint
@@ -85,40 +100,71 @@ from repro.timecontrol.strategies import (
 )
 from repro.timekeeping.clock import SimulatedClock
 
-if TYPE_CHECKING:
-    from repro.core.session import QuerySession
-
 OnComplete = Callable[[RequestOutcome], "QueryRequest | None"]
+
+SERVER_OWNED_OPTIONS = frozenset(
+    ("aggregate", "clock", "cost_model", "measure_overspend")
+    + ("seed", "sink", "stopping", "strategy")
+)
+"""``open_session`` keywords the server sets itself for every session it
+opens (the request's identity, the shared timeline and cost model, the
+hard-deadline run mode): ``session_kwargs`` may not carry them."""
+
+
+class TicketState(enum.Enum):
+    """Where a live request stands; it ends in its
+    :class:`~repro.server.request.Outcome`, the terminal states."""
+
+    ARRIVED = "arrived"
+    QUEUED = "queued"
+    RUNNING = "running"
+    PARKED = "parked"
+
+
+_S, _O = TicketState, Outcome
+LIFECYCLE: dict[TicketState, frozenset[TicketState | Outcome]] = {
+    _S.ARRIVED: frozenset({_S.QUEUED, _O.DEGRADED, _O.REJECTED, _O.UNCOVERED}),
+    _S.QUEUED: frozenset({_S.RUNNING, _O.SHED, _O.MISSED}),
+    _S.RUNNING: frozenset({_S.PARKED, _O.ANSWERED, _O.DEGRADED, _O.MISSED}),
+    _S.PARKED: frozenset({_S.RUNNING}),
+}
+"""Every legal move. An :class:`Outcome` has no entry: nothing leaves a
+terminal state. A parked ticket can only be resumed — never shed — because
+its banked stages are work the clock already paid for."""
 
 
 @dataclass(order=True)
-class _Ticket:
-    """One admitted request waiting in the run queue (heap-ordered).
+class Ticket:
+    """One request's walk through the lifecycle (heap-ordered when queued).
 
     Only the EDF key — ``(priority, deadline, seq)`` — participates in
     ordering. The payload fields are ``compare=False``: a key tie (same
     priority and deadline, e.g. a preempted ticket re-queued next to an
     equal-deadline arrival) must break on ``seq``, not fall through to
     comparing ``QueryRequest`` payloads and raising ``TypeError``.
+
+    ``state`` and the accounting banked at first dispatch (``queue_wait``
+    / ``started_at`` / ``budget``, so a resumed run reports what an
+    uninterrupted one would have) are written by
+    :meth:`QueryServer._transition` only.
     """
 
     priority: int
     deadline: float
     seq: int
     request: QueryRequest = field(default=None, compare=False)  # type: ignore[assignment]
-    arrival: float = field(default=0.0, compare=False)
     min_cost: float = field(default=0.0, compare=False)
-    # Suspension state — populated only while parked by a preemption
-    # (REPRO_PREEMPT): the checkpointed session plus the accounting
-    # banked at first dispatch, so the resumed run reports the same
-    # queue_wait/started_at/budget an uninterrupted run would have.
-    session: "QuerySession | None" = field(default=None, compare=False)
+    state: TicketState | Outcome = field(default=TicketState.ARRIVED, compare=False)
+    queue_wait: float = field(default=0.0, compare=False)
+    started_at: float | None = field(default=None, compare=False)
+    budget: float = field(default=0.0, compare=False)
+    # Run supervision: the session of the current attempt (checkpointed
+    # while the ticket is parked), retries used so far, and — under
+    # REPRO_PREEMPT — the suspension count and the pending decision.
+    session: QuerySession | None = field(default=None, compare=False)
     attempt: int = field(default=0, compare=False)
     preemptions: int = field(default=0, compare=False)
-    queue_wait: float = field(default=0.0, compare=False)
-    started_at: float = field(default=0.0, compare=False)
-    budget: float = field(default=0.0, compare=False)
-    decision: "PreemptDecision | None" = field(default=None, compare=False)
+    decision: PreemptDecision | None = field(default=None, compare=False)
 
     def planned_spend(self, now: float) -> float:
         """How long this ticket will occupy the server once dispatched.
@@ -128,6 +174,9 @@ class _Ticket:
         and its deadline, capped at the offered quota.
         """
         return min(max(self.deadline - now, 0.0), self.request.quota)
+
+
+_arrival_order = attrgetter("arrival", "priority")
 
 
 class QueryServer:
@@ -153,6 +202,12 @@ class QueryServer:
     trace_queries:
         Thread the server sink into each session too, interleaving
         per-stage query events with scheduling events on one stream.
+    session_kwargs:
+        Extra :class:`~repro.core.options.QueryOptions` fields for every
+        session the server opens (``fault_plan``, ``bufferpool``,
+        ``partitions``, …). Unknown names and the names the server sets
+        itself (:data:`SERVER_OWNED_OPTIONS`) raise ``ValueError`` here
+        rather than failing every request later.
     max_fault_retries:
         How many times a dispatched request defeated by transient
         (injected/storage) faults is re-executed within its own remaining
@@ -163,13 +218,11 @@ class QueryServer:
         Simulated seconds charged to the request's own budget before each
         retry, scaled by the attempt number and capped at the remaining
         budget.
-    shard_parallelism:
-        Effective shard-read overlap admission pricing assumes for
-        partitioned relations (default 1 — no discount). A server whose
-        sessions run with ``partitions=W`` workers sets this to ``W`` so
-        the feasibility floor reflects the shorter wall-clock slot a
-        sharded scan actually occupies; charged simulated costs are
-        unaffected (invariant 10).
+    synopses:
+        ``None`` → honour ``REPRO_SYNOPSES`` (default off). When on, every
+        session the server opens reads/feeds the database's synopsis
+        catalog, degrade answers prefer recorded synopses, and the
+        catalog's invalidation events join the server's trace stream.
     preempt:
         ``None`` → honour ``REPRO_PREEMPT`` (default off). When on,
         dispatched queries may be suspended at stage boundaries in favour
@@ -184,13 +237,11 @@ class QueryServer:
         policy: AdmissionPolicy | None = None,
         strategy_factory: Callable[[], TimeControlStrategy] | None = None,
         sink: TraceSink | None = None,
-        share_cost_model: bool = True,
         trace_queries: bool = False,
         session_kwargs: dict | None = None,
         max_fault_retries: int = 1,
         retry_backoff: float = 0.05,
         synopses: bool | None = None,
-        shard_parallelism: float = 1.0,
         preempt: bool | None = None,
     ) -> None:
         if database.clock_kind != "simulated":
@@ -208,26 +259,29 @@ class QueryServer:
         self.sink: TraceSink = (
             TeeSink([self.metrics, sink]) if sink is not None else self.metrics
         )
-        self._cost_model: CostModel | None = (
-            database.default_cost_model() if share_cost_model else None
-        )
+        # One cost model shared by every session: admission gets sharper
+        # as the server executes queries and the model refits.
+        self._cost_model: CostModel = database.default_cost_model()
         self.trace_queries = trace_queries
         self.session_kwargs = dict(session_kwargs or {})
+        options = {f.name for f in dataclasses.fields(QueryOptions)}
+        for name in self.session_kwargs:
+            if name in SERVER_OWNED_OPTIONS:
+                raise ValueError(
+                    f"session_kwargs cannot set {name!r}: the server sets "
+                    "it itself for every session it opens"
+                )
+            if name not in options:
+                raise ValueError(
+                    f"session_kwargs has unknown query option {name!r}; "
+                    f"valid options: {', '.join(sorted(options))}"
+                )
         if max_fault_retries < 0:
             raise ValueError(f"max_fault_retries cannot be negative: {max_fault_retries}")
         if retry_backoff < 0:
             raise ValueError(f"retry_backoff cannot be negative: {retry_backoff}")
         self.max_fault_retries = max_fault_retries
         self.retry_backoff = retry_backoff
-        if shard_parallelism < 1.0:
-            raise ValueError(
-                f"shard_parallelism must be >= 1: {shard_parallelism}"
-            )
-        self.shard_parallelism = shard_parallelism
-        # None → honour REPRO_SYNOPSES (default off). When on, every
-        # session the server opens reads/feeds the database's synopsis
-        # catalog, degrade answers prefer recorded synopses, and the
-        # catalog's invalidation events join the server's trace stream.
         self.synopses = resolve_switch(synopses, "REPRO_SYNOPSES", default=False)
         if self.synopses:
             self.database.synopses.sink = self.sink
@@ -238,8 +292,8 @@ class QueryServer:
         # the pool's hit/miss/eviction events are routed onto the server's
         # metrics stream (never the per-session traces). Routing is scoped
         # per call rather than a permanent sink reassignment: the pool
-        # outlives any one server, and a later server must not inherit a
-        # torn-down sink.
+        # outlives any one server, so two servers never see each other's
+        # counters and a later one cannot inherit a torn-down sink.
         self._pool = resolve_pool(self.session_kwargs.get("bufferpool"))
         self.preempt = resolve_switch(preempt, "REPRO_PREEMPT", default=False)
         self._seq = itertools.count()
@@ -262,28 +316,38 @@ class QueryServer:
         Returns this call's outcomes in decision order; they are also
         appended to :attr:`outcomes`.
         """
-        arrivals: list[QueryRequest] = sorted(
-            requests, key=lambda r: (r.arrival, r.priority)
-        )
-        queue: list[_Ticket] = []
-        produced: list[RequestOutcome] = []
+        arrivals: list[QueryRequest] = sorted(requests, key=_arrival_order)
+        queue: list[Ticket] = []
+        first = len(self.outcomes)
 
         def finish(outcome: RequestOutcome) -> None:
-            produced.append(outcome)
             self.outcomes.append(outcome)
             if on_complete is not None:
                 follow = on_complete(outcome)
                 if follow is not None:
-                    self._insert_arrival(arrivals, follow)
+                    bisect.insort(arrivals, follow, key=_arrival_order)
 
-        with self._pool_routing():
+        def admit_due(running: Ticket | None = None) -> None:
+            now = self.clock.now()
+            while arrivals and arrivals[0].arrival <= now:
+                self._on_arrival(arrivals.pop(0), queue, finish, running)
+
+        def checkpoint(ticket: Ticket, report) -> bool:
+            # The executor calls this *between* stages of the running
+            # ticket. First any arrivals the run has clocked past are
+            # admitted mid-flight (their deadlines are absolute, so the
+            # wait they already suffered is charged by the clock alone);
+            # then the slack-aware policy rules. ``True`` = suspend.
+            admit_due(running=ticket)
+            ticket.decision = should_preempt(ticket, queue, self.clock.now())
+            return ticket.decision is not None
+
+        with self._pool.route_events(self.sink):
             while arrivals or queue:
                 if not queue and arrivals:
                     # Idle server: sleep until the next arrival.
                     self.clock.advance_to(arrivals[0].arrival)
-                now = self.clock.now()
-                while arrivals and arrivals[0].arrival <= now:
-                    self._on_arrival(arrivals.pop(0), queue, finish)
+                admit_due()
                 if not queue:
                     continue
                 for shed in self._shed_overload(queue):
@@ -291,61 +355,125 @@ class QueryServer:
                 if not queue:
                     continue
                 ticket = heapq.heappop(queue)
-                # None means the runner was preempted and re-queued —
-                # its terminal outcome comes from a later dispatch.
-                outcome = self._dispatch(ticket, queue, arrivals, finish)
+                outcome = self._dispatch(
+                    ticket, partial(checkpoint, ticket) if self.preempt else None
+                )
                 if outcome is not None:
                     finish(outcome)
-        return produced
-
-    def _pool_routing(self) -> ContextManager:
-        """Scope the shared pool's events onto this server's sink.
-
-        Buffer hits raised while this server runs requests land on *its*
-        :class:`~repro.server.metrics.ServerMetrics`; outside the scope
-        the pool falls back to its own sink, so two servers over one
-        process-wide pool never see each other's counters (and a closed
-        sink from a torn-down server can never poison a later one)."""
-        return self._pool.route_events(self.sink)
+                else:
+                    # The runner was preempted: it re-queues under its own
+                    # EDF key, the strictly-earlier challenger goes first,
+                    # and its terminal outcome comes from a later dispatch.
+                    heapq.heappush(queue, ticket)
+        return self.outcomes[first:]
 
     def serve(self, request: QueryRequest) -> RequestOutcome:
         """Serve one request immediately (arrival = now); returns its outcome."""
         if request.arrival < self.clock.now():
-            request = QueryRequest(
-                expr=request.expr,
-                quota=request.quota,
-                client_id=request.client_id,
-                aggregate=request.aggregate,
-                priority=request.priority,
-                arrival=self.clock.now(),
-                seed=request.seed,
-                request_id=request.request_id,
-            )
+            request = dataclasses.replace(request, arrival=self.clock.now())
         return self.process([request])[0]
+
+    # ------------------------------------------------------------------
+    # The ticket lifecycle
+    # ------------------------------------------------------------------
+    def _transition(
+        self,
+        ticket: Ticket,
+        to: TicketState | Outcome,
+        reason: str = "",
+        result: QueryResult | None = None,
+        estimate: Estimate | None = None,
+    ) -> RequestOutcome | None:
+        """Move ``ticket`` to state ``to`` — the one place a ticket changes.
+
+        The legality check (:data:`LIFECYCLE`), the accounting banked on the
+        ticket, the lifecycle event and, for a terminal state described by
+        ``reason`` / ``result`` / ``estimate``, the returned
+        :class:`RequestOutcome` all happen here and nowhere else.
+        """
+        origin, request, now = ticket.state, ticket.request, self.clock.now()
+        if to not in LIFECYCLE.get(origin, ()):
+            raise ReproError(
+                f"illegal ticket transition {origin.value} → {to.value} "
+                f"(request {request.request_id})"
+            )
+        ticket.state = to
+        event = outcome = None
+        if TicketState.PARKED in (origin, to):
+            # Either side of a suspension: the EDF key (and ``seq``) survives
+            # parking, the first-dispatch accounting survives resuming.
+            boundary = dict(
+                request_id=request.request_id,
+                stages_completed=ticket.session.plan.stages_completed,
+                residual_budget=max(ticket.deadline - now, 0.0),
+                clock=now,
+            )
+            if to is TicketState.PARKED:
+                ticket.preemptions += 1
+                event = QueryPreempted(
+                    challenger_id=ticket.decision.challenger_id, **boundary
+                )
+            else:
+                event = QueryResumed(preemptions=ticket.preemptions, **boundary)
+        elif to is TicketState.RUNNING:
+            ticket.queue_wait = now - request.arrival
+            ticket.started_at = now
+            ticket.budget = ticket.deadline - now
+            event = RequestStarted(
+                request_id=request.request_id,
+                queue_wait=ticket.queue_wait,
+                budget=ticket.budget,
+                clock=now,
+            )
+        elif isinstance(to, Outcome):
+            # A ticket that never ran waited from arrival until now — but a
+            # rejection, turned away at the door, reports no wait; an
+            # instant (zero-sampling) answer at admission starts and ends now.
+            admitted = origin is not TicketState.ARRIVED
+            instant = not admitted and to is Outcome.DEGRADED
+            if origin is not TicketState.RUNNING and to is not Outcome.REJECTED:
+                ticket.queue_wait = now - request.arrival
+            outcome = RequestOutcome(
+                request=request,
+                outcome=to,
+                reason=reason,
+                admitted=admitted,
+                queue_wait=ticket.queue_wait,
+                started_at=now if instant else ticket.started_at,
+                finished_at=now if admitted or instant else None,
+                result=result,
+                estimate=estimate,
+            )
+            event = RequestCompleted(
+                request_id=request.request_id,
+                outcome=to.value,
+                reason=reason,
+                queue_wait=ticket.queue_wait,
+                lateness=outcome.lateness,
+                relative_ci_halfwidth=outcome.relative_ci_halfwidth,
+                clock=now,
+            )
+        if event is not None:
+            self.sink.emit(event)
+        return outcome
 
     # ------------------------------------------------------------------
     # Arrival and admission
     # ------------------------------------------------------------------
-    @staticmethod
-    def _insert_arrival(
-        arrivals: list[QueryRequest], request: QueryRequest
-    ) -> None:
-        index = len(arrivals)
-        for i, pending in enumerate(arrivals):
-            if (pending.arrival, pending.priority) > (
-                request.arrival,
-                request.priority,
-            ):
-                index = i
-                break
-        arrivals.insert(index, request)
-
-    def _session_overrides(self) -> dict:
-        """Per-session keyword overrides: the synopses flag, then the
-        caller's ``session_kwargs`` (which win on conflict)."""
-        overrides = {"synopses": self.synopses}
-        overrides.update(self.session_kwargs)
-        return overrides
+    def _open_session(
+        self, expr, quota: float, aggregate, seed: int | None, **options
+    ) -> QuerySession:
+        """A session on the server's clock and shared cost model; the
+        caller's ``session_kwargs`` override the server's synopses flag."""
+        return self.database.open_session(
+            expr,
+            quota=quota,
+            aggregate=aggregate,
+            seed=seed,
+            cost_model=self._cost_model,
+            clock=self.clock,
+            **{"synopses": self.synopses, **self.session_kwargs, **options},
+        )
 
     def _minimum_cost(self, request: QueryRequest) -> float:
         """Price the cheapest useful stage with the calibrated cost model.
@@ -357,146 +485,70 @@ class QueryServer:
         warm-starts its trackers from the catalog, so the price reflects
         the posterior selectivities the run would actually start from.
         """
-        probe = self.database.open_session(
-            request.expr,
-            quota=request.quota,
-            aggregate=request.aggregate,
-            cost_model=self._cost_model,
-            seed=0,
-            clock=self.clock,
-            **self._session_overrides(),
+        probe = self._open_session(
+            request.expr, request.quota, request.aggregate, seed=0
         )
-        return minimum_stage_cost(
-            probe, shard_parallelism=self.shard_parallelism
-        )
+        return minimum_stage_cost(probe)
 
     def _on_arrival(
         self,
         request: QueryRequest,
-        queue: list[_Ticket],
+        queue: list[Ticket],
         finish: Callable[[RequestOutcome], None],
-        running: _Ticket | None = None,
+        running: Ticket | None = None,
     ) -> None:
         now = self.clock.now()
-        deadline = request.deadline
+        ticket = Ticket(
+            priority=request.priority,
+            deadline=request.deadline,
+            seq=next(self._seq),
+            request=request,
+        )
         self.sink.emit(
             RequestArrived(
                 request_id=request.request_id,
                 client_id=request.client_id,
                 quota=request.quota,
-                deadline=deadline,
+                deadline=ticket.deadline,
                 priority=request.priority,
                 clock=now,
             )
         )
         try:
-            min_cost = self._minimum_cost(request)
+            ticket.min_cost = self._minimum_cost(request)
         except Exception as exc:
             # A query the engine cannot even plan gets a typed rejection.
-            self._decide_event(request, "reject", f"unplannable: {exc}", 0, 0, 0)
-            finish(
-                self._finish_unrun(
-                    request,
-                    Outcome.REJECTED,
-                    f"query cannot be planned: {exc}",
-                    queue_wait=0.0,
-                )
+            feasibility = FeasibilityReport(0, 0, 0)
+            decision = AdmissionDecision(
+                AdmissionAction.REJECT, f"unplannable: {exc}"
             )
-            return
-        projected_wait = self._projected_wait(
-            request, deadline, queue, now, running=running
-        )
-        feasibility = FeasibilityReport(
-            min_stage_cost=min_cost,
-            projected_wait=projected_wait,
-            budget_now=deadline - now,
-        )
-        decision = self.policy.decide(request, feasibility)
-        self._decide_event(
-            request,
-            decision.action.value,
-            decision.reason,
-            min_cost,
-            projected_wait,
-            feasibility.budget_at_start,
-        )
-        if decision.action is AdmissionAction.ADMIT:
-            heapq.heappush(
-                queue,
-                _Ticket(
-                    priority=request.priority,
-                    deadline=deadline,
-                    seq=next(self._seq),
-                    request=request,
-                    arrival=request.arrival,
-                    min_cost=min_cost,
-                ),
+            reason = f"query cannot be planned: {exc}"
+        else:
+            feasibility = FeasibilityReport(
+                min_stage_cost=ticket.min_cost,
+                projected_wait=projected_wait(request, queue, now, running),
+                budget_now=ticket.deadline - now,
             )
-            return
-        if decision.action is AdmissionAction.DEGRADE:
-            finish(self._degrade(request, decision.reason))
-            return
-        finish(
-            self._finish_unrun(
-                request, Outcome.REJECTED, decision.reason, queue_wait=0.0
-            )
-        )
-
-    def _projected_wait(
-        self,
-        request: QueryRequest,
-        deadline: float,
-        queue: Sequence[_Ticket],
-        now: float,
-        running: _Ticket | None = None,
-    ) -> float:
-        """Expected queue delay: planned spend of work dispatched first.
-
-        Spends accumulate in dispatch (EDF) order — each ticket's spend
-        is priced at the clock position *its* turn would start, the same
-        arithmetic :meth:`_shed_overload` uses. (Summing every spend at a
-        fixed ``now`` instead, as this method once did, over-prices the
-        queue: a later ticket's spend is capped by a deadline that has
-        drifted closer by the time its turn comes, so admission
-        over-estimated wait and over-rejected under load.)
-
-        ``running`` is the mid-flight ticket when admission happens at a
-        preemption checkpoint: it occupies the server ahead of this
-        arrival unless the arrival's EDF key would preempt it.
-        """
-        key = (request.priority, deadline)
-        projected = now
-        if running is not None and (running.priority, running.deadline) <= key:
-            projected += running.planned_spend(projected)
-        ahead = sorted(
-            ticket
-            for ticket in queue
-            if (ticket.priority, ticket.deadline) <= key
-        )
-        for ticket in ahead:
-            projected += ticket.planned_spend(projected)
-        return projected - now
-
-    def _decide_event(
-        self,
-        request: QueryRequest,
-        action: str,
-        reason: str,
-        min_cost: float,
-        projected_wait: float,
-        budget_at_start: float,
-    ) -> None:
+            decision = self.policy.decide(request, feasibility)
+            reason = decision.reason
         self.sink.emit(
             AdmissionDecided(
                 request_id=request.request_id,
-                action=action,
-                reason=reason,
-                min_stage_cost=min_cost,
-                projected_wait=projected_wait,
-                budget_at_start=budget_at_start,
-                clock=self.clock.now(),
+                action=decision.action.value,
+                reason=decision.reason,
+                min_stage_cost=feasibility.min_stage_cost,
+                projected_wait=feasibility.projected_wait,
+                budget_at_start=feasibility.budget_at_start,
+                clock=now,
             )
         )
+        if decision.action is AdmissionAction.ADMIT:
+            self._transition(ticket, TicketState.QUEUED)
+            heapq.heappush(queue, ticket)
+        elif decision.action is AdmissionAction.DEGRADE:
+            finish(self._degrade(ticket, reason))
+        else:
+            finish(self._transition(ticket, Outcome.REJECTED, reason))
 
     # ------------------------------------------------------------------
     # Degraded answers
@@ -523,34 +575,26 @@ class QueryServer:
             return estimate, "prestored statistics"
         return None, None
 
-    def _degrade(self, request: QueryRequest, reason: str) -> RequestOutcome:
-        now = self.clock.now()
-        estimate, source = self._zero_sampling_estimate(request)
+    def _degrade(self, ticket: Ticket, reason: str) -> RequestOutcome:
+        estimate, source = self._zero_sampling_estimate(ticket.request)
         if estimate is None:
             # The policy chose degradation but no instant answer exists —
             # a coverage gap, reported as its own terminal state rather
             # than masquerading as an ordinary rejection.
-            return self._finish_unrun(
-                request,
+            return self._transition(
+                ticket,
                 Outcome.UNCOVERED,
                 reason
                 + " — but neither the synopsis catalog nor prestored "
                 "statistics cover this query (run it once with synopses "
                 "on, or run Database.analyze())",
-                queue_wait=now - request.arrival,
             )
-        outcome = RequestOutcome(
-            request=request,
-            outcome=Outcome.DEGRADED,
-            reason=f"{reason} ({source} answer)",
-            admitted=False,
-            queue_wait=now - request.arrival,
-            started_at=now,
-            finished_at=now,
+        return self._transition(
+            ticket,
+            Outcome.DEGRADED,
+            f"{reason} ({source} answer)",
             estimate=estimate,
         )
-        self._completed_event(outcome)
-        return outcome
 
     # ------------------------------------------------------------------
     # Idle-capacity synopsis refresh
@@ -573,71 +617,63 @@ class QueryServer:
         many entries were refreshed. No-op unless the server was built
         with synopses on.
         """
-        if not self.synopses or budget <= 0:
-            return 0
-        with self._pool_routing():
-            return self._refresh_synopses(budget)
-
-    def _refresh_synopses(self, budget: float) -> int:
         refreshed = 0
-        while True:
-            entry = self.database.synopses.pop_refresh()
-            if entry is None:
-                break
-            started = self.clock.now()
-            quota = budget
-            session = self.database.open_session(
-                entry.expr,
-                quota=quota,
-                strategy=self.strategy_factory(),
-                stopping=HardDeadline(),
-                measure_overspend=True,
-                aggregate=entry.aggregate,
-                cost_model=self._cost_model,
-                seed=next(self._refresh_counter),
-                clock=self.clock,
-                **self._session_overrides(),
-            )
-            result = session.run()
-            spent = self.clock.now() - started
-            budget -= spent
-            report = result.report
-            estimate = report.estimate or report.estimate_with_overrun
-            if estimate is None:
-                # Not even the overspend estimate survived (faults ate the
-                # run). Put the entry back for the next idle grant instead
-                # of silently losing it, and stop burning this one.
-                self.database.synopses.requeue_refresh(entry)
-                break
-            if report.estimate is None:
-                # Only the overrun stage produced an answer, so the
-                # session's binder had nothing to absorb — deposit it here.
-                relations = sorted(set(entry.expr.base_relations()))
-                self.database.synopses.record_answer(
+        with self._pool.route_events(self.sink):
+            while (
+                self.synopses
+                and budget > 0
+                and (entry := self.database.synopses.pop_refresh()) is not None
+            ):
+                started = self.clock.now()
+                quota = budget
+                session = self._open_session(
                     entry.expr,
+                    quota,
                     entry.aggregate,
-                    relation_fingerprint(self.database.catalog, relations),
-                    estimate,
-                    blocks=sum(s.blocks_read for s in report.stages),
+                    seed=next(self._refresh_counter),
+                    strategy=self.strategy_factory(),
+                    stopping=HardDeadline(),
+                    measure_overspend=True,
                 )
-            refreshed += 1
-            self.sink.emit(
-                SynopsisRefreshed(
-                    key=entry.expr.structural_hash()[:16],
-                    aggregate=entry.aggregate.kind,
-                    quota=quota,
-                    blocks=sum(s.blocks_read for s in report.stages),
-                    clock=self.clock.now(),
+                report = session.run().report
+                budget -= self.clock.now() - started
+                estimate = report.estimate or report.estimate_with_overrun
+                if estimate is None:
+                    # Not even the overspend estimate survived (faults ate
+                    # the run). Put the entry back for the next idle grant
+                    # instead of silently losing it, and stop burning this
+                    # one.
+                    self.database.synopses.requeue_refresh(entry)
+                    break
+                blocks = sum(stage.blocks_read for stage in report.stages)
+                if report.estimate is None:
+                    # Only the overrun stage produced an answer, so the
+                    # session's binder had nothing to absorb — deposit it
+                    # here.
+                    relations = sorted(set(entry.expr.base_relations()))
+                    self.database.synopses.record_answer(
+                        entry.expr,
+                        entry.aggregate,
+                        relation_fingerprint(self.database.catalog, relations),
+                        estimate,
+                        blocks=blocks,
+                    )
+                refreshed += 1
+                self.sink.emit(
+                    SynopsisRefreshed(
+                        key=entry.expr.structural_hash()[:16],
+                        aggregate=entry.aggregate.kind,
+                        quota=quota,
+                        blocks=blocks,
+                        clock=self.clock.now(),
+                    )
                 )
-            )
-            if budget <= 0:
-                break
         return refreshed
 
     # ------------------------------------------------------------------
     # Overload shedding
     # ------------------------------------------------------------------
-    def _shed_overload(self, queue: list[_Ticket]) -> list[RequestOutcome]:
+    def _shed_overload(self, queue: list[Ticket]) -> list[RequestOutcome]:
         """Shed queued work that can no longer get a useful budget.
 
         Walk the queue in dispatch (EDF) order accumulating planned spend;
@@ -650,214 +686,104 @@ class QueryServer:
         """
         if not self.policy.enforce_at_dispatch or not queue:
             return []
-        now = self.clock.now()
+        keep: list[Ticket] = []
         shed: list[RequestOutcome] = []
-        keep: list[_Ticket] = []
-        projected = now
+        projected = self.clock.now()
         for ticket in sorted(queue):
-            if ticket.session is not None:
-                # A parked (preempted) ticket has banked stages and a
-                # live estimate; shedding it would discard work the clock
-                # already paid for. It keeps its slot — resume finalizes
-                # it even with no budget left — and its residual spend
-                # stays in the projection for the tickets behind it.
-                keep.append(ticket)
-                projected += ticket.planned_spend(projected)
-                continue
             budget_at_turn = ticket.deadline - projected
-            if budget_at_turn < ticket.min_cost:
+            # A parked (preempted) ticket has banked stages and a live
+            # estimate; shedding it would discard work the clock already
+            # paid for. It keeps its slot — resume finalizes it even with
+            # no budget left — and its residual spend stays in the
+            # projection for the tickets behind it.
+            if (
+                ticket.state is TicketState.PARKED
+                or budget_at_turn >= ticket.min_cost
+            ):
+                keep.append(ticket)
+                projected = projected_handback([ticket], projected)
+            else:
                 shed.append(
-                    self._finish_unrun(
-                        ticket.request,
+                    self._transition(
+                        ticket,
                         Outcome.SHED,
-                        "overload: projected budget "
-                        f"{budget_at_turn:.3f}s at dispatch < minimum stage "
-                        f"cost {ticket.min_cost:.3f}s",
-                        queue_wait=now - ticket.arrival,
-                        admitted=True,
+                        f"overload: projected budget {budget_at_turn:.3f}s at "
+                        f"dispatch < minimum stage cost {ticket.min_cost:.3f}s",
                     )
                 )
-            else:
-                keep.append(ticket)
-                projected += ticket.planned_spend(projected)
         if shed:
-            queue[:] = keep
-            heapq.heapify(queue)
+            queue[:] = keep  # sorted, so a valid heap as it stands
         return shed
 
     # ------------------------------------------------------------------
-    # Dispatch and execution
+    # Dispatch: start → attempts → classify
     # ------------------------------------------------------------------
-    def _checkpoint_hook(
-        self,
-        ticket: _Ticket,
-        queue: list[_Ticket],
-        arrivals: list[QueryRequest],
-        finish: Callable[[RequestOutcome], None],
-    ) -> Callable:
-        """Build the stage-boundary callback for one dispatched ticket.
-
-        The executor calls it *between* stages. First any arrivals the run
-        has clocked past are admitted mid-flight (their deadlines are
-        absolute, so the wait they already suffered is charged by the
-        clock alone); then the slack-aware policy rules. ``True`` tells
-        the executor to suspend.
-        """
-
-        def checkpoint(report) -> bool:
-            now = self.clock.now()
-            while arrivals and arrivals[0].arrival <= now:
-                self._on_arrival(
-                    arrivals.pop(0), queue, finish, running=ticket
-                )
-            decision = should_preempt(ticket, queue, now)
-            if decision is None:
-                return False
-            ticket.decision = decision
-            return True
-
-        return checkpoint
-
-    def _park(
-        self,
-        ticket: _Ticket,
-        session: "QuerySession",
-        attempt: int,
-        queue: list[_Ticket],
-    ) -> None:
-        """Stash the suspended session on its ticket and re-queue it.
-
-        The ticket keeps its EDF key (and original ``seq``, so key ties
-        still break by admission order); the challenger, whose key is
-        strictly earlier, is dispatched first. Returns ``None`` — the
-        ticket's terminal outcome comes from a later dispatch.
-        """
-        now = self.clock.now()
-        ticket.session = session
-        ticket.attempt = attempt
-        ticket.preemptions += 1
-        decision, ticket.decision = ticket.decision, None
-        self.sink.emit(
-            QueryPreempted(
-                request_id=ticket.request.request_id,
-                challenger_id=(
-                    decision.challenger_id if decision is not None else ""
-                ),
-                stages_completed=session.plan.stages_completed,
-                residual_budget=max(ticket.deadline - now, 0.0),
-                clock=now,
-            )
-        )
-        heapq.heappush(queue, ticket)
-        return None
-
     def _dispatch(
-        self,
-        ticket: _Ticket,
-        queue: list[_Ticket],
-        arrivals: list[QueryRequest],
-        finish: Callable[[RequestOutcome], None],
+        self, ticket: Ticket, checkpoint: Callable | None
     ) -> RequestOutcome | None:
-        request = ticket.request
-        now = self.clock.now()
-        if ticket.session is not None:
-            # A parked run: admission, RequestStarted, and the budget
-            # question were all settled at first dispatch. Resume always —
-            # even with the deadline past, the executor finalizes the
-            # banked estimate instead of discarding paid-for work.
-            queue_wait = ticket.queue_wait
-            started = ticket.started_at
-            budget = ticket.budget
-        else:
-            queue_wait = now - ticket.arrival
+        """Run the queue's winner; ``None`` when it parked instead."""
+        if ticket.state is TicketState.QUEUED:
+            # Start: the budget check. (A parked ticket skips it and is
+            # resumed always — even with the deadline past, the executor
+            # finalizes the banked estimate instead of discarding
+            # paid-for work.)
+            request, now = ticket.request, self.clock.now()
             budget = ticket.deadline - now
-            if budget <= 0 or (
-                self.policy.enforce_at_dispatch and budget < ticket.min_cost
-            ):
-                outcome = (
-                    Outcome.SHED
-                    if self.policy.enforce_at_dispatch
-                    else Outcome.MISSED
-                )
-                return self._finish_unrun(
-                    request,
-                    outcome,
+            enforce = self.policy.enforce_at_dispatch
+            if budget <= 0 or (enforce and budget < ticket.min_cost):
+                return self._transition(
+                    ticket,
+                    Outcome.SHED if enforce else Outcome.MISSED,
                     f"budget exhausted in queue: {budget:.3f}s left of "
-                    f"{request.quota:g}s quota after {queue_wait:.3f}s wait",
-                    queue_wait=queue_wait,
-                    admitted=True,
+                    f"{request.quota:g}s quota after "
+                    f"{now - request.arrival:.3f}s wait",
                 )
-            self.sink.emit(
-                RequestStarted(
-                    request_id=request.request_id,
-                    queue_wait=queue_wait,
-                    budget=budget,
-                    clock=now,
-                )
-            )
-            started = now
-            ticket.queue_wait = queue_wait
-            ticket.started_at = started
-            ticket.budget = budget
-        checkpoint = (
-            self._checkpoint_hook(ticket, queue, arrivals, finish)
-            if self.preempt
-            else None
-        )
-        result = None
-        failure: str | None = None
-        attempt = ticket.attempt
+            self._transition(ticket, TicketState.RUNNING)
+        result, failure = self._run_attempts(ticket, checkpoint)
+        if ticket.state is TicketState.PARKED:
+            return None
+        return self._classify(ticket, result, failure)
+
+    def _run_attempts(self, ticket: Ticket, checkpoint: Callable | None):
+        """Run (or resume) the ticket until it answers, parks or gives up.
+
+        Returns ``(result, failure)`` of the last attempt: a
+        :class:`QueryResult` or ``None``, and the escaped exception's text
+        or ``None``. When the checkpoint accepts a preemption the ticket
+        is left ``PARKED`` and both are ``None``.
+        """
+        request = ticket.request
+        result = failure = None
         while True:
-            session = None
-            if ticket.session is not None:
-                session, ticket.session = ticket.session, None
-                self.sink.emit(
-                    QueryResumed(
-                        request_id=request.request_id,
-                        stages_completed=session.plan.stages_completed,
-                        residual_budget=max(
-                            ticket.deadline - self.clock.now(), 0.0
-                        ),
-                        preemptions=ticket.preemptions,
-                        clock=self.clock.now(),
-                    )
-                )
+            resuming = ticket.state is TicketState.PARKED
+            if resuming:
+                self._transition(ticket, TicketState.RUNNING)
             else:
                 remaining = ticket.deadline - self.clock.now()
-                attempt_quota = min(max(remaining, 0.0), budget)
+                attempt_quota = min(max(remaining, 0.0), ticket.budget)
                 if attempt_quota <= 0:
                     break
-            result = None
-            failure = None
-            transient = False
+            result = failure = None
+            transient: str | None = None  # why a retry is warranted, if one is
             try:
-                if session is not None:
-                    out = session.resume(checkpoint=checkpoint)
+                if resuming:
+                    result = ticket.session.resume(checkpoint=checkpoint)
                 else:
-                    session = self.database.open_session(
+                    ticket.session = self._open_session(
                         request.expr,
-                        quota=attempt_quota,
+                        attempt_quota,
+                        request.aggregate,
+                        seed=self._retry_seed(request.seed, ticket.attempt),
                         strategy=self.strategy_factory(),
                         stopping=HardDeadline(),
                         measure_overspend=False,
-                        aggregate=request.aggregate,
-                        cost_model=self._cost_model,
-                        seed=self._retry_seed(request.seed, attempt),
-                        clock=self.clock,
                         sink=self.sink if self.trace_queries else None,
-                        **self._session_overrides(),
                     )
-                    out = session.run_preemptible(checkpoint=checkpoint)
-                if out is None:
-                    # The checkpoint accepted a preemption: park and hand
-                    # the server to the earlier-deadline challenger.
-                    return self._park(ticket, session, attempt, queue)
-                result = out
+                    result = ticket.session.run(checkpoint=checkpoint)
             except StorageError as exc:
                 # A fault that escaped salvage (no injector armed, or a real
                 # storage failure) is worth one deterministic re-execution.
-                failure = f"{type(exc).__name__}: {exc}"
-                transient = True
+                failure = transient = f"{type(exc).__name__}: {exc}"
             except Exception as exc:  # the scheduler never raises to the caller
                 failure = f"{type(exc).__name__}: {exc}"
             if result is not None:
@@ -865,118 +791,95 @@ class QueryServer:
                     break
                 # A run that produced nothing *because faults ate it* is
                 # transient; an undisturbed empty run is a genuine miss.
-                transient = result.faulted
-            if not transient or attempt >= self.max_fault_retries:
+                if result.faulted:
+                    transient = f"{len(result.faults)} fault(s), no estimate"
+            elif failure is None:
+                # The run suspended at the checkpoint instead of finishing.
+                self._transition(ticket, TicketState.PARKED)
                 break
-            remaining = ticket.deadline - self.clock.now()
-            backoff = min(
-                self.retry_backoff * (attempt + 1), max(remaining, 0.0)
-            )
-            if remaining - backoff <= 0:
-                # The backoff would eat everything that is left: no retry
-                # could run afterwards, so charging it (and emitting a
-                # RequestRetried that promises an attempt) would be pure
-                # waste. Terminal classification proceeds from this
-                # attempt's evidence.
+            if transient is None or not self._back_off(ticket, transient):
                 break
-            attempt += 1
-            self.sink.emit(
-                RequestRetried(
-                    request_id=request.request_id,
-                    attempt=attempt,
-                    reason=(
-                        failure
-                        if failure is not None
-                        else f"{len(result.faults)} fault(s), no estimate"
-                    ),
-                    backoff_seconds=backoff,
-                    clock=self.clock.now(),
-                )
+        return result, failure
+
+    def _back_off(self, ticket: Ticket, reason: str) -> bool:
+        """Charge the pause before a retry; ``False`` if none can follow.
+
+        The backoff is simulated time on the request's own budget, scaled
+        by the attempt number and capped at what is left.
+        """
+        if ticket.attempt >= self.max_fault_retries:
+            return False
+        remaining = ticket.deadline - self.clock.now()
+        backoff = min(
+            self.retry_backoff * (ticket.attempt + 1), max(remaining, 0.0)
+        )
+        if remaining - backoff <= 0:
+            # The backoff would eat everything that is left: no retry
+            # could run afterwards, so charging it (and emitting a
+            # RequestRetried that promises an attempt) would be pure
+            # waste. Terminal classification proceeds from this
+            # attempt's evidence.
+            return False
+        ticket.attempt += 1
+        self.sink.emit(
+            RequestRetried(
+                request_id=ticket.request.request_id,
+                attempt=ticket.attempt,
+                reason=reason,
+                backoff_seconds=backoff,
+                clock=self.clock.now(),
             )
-            if backoff > 0:
-                self.clock.advance(backoff)
-        finished = self.clock.now()
-        if failure is not None:
-            # Persistent failure: same zero-sampling fallback the faulted
-            # branch below gets — a crash-eaten run and a fault-eaten run
-            # deserve the same degraded answer when coverage exists.
-            fallback, source = self._zero_sampling_estimate(request)
-            if fallback is not None:
-                outcome = RequestOutcome(
-                    request=request,
-                    outcome=Outcome.DEGRADED,
-                    reason=(
-                        f"execution failed ({failure}); "
-                        f"zero-sampling {source} answer"
-                    ),
-                    admitted=True,
-                    queue_wait=queue_wait,
-                    started_at=started,
-                    finished_at=finished,
-                    estimate=fallback,
-                )
-            else:
-                outcome = RequestOutcome(
-                    request=request,
-                    outcome=Outcome.MISSED,
-                    reason=f"execution failed: {failure}",
-                    admitted=True,
-                    queue_wait=queue_wait,
-                    started_at=started,
-                    finished_at=finished,
-                )
-        elif result is None or result.estimate is None:
-            fallback = source = None
-            if result is not None and result.faulted:
-                fallback, source = self._zero_sampling_estimate(request)
-            if fallback is not None:
-                outcome = RequestOutcome(
-                    request=request,
-                    outcome=Outcome.DEGRADED,
-                    reason=(
-                        f"faults defeated {attempt + 1} attempt(s); "
-                        f"zero-sampling {source} answer"
-                    ),
-                    admitted=True,
-                    queue_wait=queue_wait,
-                    started_at=started,
-                    finished_at=finished,
-                    result=result,
-                    estimate=fallback,
-                )
-            else:
-                termination = (
-                    result.termination if result is not None else "unrun"
-                )
-                outcome = RequestOutcome(
-                    request=request,
-                    outcome=Outcome.MISSED,
-                    reason=(
-                        "no stage completed within the remaining budget "
-                        f"({budget:.3f}s; termination: {termination})"
-                    ),
-                    admitted=True,
-                    queue_wait=queue_wait,
-                    started_at=started,
-                    finished_at=finished,
-                    result=result,
-                )
-        else:
-            outcome = RequestOutcome(
-                request=request,
-                outcome=Outcome.ANSWERED,
-                reason=(
-                    f"{result.stages} stages, {result.blocks} blocks within "
-                    f"budget {budget:.3f}s (termination: {result.termination})"
-                ),
-                admitted=True,
-                queue_wait=queue_wait,
-                started_at=started,
-                finished_at=finished,
+        )
+        if backoff > 0:
+            self.clock.advance(backoff)
+        return True
+
+    def _classify(
+        self, ticket: Ticket, result: QueryResult | None, failure: str | None
+    ) -> RequestOutcome:
+        """Result-or-failure of the last attempt → the terminal outcome.
+
+        A run eaten by a crash and a run eaten by faults deserve the same
+        thing: the zero-sampling answer when coverage exists, ``MISSED``
+        when it does not. An undisturbed run that simply completed no
+        stage is a genuine miss and gets no fallback.
+        """
+        if result is not None and result.estimate is not None:
+            return self._transition(
+                ticket,
+                Outcome.ANSWERED,
+                f"{result.stages} stages, {result.blocks} blocks within "
+                f"budget {ticket.budget:.3f}s "
+                f"(termination: {result.termination})",
                 result=result,
             )
-        self._completed_event(outcome)
-        return outcome
+        fallback = source = None
+        if failure is not None or (result is not None and result.faulted):
+            fallback, source = self._zero_sampling_estimate(ticket.request)
+        if fallback is not None:
+            cause = (
+                f"execution failed ({failure})"
+                if failure is not None
+                else f"faults defeated {ticket.attempt + 1} attempt(s)"
+            )
+            return self._transition(
+                ticket,
+                Outcome.DEGRADED,
+                f"{cause}; zero-sampling {source} answer",
+                result=result,
+                estimate=fallback,
+            )
+        if failure is not None:
+            reason = f"execution failed: {failure}"
+        else:
+            termination = result.termination if result is not None else "unrun"
+            reason = (
+                "no stage completed within the remaining budget "
+                f"({ticket.budget:.3f}s; termination: {termination})"
+            )
+        return self._transition(
+            ticket, Outcome.MISSED, reason, result=result
+        )
 
     @staticmethod
     def _retry_seed(seed: int | None, attempt: int) -> int | None:
@@ -986,38 +889,3 @@ class QueryServer:
         if seed is None or attempt == 0:
             return seed
         return (seed + 0x9E3779B1 * attempt) & 0xFFFFFFFF
-
-    # ------------------------------------------------------------------
-    # Terminal bookkeeping
-    # ------------------------------------------------------------------
-    def _finish_unrun(
-        self,
-        request: QueryRequest,
-        outcome: Outcome,
-        reason: str,
-        queue_wait: float,
-        admitted: bool = False,
-    ) -> RequestOutcome:
-        terminal = RequestOutcome(
-            request=request,
-            outcome=outcome,
-            reason=reason,
-            admitted=admitted,
-            queue_wait=queue_wait,
-            finished_at=self.clock.now() if admitted else None,
-        )
-        self._completed_event(terminal)
-        return terminal
-
-    def _completed_event(self, outcome: RequestOutcome) -> None:
-        self.sink.emit(
-            RequestCompleted(
-                request_id=outcome.request.request_id,
-                outcome=outcome.outcome.value,
-                reason=outcome.reason,
-                queue_wait=outcome.queue_wait,
-                lateness=outcome.lateness,
-                relative_ci_halfwidth=outcome.relative_ci_halfwidth,
-                clock=self.clock.now(),
-            )
-        )

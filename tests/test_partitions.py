@@ -370,60 +370,29 @@ class TestShardFaults:
 
 
 class TestAdmissionPricing:
-    @staticmethod
-    def probe(partitions):
-        db = Database(seed=7)
-        db.create_relation(
-            "r1", [("id", "int"), ("a", "int")],
-            rows=[(i, i % 9) for i in range(8_000)],
-            partitions=partitions,
-        )
-        return db.open_session(
-            rel("r1").where(cmp("a", "<", 5)), quota=5.0, seed=0
-        )
-
-    def test_parallelism_discounts_partitioned_scans(self):
+    def test_partitioned_relation_prices_like_a_plain_one(self):
+        # Admission prices in charged (simulated) seconds, which sharding
+        # leaves untouched (invariant 10): the feasibility floor of a
+        # partitioned relation is the plain relation's, whatever the
+        # worker count.
         from repro.server.admission import minimum_stage_cost
 
-        session = self.probe(partitions=4)
-        serial = minimum_stage_cost(session)
-        assert minimum_stage_cost(session, shard_parallelism=1.0) == serial
-        overlapped = minimum_stage_cost(session, shard_parallelism=4.0)
-        assert 0 < overlapped < serial
-        # The overlap caps at the shard count.
-        capped = minimum_stage_cost(session, shard_parallelism=64.0)
-        assert capped == minimum_stage_cost(session, shard_parallelism=4.0)
+        def price(partitions, workers=None):
+            db = Database(seed=7)
+            db.create_relation(
+                "r1", [("id", "int"), ("a", "int")],
+                rows=[(i, i % 9) for i in range(8_000)],
+                partitions=partitions,
+            )
+            return minimum_stage_cost(
+                db.open_session(
+                    rel("r1").where(cmp("a", "<", 5)), quota=5.0, seed=0,
+                    partitions=workers,
+                )
+            )
 
-    def test_unpartitioned_relations_are_never_discounted(self):
-        from repro.server.admission import minimum_stage_cost
-
-        session = self.probe(partitions=None)
-        serial = minimum_stage_cost(session)
-        assert minimum_stage_cost(session, shard_parallelism=8.0) == serial
-
-    def test_server_threads_the_knob(self):
-        from repro.server.scheduler import QueryServer
-
-        db = Database(seed=7)
-        db.create_relation(
-            "r1", [("id", "int"), ("a", "int")],
-            rows=[(i, i % 9) for i in range(8_000)], partitions=4,
-        )
-        plain = QueryServer(db)
-        overlapped = QueryServer(db, shard_parallelism=4.0)
-        request_cost_plain = plain._minimum_cost(_request())
-        request_cost_overlap = overlapped._minimum_cost(_request())
-        assert request_cost_overlap < request_cost_plain
-        with pytest.raises(ValueError, match="shard_parallelism"):
-            QueryServer(db, shard_parallelism=0.5)
-
-
-def _request():
-    from repro.server.request import QueryRequest
-
-    return QueryRequest(
-        expr=rel("r1").where(cmp("a", "<", 5)), quota=5.0, arrival=0.0
-    )
+        assert price(4) == price(None)
+        assert price(4, workers=4) == price(None)
 
 
 class TestShardTraceEvents:

@@ -21,7 +21,7 @@ from repro.relational.predicate import cmp
 from repro.server.admission import AdmitAll
 from repro.server.preempt import should_preempt
 from repro.server.request import Outcome, QueryRequest
-from repro.server.scheduler import QueryServer, _Ticket
+from repro.server.scheduler import QueryServer, Ticket, TicketState
 from repro.server.workload import demo_database
 
 TUPLES = 1_000
@@ -64,7 +64,7 @@ def suspend_once():
 class TestExecutorSuspendResume:
     def test_checkpoint_suspends_between_stages(self, db):
         session = db.open_session(query(), quota=6.0, seed=7)
-        out = session.run_preemptible(checkpoint=suspend_once())
+        out = session.run(checkpoint=suspend_once())
         assert out is None
         assert session.suspended and not session.finished
         state = session.suspended_state
@@ -75,7 +75,7 @@ class TestExecutorSuspendResume:
 
     def test_suspension_is_free_on_the_clock(self, db):
         session = db.open_session(query(), quota=6.0, seed=7)
-        session.run_preemptible(checkpoint=suspend_once())
+        session.run(checkpoint=suspend_once())
         state = session.suspended_state
         # Parked exactly at the boundary: no charge for suspending, and
         # the residual budget is just the distance to the deadline.
@@ -86,7 +86,7 @@ class TestExecutorSuspendResume:
 
     def test_resume_completes_the_run(self, db):
         session = db.open_session(query(), quota=6.0, seed=7)
-        session.run_preemptible(checkpoint=suspend_once())
+        session.run(checkpoint=suspend_once())
         result = session.resume()
         assert result is not None
         assert session.finished and not session.suspended
@@ -97,16 +97,16 @@ class TestExecutorSuspendResume:
         session = db.open_session(query(), quota=6.0, seed=7)
         with pytest.raises(ReproError):
             session.resume()  # nothing suspended yet
-        session.run_preemptible(checkpoint=suspend_once())
+        session.run(checkpoint=suspend_once())
         with pytest.raises(ReproError):
-            session.run_preemptible()  # suspended: must resume, not rerun
+            session.run()  # suspended: must resume, not rerun
         session.resume()
         with pytest.raises(ReproError):
             session.run()  # already finished
 
     def test_expired_deadline_resume_keeps_the_banked_estimate(self, db):
         session = db.open_session(query(), quota=4.0, seed=7)
-        session.run_preemptible(checkpoint=suspend_once())
+        session.run(checkpoint=suspend_once())
         banked = session.suspended_state.report.stages[0].estimate
         # The queue starves the parked run past its absolute deadline.
         session.charger.clock.advance(10.0)
@@ -125,12 +125,11 @@ class TestExecutorSuspendResume:
 
 class TestShouldPreempt:
     def ticket(self, deadline, priority=0, seq=0, quota=5.0, min_cost=0.1):
-        return _Ticket(
+        return Ticket(
             priority=priority,
             deadline=deadline,
             seq=seq,
             request=request(quota=quota, seed=seq + 1),
-            arrival=0.0,
             min_cost=min_cost,
         )
 
@@ -177,13 +176,13 @@ class TestTicketOrdering:
         # next to equal-deadline arrivals; the payload fields must stay
         # out of the comparison or sorting raises TypeError on
         # QueryRequest. (Regression: payload fields were compare=True.)
-        a = _Ticket(
+        a = Ticket(
             priority=0, deadline=2.0, seq=1, request=request(seed=1),
-            arrival=0.3, min_cost=0.2,
+            min_cost=0.2, queue_wait=0.3,
         )
-        b = _Ticket(
+        b = Ticket(
             priority=0, deadline=2.0, seq=0, request=request(seed=2),
-            arrival=0.1, min_cost=0.1,
+            min_cost=0.1, queue_wait=0.1,
         )
         assert sorted([a, b]) == [b, a]
         heap = []
@@ -192,8 +191,8 @@ class TestTicketOrdering:
         assert heapq.heappop(heap) is b
 
     def test_earlier_deadline_still_wins(self):
-        a = _Ticket(priority=0, deadline=3.0, seq=0, request=request(seed=1))
-        b = _Ticket(priority=0, deadline=2.0, seq=1, request=request(seed=2))
+        a = Ticket(priority=0, deadline=3.0, seq=0, request=request(seed=1))
+        b = Ticket(priority=0, deadline=2.0, seq=1, request=request(seed=2))
         assert sorted([a, b]) == [b, a]
 
 
@@ -279,22 +278,21 @@ class TestServerPreemption:
 
     def test_parked_ticket_is_never_shed(self, db):
         server = QueryServer(db, preempt=True)  # enforcing policy
-        parked = _Ticket(
+        parked = Ticket(
             priority=0,
             deadline=0.5,
             seq=0,
             request=request(quota=4.0, seed=1),
-            arrival=0.0,
             min_cost=2.0,  # projected budget 0.5 << min_cost: doomed...
-            session=object(),  # ...but parked: banked stages exist
+            state=TicketState.PARKED,  # ...but parked: banked stages exist
         )
-        doomed = _Ticket(
+        doomed = Ticket(
             priority=0,
             deadline=1.0,
             seq=1,
             request=request(quota=4.0, seed=2),
-            arrival=0.0,
             min_cost=2.0,
+            state=TicketState.QUEUED,
         )
         queue = [parked, doomed]
         heapq.heapify(queue)

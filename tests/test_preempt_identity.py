@@ -92,7 +92,7 @@ class TestExecutorIdentity:
             expr, quota=quota, seed=7, sink=chopped_sink
         )
         checkpoint = suspend_at_every_boundary()
-        out = chopped.run_preemptible(checkpoint=checkpoint)
+        out = chopped.run(checkpoint=checkpoint)
         suspensions = 0
         while out is None:
             suspensions += 1
@@ -125,7 +125,7 @@ class TestExecutorIdentity:
                 return True
             return False
 
-        assert session.run_preemptible(checkpoint=once) is None
+        assert session.run(checkpoint=once) is None
         parked_at = session.charger.clock.now()
         assert session.suspended_state.suspended_at == parked_at
         session.resume()

@@ -21,6 +21,7 @@ from repro.server.admission import (
     FeasibilityReport,
     RejectInfeasible,
     minimum_stage_cost,
+    projected_wait,
 )
 from repro.server.degrade import degraded_estimate
 from repro.server.request import Outcome, QueryRequest
@@ -206,26 +207,24 @@ class TestProjectedWaitAccumulates:
     """
 
     def ticket(self, deadline, seq, quota, seed):
-        from repro.server.scheduler import _Ticket
+        from repro.server.scheduler import Ticket
 
-        return _Ticket(
+        return Ticket(
             priority=0,
             deadline=deadline,
             seq=seq,
             request=QueryRequest(expr=query(), quota=quota, seed=seed),
-            arrival=0.0,
             min_cost=0.1,
         )
 
     def test_two_queued_tickets_price_at_their_turns(self, db):
-        server = QueryServer(db)
         # Both tickets' quotas exceed their remaining budgets, so each
         # runs to its own deadline: t1 occupies 0→2, after which t2 has
         # only 1s left to 3.0. True wait for work behind them: 3.0.
         t1 = self.ticket(deadline=2.0, seq=0, quota=5.0, seed=1)
         t2 = self.ticket(deadline=3.0, seq=1, quota=5.0, seed=2)
         arriving = QueryRequest(expr=query(), quota=3.5, seed=3)
-        wait = server._projected_wait(arriving, 3.5, [t1, t2], now=0.0)
+        wait = projected_wait(arriving, [t1, t2], now=0.0)
         assert wait == pytest.approx(3.0)
         # The pre-fix formula summed both spends at now=0 — 2s + 3s = 5s
         # of phantom wait, 2s of which t2 can never actually use.
@@ -233,11 +232,10 @@ class TestProjectedWaitAccumulates:
         assert stale == pytest.approx(5.0)
 
     def test_corrected_projection_admits_where_stale_rejected(self, db):
-        server = QueryServer(db)
         t1 = self.ticket(deadline=2.0, seq=0, quota=5.0, seed=1)
         t2 = self.ticket(deadline=3.0, seq=1, quota=5.0, seed=2)
         arriving = QueryRequest(expr=query(), quota=3.5, seed=3)
-        wait = server._projected_wait(arriving, 3.5, [t1, t2], now=0.0)
+        wait = projected_wait(arriving, [t1, t2], now=0.0)
         stale = sum(t.planned_spend(0.0) for t in (t1, t2))
         policy = RejectInfeasible()
         min_cost = 0.2  # far below the 0.5s budget the request keeps
@@ -259,21 +257,15 @@ class TestProjectedWaitAccumulates:
     def test_projection_includes_a_non_preemptable_runner(self, db):
         # At a preemption checkpoint the mid-flight ticket precedes any
         # arrival that cannot preempt it (no strictly-earlier key)...
-        server = QueryServer(db)
         running = self.ticket(deadline=2.0, seq=0, quota=5.0, seed=1)
         arriving = QueryRequest(expr=query(), quota=3.5, seed=2)
-        wait = server._projected_wait(
-            arriving, 3.5, [], now=0.0, running=running
-        )
+        wait = projected_wait(arriving, [], now=0.0, running=running)
         assert wait == pytest.approx(2.0)
 
     def test_projection_excludes_a_preemptable_runner(self, db):
         # ...while an arrival whose key would preempt the runner does not
         # wait for it at all.
-        server = QueryServer(db)
         running = self.ticket(deadline=9.0, seq=0, quota=5.0, seed=1)
         arriving = QueryRequest(expr=query(), quota=3.5, seed=2)
-        wait = server._projected_wait(
-            arriving, 3.5, [], now=0.0, running=running
-        )
+        wait = projected_wait(arriving, [], now=0.0, running=running)
         assert wait == pytest.approx(0.0)

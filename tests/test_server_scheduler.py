@@ -243,7 +243,7 @@ class TestSharedState:
         assert server.metrics.completed == 2
 
     def test_shared_cost_model_calibrates_across_requests(self, db):
-        server = QueryServer(db, share_cost_model=True)
+        server = QueryServer(db)
         assert server._cost_model is not None
         before = server._cost_model.observation_counts()
         server.serve(request(quota=2.0, seed=1))
@@ -269,3 +269,47 @@ class TestSharedState:
         assert server._pool is own and own.info().misses > 0
         with pytest.raises(ReproError, match="on/off forms.*removed"):
             QueryServer(db, session_kwargs={"bufferpool": False})
+
+
+class TestSessionKwargsValidation:
+    """``session_kwargs`` is checked once, at construction. (Regression: a
+    server-owned or misspelt key constructed fine, then every request came
+    back ``REJECTED "query cannot be planned: … got multiple values for
+    keyword argument 'clock'"`` — or, for ``sink``, collided at dispatch
+    and turned every admitted request into ``MISSED``.)"""
+
+    @pytest.mark.parametrize(
+        "name",
+        ["clock", "seed", "cost_model", "strategy", "stopping",
+         "measure_overspend", "aggregate"],
+    )
+    def test_names_the_server_sets_at_admission_are_refused(self, db, name):
+        with pytest.raises(ValueError, match=f"'{name}'.*server sets"):
+            QueryServer(db, session_kwargs={name: None})
+
+    def test_the_dispatch_only_sink_is_refused_too(self, db):
+        # ``sink`` never reached the admission probe, so it used to pass
+        # admission and blow up only when the request was dispatched.
+        with pytest.raises(ValueError, match="'sink'.*server sets"):
+            QueryServer(db, session_kwargs={"sink": RecordingSink()})
+
+    @pytest.mark.parametrize("name", ["fault_plans", "buffer_pool", "quota"])
+    def test_unknown_or_misspelt_options_are_refused(self, db, name):
+        with pytest.raises(ValueError, match=f"unknown query option '{name}'"):
+            QueryServer(db, session_kwargs={name: None})
+
+    def test_real_query_options_still_flow_into_every_session(self, db):
+        from repro.faults.plan import FaultPlan
+
+        server = QueryServer(
+            db,
+            session_kwargs={
+                "fault_plan": FaultPlan(),
+                "partitions": 2,
+                "optimize": False,
+                "max_stages": 8,
+            },
+        )
+        outcome = server.serve(request(quota=2.0, seed=1))
+        assert outcome.outcome is Outcome.ANSWERED
+        assert len(outcome.result.report.stages) <= 8
