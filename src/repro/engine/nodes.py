@@ -52,7 +52,7 @@ from repro.relational.operators import (
     whole_row_key,
 )
 from repro.relational.predicate import Predicate
-from repro.sampling.sampler import BlockSampler, blocks_for_fraction
+from repro.sampling.sampler import BlockSampler, fraction_blocks
 from repro.storage.block import Row
 from repro.storage.heapfile import HeapFile
 from repro.storage.spool import Spool, SpoolFile
@@ -286,7 +286,7 @@ class StagedScan(_NodeBase):
         return self.sampler.exhausted
 
     def _blocks_for(self, fraction: float) -> int:
-        wanted = blocks_for_fraction(self.relation, fraction)
+        wanted = fraction_blocks(fraction, self.relation.block_count)
         return min(wanted, self.sampler.remaining_blocks)
 
     def advance(self, stage: int, fraction: float | None = None) -> list[Row]:

@@ -19,7 +19,7 @@ the time-constrained executor needs:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -63,6 +63,7 @@ from repro.observability.trace import (
 from repro.relational.expression import Expression
 from repro.relational.inclusion_exclusion import expand_count
 from repro.sampling.point_space import PointSpace
+from repro.sampling.sampler import fraction_blocks
 from repro.storage.bufferpool import resolve_pool
 from repro.storage.events import ShardMerged, ShardScanStarted
 from repro.storage.heapfile import DEFAULT_BLOCK_SIZE
@@ -284,17 +285,21 @@ class StagedPlan:
     def scans(self) -> list[StagedScan]:
         return self._builder.scans
 
-    def trackers(self) -> list[SelectivityTracker]:
-        """All operator selectivity trackers, deduplicated, tree order."""
+    def tracked_nodes(self) -> list[StagedNode]:
+        """The first node owning each operator tracker, in tree order."""
         seen: set[int] = set()
-        out: list[SelectivityTracker] = []
+        out: list[StagedNode] = []
         for term in self.terms:
             for node in term.root.iter_nodes():
                 tracker = node.tracker
                 if tracker is not None and id(tracker) not in seen:
                     seen.add(id(tracker))
-                    out.append(tracker)
+                    out.append(node)
         return out
+
+    def trackers(self) -> list[SelectivityTracker]:
+        """All operator selectivity trackers, deduplicated, tree order."""
+        return [node.tracker for node in self.tracked_nodes()]
 
     def blocks_drawn(self) -> int:
         return sum(scan.blocks_drawn for scan in self.scans)
@@ -319,6 +324,24 @@ class StagedPlan:
             if not scan.exhausted
         ]
         return min(fractions, default=0.0)
+
+    def stage_allotter(self) -> Callable[[float], tuple[int, ...]]:
+        """``f`` → the *stage allotment*: the blocks each scan would draw.
+
+        A fraction reaches :meth:`predict_stage` only through these integers
+        (``StagedScan._blocks_for``), so between two stages ``QCOST`` is a
+        step function of the allotment. Each scan's ``(D, remaining)`` is
+        read once, here: the closure is for one bisection, never kept.
+        """
+        bounds = [
+            (scan.relation.block_count, scan.sampler.remaining_blocks)
+            for scan in self.scans
+        ]
+        return lambda f: tuple([min(fraction_blocks(f, d), r) for d, r in bounds])
+
+    def stage_allotment(self, fraction: float) -> tuple[int, ...]:
+        """The blocks each scan would draw at ``fraction``, in scan order."""
+        return self.stage_allotter()(fraction)
 
     # ------------------------------------------------------------------
     # Controller operations

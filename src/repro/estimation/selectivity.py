@@ -78,8 +78,13 @@ class SelectivityTracker:
     sink: TraceSink | None = field(default=None, repr=False, compare=False)
     prior_tuples: float = 0.0
     prior_points: float = 0.0
+    # Running Σ tuples / Σ points over ``observations`` (integers, so exact):
+    # ``sel_plus`` reads them four times per candidate stage size.
+    total_tuples: int = field(default=0, init=False, repr=False, compare=False)
+    total_points: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        self._retotal()
         if not 0.0 < self.initial <= 1.0:
             raise EstimationError(
                 f"{self.label}: initial selectivity must be in (0,1], "
@@ -122,6 +127,8 @@ class SelectivityTracker:
     def record_stage(self, tuples: int, points: int) -> None:
         """Record one completed stage's output count and sampled points."""
         self.observations.append(StageObservation(tuples, points))
+        self.total_tuples += tuples
+        self.total_points += points
         if self.sink is not None:
             self.sink.emit(
                 SelectivityRevision(
@@ -145,14 +152,11 @@ class SelectivityTracker:
                 f"(has {len(self.observations)})"
             )
         del self.observations[token:]
+        self._retotal()
 
-    @property
-    def total_tuples(self) -> int:
-        return sum(o.tuples for o in self.observations)
-
-    @property
-    def total_points(self) -> int:
-        return sum(o.points for o in self.observations)
+    def _retotal(self) -> None:
+        self.total_tuples = sum(o.tuples for o in self.observations)
+        self.total_points = sum(o.points for o in self.observations)
 
     @property
     def stages_observed(self) -> int:

@@ -129,7 +129,12 @@ def blocks_for_fraction(relation: HeapFile, fraction: float) -> int:
     a fraction to an integral block count, at least one block whenever the
     fraction is positive.
     """
+    return fraction_blocks(fraction, relation.block_count)
+
+
+def fraction_blocks(fraction: float, block_count: int) -> int:
+    """:func:`blocks_for_fraction` on a bare block count ``D``."""
     if fraction <= 0:
         return 0
-    d = int(round(fraction * relation.block_count))
+    d = int(round(fraction * block_count))
     return max(1, d)

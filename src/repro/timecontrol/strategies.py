@@ -27,11 +27,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from repro.costmodel import steps as step_names
-from repro.engine.nodes import SelProvider
+from repro.engine.nodes import PredictContext, SelProvider, StagedNode
 from repro.engine.plan import StagedPlan
 from repro.errors import TimeControlError
 from repro.estimation.selectivity import SelectivityTracker
@@ -70,6 +71,42 @@ class TimeControlStrategy:
         overhead = plan.cost_model.predict(step_names.STAGE_OVERHEAD, [1.0])
         return remaining_seconds - overhead
 
+    def _bisect(
+        self,
+        plan: StagedPlan,
+        remaining_seconds: float,
+        stage: int,
+        cost: Callable[[float], float],
+    ) -> float | None:
+        """Figure 3.4 over ``cost``, pricing each distinct allotment once.
+
+        ``cost`` depends on ``f`` only through ``plan``'s stage allotment, so
+        the iterates of one bisection that draw the same blocks share one
+        evaluation. ``priced`` dies with this call: coefficients, tracker
+        state and remaining blocks all move between stages.
+        """
+        budget = self._budget(plan, remaining_seconds)
+        allotment = plan.stage_allotter()
+        priced: dict[tuple[int, ...], float] = {}
+
+        def cost_of_allotment(fraction: float) -> float:
+            key = allotment(fraction)
+            seconds = priced.get(key)
+            if seconds is None:
+                seconds = priced[key] = cost(fraction)
+            return seconds
+
+        counter = _BisectionCounter()
+        fraction = determine_fraction(
+            cost=cost_of_allotment,
+            budget_seconds=budget,
+            min_fraction=plan.min_feasible_fraction(),
+            max_fraction=plan.max_remaining_fraction(),
+            epsilon_ratio=self.epsilon_ratio,
+            observer=counter,
+        )
+        return self._trace_choice(plan, stage, fraction, budget, counter.iterations)
+
     @staticmethod
     def _trace_choice(
         plan: StagedPlan,
@@ -106,6 +143,8 @@ class OneAtATimeInterval(TimeControlStrategy):
     def __post_init__(self) -> None:
         if self.d_beta < 0:
             raise TimeControlError(f"d_beta must be >= 0, got {self.d_beta}")
+        if self.epsilon_ratio <= 0:
+            raise TimeControlError("epsilon_ratio must be positive")
 
     def sel_provider(self) -> SelProvider:
         d_beta = self.d_beta
@@ -120,19 +159,9 @@ class OneAtATimeInterval(TimeControlStrategy):
     def choose_fraction(
         self, plan: StagedPlan, remaining_seconds: float, stage: int
     ) -> float | None:
-        budget = self._budget(plan, remaining_seconds)
         provider = self.sel_provider()
-        counter = _BisectionCounter()
-        fraction = determine_fraction(
-            cost=lambda f: plan.predict_stage(f, provider),
-            budget_seconds=budget,
-            min_fraction=plan.min_feasible_fraction(),
-            max_fraction=plan.max_remaining_fraction(),
-            epsilon_ratio=self.epsilon_ratio,
-            observer=counter,
-        )
-        return self._trace_choice(
-            plan, stage, fraction, budget, counter.iterations
+        return self._bisect(
+            plan, remaining_seconds, stage, lambda f: plan.predict_stage(f, provider)
         )
 
     def describe(self) -> str:
@@ -159,6 +188,8 @@ class SingleInterval(TimeControlStrategy):
     def __post_init__(self) -> None:
         if self.d_alpha < 0:
             raise TimeControlError(f"d_alpha must be >= 0, got {self.d_alpha}")
+        if self.epsilon_ratio <= 0:
+            raise TimeControlError("epsilon_ratio must be positive")
 
     @staticmethod
     def _mean_provider() -> SelProvider:
@@ -199,27 +230,31 @@ class SingleInterval(TimeControlStrategy):
         return float(np.cov(sa[-n:], sb[-n:], ddof=1)[0, 1])
 
     def _stage_cost_with_margin(
-        self, plan: StagedPlan, fraction: float
+        self,
+        plan: StagedPlan,
+        fraction: float,
+        nodes: list[StagedNode] | None = None,
     ) -> float:
+        """``μ_t + d_α·sqrt(Var(t_i))``; ``nodes`` = ``plan.tracked_nodes()``."""
         mean_provider = self._mean_provider()
         mu = plan.predict_stage(fraction, mean_provider)
         if self.d_alpha == 0:
             return mu
-        trackers = plan.trackers()
+        nodes = nodes or plan.tracked_nodes()
+        trackers = [node.tracker for node in nodes]
         # Numerical gradient of QCOST w.r.t. each operator's selectivity.
         grads: list[float] = []
         for tracker in trackers:
             bumped = plan.predict_stage(fraction, self._bumped_provider(tracker))
             grads.append((bumped - mu) / self._gradient_step)
         variance = 0.0
-        for u, tu in enumerate(trackers):
+        ctx = PredictContext(fraction, mean_provider)
+        for u, (node, tu) in enumerate(zip(nodes, trackers)):
             # Diagonal: the SRS selectivity variance at this stage size.
-            points = self._candidate_points(plan, fraction, tu)
-            var_u = (
-                tu.variance(points, self._space_points(plan, tu))
-                if tu.stages_observed and points > 0
-                else 0.0
-            )
+            points = max(int(node._new_points_predicted(ctx)), 1)
+            var_u = 0.0
+            if tu.stages_observed:
+                var_u = tu.variance(points, node.space_points())
             variance += grads[u] * grads[u] * var_u
             for v in range(u + 1, len(trackers)):
                 cov = self._covariance(tu, trackers[v])
@@ -227,44 +262,15 @@ class SingleInterval(TimeControlStrategy):
         variance = max(variance, 0.0)
         return mu + self.d_alpha * math.sqrt(variance)
 
-    @staticmethod
-    def _space_points(plan: StagedPlan, tracker: SelectivityTracker) -> int:
-        for term in plan.terms:
-            for node in term.root.iter_nodes():
-                if node.tracker is tracker:
-                    return node.space_points()
-        raise TimeControlError(f"tracker {tracker.label!r} not in plan")
-
-    @staticmethod
-    def _candidate_points(
-        plan: StagedPlan, fraction: float, tracker: SelectivityTracker
-    ) -> int:
-        for term in plan.terms:
-            for node in term.root.iter_nodes():
-                if node.tracker is tracker:
-                    from repro.engine.nodes import PredictContext
-
-                    ctx = PredictContext(
-                        fraction, SingleInterval._mean_provider()
-                    )
-                    return max(int(node._new_points_predicted(ctx)), 1)
-        return 1
-
     def choose_fraction(
         self, plan: StagedPlan, remaining_seconds: float, stage: int
     ) -> float | None:
-        budget = self._budget(plan, remaining_seconds)
-        counter = _BisectionCounter()
-        fraction = determine_fraction(
-            cost=lambda f: self._stage_cost_with_margin(plan, f),
-            budget_seconds=budget,
-            min_fraction=plan.min_feasible_fraction(),
-            max_fraction=plan.max_remaining_fraction(),
-            epsilon_ratio=self.epsilon_ratio,
-            observer=counter,
-        )
-        return self._trace_choice(
-            plan, stage, fraction, budget, counter.iterations
+        nodes = plan.tracked_nodes()  # tracker → node, once per bisection
+        return self._bisect(
+            plan,
+            remaining_seconds,
+            stage,
+            lambda f: self._stage_cost_with_margin(plan, f, nodes),
         )
 
     def describe(self) -> str:

@@ -24,6 +24,29 @@ class TestReviseSelectivities:
         assert tracker.total_tuples == 40
         assert tracker.total_points == 200
 
+    def test_running_totals_follow_record_snapshot_restore(self, tracker):
+        def resummed():
+            return (
+                sum(o.tuples for o in tracker.observations),
+                sum(o.points for o in tracker.observations),
+            )
+
+        tracker.record_stage(tuples=10, points=100)
+        token = tracker.snapshot()
+        tracker.record_stage(tuples=30, points=150)
+        assert (tracker.total_tuples, tracker.total_points) == (40, 250)
+        assert (tracker.total_tuples, tracker.total_points) == resummed()
+        tracker.restore(token)
+        assert (tracker.total_tuples, tracker.total_points) == (10, 100)
+        assert tracker.sel_prev == 10 / 100
+        tracker.record_stage(tuples=5, points=50)  # the salvage retry
+        assert (tracker.total_tuples, tracker.total_points) == (15, 150)
+        assert (tracker.total_tuples, tracker.total_points) == resummed()
+        # A rejected observation leaves the totals where they were.
+        with pytest.raises(EstimationError):
+            tracker.record_stage(-1, 10)
+        assert (tracker.total_tuples, tracker.total_points) == (15, 150)
+
     def test_intersect_style_initial(self):
         t = SelectivityTracker("int#1", initial=1 / 10_000)
         assert t.sel_prev == pytest.approx(1e-4)

@@ -48,6 +48,12 @@ class TestOneAtATimeInterval:
         with pytest.raises(TimeControlError):
             OneAtATimeInterval(d_beta=-1.0)
 
+    @pytest.mark.parametrize("epsilon_ratio", [0.0, -1.0])
+    def test_invalid_epsilon_ratio_rejected_at_construction(self, epsilon_ratio):
+        # At construction — not from determine_fraction, at stage 1 of every query.
+        with pytest.raises(TimeControlError, match="epsilon_ratio"):
+            OneAtATimeInterval(epsilon_ratio=epsilon_ratio)
+
     def test_infeasible_budget_returns_none(self, catalog):
         plan = fresh_plan(catalog, rel("r1"))
         strategy = OneAtATimeInterval(d_beta=12.0)
@@ -89,6 +95,11 @@ class TestSingleInterval:
     def test_invalid_d_alpha_rejected(self):
         with pytest.raises(TimeControlError):
             SingleInterval(d_alpha=-0.5)
+
+    @pytest.mark.parametrize("epsilon_ratio", [0.0, -1.0])
+    def test_invalid_epsilon_ratio_rejected_at_construction(self, epsilon_ratio):
+        with pytest.raises(TimeControlError, match="epsilon_ratio"):
+            SingleInterval(epsilon_ratio=epsilon_ratio)
 
     def test_chooses_feasible_fraction(self, catalog):
         expr = join(rel("r1"), rel("r2"), on=["a"])

@@ -6,7 +6,6 @@ import pytest
 from repro.catalog.catalog import Catalog
 from repro.costmodel.model import CostModel
 from repro.engine.plan import StagedPlan
-from repro.errors import TimeControlError
 from repro.estimation.selectivity import SelectivityTracker
 from repro.relational.expression import join, rel, select
 from repro.relational.predicate import cmp
@@ -62,12 +61,6 @@ class TestSingleIntervalInternals:
         mean = SingleInterval(d_alpha=0.0)._stage_cost_with_margin(plan, 0.1)
         with_margin = strategy._stage_cost_with_margin(plan, 0.1)
         assert with_margin >= mean
-
-    def test_space_points_unknown_tracker_raises(self, catalog):
-        plan = warmed_plan(catalog, select(rel("r1"), cmp("a", "<", 4)))
-        stray = SelectivityTracker("stray", initial=1.0)
-        with pytest.raises(TimeControlError):
-            SingleInterval._space_points(plan, stray)
 
     def test_mean_provider_initial_before_data(self):
         provider = SingleInterval._mean_provider()
