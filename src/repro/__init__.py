@@ -89,12 +89,7 @@ from repro.storage.events import (
     ShardMerged,
     ShardScanStarted,
 )
-from repro.storage.partitioned import (
-    HeapShard,
-    PartitionedHeapFile,
-    ShardCacheInfo,
-    invalidate_shard_cache_relation,
-)
+from repro.storage.partitioned import PartitionedHeapFile
 from repro.synopses import (
     SynopsisBinder,
     SynopsisCatalog,
@@ -150,7 +145,6 @@ __all__ = [
     "FaultSalvaged",
     "FixedFractionHeuristic",
     "HardDeadline",
-    "HeapShard",
     "InjectedFault",
     "JsonlSink",
     "KernelCacheInfo",
@@ -165,7 +159,6 @@ __all__ = [
     "RecordingSink",
     "RuleApplication",
     "RunReport",
-    "ShardCacheInfo",
     "ShardMerged",
     "ShardScanStarted",
     "TeeSink",
@@ -205,7 +198,6 @@ __all__ = [
     "expand_count",
     "intersect",
     "invalidate_bufferpool_relation",
-    "invalidate_shard_cache_relation",
     "join",
     "optimizer_enabled",
     "project",

@@ -1,12 +1,11 @@
 """Unified management surface for every process-wide cache.
 
-One registry of named handles over the library's four process-wide
-caches (compiled predicates, logical plans, the default buffer pool, and
-the shard-metadata cache)::
+One registry of named handles over the library's three process-wide
+caches (compiled predicates, logical plans and the default buffer pool)::
 
     from repro import caches
 
-    caches.names()                    # ('kernels', 'plans', 'bufferpool', 'shards')
+    caches.names()                    # ('kernels', 'plans', 'bufferpool')
     caches.info()                     # {name: info dataclass} for all caches
     caches.get("plans").info()        # one cache's counters
     caches.get("bufferpool").clear()  # drop one cache
@@ -16,9 +15,9 @@ Each handle's ``info()`` returns that cache's own counters dataclass
 (every one carries at least ``hits``/``misses``/``maxsize``/``currsize``,
 ``lru_cache.cache_info()``-style), and ``clear()`` empties the cache and
 resets its counters. The *relation-keyed invalidation* hooks
-(``invalidate_plan_cache_relation``, ``invalidate_bufferpool_relation``,
-``invalidate_shard_cache_relation``) live with their caches — they are
-mutation plumbing, not management surface.
+(``invalidate_plan_cache_relation``, ``invalidate_bufferpool_relation``)
+live with their caches — they are mutation plumbing, not management
+surface.
 
 The registry holds no cache state itself: handles call through to the
 owning modules, so a cache's behavior is unchanged whether it is managed
@@ -38,7 +37,7 @@ class CacheHandle:
     """One named cache: ``info()`` for counters, ``clear()`` to empty it.
 
     ``description`` says what the cache holds and what clearing costs
-    (all four are pure optimizations — clearing is always safe).
+    (all three are pure optimizations — clearing is always safe).
     """
 
     name: str
@@ -94,18 +93,6 @@ def _bufferpool_clear() -> None:
     _clear_bufferpool_cache()
 
 
-def _shards_info() -> Any:
-    from repro.storage.partitioned import shard_cache_info
-
-    return shard_cache_info()
-
-
-def _shards_clear() -> None:
-    from repro.storage.partitioned import clear_shard_cache
-
-    clear_shard_cache()
-
-
 _REGISTRY: tuple[CacheHandle, ...] = (
     CacheHandle(
         "kernels",
@@ -126,13 +113,6 @@ _REGISTRY: tuple[CacheHandle, ...] = (
         "(repro.storage.bufferpool)",
         _bufferpool_info,
         _bufferpool_clear,
-    ),
-    CacheHandle(
-        "shards",
-        "partition-assignment metadata cache "
-        "(repro.storage.partitioned)",
-        _shards_info,
-        _shards_clear,
     ),
 )
 

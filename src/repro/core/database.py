@@ -127,13 +127,13 @@ class Database:
         """Create and bulk-load a stored relation.
 
         ``partitions=K`` (K >= 1) stores the relation as a
-        :class:`~repro.storage.partitioned.PartitionedHeapFile` split into
-        K deterministic shards (``partition_strategy`` is ``"round_robin"``
-        or ``"hash"``). Partitioning happens at block granularity, so the
-        global block layout — and therefore every sample, estimate, and
-        charged cost — is bit-identical to the unpartitioned relation
-        (invariant 10); shards only unlock the parallel read path
-        (``QueryOptions(partitions=N)``).
+        :class:`~repro.storage.partitioned.PartitionedHeapFile`: the same
+        blocks, each labelled with one of K shards by arithmetic on its
+        block id (``partition_strategy`` is ``"round_robin"`` or
+        ``"hash"``). The label is read only by ``FaultPlan.fail_shards``
+        and the ``shard_scan_started`` / ``shard_merged`` trace events;
+        every sample, estimate, charged cost and buffer-pool counter is
+        bit-identical to the unpartitioned relation (invariant 10).
         """
         if partitions is not None and partitions >= 1:
             from repro.storage.partitioned import PartitionedHeapFile
@@ -181,21 +181,18 @@ class Database:
 
         One breath evicts every derived layer: plan-cache entries
         fingerprinted over the relation, its prestored statistics, the
-        synopsis catalog's entries, every buffer pool's cached blocks
-        (:mod:`repro.storage.bufferpool` broadcasts across live pools),
-        and the shard-metadata cache's assignments for the relation.
+        synopsis catalog's entries and every buffer pool's cached blocks
+        (:mod:`repro.storage.bufferpool` broadcasts across live pools).
         Realtime :class:`~repro.realtime.transaction.WriteTask` commits
         land here too, via :meth:`append_rows`.
         """
         from repro.planner.cache import invalidate_plan_cache_relation
         from repro.storage.bufferpool import invalidate_bufferpool_relation
-        from repro.storage.partitioned import invalidate_shard_cache_relation
 
         invalidate_plan_cache_relation(name)
         self.statistics.pop(name, None)
         self.synopses.invalidate_relation(name)
         invalidate_bufferpool_relation(name)
-        invalidate_shard_cache_relation(name)
 
     def relation(self, name: str) -> HeapFile:
         return self.catalog.get(name)
@@ -411,7 +408,6 @@ class Database:
             optimize=opts.optimize,
             binder=binder,
             bufferpool=opts.bufferpool,
-            partitions=opts.partitions,
         )
 
     def explain(

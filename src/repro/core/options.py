@@ -58,10 +58,6 @@ class QueryOptions:
     tests and experiments); ``None`` reads through the process-wide
     default pool. Every plan reads through a pool — it is a pure
     wall-clock structure, invisible to charges, estimates and traces.
-    ``partitions`` is the shard **worker count** for reads over
-    partitioned relations (:mod:`repro.storage.partitioned`): an integer
-    ``N >= 1`` fetches shards with ``N`` workers, ``None`` means one
-    (serial) — also wall-clock only.
     """
 
     strategy: "TimeControlStrategy | None" = None
@@ -80,7 +76,6 @@ class QueryOptions:
     optimize: bool | None = None
     synopses: bool | None = None
     bufferpool: "BufferPool | None" = None
-    partitions: int | None = None
     block_size: int | None = None
     fault_plan: "FaultPlan | None" = None
 
@@ -98,15 +93,6 @@ class QueryOptions:
             from repro.storage.bufferpool import resolve_pool
 
             resolve_pool(self.bufferpool)  # rejects the removed on/off forms
-        if self.partitions is not None and (
-            isinstance(self.partitions, bool) or self.partitions < 1
-        ):
-            raise ReproError(
-                f"partitions must be a shard worker count >= 1 or None, got "
-                f"{self.partitions!r}; the unsharded read path over "
-                "partitioned relations is gone, so the on/off forms "
-                "(True / False / 0) were removed"
-            )
 
     def replace(self, **changes) -> "QueryOptions":
         """A copy with the given fields changed (unknown names rejected)."""

@@ -101,7 +101,6 @@ class QuerySession:
         optimize: bool | None = None,
         binder=None,
         bufferpool=None,
-        partitions: int | None = None,
     ) -> None:
         from repro.estimation.aggregates import COUNT
 
@@ -132,7 +131,6 @@ class QuerySession:
             optimize=self.optimize,
             binder=binder,
             bufferpool=bufferpool,
-            partitions=partitions,
         )
         self.binder = binder
         self.bufferpool = self.plan.bufferpool

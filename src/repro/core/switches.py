@@ -3,9 +3,9 @@
 A switch selects between two *behaviours* of the engine or the server —
 what a run computes, stores, or schedules — and is declared exactly once,
 in :data:`SWITCHES` (name, option field, environment variable, default).
-How the host computes a stage (columnar kernels, the buffer pool, sharded
-reads) is not a switch: those are the engine, pinned invisible to every
-charged cost and estimate by differential tests.
+How the host computes a stage (columnar kernels, the buffer pool) is not a
+switch: those are the engine, pinned invisible to every charged cost and
+estimate by differential tests.
 
 All switches share one resolution rule, implemented here once: an explicit
 per-session value beats the :class:`~repro.core.options.QueryOptions`

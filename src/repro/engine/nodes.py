@@ -55,6 +55,7 @@ from repro.relational.predicate import Predicate
 from repro.sampling.sampler import BlockSampler, fraction_blocks
 from repro.storage.block import Row
 from repro.storage.heapfile import HeapFile
+from repro.storage.partitioned import PartitionedHeapFile, ShardReadStats
 from repro.storage.spool import Spool, SpoolFile
 from repro.timekeeping.charger import CostCharger
 from repro.timekeeping.profile import CostKind
@@ -62,7 +63,6 @@ from repro.timekeeping.profile import CostKind
 if TYPE_CHECKING:
     from repro.faults.injector import FaultInjector
     from repro.storage.bufferpool import BufferPool
-    from repro.storage.partitioned import ShardReadStats
 
 SelProvider = Callable[[SelectivityTracker, int, int], float]
 """Strategy hook: (tracker, candidate_new_points, space_points) -> sel used."""
@@ -249,8 +249,6 @@ class StagedScan(_NodeBase):
         relation: HeapFile,
         sampler: BlockSampler,
         bufferpool: "BufferPool",
-        partitions: int | None = None,
-        shard_seeds: tuple[int, ...] = (),
         **common,
     ) -> None:
         super().__init__(**common)
@@ -261,15 +259,10 @@ class StagedScan(_NodeBase):
         self.cum_tuples = 0
         self.new_tuples = 0
         self._stage_rows: list[Row] = []
-        # A partitioned relation is read shard by shard with ``partitions``
-        # workers (None = 1). The global sampler permutation is drawn either
-        # way, so sharding never perturbs the session RNG stream.
-        self.sharded = bool(getattr(relation, "shards", None))
-        self.shard_workers = partitions or 1
-        self.shard_seeds = shard_seeds
-        # Per-shard tallies of the latest sharded stage read; StagedPlan
-        # turns them into ShardScanStarted/ShardMerged trace events.
-        self.last_shard_stats: "list[ShardReadStats]" = []
+        # Per-shard tallies of the latest stage read over a partitioned
+        # relation (always empty over a plain one); StagedPlan turns them
+        # into ShardScanStarted/ShardMerged trace events.
+        self.last_shard_stats: list[ShardReadStats] = []
 
     def base_scans(self) -> list["StagedScan"]:
         return [self]
@@ -301,15 +294,10 @@ class StagedScan(_NodeBase):
             # Resident blocks hand back their decode-once arrays; charges
             # and injector consultations are issued per block, in global
             # draw order, exactly as the pool-less reference read does.
-            if self.sharded:
-                # Shard workers admit each shard's drawn blocks in parallel
-                # (wall-clock only) before the serial per-block replay.
+            if isinstance(self.relation, PartitionedHeapFile):
+                # The same read, plus the per-shard tallies of its blocks.
                 rows, batch, self.last_shard_stats = self.relation.read_sharded(
-                    block_ids,
-                    self.charger,
-                    self.injector,
-                    pool=self.bufferpool,
-                    workers=self.shard_workers,
+                    block_ids, self.charger, self.injector, pool=self.bufferpool
                 )
             else:
                 rows, batch = self.relation.read_blocks_decoded(

@@ -42,7 +42,7 @@ from repro.relational.expression import (
     RelationRef,
     Select,
 )
-from repro.sampling.sampler import BlockSampler, shard_seed
+from repro.sampling.sampler import BlockSampler
 from repro.storage.spool import Spool
 from repro.timekeeping.charger import CostCharger
 
@@ -77,7 +77,6 @@ class PhysicalPlanBuilder:
         hint_provider=None,
         pin_selectivities: bool = False,
         binder: "SynopsisBinder | None" = None,
-        partitions: int | None = None,
     ) -> None:
         self.catalog = catalog
         self.charger = charger
@@ -87,7 +86,6 @@ class PhysicalPlanBuilder:
         self.full_fulfillment = full_fulfillment
         self.injector = injector
         self.bufferpool = bufferpool
-        self.partitions = partitions
         self._hint_provider = hint_provider
         self._pin_selectivities = pin_selectivities
         self._binder = binder
@@ -150,20 +148,10 @@ class PhysicalPlanBuilder:
         if isinstance(expr, RelationRef):
             if expr.name not in self._scans:
                 relation = self.catalog.get(expr.name)
-                shards = getattr(relation, "shards", ())
-                # Per-shard seeds derive from the session RNG's seed
-                # material without consuming the stream: the sampler's
-                # global permutation below draws identically over a
-                # partitioned and a plain relation (invariant 10).
-                seeds = tuple(
-                    shard_seed(self.rng, i) for i in range(len(shards))
-                )
                 self._scans[expr.name] = StagedScan(
                     relation,
                     BlockSampler(relation, self.rng),
                     bufferpool=self.bufferpool,
-                    partitions=self.partitions,
-                    shard_seeds=seeds,
                     **self._common_kwargs(),
                 )
             return self._scans[expr.name]

@@ -172,7 +172,6 @@ class StagedPlan:
         optimize: bool = False,
         binder: "SynopsisBinder | None" = None,
         bufferpool: "BufferPool | None" = None,
-        partitions: int | None = None,
     ) -> None:
         self.expr = expr
         # None → the process-wide default pool, wherever the plan is built.
@@ -241,7 +240,6 @@ class StagedPlan:
             hint_provider=hint_provider,
             pin_selectivities=pin_selectivities,
             binder=binder,
-            partitions=partitions,
         )
         self.binder = binder
         self.spool = self._builder.spool
@@ -364,11 +362,10 @@ class StagedPlan:
             scan_blocks_before = scan.blocks_drawn
             scan.advance(stage, fraction)
             if trace:
-                # Shard events precede the merged ScanAdvance, mirroring
-                # execution: shards read, then merge in global draw order.
+                # Shard events precede the ScanAdvance they break down.
                 # They appear only for partitioned relations — invariant 10
-                # pins estimates/costs/schedules, not these events.
-                if scan.sharded and scan.last_shard_stats:
+                # pins everything else in the trace, not these events.
+                if scan.last_shard_stats:
                     for shard_stat in scan.last_shard_stats:
                         self.sink.emit(
                             ShardScanStarted(
@@ -377,7 +374,6 @@ class StagedPlan:
                                 stage=stage,
                                 blocks=shard_stat.blocks,
                                 tuples=shard_stat.tuples,
-                                seed=scan.shard_seeds[shard_stat.shard],
                             )
                         )
                     self.sink.emit(

@@ -44,9 +44,9 @@ class FaultPlan:
         fails, once per shard per session — the shard-targeted analogue of
         ``fail_stages``. Fires without consuming the fault RNG stream, so
         probabilistic schedules replay identically with or without shard
-        targets, and fires on the partitioned *and* unpartitioned read
-        paths alike (reads of plain heap files, which have no shards, are
-        never affected).
+        targets, and fires in every read method of the relation alike
+        (reads of plain heap files, which have no shards, are never
+        affected).
     max_injections:
         Cap on the total number of injected faults (errors + stalls +
         overruns); ``None`` is unlimited.

@@ -90,37 +90,6 @@ class BlockSampler:
         self._next = token
 
 
-_SHARD_STREAM_TAG = 0x73686172  # "shar": domain-separates shard streams
-
-
-def shard_seed(rng: np.random.Generator, shard: int) -> int:
-    """A stable per-shard seed derived from the session RNG's seed material.
-
-    Like :func:`~repro.faults.injector.derive_fault_rng`, this reads the
-    generator's :class:`~numpy.random.SeedSequence` — pure seed material,
-    so the session stream is never consumed and sampling stays bit-identical
-    whether or not shard streams are derived (invariant 10). The tag keeps
-    shard streams independent of the salted fault streams.
-    """
-    seed_seq = getattr(rng.bit_generator, "seed_seq", None)
-    if seed_seq is None:  # exotic bit generator: fall back to the shard alone
-        return shard
-    state = seed_seq.generate_state(4).tolist()
-    derived = np.random.SeedSequence([_SHARD_STREAM_TAG, shard, *state])
-    return int(derived.generate_state(1)[0])
-
-
-def derive_shard_rng(rng: np.random.Generator, shard: int) -> np.random.Generator:
-    """An independent per-shard RNG keyed on the session seed material.
-
-    Shard workers doing randomized shard-local work (none of the built-in
-    operators do today — the global block permutation *is* the sample)
-    must draw from this, never from the session stream, so per-shard
-    parallelism can never perturb the global draws.
-    """
-    return np.random.default_rng(shard_seed(rng, shard))
-
-
 def blocks_for_fraction(relation: HeapFile, fraction: float) -> int:
     """Whole blocks corresponding to sample fraction ``fraction``.
 

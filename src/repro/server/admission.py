@@ -93,8 +93,7 @@ def minimum_stage_cost(session: QuerySession) -> float:
     ``Database.explain`` (:func:`repro.planner.explain.
     predicted_stage_costs`), and the probe plan is built exactly like the
     dispatch plan — optimizer included — so admission rules on the plan
-    that will actually execute. The price is in *charged* seconds, which
-    sharded reads leave untouched (invariant 10).
+    that will actually execute.
     """
     return predicted_stage_costs(session.plan).total
 

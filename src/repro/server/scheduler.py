@@ -204,10 +204,10 @@ class QueryServer:
         per-stage query events with scheduling events on one stream.
     session_kwargs:
         Extra :class:`~repro.core.options.QueryOptions` fields for every
-        session the server opens (``fault_plan``, ``bufferpool``,
-        ``partitions``, …). Unknown names and the names the server sets
-        itself (:data:`SERVER_OWNED_OPTIONS`) raise ``ValueError`` here
-        rather than failing every request later.
+        session the server opens (``fault_plan``, ``bufferpool``, …).
+        Unknown names and the names the server sets itself
+        (:data:`SERVER_OWNED_OPTIONS`) raise ``ValueError`` here rather
+        than failing every request later.
     max_fault_retries:
         How many times a dispatched request defeated by transient
         (injected/storage) faults is re-executed within its own remaining

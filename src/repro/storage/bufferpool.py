@@ -338,18 +338,11 @@ class BufferPool:
         Called on committed mutations, in the same breath as plan-cache
         and synopsis invalidation. Pinned entries are dropped from the
         pool too: a batch already holding them keeps its (pre-mutation)
-        arrays alive, but no future read can see them. Entries admitted
-        under the relation's shard views (``"<name>/shard<i>"``, see
-        :class:`~repro.storage.partitioned.HeapShard`) are dropped in the
-        same sweep. Returns the number of entries dropped.
+        arrays alive, but no future read can see them. Returns the number
+        of entries dropped.
         """
-        shard_prefix = name + "/shard"
         with self._lock:
-            doomed = [
-                key
-                for key in self._entries
-                if key[0] == name or key[0].startswith(shard_prefix)
-            ]
+            doomed = [key for key in self._entries if key[0] == name]
             for key in doomed:
                 if self._entries.pop(key).pins > 0:
                     self._pinned -= 1

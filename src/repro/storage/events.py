@@ -65,14 +65,12 @@ class BufferInvalidated(TraceEvent):
 @register_event_type
 @dataclass(frozen=True)
 class ShardScanStarted(TraceEvent):
-    """One shard's portion of a sharded stage read.
+    """One shard label's portion of a stage read over a partitioned relation.
 
     Unlike buffer events, shard events **do** flow into per-session trace
     sinks: invariant 10 pins estimates, charged costs, and stage schedules
     bit-identical to an unpartitioned relation's, but explicitly lets
-    traces differ by these shard markers. ``seed`` is the shard's derived stream identity
-    (:func:`~repro.sampling.derive_shard_rng` seeded from the session seed
-    without consuming the session stream).
+    traces differ by these shard markers.
     """
 
     kind: ClassVar[str] = "shard_scan_started"
@@ -81,13 +79,12 @@ class ShardScanStarted(TraceEvent):
     stage: int = 0
     blocks: int = 0
     tuples: int = 0
-    seed: int = 0
 
 
 @register_event_type
 @dataclass(frozen=True)
 class ShardMerged(TraceEvent):
-    """Per-shard results of one stage merged back in global draw order."""
+    """The per-shard tallies of one stage read, summed over its shards."""
 
     kind: ClassVar[str] = "shard_merged"
     relation: str = ""

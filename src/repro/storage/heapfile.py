@@ -105,12 +105,11 @@ class HeapFile:
             block_id=block_id,
         )
 
-    def _injector_shard(self, block_id: int) -> int | None:
-        """Which shard (if any) a block belongs to, for shard-targeted faults.
+    def shard_of_block(self, block_id: int) -> int | None:
+        """The block's shard label, handed to shard-targeted faults.
 
         Plain heap files have no shards; :class:`~repro.storage.partitioned.
-        PartitionedHeapFile` overrides this so shard faults fire identically
-        on the sharded read and the inherited reference reads (invariant 10).
+        PartitionedHeapFile` overrides this with arithmetic on the block id.
         """
         return None
 
@@ -135,7 +134,7 @@ class HeapFile:
         charger.charge(CostKind.BLOCK_READ, 1)
         if injector is not None:
             injector.on_block_read(
-                self.name, block_id, charger, shard=self._injector_shard(block_id)
+                self.name, block_id, charger, shard=self.shard_of_block(block_id)
             )
         return list(self._blocks[block_id].rows)
 
@@ -203,7 +202,7 @@ class HeapFile:
             charger.charge(CostKind.BLOCK_READ, 1)
             if injector is not None:
                 injector.on_block_read(
-                    self.name, block_id, charger, shard=self._injector_shard(block_id)
+                    self.name, block_id, charger, shard=self.shard_of_block(block_id)
                 )
             entry, hit = pool.get_or_admit(self, block_id, prefix)
             hits += hit

@@ -7,7 +7,9 @@ faulted or not. Every plan reads through a pool, so "pool off" is played
 by ``BufferPool(capacity=1)``: every read is a miss plus an eviction, i.e.
 the pool never saves a single materialization. At the storage level the
 pooled read is pinned against the pool-less reference
-``HeapFile.read_blocks`` in rows, charges and injector consultations. The
+``HeapFile.read_blocks`` in rows, charges and injector consultations, and
+a partitioned relation's ``read_sharded`` against the plain pooled read
+(invariant 10 at the same level: one loop, one set of pool keys). The
 contract is checked on the engine and on the row-at-a-time stage oracle
 (ids ``vectorized`` / ``python``), over the three canonical query shapes,
 a 50-session interleave stress, and injected-fault replay;
@@ -22,7 +24,7 @@ import pytest
 
 from repro.core.database import Database
 from repro.core.options import QueryOptions
-from repro.errors import InjectedFault
+from repro.errors import InjectedFault, StorageError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.observability import RecordingSink
@@ -30,6 +32,7 @@ from repro import caches
 from repro.relational import cmp, join, rel
 from repro.server.workload import demo_database
 from repro.storage.bufferpool import BufferPool
+from repro.storage.partitioned import PARTITION_STRATEGIES, PartitionedHeapFile
 from repro.timekeeping.charger import CostCharger
 from repro.timekeeping.profile import MachineProfile
 from tests.conftest import make_relation
@@ -251,46 +254,109 @@ class TestFaults:
         assert on == off
 
 
-class TestStorageReference:
-    """``_read_pooled`` ≡ the pool-less ``read_blocks`` loop, block for block."""
+def observed_read(read, faulted=True, salt=9):
+    """One charged read — ``read(charger, injector) -> rows`` — and
+    everything it did observably, an out-of-bounds raise included."""
+    import numpy as np
 
-    DRAW = [3, 0, 4, 0, 2]  # includes a repeat: a hit inside one batch
-
-    @staticmethod
-    def _read(heap, pool, salt):
-        """One charged, fault-injected read; everything it did observably."""
-        import numpy as np
-
-        rng = np.random.default_rng(salt)
-        charger = CostCharger(MachineProfile.sun3_60(), rng=rng)
-        sink = RecordingSink()
+    charger = CostCharger(MachineProfile.sun3_60(), rng=np.random.default_rng(salt))
+    sink = RecordingSink()
+    injector = None
+    if faulted:
         injector = FaultInjector(
             FaultPlan(slow_read_prob=0.5, slow_read_factor=3.0),
             np.random.default_rng(salt + 1),
             sink,
         )
-        if pool is None:
-            rows = heap.read_blocks(TestStorageReference.DRAW, charger, injector)
-        else:
-            rows, batch = heap.read_blocks_decoded(
-                TestStorageReference.DRAW, charger, injector, pool=pool
-            )
-            assert batch.rows is rows
-        return (
-            rows,
-            charger.clock.now(),
-            sorted((k.name, v) for k, v in charger.totals.items()),
-            sorted((k.name, v) for k, v in charger.counts.items()),
-            [e.to_dict() for e in sink],
-        )
+    try:
+        rows, error = read(charger, injector), None
+    except StorageError as exc:
+        rows, error = None, str(exc)
+    return (
+        rows,
+        error,
+        charger.clock.now(),
+        sorted((k.name, v) for k, v in charger.totals.items()),
+        sorted((k.name, v) for k, v in charger.counts.items()),
+        [e.to_dict() for e in sink],
+    )
+
+
+def pooled_read(heap, pool, draw):
+    """``heap``'s engine-facing read of ``draw`` through ``pool``."""
+    read = getattr(heap, "read_sharded", heap.read_blocks_decoded)
+
+    def run(charger, injector):
+        rows, batch, *_ = read(draw, charger, injector, pool=pool)
+        assert batch.rows is rows
+        return rows
+
+    return run
+
+
+class TestStorageReference:
+    """``_read_pooled`` ≡ the pool-less ``read_blocks`` loop, block for block."""
+
+    DRAW = [3, 0, 4, 0, 2]  # includes a repeat: a hit inside one batch
 
     def test_pooled_read_equals_poolless_reference(self, int_schema):
         heap = make_relation("r1", int_schema, [(i, i % 3) for i in range(25)])
-        reference = self._read(heap, None, salt=9)
-        assert reference[4]  # the injector really was consulted and fired
+        reference = observed_read(
+            lambda charger, injector: heap.read_blocks(self.DRAW, charger, injector)
+        )
+        assert reference[5]  # the injector really was consulted and fired
         pool = BufferPool()
-        assert self._read(heap, pool, salt=9) == reference  # cold
+        assert observed_read(pooled_read(heap, pool, self.DRAW)) == reference  # cold
         assert pool.info().misses == 4 and pool.info().hits == 1
-        assert self._read(heap, pool, salt=9) == reference  # warm
+        assert observed_read(pooled_read(heap, pool, self.DRAW)) == reference  # warm
         assert pool.info().hits == 6
-        assert self._read(heap, thrashing_pool(), salt=9) == reference
+        thrashed = observed_read(pooled_read(heap, thrashing_pool(), self.DRAW))
+        assert thrashed == reference
+
+
+@pytest.mark.parametrize("strategy", PARTITION_STRATEGIES)
+class TestShardedReadReference:
+    """``read_sharded`` ≡ ``read_blocks_decoded``: one loop, one key space."""
+
+    DRAW = TestStorageReference.DRAW
+    ROWS = [(i, i % 3) for i in range(25)]
+
+    @staticmethod
+    def _read(heap, pool, draw, faulted=True):
+        """What the read did observably, plus what it left in ``pool``."""
+        return observed_read(pooled_read(heap, pool, draw), faulted), pool.info()
+
+    def _heaps(self, int_schema, strategy):
+        plain = make_relation("r1", int_schema, self.ROWS)
+        part = PartitionedHeapFile(
+            "r1", int_schema, plain.block_size, partitions=3, strategy=strategy
+        )
+        part.load(self.ROWS)
+        return plain, part
+
+    @pytest.mark.parametrize("faulted", [True, False], ids=["faulted", "clean"])
+    @pytest.mark.parametrize("capacity", [1, 4096], ids=["capacity-1", "roomy"])
+    def test_cold_then_warm_reads_agree(
+        self, int_schema, strategy, capacity, faulted
+    ):
+        plain, part = self._heaps(int_schema, strategy)
+        plain_pool, part_pool = BufferPool(capacity), BufferPool(capacity)
+        for _ in ("cold", "warm"):
+            reference = self._read(plain, plain_pool, self.DRAW, faulted)
+            # When there is an injector it really was consulted and fired.
+            assert bool(reference[0][5]) is faulted
+            assert self._read(part, part_pool, self.DRAW, faulted) == reference
+
+    def test_out_of_bounds_block_stops_both_reads_at_the_same_point(
+        self, int_schema, strategy
+    ):
+        plain, part = self._heaps(int_schema, strategy)
+        draw = [3, 0, plain.block_count + 2, 4]
+        reference = self._read(plain, BufferPool(), draw)
+        (_, error, _, _, counts, _), pooled = reference
+        assert error is not None  # it did raise …
+        # … after charging and admitting the two blocks ahead of the bad
+        # id, and nothing behind it.
+        assert dict(counts)["BLOCK_READ"] == 2
+        assert (pooled.misses, pooled.currsize) == (2, 2)
+        assert self._read(part, BufferPool(), draw) == reference

@@ -75,11 +75,7 @@ class NaivePool:
             entry.pins = max(0, entry.pins - 1)
 
     def invalidate_relation(self, name: str) -> int:
-        doomed = [
-            key
-            for key in self.entries
-            if key[0] == name or key[0].startswith(name + "/shard")
-        ]
+        doomed = [key for key in self.entries if key[0] == name]
         for key in doomed:
             del self.entries[key]
         self.invalidations += len(doomed)
@@ -103,14 +99,14 @@ class NaivePool:
 
 @pytest.fixture
 def relations(int_schema):
-    """Pool-facing relations by name: two heaps and a heap's two shards."""
+    """Pool-facing relations by name: two heaps and one partitioned heap."""
     rows = [(i, i % 7) for i in range(12)]
     part = PartitionedHeapFile("p", int_schema, block_size=8, partitions=2)
     part.load(rows)
     views = [
         make_relation("r1", int_schema, rows, block_size=8),
         make_relation("r2", int_schema, rows[:9], block_size=8),
-        *part.shards,
+        part,
     ]
     return {view.name: view for view in views}
 

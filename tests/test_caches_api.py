@@ -1,7 +1,7 @@
 """The unified cache registry — ``repro.caches``.
 
-One management surface for all four process-wide caches (kernels, plans,
-bufferpool, shards): named handles with ``info()``/``clear()`` and whole-
+One management surface for all three process-wide caches (kernels, plans,
+bufferpool): named handles with ``info()``/``clear()`` and whole-
 registry ``caches.info()``/``caches.clear()``. The relation-keyed
 invalidation hooks stay with their caches as mutation plumbing.
 """
@@ -25,20 +25,19 @@ def fresh_registry():
 
 
 def populate_all_caches():
-    """One estimate that touches kernels, plans, bufferpool, and shards."""
+    """One estimate that touches kernels, plans and the buffer pool."""
     db = Database(seed=17)
     db.create_relation(
         "r1",
         [("id", "int"), ("a", "int")],
         rows=[(i, i % 7) for i in range(3_000)],
-        partitions=2,
     )
     db.estimate(rel("r1").where(cmp("a", "<", 3)), quota=4.0, seed=1)
 
 
 class TestRegistry:
-    def test_names_cover_all_four_caches(self):
-        assert caches.names() == ("kernels", "plans", "bufferpool", "shards")
+    def test_names_cover_every_cache(self):
+        assert caches.names() == ("kernels", "plans", "bufferpool")
 
     def test_get_unknown_name_rejected(self):
         with pytest.raises(ReproError, match="unknown cache"):
@@ -57,16 +56,16 @@ class TestRegistry:
             for field in ("hits", "misses", "maxsize", "currsize"):
                 assert getattr(counters, field) >= 0
         assert info["plans"].currsize >= 1
-        assert info["shards"].currsize >= 1
+        assert info["bufferpool"].currsize >= 1
         assert info["kernels"].currsize >= 1
 
     def test_clear_one_cache_leaves_the_rest(self):
         populate_all_caches()
         assert caches.get("plans").info().currsize >= 1
-        shards_before = caches.get("shards").info().currsize
+        pooled_before = caches.get("bufferpool").info().currsize
         caches.clear("plans")
         assert caches.get("plans").info().currsize == 0
-        assert caches.get("shards").info().currsize == shards_before
+        assert caches.get("bufferpool").info().currsize == pooled_before >= 1
 
     def test_clear_all(self):
         populate_all_caches()
@@ -81,11 +80,9 @@ class TestLegacyNames:
         """Mutation plumbing is public API: calling it never warns."""
         from repro.planner.cache import invalidate_plan_cache_relation
         from repro.storage.bufferpool import invalidate_bufferpool_relation
-        from repro.storage.partitioned import invalidate_shard_cache_relation
 
         invalidate_plan_cache_relation("nope")
         invalidate_bufferpool_relation("nope")
-        invalidate_shard_cache_relation("nope")
         assert not [
             w for w in recwarn if issubclass(w.category, DeprecationWarning)
         ]

@@ -82,14 +82,7 @@ class TestExplainOptions:
         plain = db.explain(EXPR)
         assert sig(forced_off) == sig(plain)
 
-    def test_partitions_option_accepted(self, db):
-        """The probe sessions accept the partitions knob like any other."""
-        sharded = db.explain(EXPR, options=QueryOptions(partitions=4))
-        plain = db.explain(EXPR)
-        # Invariant 10: predicted costs are partition-independent.
-        assert sig(sharded) == sig(plain)
-
     def test_explain_charges_nothing(self, db):
         baseline = db.count(EXPR)  # free oracle for comparison
-        db.explain(EXPR, options=QueryOptions(partitions=2))
+        db.explain(EXPR)
         assert db.count(EXPR) == baseline

@@ -74,31 +74,16 @@ class TestQueryOptionsValue:
         with pytest.raises(ReproError, match="block_size"):
             QueryOptions(block_size=-4)
 
-    def test_partitions_is_a_worker_count(self):
-        for value in (None, 1, 8):
-            assert QueryOptions(partitions=value).partitions == value
-
-    def test_negative_partitions_rejected(self):
-        with pytest.raises(ReproError, match="partitions"):
-            QueryOptions(partitions=-2)
-
-    @pytest.mark.parametrize("value", [True, False, 0])
-    def test_partitions_on_off_forms_removed(self, value):
-        with pytest.raises(ReproError, match="unsharded read path.*gone"):
-            QueryOptions(partitions=value)
+    @pytest.mark.parametrize("value", [True, False, 0, 4])
+    def test_replace_rejects_removed_partitions_option(self, value):
+        # A shard is a label on a block; there is no shard worker count.
+        with pytest.raises(ReproError, match="unknown query option.*partitions"):
+            QueryOptions().replace(partitions=value)
 
     @pytest.mark.parametrize("value", [True, False])
     def test_bufferpool_on_off_forms_removed(self, value):
         with pytest.raises(ReproError, match="on/off forms.*removed"):
             QueryOptions(bufferpool=value)
-
-    def test_replace_partitions_round_trips(self):
-        base = QueryOptions()
-        assert base.partitions is None
-        changed = base.replace(partitions=4)
-        assert changed.partitions == 4
-        assert base.partitions is None  # original untouched
-        assert changed.replace(partitions=None).partitions is None
 
 
 class TestEstimateEntrypoint:
@@ -191,18 +176,9 @@ class TestEstimateEntrypoint:
         result = session.run()
         assert result.stages <= 2
 
-    def test_partitions_option_round_trips_to_the_session(self, db):
-        sharded = db.open_session(
-            EXPR, 1.0, options=QueryOptions(partitions=4)
-        )
-        assert [s.shard_workers for s in sharded.plan.scans] == [4]
-        serial = db.open_session(EXPR, 1.0)
-        assert [s.shard_workers for s in serial.plan.scans] == [1]
-        # Keyword override beats the bundle, like every other option.
-        overridden = db.open_session(
-            EXPR, 1.0, options=QueryOptions(partitions=4), partitions=2
-        )
-        assert [s.shard_workers for s in overridden.plan.scans] == [2]
+    def test_partitions_is_no_longer_an_option(self, db):
+        with pytest.raises(ReproError, match="unknown query option.*partitions"):
+            db.open_session(EXPR, 1.0, partitions=2)
 
     def test_vectorized_is_no_longer_an_option(self, db):
         with pytest.raises(ReproError, match="unknown query option.*vectorized"):

@@ -1,19 +1,20 @@
-"""Partitioned relations — shard mechanics, caches, faults, and events.
+"""Partitioned relations — shard labels, the shared read loop, faults, events.
 
-Covers the storage half of the partitioned-execution feature: the
-deterministic block→shard assignment, :class:`HeapShard` views with their
-own buffer-pool identity, the shard metadata cache (the ``"shards"``
-handle in :mod:`repro.caches`), the ``read_sharded`` parallel read path's
-parity with the reference reads, shard-targeted fault injection, and the
+Covers the storage half of partitioning: the deterministic block→shard
+label (:meth:`PartitionedHeapFile.shard_of_block`), ``read_sharded``'s
+parity with the reference reads (it *is* the pooled read, plus tallies),
+shard-targeted fault injection, and the
 ``shard_scan_started``/``shard_merged`` trace events. The invariant-10
-on/off identity battery lives in ``test_partitions_identity.py``.
+plain-vs-partitioned identity battery lives in
+``test_partitions_identity.py``; the storage-level differential against
+``read_blocks_decoded`` sits next to ``TestStorageReference`` in
+``test_bufferpool_identity.py``.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro import caches
 from repro.catalog.types import AttributeType
 from repro.catalog.schema import Schema
 from repro.core.database import Database
@@ -25,28 +26,14 @@ from repro.observability import RecordingSink
 from repro.observability.trace import event_from_dict
 from repro.relational.expression import rel
 from repro.relational.predicate import cmp
-from repro.sampling.sampler import derive_shard_rng, shard_seed
 from repro.storage.bufferpool import BufferPool
 from repro.storage.events import ShardMerged, ShardScanStarted
 from repro.storage.heapfile import HeapFile
-from repro.storage.partitioned import (
-    PARTITION_STRATEGIES,
-    PartitionedHeapFile,
-    _compute_assignment,
-    invalidate_shard_cache_relation,
-    shard_cache_info,
-)
+from repro.storage.partitioned import PARTITION_STRATEGIES, PartitionedHeapFile
 from repro.timekeeping.charger import CostCharger
 from repro.timekeeping.profile import MachineProfile
 
 import numpy as np
-
-
-@pytest.fixture(autouse=True)
-def fresh_shard_cache():
-    caches.get("shards").clear()
-    yield
-    caches.get("shards").clear()
 
 
 def int_schema() -> Schema:
@@ -78,19 +65,24 @@ class TestAssignment:
             assert heap.shard_of_block(block_id) == block_id % 3
 
     def test_hash_strategy_is_deterministic_and_covers_shards(self):
-        a = _compute_assignment(64, 4, "hash")
-        b = _compute_assignment(64, 4, "hash")
-        assert a == b
-        assert set(a.shard_of_block) == {0, 1, 2, 3}
-        assert a.shard_of_block != _compute_assignment(64, 4, "round_robin").shard_of_block
+        def labels(strategy):
+            heap = make_partitioned(strategy=strategy)
+            return [heap.shard_of_block(b) for b in range(heap.block_count)]
 
-    def test_local_ids_are_positions_within_shard(self):
-        heap = make_partitioned(partitions=3)
-        assignment = heap.assignment
-        for shard, blocks in enumerate(assignment.shard_blocks):
-            for local, global_id in enumerate(blocks):
-                assert assignment.local_ids[global_id] == local
-                assert assignment.shard_of_block[global_id] == shard
+        assert labels("hash") == labels("hash")
+        assert set(labels("hash")) == {0, 1, 2, 3}
+        assert labels("hash") != labels("round_robin")
+
+    def test_labels_are_arithmetic_on_the_block_id(self):
+        """No table to refresh: growing the relation relabels nothing."""
+        for strategy in PARTITION_STRATEGIES:
+            heap = make_partitioned(tuples=200, strategy=strategy)
+            before = [heap.shard_of_block(b) for b in range(heap.block_count)]
+            heap.load([(i, i % 50) for i in range(200, 500)])
+            assert heap.block_count > len(before)
+            after = [heap.shard_of_block(b) for b in range(heap.block_count)]
+            assert after[: len(before)] == before
+            assert set(after) <= set(range(heap.partitions))
 
     def test_global_layout_matches_plain_heapfile(self):
         """Partitioning is an overlay: blocks/ids/contents are untouched."""
@@ -111,78 +103,6 @@ class TestAssignment:
         with pytest.raises(StorageError, match="unknown partition strategy"):
             PartitionedHeapFile("t", int_schema(), strategy="vibes")
         assert PARTITION_STRATEGIES == ("round_robin", "hash")
-
-
-class TestHeapShard:
-    def test_shard_views_partition_the_relation(self):
-        heap = make_partitioned(partitions=4)
-        assert len(heap.shards) == 4
-        assert [s.name for s in heap.shards] == [
-            f"orders/shard{i}" for i in range(4)
-        ]
-        assert sum(s.block_count for s in heap.shards) == heap.block_count
-        assert sum(s.tuple_count for s in heap.shards) == heap.tuple_count
-
-    def test_shard_tokens_are_distinct_pool_identities(self):
-        heap = make_partitioned(partitions=4)
-        tokens = {s.storage_token for s in heap.shards}
-        assert len(tokens) == 4
-        assert heap.storage_token not in tokens
-
-    def test_to_global_round_trips_and_bounds_checks(self):
-        heap = make_partitioned(partitions=3)
-        shard = heap.shards[1]
-        for local in range(shard.block_count):
-            global_id = shard.to_global(local)
-            assert heap.assignment.local_ids[global_id] == local
-        with pytest.raises(StorageError, match="has no block"):
-            shard.to_global(shard.block_count)
-
-    def test_shard_block_rows_match_parent(self):
-        heap = make_partitioned(partitions=3)
-        shard = heap.shards[2]
-        for local in range(shard.block_count):
-            assert shard.block_rows_uncharged(local) == (
-                heap.block_rows_uncharged(shard.to_global(local))
-            )
-
-
-class TestShardMetadataCache:
-    def test_repeated_loads_hit_the_cache(self):
-        make_partitioned()
-        first = shard_cache_info()
-        make_partitioned()  # same name/geometry → pure hit
-        second = shard_cache_info()
-        assert second.hits > first.hits
-        assert second.misses == first.misses
-
-    def test_invalidate_by_relation_name(self):
-        make_partitioned()
-        other = PartitionedHeapFile("other", int_schema(), 64, partitions=2)
-        other.load([(i, i) for i in range(100)])
-        dropped = invalidate_shard_cache_relation("orders")
-        assert dropped >= 1
-        info = shard_cache_info()
-        assert info.invalidations == dropped
-        # "other" untouched.
-        assert any(True for _ in range(1)) and info.currsize >= 1
-
-    def test_caches_handle_reports_and_clears(self):
-        make_partitioned()
-        assert caches.get("shards").info().currsize >= 1
-        caches.get("shards").clear()
-        info = caches.get("shards").info()
-        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
-
-    def test_database_mutations_invalidate(self):
-        db = Database(seed=3)
-        db.create_relation(
-            "r1", [("id", "int"), ("a", "int")],
-            rows=[(i, i % 9) for i in range(400)], partitions=4,
-        )
-        before = shard_cache_info().invalidations
-        db.append_rows("r1", [(1000, 1)])
-        assert shard_cache_info().invalidations > before
 
 
 class TestDatabaseCreateRelation:
@@ -224,32 +144,23 @@ class TestReadSharded:
         assert rows == expected
         assert batch.rows is rows
         assert shard_charger.total_charged() == ref_charger.total_charged()
+        assert [s.shard for s in stats] == sorted(
+            {heap.shard_of_block(b) for b in self.DRAW}
+        )
         assert sum(s.blocks for s in stats) == len(self.DRAW)
         assert sum(s.tuples for s in stats) == len(rows)
 
-    def test_parallel_workers_match_serial(self):
-        heap = make_partitioned()
-        serial_rows, _, serial_stats = heap.read_sharded(
-            self.DRAW, unit_charger(), pool=BufferPool(), workers=1
-        )
-        parallel_rows, _, parallel_stats = heap.read_sharded(
-            self.DRAW, unit_charger(), pool=BufferPool(), workers=4
-        )
-        assert parallel_rows == serial_rows
-        assert parallel_stats == serial_stats
-
-    def test_pooled_read_admits_shard_keys(self):
+    def test_pooled_read_admits_the_relations_own_keys(self):
         heap = make_partitioned(partitions=3)
         pool = BufferPool()
-        rows, _, _ = heap.read_sharded(
-            self.DRAW, unit_charger(), pool=pool, workers=2
-        )
+        rows, _, _ = heap.read_sharded(self.DRAW, unit_charger(), pool=pool)
         assert rows == heap.read_blocks(self.DRAW, unit_charger())
         assert pool.info().currsize == len(set(self.DRAW))
-        # Second read over a warm pool: pure hits, same rows.
-        again, _, _ = heap.read_sharded(self.DRAW, unit_charger(), pool=pool)
+        # The plain pooled read finds every one of them: one key space.
+        again, _ = heap.read_blocks_decoded(self.DRAW, unit_charger(), pool=pool)
         assert again == rows
-        assert pool.info().hits >= len(self.DRAW)
+        info = pool.info()
+        assert (info.hits, info.misses) == (len(self.DRAW), len(self.DRAW))
 
     def test_decoded_returns_column_batch(self):
         heap = make_partitioned()
@@ -270,30 +181,12 @@ class TestReadSharded:
             heap.read_sharded(bad, shard_charger, pool=BufferPool())
         assert shard_charger.total_charged() == ref_charger.total_charged()
 
-    def test_pool_invalidation_covers_shard_prefix(self):
+    def test_pool_invalidation_drops_every_admitted_block(self):
         heap = make_partitioned(partitions=3)
         pool = BufferPool()
         heap.read_sharded(self.DRAW, unit_charger(), pool=pool)
-        heap.read_blocks_decoded(self.DRAW, unit_charger(), pool=pool)
-        assert pool.info().currsize > len(set(self.DRAW))  # both key spaces
-        pool.invalidate_relation("orders")
+        assert pool.invalidate_relation("orders") == len(set(self.DRAW))
         assert pool.info().currsize == 0
-
-
-class TestShardSeeds:
-    def test_shard_seed_is_stable_and_non_consuming(self):
-        rng = np.random.default_rng(123)
-        before = rng.bit_generator.state
-        seeds = [shard_seed(rng, i) for i in range(4)]
-        assert rng.bit_generator.state == before  # stream untouched
-        assert seeds == [shard_seed(np.random.default_rng(123), i) for i in range(4)]
-        assert len(set(seeds)) == 4
-
-    def test_derive_shard_rng_streams_differ(self):
-        rng = np.random.default_rng(7)
-        a = derive_shard_rng(rng, 0).integers(0, 2**31, 8).tolist()
-        b = derive_shard_rng(rng, 1).integers(0, 2**31, 8).tolist()
-        assert a != b
 
 
 class TestShardFaults:
@@ -330,7 +223,6 @@ class TestShardFaults:
             rel("r1").where(cmp("a", "<", 5)), quota=8.0, seed=2,
             options=QueryOptions(
                 sink=sink,
-                partitions=2,
                 fault_plan=FaultPlan(fail_shards=(0, 1, 2, 3)),
             ),
         )
@@ -338,8 +230,9 @@ class TestShardFaults:
         assert result.report.termination  # … and the run still finished
 
     def test_fail_shards_fires_on_the_unsharded_path_too(self):
-        """Shard-targeted faults key off block→shard, not the read path:
-        the pool-less reference read trips exactly what the sharded one does."""
+        """Shard-targeted faults key off the block's label, not the read
+        method: the pool-less reference read trips exactly what
+        ``read_sharded`` does."""
         from repro.errors import InjectedFault
         from repro.faults.injector import FaultInjector
 
@@ -371,13 +264,12 @@ class TestShardFaults:
 
 class TestAdmissionPricing:
     def test_partitioned_relation_prices_like_a_plain_one(self):
-        # Admission prices in charged (simulated) seconds, which sharding
-        # leaves untouched (invariant 10): the feasibility floor of a
-        # partitioned relation is the plain relation's, whatever the
-        # worker count.
+        # Admission prices in charged (simulated) seconds, which shard
+        # labels leave untouched (invariant 10): the feasibility floor of
+        # a partitioned relation is the plain relation's.
         from repro.server.admission import minimum_stage_cost
 
-        def price(partitions, workers=None):
+        def price(partitions):
             db = Database(seed=7)
             db.create_relation(
                 "r1", [("id", "int"), ("a", "int")],
@@ -386,32 +278,30 @@ class TestAdmissionPricing:
             )
             return minimum_stage_cost(
                 db.open_session(
-                    rel("r1").where(cmp("a", "<", 5)), quota=5.0, seed=0,
-                    partitions=workers,
+                    rel("r1").where(cmp("a", "<", 5)), quota=5.0, seed=0
                 )
             )
 
         assert price(4) == price(None)
-        assert price(4, workers=4) == price(None)
 
 
 class TestShardTraceEvents:
     @staticmethod
-    def run_traced(partitions_opt, shards=4):
+    def run_traced(shards=4, tuples=4_000, quota=6.0):
         db = Database(seed=9)
         db.create_relation(
             "r1", [("id", "int"), ("a", "int")],
-            rows=[(i, i % 9) for i in range(4_000)], partitions=shards,
+            rows=[(i, i % 9) for i in range(tuples)], partitions=shards,
         )
         sink = RecordingSink()
         db.estimate(
-            rel("r1").where(cmp("a", "<", 5)), quota=6.0, seed=3,
-            options=QueryOptions(sink=sink, partitions=partitions_opt),
+            rel("r1").where(cmp("a", "<", 5)), quota=quota, seed=3,
+            options=QueryOptions(sink=sink),
         )
         return sink
 
     def test_sharded_run_emits_shard_events(self):
-        sink = self.run_traced(2)
+        sink = self.run_traced()
         starts = sink.of_kind("shard_scan_started")
         merges = sink.of_kind("shard_merged")
         assert starts and merges
@@ -422,14 +312,29 @@ class TestShardTraceEvents:
             assert merge.blocks == sum(e.blocks for e in stage_starts)
             assert merge.tuples == sum(e.tuples for e in stage_starts)
 
+    def test_round_robin_spreads_a_run_fairly_over_every_shard(self):
+        """A property of the label arithmetic, not of any scheduling."""
+        shards = 8
+        sink = self.run_traced(shards=shards, tuples=24_000, quota=120.0)
+        blocks_by_shard: dict[int, int] = {}
+        for event in sink.of_kind("shard_scan_started"):
+            blocks_by_shard[event.shard] = (
+                blocks_by_shard.get(event.shard, 0) + event.blocks
+            )
+        merged_blocks = sum(e.blocks for e in sink.of_kind("shard_merged"))
+        assert set(blocks_by_shard) == set(range(shards))
+        assert sum(blocks_by_shard.values()) == merged_blocks
+        spread = max(blocks_by_shard.values()) - min(blocks_by_shard.values())
+        assert spread <= max(2, merged_blocks / shards), blocks_by_shard
+
     def test_unsharded_run_emits_none(self):
-        sink = self.run_traced(2, shards=None)
+        sink = self.run_traced(shards=None)
         assert not sink.of_kind("shard_scan_started")
         assert not sink.of_kind("shard_merged")
 
     def test_events_round_trip_jsonl(self):
         start = ShardScanStarted(
-            relation="r1", shard=2, stage=1, blocks=3, tuples=96, seed=42
+            relation="r1", shard=2, stage=1, blocks=3, tuples=96
         )
         merge = ShardMerged(relation="r1", stage=1, shards=4, blocks=9, tuples=288)
         for event in (start, merge):

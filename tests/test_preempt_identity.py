@@ -31,6 +31,7 @@ from repro.server.admission import AdmitAll
 from repro.server.request import QueryRequest
 from repro.server.scheduler import QueryServer
 from repro.server.workload import demo_database
+from repro.storage.bufferpool import BufferPool
 
 TUPLES = 1_000
 
@@ -161,11 +162,17 @@ def run_server(preempt, env=None, monkeypatch=None, fault_plan=None):
         else:
             monkeypatch.setenv("REPRO_PREEMPT", env)
     sink = RecordingSink()
-    kwargs = {}
+    # Its own pool: the compared streams carry buffer events, which must
+    # not depend on what earlier tests left in the process-wide pool.
+    session_kwargs = {"bufferpool": BufferPool()}
     if fault_plan is not None:
-        kwargs["session_kwargs"] = {"fault_plan": fault_plan}
+        session_kwargs["fault_plan"] = fault_plan
     server = QueryServer(
-        fresh_db(), policy=AdmitAll(), sink=sink, preempt=preempt, **kwargs
+        fresh_db(),
+        policy=AdmitAll(),
+        sink=sink,
+        preempt=preempt,
+        session_kwargs=session_kwargs,
     )
     requests = [
         QueryRequest(
@@ -206,7 +213,11 @@ class TestServerSwitchIdentity:
         def spaced(preempt):
             sink = RecordingSink()
             server = QueryServer(
-                fresh_db(), policy=AdmitAll(), sink=sink, preempt=preempt
+                fresh_db(),
+                policy=AdmitAll(),
+                sink=sink,
+                preempt=preempt,
+                session_kwargs={"bufferpool": BufferPool()},
             )
             outcomes = server.process(
                 [

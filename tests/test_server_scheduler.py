@@ -293,7 +293,9 @@ class TestSessionKwargsValidation:
         with pytest.raises(ValueError, match="'sink'.*server sets"):
             QueryServer(db, session_kwargs={"sink": RecordingSink()})
 
-    @pytest.mark.parametrize("name", ["fault_plans", "buffer_pool", "quota"])
+    @pytest.mark.parametrize(
+        "name", ["fault_plans", "buffer_pool", "quota", "partitions"]
+    )
     def test_unknown_or_misspelt_options_are_refused(self, db, name):
         with pytest.raises(ValueError, match=f"unknown query option '{name}'"):
             QueryServer(db, session_kwargs={name: None})
@@ -305,7 +307,6 @@ class TestSessionKwargsValidation:
             db,
             session_kwargs={
                 "fault_plan": FaultPlan(),
-                "partitions": 2,
                 "optimize": False,
                 "max_stages": 8,
             },
