@@ -5,7 +5,7 @@ mixed-deadline stream — a loose intersection query (10s window) arriving
 every period with a tight selection (4.5s window) landing half a second
 behind it — is served twice on the same simulated clock:
 
-* **preempt on** — ``REPRO_PREEMPT`` behaviour: when the tight request
+* **preempt on** — ``QueryServer(preempt=True)``: when the tight request
   arrives, the scheduler checkpoints the loose runner at its next stage
   boundary, serves the tight request inside its own window, then resumes
   the loose run from its banked snapshot with its residual budget;

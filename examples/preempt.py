@@ -3,10 +3,10 @@
 Run-to-completion EDF has a blind spot: a tight-deadline request that
 arrives while a loose-deadline query holds the server waits out the
 runner's *whole* remaining budget, and its own window expires in the
-queue. With ``REPRO_PREEMPT`` on, the scheduler checkpoints the runner
-at its next stage boundary (the staged execution model makes boundaries
-pure snapshots), serves the tight request inside its own window, then
-resumes the parked run from its banked stages with its residual budget.
+queue. With ``QueryServer(preempt=True)``, the scheduler checkpoints the
+runner at its next stage boundary (the staged execution model makes
+boundaries pure snapshots), serves the tight request inside its own window,
+then resumes the parked run from its banked stages with its residual budget.
 Invariant 11 makes the knob safe: suspension is invisible to the run it
 suspends, and switch-off serving is byte-identical to the
 pre-preemption scheduler. This example walks the surface end to end:
@@ -19,8 +19,8 @@ pre-preemption scheduler. This example walks the surface end to end:
    events and `ServerMetrics` counters trace the churn;
 3. with no competing arrivals the preemption point never fires — on is
    event-for-event identical to off;
-4. ``repro.core.switches.describe()`` reports how the preempt switch
-   resolved — the same registry the docs table is generated from.
+4. ``repro.core.switches.describe()`` reports the switch's value and
+   where it came from — the ``preempt=True`` argument of step 2's server.
 
 Run:  python examples/preempt.py
 """
@@ -107,12 +107,12 @@ def main() -> None:
         f"({len(on_sink.events)} events, byte-identical)"
     )
 
-    # -- 4. one registry explains how the switch resolved --------------
-    state = next(s for s in describe() if s.name == "preempt")
+    # -- 4. the switch is an argument: describe() says where it came from
+    states = describe(explicit={"preempt": server.preempt})
+    state = next(s for s in states if s.name == "preempt")
     print(
-        f"switches         : preempt -> {state.value} "
-        f"(source: {state.source}; flip with REPRO_PREEMPT=1 "
-        f"or QueryServer(preempt=True))"
+        f"switches         : preempt -> {state.value} (source: {state.source}, "
+        f"default {state.default}; set with QueryServer(preempt=True))"
     )
 
 

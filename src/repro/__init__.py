@@ -61,7 +61,7 @@ from repro.observability import (
     TraceEvent,
     TraceSink,
 )
-from repro.planner import PlanExplanation, RuleApplication, optimizer_enabled
+from repro.planner import PlanExplanation, RuleApplication
 from repro.relational import (
     attr,
     cmp,
@@ -199,7 +199,6 @@ __all__ = [
     "intersect",
     "invalidate_bufferpool_relation",
     "join",
-    "optimizer_enabled",
     "project",
     "rel",
     "select",

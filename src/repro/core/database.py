@@ -32,7 +32,6 @@ from repro.catalog.types import AttributeType
 from repro.core.options import QueryOptions
 from repro.core.result import QueryResult
 from repro.core.session import ExecutionContext, QuerySession
-from repro.core.switches import resolve_switch
 from repro.costmodel.model import CostModel
 from repro.errors import ReproError
 from repro.observability.trace import NULL_SINK, TraceSink
@@ -354,11 +353,8 @@ class Database:
             hint_provider = hinter.hint
 
         resolved_sink = opts.sink if opts.sink is not None else NULL_SINK
-        # None → honour the process-wide REPRO_SYNOPSES switch (default OFF:
-        # the catalog carries state across runs, so replayable-by-default
-        # sessions must not touch it unless asked).
         binder = None
-        if resolve_switch(opts.synopses, "REPRO_SYNOPSES", default=False):
+        if opts.synopses:
             from repro.synopses.binder import SynopsisBinder
 
             binder = SynopsisBinder(

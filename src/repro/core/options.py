@@ -46,13 +46,13 @@ class QueryOptions:
     ``None`` means "use the database's / engine's default". ``fault_plan``
     attaches a :class:`repro.faults.FaultPlan` so the run injects
     deterministic, seed-replayable faults (see :mod:`repro.faults`).
-    ``optimize`` selects the logical optimizer (:mod:`repro.planner`):
-    ``None`` honours the process-wide ``REPRO_OPTIMIZE`` switch (default
-    on); ``False`` lowers the expression verbatim, bit-identical to the
-    pre-planner engine. ``synopses`` enables the cross-query synopsis
-    catalog (:mod:`repro.synopses`): ``None`` honours ``REPRO_SYNOPSES``
-    (default *off* — the catalog carries state between runs, so it is
-    opt-in); ``False`` is bit-identical to an engine without the catalog.
+    ``optimize`` selects the logical optimizer (:mod:`repro.planner`),
+    default on; ``False`` lowers the expression verbatim, bit-identical to
+    the pre-planner engine. ``synopses`` enables the cross-query synopsis
+    catalog (:mod:`repro.synopses`), default *off* — the catalog carries
+    state between runs, so it is opt-in; ``False`` is bit-identical to an
+    engine without the catalog. Both are plain ``bool`` arguments: any
+    other value (``None``, ``"0"``) is rejected.
     ``bufferpool`` attaches a specific
     :class:`~repro.storage.bufferpool.BufferPool` (isolated pools for
     tests and experiments); ``None`` reads through the process-wide
@@ -73,13 +73,17 @@ class QueryOptions:
     sink: "TraceSink | None" = None
     trace_costs: bool = False
     clock: "Clock | None" = None
-    optimize: bool | None = None
-    synopses: bool | None = None
+    optimize: bool = True
+    synopses: bool = False
     bufferpool: "BufferPool | None" = None
     block_size: int | None = None
     fault_plan: "FaultPlan | None" = None
 
     def __post_init__(self) -> None:
+        for name in ("optimize", "synopses"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise ReproError(f"{name} must be True or False, got {value!r}")
         if self.selectivity_source not in SELECTIVITY_SOURCES:
             raise ReproError(
                 f"selectivity_source must be one of {SELECTIVITY_SOURCES}, "

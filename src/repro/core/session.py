@@ -34,7 +34,6 @@ import numpy as np
 
 from repro.catalog.catalog import Catalog
 from repro.core.result import QueryResult
-from repro.core.switches import resolve_switch
 from repro.costmodel.model import CostModel
 from repro.engine.plan import StagedPlan
 from repro.errors import ReproError
@@ -98,7 +97,7 @@ class QuerySession:
         zero_fix_beta: float | None = None,
         hint_provider=None,
         pin_selectivities: bool = False,
-        optimize: bool | None = None,
+        optimize: bool = True,
         binder=None,
         bufferpool=None,
     ) -> None:
@@ -108,8 +107,7 @@ class QuerySession:
         self.quota = quota
         self.context = context
         self.label = f"session-{next(_session_counter)}"
-        # None → honour the process-wide REPRO_OPTIMIZE switch (default on).
-        self.optimize = resolve_switch(optimize, "REPRO_OPTIMIZE", default=True)
+        self.optimize = optimize
         self.strategy = (
             strategy if strategy is not None else OneAtATimeInterval(d_beta=24.0)
         )

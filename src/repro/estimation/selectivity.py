@@ -189,6 +189,16 @@ class SelectivityTracker:
             return sel
         return self.zero_selectivity_bound()
 
+    def mean_selectivity(self) -> float:
+        """The selectivity a stage is priced at before any risk margin.
+
+        The assumed ``initial`` while there is neither a stage nor a prior
+        (stage 1, cold), else :meth:`effective_sel_prev`.
+        """
+        if self.stages_observed == 0 and not self.has_prior:
+            return self.initial
+        return self.effective_sel_prev()
+
     def zero_selectivity_bound(self) -> float:
         """The closed-form bound used when all observed points were 0.
 

@@ -18,8 +18,7 @@ Planning a query is a three-phase pipeline:
    shared sampling scans.
 
 The optimizer is on by default and controlled per query via
-``QueryOptions(optimize=...)`` / ``open_session(optimize=...)``, or
-process-wide via the ``REPRO_OPTIMIZE`` environment switch. With
+``QueryOptions(optimize=...)`` / ``open_session(optimize=...)``. With
 ``optimize=False`` the expression is lowered verbatim — bit-identical to
 the engine before this package existed.
 
@@ -32,7 +31,6 @@ requests are admitted against the plan that will actually run.
 
 from __future__ import annotations
 
-from repro.core.switches import env_switch
 from repro.planner.cache import PlanCacheInfo
 from repro.planner.explain import (
     NodeCost,
@@ -60,19 +58,6 @@ from repro.planner.rules import (
     reorder_is_safe,
 )
 
-
-def optimizer_enabled() -> bool:
-    """Process-wide default for the logical optimizer (env-controlled).
-
-    ``REPRO_OPTIMIZE=0`` (or ``false``/``off``/``no``) lowers every query
-    verbatim; anything else — including the variable being unset — enables
-    the optimizer. Read at session-construction time, so tests can flip it
-    per query. Resolution lives in
-    :func:`repro.core.switches.env_switch`, shared by every switch.
-    """
-    return env_switch("REPRO_OPTIMIZE", default=True)
-
-
 __all__ = [
     "JoinChainReorder",
     "NodeCost",
@@ -90,7 +75,6 @@ __all__ = [
     "build_explanation",
     "default_rules",
     "optimize_expression",
-    "optimizer_enabled",
     "plan_logical",
     "predicted_stage_costs",
     "render_tree",

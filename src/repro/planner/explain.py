@@ -72,9 +72,7 @@ def initial_selectivity_provider(tracker, new_points, space_points) -> float:
     posterior mean, so admission control sees the cheaper plan the run will
     actually execute.
     """
-    if tracker.stages_observed == 0 and not tracker.has_prior:
-        return tracker.initial
-    return tracker.effective_sel_prev()
+    return tracker.mean_selectivity()
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,9 @@ estimators scale sample 1-counts up by the space size.
 Under the cluster sampling plan the same space is viewed as ``Π D_i``
 *space blocks* (one disk block per dimension, Figure 2.2).
 
-:class:`PointSpace` carries the static geometry; :class:`SampledRegion`
-tracks how much of it a staged sample has covered, for both fulfillment
-modes:
+:class:`PointSpace` carries the static geometry. How much of it a staged
+sample has covered is tracked by the engine's operator nodes
+(:mod:`repro.engine.nodes`), for both fulfillment modes:
 
 * **full fulfillment** — every combination of sampled blocks is evaluated,
   so after the relations have ``m_1 … m_n`` sampled tuples the evaluated
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 from repro.errors import EstimationError
 
@@ -70,68 +69,3 @@ class PointSpace:
     def total_space_blocks(self) -> int:
         """``B`` — Π D_i, the number of space blocks."""
         return math.prod(self.block_counts)
-
-
-class SampledRegion:
-    """Evaluated-point bookkeeping for one term under staged sampling."""
-
-    def __init__(self, space: PointSpace, full_fulfillment: bool = True) -> None:
-        self.space = space
-        self.full_fulfillment = full_fulfillment
-        self._cum_tuples = [0] * space.dimensions
-        self._points_evaluated = 0
-        self._per_stage_points: list[int] = []
-
-    @property
-    def cumulative_tuples(self) -> tuple[int, ...]:
-        """``m_j`` per dimension — sampled tuples so far."""
-        return tuple(self._cum_tuples)
-
-    @property
-    def points_evaluated(self) -> int:
-        """Total points covered by all completed stages."""
-        return self._points_evaluated
-
-    @property
-    def per_stage_points(self) -> list[int]:
-        return list(self._per_stage_points)
-
-    def record_stage(self, new_tuples: Sequence[int]) -> int:
-        """Record a stage that added ``new_tuples[j]`` tuples per dimension.
-
-        Returns the number of *newly evaluated* points this stage.
-        """
-        if len(new_tuples) != self.space.dimensions:
-            raise EstimationError(
-                f"stage reported {len(new_tuples)} dimensions, "
-                f"space has {self.space.dimensions}"
-            )
-        if any(n < 0 for n in new_tuples):
-            raise EstimationError(f"negative stage sample sizes {new_tuples}")
-        if self.full_fulfillment:
-            before = math.prod(self._cum_tuples) if all(self._cum_tuples) else 0
-            for j, n in enumerate(new_tuples):
-                self._cum_tuples[j] += n
-            after = math.prod(self._cum_tuples) if all(self._cum_tuples) else 0
-            new_points = after - before
-        else:
-            new_points = math.prod(new_tuples) if all(new_tuples) else 0
-            for j, n in enumerate(new_tuples):
-                self._cum_tuples[j] += n
-        self._points_evaluated += new_points
-        self._per_stage_points.append(new_points)
-        return new_points
-
-    def predicted_new_points(self, new_tuples: Sequence[int]) -> int:
-        """Points a hypothetical stage with these sample sizes would add."""
-        if self.full_fulfillment:
-            before = math.prod(self._cum_tuples) if all(self._cum_tuples) else 0
-            grown = [m + n for m, n in zip(self._cum_tuples, new_tuples)]
-            after = math.prod(grown) if all(grown) else 0
-            return after - before
-        return math.prod(new_tuples) if all(new_tuples) else 0
-
-    @property
-    def coverage(self) -> float:
-        """Fraction of the point space evaluated so far."""
-        return self._points_evaluated / self.space.total_points

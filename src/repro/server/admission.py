@@ -57,9 +57,10 @@ class FeasibilityReport:
     start); their difference is the budget the request will actually have
     when dispatched, to be compared against ``min_stage_cost`` — the
     cost-model price of the cheapest useful stage. Under preemption
-    (``REPRO_PREEMPT``) the same projection covers mid-flight arrivals: a
-    request that would preempt the runner excludes the runner's residual
-    spend from its wait, while one that would queue behind it includes it.
+    (``QueryServer(preempt=True)``) the same projection covers mid-flight
+    arrivals: a request that would preempt the runner excludes the runner's
+    residual spend from its wait, while one that would queue behind it
+    includes it.
     """
 
     min_stage_cost: float

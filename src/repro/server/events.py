@@ -91,7 +91,7 @@ class RequestRetried(TraceEvent):
 class QueryPreempted(TraceEvent):
     """A running request was checkpointed at a stage boundary and parked.
 
-    Fired only with the ``REPRO_PREEMPT`` switch on, when a
+    Fired only on a ``QueryServer(preempt=True)``, when a
     strictly-earlier-deadline admitted request is waiting and the runner
     still has slack. The suspended run keeps its seed material and charged
     costs; resuming it is bit-identical to never having stopped.

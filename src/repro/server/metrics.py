@@ -99,7 +99,7 @@ class ServerMetrics:
         self.buffer_misses = 0
         self.buffer_evictions = 0
         self.buffer_invalidations = 0
-        # Stage-boundary EDF preemption (REPRO_PREEMPT; zero when off).
+        # Stage-boundary EDF preemption (QueryServer(preempt=True); zero when off).
         self.preempted = 0
         self.resumed = 0
 

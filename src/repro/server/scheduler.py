@@ -32,7 +32,7 @@ it, banks its accounting, builds its outcome, or emits a lifecycle event:
   live mid-stage interrupt semantics (``measure_overspend=False``), on the
   shared clock and shared cost model. The answer is whatever the last
   completed stage estimated.
-* **Preemption** (``REPRO_PREEMPT``, default off). With the switch on,
+* **Preemption** (``preempt=True``, default off). With the switch on,
   the runner is checkpointed at stage boundaries: arrivals the run has
   clocked past are admitted mid-flight, and when a strictly-earlier-
   deadline ticket is waiting while the runner still has slack
@@ -63,7 +63,6 @@ from repro.core.database import Database
 from repro.core.options import QueryOptions
 from repro.core.result import QueryResult
 from repro.core.session import QuerySession
-from repro.core.switches import resolve_switch
 from repro.costmodel.model import CostModel
 from repro.errors import ReproError, StorageError
 from repro.estimation.estimate import Estimate
@@ -104,11 +103,12 @@ OnComplete = Callable[[RequestOutcome], "QueryRequest | None"]
 
 SERVER_OWNED_OPTIONS = frozenset(
     ("aggregate", "clock", "cost_model", "measure_overspend")
-    + ("seed", "sink", "stopping", "strategy")
+    + ("seed", "sink", "stopping", "strategy", "synopses")
 )
 """``open_session`` keywords the server sets itself for every session it
 opens (the request's identity, the shared timeline and cost model, the
-hard-deadline run mode): ``session_kwargs`` may not carry them."""
+hard-deadline run mode, its own ``synopses`` argument): ``session_kwargs``
+may not carry them."""
 
 
 class TicketState(enum.Enum):
@@ -160,7 +160,7 @@ class Ticket:
     budget: float = field(default=0.0, compare=False)
     # Run supervision: the session of the current attempt (checkpointed
     # while the ticket is parked), retries used so far, and — under
-    # REPRO_PREEMPT — the suspension count and the pending decision.
+    # ``preempt=True`` — the suspension count and the pending decision.
     session: QuerySession | None = field(default=None, compare=False)
     attempt: int = field(default=0, compare=False)
     preemptions: int = field(default=0, compare=False)
@@ -219,16 +219,16 @@ class QueryServer:
         retry, scaled by the attempt number and capped at the remaining
         budget.
     synopses:
-        ``None`` → honour ``REPRO_SYNOPSES`` (default off). When on, every
-        session the server opens reads/feeds the database's synopsis
-        catalog, degrade answers prefer recorded synopses, and the
-        catalog's invalidation events join the server's trace stream.
+        Default off. When on, every session the server opens reads/feeds
+        the database's synopsis catalog, degrade answers prefer recorded
+        synopses, and the catalog's invalidation events join the server's
+        trace stream. The one place to set it: ``session_kwargs`` may not.
     preempt:
-        ``None`` → honour ``REPRO_PREEMPT`` (default off). When on,
-        dispatched queries may be suspended at stage boundaries in favour
-        of strictly-earlier-deadline arrivals and resumed bit-identically
-        later (see :mod:`repro.server.preempt`); when off the server is
-        byte-identical to the run-to-completion scheduler.
+        Default off. When on, dispatched queries may be suspended at stage
+        boundaries in favour of strictly-earlier-deadline arrivals and
+        resumed bit-identically later (see :mod:`repro.server.preempt`);
+        when off the server is byte-identical to the run-to-completion
+        scheduler. Both switches take ``True`` / ``False`` only.
     """
 
     def __init__(
@@ -241,8 +241,8 @@ class QueryServer:
         session_kwargs: dict | None = None,
         max_fault_retries: int = 1,
         retry_backoff: float = 0.05,
-        synopses: bool | None = None,
-        preempt: bool | None = None,
+        synopses: bool = False,
+        preempt: bool = False,
     ) -> None:
         if database.clock_kind != "simulated":
             raise ValueError(
@@ -280,9 +280,12 @@ class QueryServer:
             raise ValueError(f"max_fault_retries cannot be negative: {max_fault_retries}")
         if retry_backoff < 0:
             raise ValueError(f"retry_backoff cannot be negative: {retry_backoff}")
+        for name, value in (("synopses", synopses), ("preempt", preempt)):
+            if not isinstance(value, bool):
+                raise ValueError(f"{name} must be True or False, got {value!r}")
         self.max_fault_retries = max_fault_retries
         self.retry_backoff = retry_backoff
-        self.synopses = resolve_switch(synopses, "REPRO_SYNOPSES", default=False)
+        self.synopses = synopses
         if self.synopses:
             self.database.synopses.sink = self.sink
         # Every session the server opens shares one buffer pool — the
@@ -295,7 +298,7 @@ class QueryServer:
         # outlives any one server, so two servers never see each other's
         # counters and a later one cannot inherit a torn-down sink.
         self._pool = resolve_pool(self.session_kwargs.get("bufferpool"))
-        self.preempt = resolve_switch(preempt, "REPRO_PREEMPT", default=False)
+        self.preempt = preempt
         self._seq = itertools.count()
         self._refresh_counter = itertools.count(1)
         self.outcomes: list[RequestOutcome] = []
@@ -463,8 +466,8 @@ class QueryServer:
     def _open_session(
         self, expr, quota: float, aggregate, seed: int | None, **options
     ) -> QuerySession:
-        """A session on the server's clock and shared cost model; the
-        caller's ``session_kwargs`` override the server's synopses flag."""
+        """A session on the server's clock, shared cost model and
+        ``synopses`` setting."""
         return self.database.open_session(
             expr,
             quota=quota,
@@ -472,7 +475,9 @@ class QueryServer:
             seed=seed,
             cost_model=self._cost_model,
             clock=self.clock,
-            **{"synopses": self.synopses, **self.session_kwargs, **options},
+            synopses=self.synopses,
+            **self.session_kwargs,
+            **options,
         )
 
     def _minimum_cost(self, request: QueryRequest) -> float:

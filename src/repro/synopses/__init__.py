@@ -8,8 +8,8 @@ from the posteriors (fewer, bigger stages per quota) and the serving layer
 backs degraded answers with recorded estimates instead of flat prestored
 statistics. Relation mutations invalidate/age the affected entries.
 
-Opt-in via ``REPRO_SYNOPSES=1`` or ``QueryOptions(synopses=True)``; off,
-the engine is bit-identical to one without this package.
+Opt-in via ``QueryOptions(synopses=True)`` (``QueryServer(synopses=True)``
+on a server); off, the engine is bit-identical to one without this package.
 """
 
 from repro.synopses.binder import SynopsisBinder

@@ -196,9 +196,7 @@ class SingleInterval(TimeControlStrategy):
         def provide(
             tracker: SelectivityTracker, new_points: int, space_points: int
         ) -> float:
-            if tracker.stages_observed == 0 and not tracker.has_prior:
-                return tracker.initial
-            return tracker.effective_sel_prev()
+            return tracker.mean_selectivity()
 
         return provide
 
@@ -208,11 +206,7 @@ class SingleInterval(TimeControlStrategy):
         def provide(
             tracker: SelectivityTracker, new_points: int, space_points: int
         ) -> float:
-            base = (
-                tracker.initial
-                if tracker.stages_observed == 0 and not tracker.has_prior
-                else tracker.effective_sel_prev()
-            )
+            base = tracker.mean_selectivity()
             if tracker is bump:
                 return min(base + step, 1.0)
             return base

@@ -74,6 +74,16 @@ class TestQueryOptionsValue:
         with pytest.raises(ReproError, match="block_size"):
             QueryOptions(block_size=-4)
 
+    @pytest.mark.parametrize("name", ["optimize", "synopses"])
+    @pytest.mark.parametrize("value", [None, "0", "off", 0, 1])
+    def test_non_bool_switch_rejected(self, name, value):
+        # The spellings the removed env parser read as "off" are truthy
+        # strings; None used to mean "ask the environment".
+        with pytest.raises(ReproError, match=f"{name} must be True or False"):
+            QueryOptions(**{name: value})
+        with pytest.raises(ReproError, match=f"{name} must be True or False"):
+            QueryOptions().replace(**{name: value})
+
     @pytest.mark.parametrize("value", [True, False, 0, 4])
     def test_replace_rejects_removed_partitions_option(self, value):
         # A shard is a label on a block; there is no shard worker count.

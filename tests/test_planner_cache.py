@@ -110,10 +110,9 @@ def test_lru_eviction_bounds_size():
     ).cache_hit
 
 
-def test_session_plans_report_cache_hits(monkeypatch):
+def test_session_plans_report_cache_hits():
     from repro.core.database import Database
 
-    monkeypatch.setenv("REPRO_OPTIMIZE", "1")  # robust to planner-off CI legs
     db = Database(seed=1)
     db.create_relation(
         "r1", [("id", "int"), ("a", "int")],

@@ -1,4 +1,4 @@
-"""Database.explain, the REPRO_OPTIMIZE switch, planner trace events, and
+"""Database.explain, the ``optimize`` argument, planner trace events, and
 the optimize=False bit-identity contract."""
 
 import pytest
@@ -7,7 +7,6 @@ from repro.core.database import Database
 from repro.core.options import QueryOptions
 from repro.observability import RecordingSink
 from repro import caches
-from repro.planner import optimizer_enabled
 from repro.planner.explain import render_tree
 from repro.relational.expression import intersect, join, project, rel, select
 from repro.relational.predicate import cmp
@@ -103,36 +102,6 @@ def test_render_tree_box_drawing():
 
 
 # ----------------------------------------------------------------------
-# Switch resolution: explicit > options > environment
-# ----------------------------------------------------------------------
-def test_optimizer_enabled_follows_env(monkeypatch):
-    monkeypatch.delenv("REPRO_OPTIMIZE", raising=False)
-    assert optimizer_enabled()
-    monkeypatch.setenv("REPRO_OPTIMIZE", "0")
-    assert not optimizer_enabled()
-    monkeypatch.setenv("REPRO_OPTIMIZE", "off")
-    assert not optimizer_enabled()
-    monkeypatch.setenv("REPRO_OPTIMIZE", "1")
-    assert optimizer_enabled()
-
-
-def test_session_resolves_optimize_from_env(monkeypatch):
-    db = build_db()
-    monkeypatch.setenv("REPRO_OPTIMIZE", "0")
-    off = db.open_session(pushable(), quota=5.0, seed=0)
-    assert not off.optimize and off.plan.rule_applications == ()
-    assert off.plan.optimized_expr == pushable()
-    # An explicit option beats the environment.
-    forced = db.open_session(
-        pushable(), quota=5.0, seed=0, options=QueryOptions(optimize=True)
-    )
-    assert forced.optimize and forced.plan.rule_applications
-    monkeypatch.delenv("REPRO_OPTIMIZE", raising=False)
-    default = db.open_session(pushable(), quota=5.0, seed=0)
-    assert default.optimize
-
-
-# ----------------------------------------------------------------------
 # Bit-identity: optimize=False is the pre-planner engine
 # ----------------------------------------------------------------------
 def run_signature(db, seed, **kwargs):
@@ -149,15 +118,12 @@ def run_signature(db, seed, **kwargs):
     )
 
 
-def test_optimize_off_paths_are_identical(monkeypatch):
+def test_optimize_off_paths_are_identical():
     baseline = run_signature(build_db(), 3, optimize=False)
-    monkeypatch.setenv("REPRO_OPTIMIZE", "0")
-    via_env = run_signature(build_db(), 3)
-    monkeypatch.delenv("REPRO_OPTIMIZE", raising=False)
     via_options = run_signature(
         build_db(), 3, options=QueryOptions(optimize=False)
     )
-    assert baseline == via_env == via_options
+    assert baseline == via_options
 
 
 def test_optimized_run_estimates_the_same_query():

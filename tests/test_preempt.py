@@ -4,7 +4,7 @@ The mechanics of the preemptive scheduler, layer by layer: the executor
 can park a run at a stage boundary and continue it later; the session
 wraps that in a resumable lifecycle; :func:`should_preempt` implements the
 slack-aware EDF rule; and the server wires it all together behind the
-``REPRO_PREEMPT`` switch (default off). Bit-identity of the suspend/resume
+``preempt`` argument (default off). Bit-identity of the suspend/resume
 path is pinned separately in ``tests/test_preempt_identity.py``.
 """
 
@@ -211,12 +211,9 @@ class TestServerPreemption:
             quota=quota, arrival=arrival, seed=seed, client_id="tight"
         )
 
-    def test_switch_defaults_off(self, db, monkeypatch):
-        monkeypatch.delenv("REPRO_PREEMPT", raising=False)
+    def test_switch_defaults_off(self, db):
         assert QueryServer(db).preempt is False
-        monkeypatch.setenv("REPRO_PREEMPT", "1")
-        assert QueryServer(db).preempt is True
-        assert QueryServer(db, preempt=False).preempt is False
+        assert QueryServer(db, preempt=True).preempt is True
 
     def test_tight_arrival_preempts_a_loose_runner(self, db):
         sink = RecordingSink()

@@ -8,10 +8,9 @@ Three identities, in increasing scope:
   Suspension charges nothing and draws no randomness, so the sampled
   prefix it resumes from is exactly the prefix the uninterrupted run
   continues (the sampling-algebra argument for unbiased resumption).
-* **Server, switch off**: ``preempt=False`` — explicitly or via
-  ``REPRO_PREEMPT=0`` or unset (the default) — is byte-identical
-  run-to-completion serving: same outcomes, same event stream. Together
-  with the untouched server suite this pins "off ≡ pre-preemption".
+* **Server, switch off**: ``preempt=False`` (the default) is
+  run-to-completion serving; the untouched server suite and the recorded
+  streams of ``tests/test_server_golden.py`` pin "off ≡ pre-preemption".
 * **Server, switch on but idle**: with no competing arrivals the
   preemption point never fires, and the served stream is byte-identical
   to the switch-off stream. Preemption replays deterministically under
@@ -155,24 +154,16 @@ def outcome_signature(outcomes):
     ]
 
 
-def run_server(preempt, env=None, monkeypatch=None, fault_plan=None):
-    if monkeypatch is not None:
-        if env is None:
-            monkeypatch.delenv("REPRO_PREEMPT", raising=False)
-        else:
-            monkeypatch.setenv("REPRO_PREEMPT", env)
+def run_server(preempt, fault_plan):
     sink = RecordingSink()
-    # Its own pool: the compared streams carry buffer events, which must
-    # not depend on what earlier tests left in the process-wide pool.
-    session_kwargs = {"bufferpool": BufferPool()}
-    if fault_plan is not None:
-        session_kwargs["fault_plan"] = fault_plan
     server = QueryServer(
         fresh_db(),
         policy=AdmitAll(),
         sink=sink,
         preempt=preempt,
-        session_kwargs=session_kwargs,
+        # Its own pool: the compared streams carry buffer events, which must
+        # not depend on what earlier tests left in the process-wide pool.
+        session_kwargs={"bufferpool": BufferPool(), "fault_plan": fault_plan},
     )
     requests = [
         QueryRequest(
@@ -190,23 +181,6 @@ def run_server(preempt, env=None, monkeypatch=None, fault_plan=None):
 
 
 class TestServerSwitchIdentity:
-    def test_explicit_off_equals_default_unset_env(self, monkeypatch):
-        default, default_sink, _ = run_server(
-            None, env=None, monkeypatch=monkeypatch
-        )
-        explicit, explicit_sink, _ = run_server(False)
-        assert outcome_signature(default) == outcome_signature(explicit)
-        assert default_sink.events == explicit_sink.events
-
-    def test_env_zero_equals_explicit_off(self, monkeypatch):
-        enved, env_sink, server = run_server(
-            None, env="0", monkeypatch=monkeypatch
-        )
-        assert server.preempt is False
-        explicit, explicit_sink, _ = run_server(False)
-        assert outcome_signature(enved) == outcome_signature(explicit)
-        assert env_sink.events == explicit_sink.events
-
     def test_preempt_on_without_challengers_is_byte_identical(self):
         # Arrivals spaced beyond every service time: the checkpoint is
         # armed but never fires, so on ≡ off, event for event.

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import EstimationError, SamplingExhausted
-from repro.sampling.point_space import PointSpace, SampledRegion
+from repro.sampling.point_space import PointSpace
 from repro.sampling.sampler import BlockSampler, blocks_for_fraction
 from tests.conftest import make_relation
 
@@ -91,60 +91,3 @@ class TestPointSpace:
     def test_empty_relation_rejected(self):
         with pytest.raises(EstimationError):
             PointSpace(("r1",), (0,), (1,))
-
-
-class TestSampledRegionFull:
-    def test_growth_is_cross_product(self):
-        space = PointSpace(("r1", "r2"), (100, 100), (20, 20))
-        region = SampledRegion(space, full_fulfillment=True)
-        assert region.record_stage([10, 10]) == 100
-        assert region.record_stage([5, 5]) == 15 * 15 - 100
-        assert region.points_evaluated == 225
-        assert region.cumulative_tuples == (15, 15)
-
-    def test_predicted_matches_recorded(self):
-        space = PointSpace(("r1", "r2"), (100, 100), (20, 20))
-        region = SampledRegion(space, full_fulfillment=True)
-        region.record_stage([10, 10])
-        assert region.predicted_new_points([5, 5]) == 125
-        assert region.record_stage([5, 5]) == 125
-
-    def test_one_sided_growth(self):
-        space = PointSpace(("r1", "r2"), (100, 100), (20, 20))
-        region = SampledRegion(space, full_fulfillment=True)
-        region.record_stage([10, 10])
-        assert region.record_stage([5, 0]) == 50
-
-    def test_coverage_reaches_one(self):
-        space = PointSpace(("r1",), (100,), (20,))
-        region = SampledRegion(space)
-        region.record_stage([100])
-        assert region.coverage == pytest.approx(1.0)
-
-
-class TestSampledRegionPartial:
-    def test_growth_is_per_stage_product(self):
-        space = PointSpace(("r1", "r2"), (100, 100), (20, 20))
-        region = SampledRegion(space, full_fulfillment=False)
-        assert region.record_stage([10, 10]) == 100
-        assert region.record_stage([5, 5]) == 25
-        assert region.points_evaluated == 125
-
-    def test_partial_never_covers_cross_stage(self):
-        space = PointSpace(("r1", "r2"), (100, 100), (20, 20))
-        full = SampledRegion(space, full_fulfillment=True)
-        partial = SampledRegion(space, full_fulfillment=False)
-        for stage in ([10, 10], [5, 5], [3, 3]):
-            full.record_stage(stage)
-            partial.record_stage(stage)
-        assert partial.points_evaluated < full.points_evaluated
-
-    def test_dimension_mismatch_raises(self):
-        space = PointSpace(("r1", "r2"), (100, 100), (20, 20))
-        with pytest.raises(EstimationError):
-            SampledRegion(space).record_stage([1])
-
-    def test_negative_stage_raises(self):
-        space = PointSpace(("r1",), (100,), (20,))
-        with pytest.raises(EstimationError):
-            SampledRegion(space).record_stage([-1])

@@ -41,14 +41,26 @@ def request(quota=2.0, seed=1, expr=None, **kw):
     )
 
 
-def make_server(db, plan, sink=None, **kw):
-    return QueryServer(
-        db,
-        policy=AdmitAll(),
-        sink=sink,
-        session_kwargs={"fault_plan": plan},
-        **kw,
-    )
+@pytest.fixture()
+def preempt():
+    """The servers' ``preempt`` argument. Off here; the ``PreemptOn``
+    subclasses at the bottom run every test again with it on."""
+    return False
+
+
+@pytest.fixture()
+def make_server(preempt):
+    def make(db, plan=None, sink=None, **kw):
+        return QueryServer(
+            db,
+            policy=AdmitAll(),
+            sink=sink,
+            session_kwargs={"fault_plan": plan},
+            preempt=preempt,
+            **kw,
+        )
+
+    return make
 
 
 @pytest.fixture()
@@ -62,7 +74,7 @@ def bare_db():
 
 
 class TestRetry:
-    def test_lethal_faults_retry_then_degrade(self, db):
+    def test_lethal_faults_retry_then_degrade(self, db, make_server):
         sink = RecordingSink()
         server = make_server(db, LETHAL_PLAN, sink=sink)
         outcome = server.serve(request())
@@ -75,7 +87,7 @@ class TestRetry:
         assert retry.backoff_seconds >= 0
         assert "fault" in retry.reason
 
-    def test_zero_retries_disables_the_retry_leg(self, db):
+    def test_zero_retries_disables_the_retry_leg(self, db, make_server):
         sink = RecordingSink()
         server = make_server(db, LETHAL_PLAN, sink=sink, max_fault_retries=0)
         outcome = server.serve(request())
@@ -83,7 +95,7 @@ class TestRetry:
         assert "1 attempt(s)" in outcome.reason
         assert sink.of_kind("request_retried") == []
 
-    def test_backoff_is_charged_to_the_request_clock(self, db):
+    def test_backoff_is_charged_to_the_request_clock(self, db, make_server):
         sink = RecordingSink()
         server = make_server(db, LETHAL_PLAN, sink=sink, retry_backoff=0.1)
         outcome = server.serve(request())
@@ -98,15 +110,23 @@ class TestRetry:
         with pytest.raises(ValueError):
             QueryServer(db, retry_backoff=-0.1)
 
+    @pytest.mark.parametrize("switch", ["synopses", "preempt"])
+    @pytest.mark.parametrize("value", [None, "off", "0", 1])
+    def test_non_bool_switch_rejected(self, db, switch, value):
+        # "off" / "0" are truthy strings: taken at face value they would
+        # turn the behaviour *on*.
+        with pytest.raises(ValueError, match=switch):
+            QueryServer(db, **{switch: value})
+
 
 class TestDegradedFallback:
-    def test_unanalyzed_database_misses_instead(self, bare_db):
+    def test_unanalyzed_database_misses_instead(self, bare_db, make_server):
         server = make_server(bare_db, LETHAL_PLAN)
         outcome = server.serve(request())
         assert outcome.outcome is Outcome.MISSED
         assert outcome.estimate is None
 
-    def test_statistics_free_query_misses_instead(self, db):
+    def test_statistics_free_query_misses_instead(self, db, make_server):
         # Intersections are outside the prestored statistics' coverage, so
         # there is no degraded answer to fall back to.
         server = make_server(db, LETHAL_PLAN)
@@ -117,7 +137,7 @@ class TestDegradedFallback:
 
 
 class TestTotalContractUnderFaults:
-    def test_faulted_stream_ends_in_typed_outcomes_only(self, db):
+    def test_faulted_stream_ends_in_typed_outcomes_only(self, db, make_server):
         server = make_server(db, NOISY_PLAN)
         requests = [
             request(quota=0.5 + 0.25 * (i % 4), seed=100 + i, arrival=0.3 * i)
@@ -129,7 +149,7 @@ class TestTotalContractUnderFaults:
         answered = [o for o in outcomes if o.outcome is Outcome.ANSWERED]
         assert answered, "faults at p=0.04 should not defeat every request"
 
-    def test_fault_events_are_traced(self, db):
+    def test_fault_events_are_traced(self, db, make_server):
         sink = RecordingSink()
         server = make_server(
             db, FaultPlan(read_error_prob=0.10), sink=sink, trace_queries=True
@@ -139,7 +159,7 @@ class TestTotalContractUnderFaults:
         )
         assert sink.of_kind("fault_injected")  # injections visible in trace
 
-    def test_same_fault_seeds_reproduce_the_same_outcomes(self, db):
+    def test_same_fault_seeds_reproduce_the_same_outcomes(self, db, make_server):
         def run():
             server = make_server(
                 demo_database(seed=5, tuples=TUPLES), NOISY_PLAN
@@ -181,10 +201,10 @@ class TestPersistentFailureFallback:
         monkeypatch.setattr(db, "open_session", crashing)
 
     def test_crashed_execution_degrades_when_coverage_exists(
-        self, db, monkeypatch
+        self, db, monkeypatch, make_server
     ):
         self._crash_dispatch_sessions(db, monkeypatch)
-        server = QueryServer(db, policy=AdmitAll())
+        server = make_server(db)
         outcome = server.serve(request())
         assert outcome.outcome is Outcome.DEGRADED
         assert outcome.estimate is not None
@@ -192,10 +212,10 @@ class TestPersistentFailureFallback:
         assert "zero-sampling" in outcome.reason
 
     def test_crashed_execution_misses_without_coverage(
-        self, bare_db, monkeypatch
+        self, bare_db, monkeypatch, make_server
     ):
         self._crash_dispatch_sessions(bare_db, monkeypatch)
-        server = QueryServer(bare_db, policy=AdmitAll())
+        server = make_server(bare_db)
         outcome = server.serve(request())
         assert outcome.outcome is Outcome.MISSED
         assert outcome.estimate is None
@@ -203,7 +223,7 @@ class TestPersistentFailureFallback:
 
 
 class TestRetryBackoffAccounting:
-    def test_final_backoff_not_charged_when_no_attempt_can_follow(self, db):
+    def test_final_backoff_not_charged_when_no_attempt_can_follow(self, db, make_server):
         # A backoff that would consume the whole remaining budget buys
         # nothing: no retry could start after it. The scheduler must not
         # emit the RequestRetried promise nor burn the clock.
@@ -217,7 +237,7 @@ class TestRetryBackoffAccounting:
         # the deadline the charged backoff would have dragged it to.
         assert outcome.finished_at < outcome.request.deadline
 
-    def test_charged_backoff_still_precedes_a_real_retry(self, db):
+    def test_charged_backoff_still_precedes_a_real_retry(self, db, make_server):
         sink = RecordingSink()
         server = make_server(db, LETHAL_PLAN, sink=sink, retry_backoff=0.1)
         outcome = server.serve(request(quota=2.0))
@@ -225,7 +245,7 @@ class TestRetryBackoffAccounting:
         assert retry.backoff_seconds == pytest.approx(0.1)
         assert "2 attempt(s)" in outcome.reason
 
-    def test_queue_wait_is_pre_dispatch_wait_only(self, db):
+    def test_queue_wait_is_pre_dispatch_wait_only(self, db, make_server):
         # RequestCompleted.queue_wait excludes inter-retry backoff: it is
         # the arrival → first-dispatch distance, nothing else.
         sink = RecordingSink()
@@ -249,3 +269,35 @@ class TestRetryBackoffAccounting:
         assert completed[waiter.request_id].queue_wait == pytest.approx(
             waited.queue_wait
         )
+
+
+class PreemptOn:
+    """Mixin: the same tests on ``preempt=True`` servers. A fault-defeated
+    run, its retries and its fallback must not care that the dispatch was
+    checkpointed at stage boundaries."""
+
+    @pytest.fixture()
+    def preempt(self):
+        return True
+
+
+class TestRetryPreemptOn(PreemptOn, TestRetry):
+    pass
+
+
+class TestDegradedFallbackPreemptOn(PreemptOn, TestDegradedFallback):
+    pass
+
+
+class TestTotalContractUnderFaultsPreemptOn(PreemptOn, TestTotalContractUnderFaults):
+    pass
+
+
+class TestPersistentFailureFallbackPreemptOn(
+    PreemptOn, TestPersistentFailureFallback
+):
+    pass
+
+
+class TestRetryBackoffAccountingPreemptOn(PreemptOn, TestRetryBackoffAccounting):
+    pass

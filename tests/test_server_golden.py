@@ -131,8 +131,7 @@ class Recording:
 
     def server(self, db, policy, preempt: bool, fault_plan=None, **kwargs):
         """A server on the isolated pool with every behavioural switch
-        pinned to the value the streams were recorded under — CI legs flip
-        the ``REPRO_*`` defaults."""
+        spelled out at the value the streams were recorded under."""
         session_kwargs = {"bufferpool": self.pool, "optimize": True}
         if fault_plan is not None:
             session_kwargs["fault_plan"] = fault_plan

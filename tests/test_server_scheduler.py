@@ -281,7 +281,7 @@ class TestSessionKwargsValidation:
     @pytest.mark.parametrize(
         "name",
         ["clock", "seed", "cost_model", "strategy", "stopping",
-         "measure_overspend", "aggregate"],
+         "measure_overspend", "aggregate", "synopses"],
     )
     def test_names_the_server_sets_at_admission_are_refused(self, db, name):
         with pytest.raises(ValueError, match=f"'{name}'.*server sets"):

@@ -30,7 +30,7 @@ from repro.synopses import (
     aggregate_key,
     relation_fingerprint,
 )
-from repro.synopses.catalog import MAX_PRIOR_POINTS, MIN_PRIOR_POINTS
+from repro.synopses.catalog import MAX_PRIOR_POINTS
 
 
 @pytest.fixture(autouse=True)
@@ -274,23 +274,6 @@ class TestEndToEnd:
         info = db.synopses.info()
         assert info.posteriors == info.answers == 0
         assert info.hits == info.misses == 0
-
-    def test_env_switch_enables(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SYNOPSES", "1")
-        db = make_db()
-        db.estimate(query(), quota=5.0, seed=3)
-        assert db.synopses.info().answers == 1
-        monkeypatch.setenv("REPRO_SYNOPSES", "0")
-        db2 = make_db()
-        db2.estimate(query(), quota=5.0, seed=3)
-        assert db2.synopses.info().answers == 0
-
-    def test_explicit_false_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SYNOPSES", "1")
-        db = make_db()
-        db.estimate(query(), quota=5.0, seed=3,
-                    options=QueryOptions(synopses=False))
-        assert db.synopses.info().answers == 0
 
     def test_prestored_mode_neither_borrows_nor_deposits_posteriors(self):
         db = make_db()
