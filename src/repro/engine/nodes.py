@@ -11,11 +11,12 @@ new×new.
 
 Every node also serves the *controller*:
 
-* it owns a :class:`~repro.estimation.selectivity.SelectivityTracker`
-  (Revise-Selectivities state) fed with (output tuples, new points) per
-  stage, where "points" live in the node's own point space — the cross
-  product of the base relations under it (Section 3.1's operator
-  selectivity);
+* it counts its stages in one :class:`~repro.estimation.selectivity.
+  StageLedger` — (output tuples, new points) per stage, "points" living in
+  the node's own point space, the cross product of the base relations
+  under it (Section 3.1's operator selectivity). An operator's ledger *is*
+  its ``SelectivityTracker`` (Revise-Selectivities state), a scan owns a
+  bare one, and no node keeps another count: a parent reads its children's;
 * :meth:`predict` prices a candidate sample fraction using the adaptive
   :class:`~repro.costmodel.model.CostModel`, mirroring the per-step cost
   formulas (4.1)–(4.5) that the execution path actually charges;
@@ -32,6 +33,7 @@ the paper's PIE evaluation does.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import compress
 from typing import TYPE_CHECKING, Callable, Protocol, Sequence
@@ -40,7 +42,7 @@ from repro.catalog.schema import Schema
 from repro.costmodel import steps as step_names
 from repro.costmodel.model import CostModel
 from repro.errors import TimeControlError
-from repro.estimation.selectivity import SelectivityTracker
+from repro.estimation.selectivity import SelectivityTracker, StageLedger
 from repro.kernels import runs as _kernels
 from repro.kernels.cache import compiled_predicate
 from repro.kernels.columns import ColumnBatch
@@ -111,6 +113,8 @@ class StagedNode(Protocol):
     """Common protocol of all staged nodes (see module docstring)."""
 
     schema: Schema
+    children: "tuple[StagedNode, ...]"
+    ledger: StageLedger
     tracker: SelectivityTracker | None
 
     def advance(self, stage: int) -> list[Row]: ...
@@ -127,14 +131,14 @@ class StagedNode(Protocol):
 
 
 class _NodeBase:
-    """Shared region bookkeeping over the base relations under a node.
+    """What every staged node is: a ledger, its children, its stage output.
 
     The constructor takes the per-plan machinery every node of one plan
-    shares; subclasses forward it untouched as ``**common``.
+    shares; subclasses forward it untouched as ``**common``, adding their
+    ``children`` and, operators, the ``tracker`` that is their ledger.
     """
 
     schema: Schema
-    tracker: SelectivityTracker | None = None
 
     def __init__(
         self,
@@ -144,6 +148,9 @@ class _NodeBase:
         full_fulfillment: bool,
         spool: "Spool | None" = None,
         injector: "FaultInjector | None" = None,
+        *,
+        children: "tuple[StagedNode, ...]" = (),
+        tracker: SelectivityTracker | None = None,
     ) -> None:
         self.charger = charger
         self.cost_model = cost_model
@@ -151,12 +158,26 @@ class _NodeBase:
         self.full_fulfillment = full_fulfillment
         self.injector = injector
         self.spool = spool if spool is not None else Spool(block_size)
-        self.stage = 0  # completed stages
-        self.cum_out_tuples = 0
-        self.points_so_far = 0
+        self.children = children
+        # The tree never changes after lowering: the scans under it, once.
+        self._scans = [scan for child in children for scan in child.base_scans()]
+        self.tracker = tracker
+        self.ledger: StageLedger = tracker if tracker is not None else StageLedger()
         # Columnar view of this node's latest stage output; consumed by
         # the parent so columns decoded here aren't decoded twice.
         self.stage_columns: ColumnBatch | None = None
+
+    @property
+    def stage(self) -> int:  # completed stages
+        return len(self.ledger.observations)
+
+    @property
+    def cum_out_tuples(self) -> int:
+        return self.ledger.total_tuples
+
+    @property
+    def points_so_far(self) -> int:
+        return self.ledger.total_points
 
     def _child_batch(self, child: "StagedNode", rows: list[Row]) -> ColumnBatch:
         """The child's stage batch if it matches ``rows``, else a fresh one."""
@@ -165,39 +186,54 @@ class _NodeBase:
             return batch
         return ColumnBatch(rows, child.schema)
 
-    # -- region geometry ------------------------------------------------
     def base_scans(self) -> list["StagedScan"]:
-        raise NotImplementedError
+        return self._scans
+
+    def iter_nodes(self) -> list["StagedNode"]:
+        """This node, then its subtrees (shared scans once per reference)."""
+        return [self, *(n for child in self.children for n in child.iter_nodes())]
 
     def space_points(self) -> int:
         """Total points of this node's point space (Π N_j of its subtree)."""
         return math.prod(s.relation.tuple_count for s in self.base_scans())
 
-    def _new_points_actual(self) -> int:
-        """Newly covered points after the scans advanced this stage."""
-        scans = self.base_scans()
-        if self.full_fulfillment:
-            after = math.prod(s.cum_tuples for s in scans)
-            new = after - self.points_so_far
-        else:
-            new = math.prod(s.new_tuples for s in scans)
-        return new
-
     def _new_points_predicted(self, ctx: PredictContext) -> float:
         scans = self.base_scans()
         news = [s.predict(ctx).new_out_tuples for s in scans]
         if self.full_fulfillment:
-            after = math.prod(s.cum_tuples + n for s, n in zip(scans, news))
-            before = math.prod(s.cum_tuples for s in scans)
-            return after - before
+            seen = [s.cum_tuples for s in scans]
+            return math.prod(map(operator.add, seen, news)) - math.prod(seen)
         return math.prod(news)
 
     def _record(self, out_tuples: int) -> None:
-        new_points = self._new_points_actual()
-        self.points_so_far += new_points
-        self.cum_out_tuples += out_tuples
-        if self.tracker is not None:
-            self.tracker.record_stage(out_tuples, new_points)
+        """Close an operator's stage; its points compose from the children's."""
+        # Exact integers: the product of all the children cover (full
+        # fulfillment, Figure 4.1) or of what they covered this stage.
+        ledgers = [child.ledger for child in self.children]
+        if self.full_fulfillment:
+            covered = math.prod(ledger.total_points for ledger in ledgers)
+            new_points = covered - self.ledger.total_points
+        else:
+            new_points = math.prod(ledger.last.points for ledger in ledgers)
+        self.ledger.record_stage(out_tuples, new_points)
+
+    def predict(self, ctx: PredictContext) -> StagePrediction:
+        """Price this operator's next stage (subtree priced once per pass)."""
+        cached = ctx.cached(self)
+        if cached is not None:
+            return cached
+        inputs = [child.predict(ctx) for child in self.children]
+        new_points = self._new_points_predicted(ctx)
+        sel = ctx.sel_provider(
+            self.tracker, max(int(new_points), 1), self.space_points()
+        )
+        out = sel * new_points
+        seconds = self._seconds(inputs, out)
+        return ctx.store(self, StagePrediction(seconds, out, new_points))
+
+    def _seconds(self, inputs: list[StagePrediction], out: float) -> float:
+        """The operator's step formulas (4.1)–(4.5) for one stage."""
+        raise NotImplementedError
 
     def _bf(self) -> int:
         return self.schema.blocking_factor(self.block_size)
@@ -216,23 +252,14 @@ class _NodeBase:
         stage attempt when a fault injector is active; on an injected
         fault, :meth:`restore` returns the node to the last consistent
         stage boundary (charged time stays spent — only estimator state
-        rolls back). Subclasses extend the dict with their own fields.
+        rolls back). Every count is in the ledger; subclasses add what it
+        cannot know (sampler cursor, runs, occupancy).
         """
-        return {
-            "stage": self.stage,
-            "cum_out_tuples": self.cum_out_tuples,
-            "points_so_far": self.points_so_far,
-            "stage_columns": self.stage_columns,
-            "tracker": self.tracker.snapshot() if self.tracker else None,
-        }
+        return {"ledger": self.ledger.snapshot(), "stage_columns": self.stage_columns}
 
     def restore(self, token: dict) -> None:
-        self.stage = token["stage"]
-        self.cum_out_tuples = token["cum_out_tuples"]
-        self.points_so_far = token["points_so_far"]
+        self.ledger.restore(token["ledger"])
         self.stage_columns = token["stage_columns"]
-        if self.tracker is not None:
-            self.tracker.restore(token["tracker"])
 
 
 class StagedScan(_NodeBase):
@@ -256,8 +283,6 @@ class StagedScan(_NodeBase):
         self.sampler = sampler
         self.bufferpool = bufferpool
         self.schema = relation.schema
-        self.cum_tuples = 0
-        self.new_tuples = 0
         self._stage_rows: list[Row] = []
         # Per-shard tallies of the latest stage read over a partitioned
         # relation (always empty over a plain one); StagedPlan turns them
@@ -267,8 +292,13 @@ class StagedScan(_NodeBase):
     def base_scans(self) -> list["StagedScan"]:
         return [self]
 
-    def iter_nodes(self) -> list["StagedNode"]:
-        return [self]
+    @property
+    def cum_tuples(self) -> int:
+        return self.ledger.total_tuples
+
+    @property
+    def new_tuples(self) -> int:
+        return len(self._stage_rows)
 
     @property
     def blocks_drawn(self) -> int:
@@ -310,10 +340,7 @@ class StagedScan(_NodeBase):
         # this scan reuses the same batch. Uncharged: the simulated block
         # reads above already paid for the I/O.
         self.stage_columns = batch
-        self.new_tuples = len(rows)
-        self.cum_tuples += len(rows)
-        self.stage = stage
-        self._record(len(rows))  # scan "outputs" everything it reads
+        self.ledger.record_stage(len(rows), len(rows))  # outputs all it reads
         return rows
 
     def predict(self, ctx: PredictContext) -> StagePrediction:
@@ -332,16 +359,12 @@ class StagedScan(_NodeBase):
     def snapshot(self) -> dict:
         token = super().snapshot()
         token["sampler"] = self.sampler.snapshot()
-        token["cum_tuples"] = self.cum_tuples
-        token["new_tuples"] = self.new_tuples
         token["stage_rows"] = self._stage_rows
         return token
 
     def restore(self, token: dict) -> None:
         super().restore(token)
         self.sampler.restore(token["sampler"])
-        self.cum_tuples = token["cum_tuples"]
-        self.new_tuples = token["new_tuples"]
         self._stage_rows = token["stage_rows"]
 
 
@@ -361,17 +384,14 @@ class StagedSelect(_NodeBase):
         initial_selectivity: float,
         **common,
     ) -> None:
-        super().__init__(**common)
+        super().__init__(
+            children=(child,),
+            tracker=SelectivityTracker(label, initial_selectivity),
+            **common,
+        )
         self.child = child
         self.schema = child.schema
         self._mask_fn = compiled_predicate(predicate, child.schema).mask_fn
-        self.tracker = SelectivityTracker(label, initial_selectivity)
-
-    def base_scans(self) -> list[StagedScan]:
-        return self.child.base_scans()
-
-    def iter_nodes(self) -> list["StagedNode"]:
-        return [self, *self.child.iter_nodes()]
 
     def _filter(self, rows: list[Row]) -> list[Row]:
         """Whole-stage filter: same charges as ``apply_select``, one mask."""
@@ -395,25 +415,14 @@ class StagedSelect(_NodeBase):
         self.cost_model.observe(
             step_names.SELECT_OP, [len(rows), pages, 1.0], meter.elapsed
         )
-        self.stage = stage
         self._record(len(out))
         return out
 
-    def predict(self, ctx: PredictContext) -> StagePrediction:
-        cached = ctx.cached(self)
-        if cached is not None:
-            return cached
-        child = self.child.predict(ctx)
-        new_points = self._new_points_predicted(ctx)
-        sel = ctx.sel_provider(
-            self.tracker, max(int(new_points), 1), self.space_points()
-        )
-        out = sel * new_points
+    def _seconds(self, inputs: list[StagePrediction], out: float) -> float:
         pages = out / self._bf()
-        seconds = self.cost_model.predict(
-            step_names.SELECT_OP, [child.new_out_tuples, pages, 1.0]
+        return self.cost_model.predict(
+            step_names.SELECT_OP, [inputs[0].new_out_tuples, pages, 1.0]
         )
-        return ctx.store(self, StagePrediction(seconds, out, new_points))
 
 
 class _StagedBinary(_NodeBase):
@@ -448,24 +457,19 @@ class _StagedBinary(_NodeBase):
         initial_selectivity: float,
         **common,
     ) -> None:
-        super().__init__(**common)
+        super().__init__(
+            children=(left, right),
+            tracker=SelectivityTracker(label, initial_selectivity),
+            **common,
+        )
         self.left = left
         self.right = right
-        self.tracker = SelectivityTracker(label, initial_selectivity)
         self._left_runs: list[SpoolFile] = []
         self._right_runs: list[SpoolFile] = []
-        self.cum_left_in = 0
-        self.cum_right_in = 0
         # Consolidated sorted runs (full fulfillment only; partial
         # fulfillment never revisits old runs).
         self._left_sorted = _kernels.SortedRun()
         self._right_sorted = _kernels.SortedRun()
-
-    def base_scans(self) -> list[StagedScan]:
-        return self.left.base_scans() + self.right.base_scans()
-
-    def iter_nodes(self) -> list["StagedNode"]:
-        return [self, *self.left.iter_nodes(), *self.right.iter_nodes()]
 
     # Subclass hooks ----------------------------------------------------
     def _key_positions(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -503,9 +507,6 @@ class _StagedBinary(_NodeBase):
             # Partial fulfillment never revisits old runs: release at once.
             self.spool.release(left_file)
             self.spool.release(right_file)
-        self.cum_left_in += len(new_left)
-        self.cum_right_in += len(new_right)
-        self.stage = stage
         self._record(len(out))
         return out
 
@@ -621,8 +622,6 @@ class _StagedBinary(_NodeBase):
         token = super().snapshot()
         token["left_runs"] = len(self._left_runs)
         token["right_runs"] = len(self._right_runs)
-        token["cum_left_in"] = self.cum_left_in
-        token["cum_right_in"] = self.cum_right_in
         token["left_sorted"] = self._left_sorted.snapshot()
         token["right_sorted"] = self._right_sorted.snapshot()
         return token
@@ -631,40 +630,28 @@ class _StagedBinary(_NodeBase):
         super().restore(token)
         del self._left_runs[token["left_runs"] :]
         del self._right_runs[token["right_runs"] :]
-        self.cum_left_in = token["cum_left_in"]
-        self.cum_right_in = token["cum_right_in"]
         self._left_sorted.restore(token["left_sorted"])
         self._right_sorted.restore(token["right_sorted"])
 
     # Prediction ----------------------------------------------------------
-    def predict(self, ctx: PredictContext) -> StagePrediction:
-        cached = ctx.cached(self)
-        if cached is not None:
-            return cached
-        left = self.left.predict(ctx)
-        right = self.right.predict(ctx)
-        n1, n2 = left.new_out_tuples, right.new_out_tuples
-        s = self.stage + 1
-        new_points = self._new_points_predicted(ctx)
-        sel = ctx.sel_provider(
-            self.tracker, max(int(new_points), 1), self.space_points()
-        )
-        out = sel * new_points
+    def _seconds(self, inputs: list[StagePrediction], out: float) -> float:
+        n1, n2 = inputs[0].new_out_tuples, inputs[1].new_out_tuples
         if self.full_fulfillment:
             # Equation (4.4): N_{1,s−1} + N_{2,s−1} + s(n_1s + n_2s).
-            reads = self.cum_left_in + self.cum_right_in + s * (n1 + n2)
+            s = self.stage + 1
+            old = self.left.ledger.total_tuples + self.right.ledger.total_tuples
+            reads = old + s * (n1 + n2)
             merges = 2 * s - 1
         else:
             reads = n1 + n2
             merges = 1
-        seconds = (
+        return (
             self.cost_model.predict(self.write_step, [n1 + n2, 1.0])
             + self.cost_model.predict(
                 self.sort_step, [_nlogn(n1) + _nlogn(n2), n1 + n2, 1.0]
             )
             + self.cost_model.predict(self.merge_step, [reads, out, merges])
         )
-        return ctx.store(self, StagePrediction(seconds, out, new_points))
 
 
 class StagedIntersect(_StagedBinary):
@@ -754,20 +741,16 @@ class StagedProject(_NodeBase):
         initial_selectivity: float,
         **common,
     ) -> None:
-        super().__init__(**common)
+        super().__init__(
+            children=(child,),
+            tracker=SelectivityTracker(label, initial_selectivity),
+            **common,
+        )
         self.child = child
         self.attrs = tuple(attrs)
         self._positions = [child.schema.index_of(a) for a in self.attrs]
         self.schema = child.schema.project(self.attrs)
-        self.tracker = SelectivityTracker(label, initial_selectivity)
         self.occupancy: dict[Row, int] = {}
-        self.observed_child_tuples = 0
-
-    def base_scans(self) -> list[StagedScan]:
-        return self.child.base_scans()
-
-    def iter_nodes(self) -> list["StagedNode"]:
-        return [self, *self.child.iter_nodes()]
 
     def advance(self, stage: int) -> list[Row]:
         self._check_stage(stage)
@@ -814,31 +797,19 @@ class StagedProject(_NodeBase):
         )
 
         self.spool.release(temp)  # folded into the occupancy table
-        self.observed_child_tuples += len(projected)
-        self.stage = stage
         self._record(len(new_groups))
         return new_groups
 
-    def predict(self, ctx: PredictContext) -> StagePrediction:
-        cached = ctx.cached(self)
-        if cached is not None:
-            return cached
-        child = self.child.predict(ctx)
-        n = child.new_out_tuples
-        new_points = self._new_points_predicted(ctx)
-        sel = ctx.sel_provider(
-            self.tracker, max(int(new_points), 1), self.space_points()
-        )
-        out = sel * new_points
+    def _seconds(self, inputs: list[StagePrediction], out: float) -> float:
+        n = inputs[0].new_out_tuples
         pages = out / self._bf()
-        seconds = (
+        return (
             self.cost_model.predict(step_names.PROJECT_WRITE, [n, 1.0])
             + self.cost_model.predict(
                 step_names.PROJECT_SORT, [_nlogn(n), n, 1.0]
             )
             + self.cost_model.predict(step_names.PROJECT_DEDUPE, [n, pages, 1.0])
         )
-        return ctx.store(self, StagePrediction(seconds, out, new_points))
 
     def snapshot(self) -> dict:
         token = super().snapshot()
@@ -846,10 +817,8 @@ class StagedProject(_NodeBase):
         # copied. Snapshots only happen under an active fault injector, so
         # unfaulted runs never pay this.
         token["occupancy"] = dict(self.occupancy)
-        token["observed_child_tuples"] = self.observed_child_tuples
         return token
 
     def restore(self, token: dict) -> None:
         super().restore(token)
         self.occupancy = dict(token["occupancy"])
-        self.observed_child_tuples = token["observed_child_tuples"]

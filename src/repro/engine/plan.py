@@ -122,7 +122,7 @@ class StagedTerm:
         points = root.points_so_far
         if points == 0:
             raise EstimationError("no stages completed yet")
-        ones = root.observed_child_tuples
+        ones = root.child.ledger.total_tuples  # every 1-point seen so far
         if ones == 0:
             return Estimate(
                 value=0.0,
@@ -268,6 +268,15 @@ class StagedPlan:
                     count_term.coefficient, root, space, value_index=value_index
                 )
             )
+        # The tree never changes after lowering: its distinct nodes, in tree
+        # order (scans, shared between terms, at their first reference).
+        self.nodes: list[StagedNode] = list(
+            {
+                id(node): node
+                for term in self.terms
+                for node in term.root.iter_nodes()
+            }.values()
+        )
         for tracker in self.trackers():
             if zero_fix_beta is not None:
                 tracker.zero_fix_beta = zero_fix_beta
@@ -284,16 +293,8 @@ class StagedPlan:
         return self._builder.scans
 
     def tracked_nodes(self) -> list[StagedNode]:
-        """The first node owning each operator tracker, in tree order."""
-        seen: set[int] = set()
-        out: list[StagedNode] = []
-        for term in self.terms:
-            for node in term.root.iter_nodes():
-                tracker = node.tracker
-                if tracker is not None and id(tracker) not in seen:
-                    seen.add(id(tracker))
-                    out.append(node)
-        return out
+        """The operator nodes (each owns its tracker), in tree order."""
+        return [node for node in self.nodes if node.tracker is not None]
 
     def trackers(self) -> list[SelectivityTracker]:
         """All operator selectivity trackers, deduplicated, tree order."""
@@ -398,42 +399,30 @@ class StagedPlan:
         new_outputs = 0
         new_points = 0
         for term in self.terms:
-            before_points = term.root.points_so_far
-            before_out = term.root.cum_out_tuples
-            node_before = (
-                {
-                    id(node): (node.cum_out_tuples, node.points_so_far)
-                    for node in term.root.iter_nodes()
-                    if not isinstance(node, StagedScan)
-                }
-                if trace
-                else {}
-            )
             new_rows = term.root.advance(stage)
             if term.value_index is not None:
                 term.moments.add_many(row[term.value_index] for row in new_rows)
             if trace:
+                # Per term: these interleave with its SelectivityRevisions.
                 for node in term.root.iter_nodes():
-                    if isinstance(node, StagedScan):
+                    if node.tracker is None:  # a scan: ScanAdvance, above
                         continue
-                    out_before, pts_before = node_before[id(node)]
-                    label = (
-                        node.tracker.label
-                        if node.tracker is not None
-                        else type(node).__name__
-                    )
+                    ledger = node.ledger
                     self.sink.emit(
                         OperatorAdvance(
                             stage=stage,
-                            operator=label,
-                            out_tuples=node.cum_out_tuples - out_before,
-                            new_points=node.points_so_far - pts_before,
-                            cum_out_tuples=node.cum_out_tuples,
-                            cum_points=node.points_so_far,
+                            operator=node.tracker.label,
+                            out_tuples=ledger.last.tuples,
+                            new_points=ledger.last.points,
+                            cum_out_tuples=ledger.total_tuples,
+                            cum_points=ledger.total_points,
                         )
                     )
-            new_points += term.root.points_so_far - before_points
-            new_outputs += term.root.cum_out_tuples - before_out
+            if term.root.tracker is not None:
+                # A bare-relation term has always counted nothing here: its
+                # tuples are the stage's ScanAdvance, not operator output.
+                new_points += term.root.ledger.last.points
+                new_outputs += term.root.ledger.last.tuples
         self.stages_completed = stage
         stats = StageStats(
             stage=stage,
@@ -453,22 +442,16 @@ class StagedPlan:
 
         Taken by the executor before each stage attempt when a fault
         injector is active. Everything an estimator reads rolls back on
-        :meth:`restore` — node stages and counters, sampler cursors,
-        selectivity observations, consolidated runs, spool files, term
-        moments — while everything *physical* stays: charged time, the
-        cost model's observations, and already-emitted trace events are
-        the true record of work the fault wasted.
+        :meth:`restore` — node ledgers, sampler cursors, consolidated runs,
+        spool files, term moments — while everything *physical* stays:
+        charged time, the cost model's observations, and already-emitted
+        trace events are the true record of work the fault wasted.
         """
-        nodes: dict[int, tuple] = {}
-        for term in self.terms:
-            for node in term.root.iter_nodes():
-                if id(node) not in nodes:  # scans/subtrees are shared
-                    nodes[id(node)] = (node, node.snapshot())
         return {
             "stages_completed": self.stages_completed,
             "history": len(self.history),
             "spool": self.spool.snapshot(),
-            "nodes": list(nodes.values()),
+            "nodes": [(node, node.snapshot()) for node in self.nodes],
             "moments": [
                 (t.moments.ones, t.moments.total, t.moments.total_sq)
                 for t in self.terms

@@ -30,6 +30,7 @@ from repro.estimation.goodman import (
 from repro.estimation.selectivity import (
     DEFAULT_ZERO_FIX_BETA,
     SelectivityTracker,
+    StageLedger,
     StageObservation,
 )
 
@@ -39,8 +40,9 @@ __all__ = [
     "DEFAULT_ZERO_FIX_BETA",
     "Estimate",
     "SelectivityTracker",
-    "StreamingMoments",
+    "StageLedger",
     "StageObservation",
+    "StreamingMoments",
     "avg_from_sum_count",
     "avg_of",
     "chao1",

@@ -57,8 +57,66 @@ DEFAULT_ZERO_FIX_BETA = 0.05
 
 
 @dataclass
-class SelectivityTracker:
+class StageLedger:
+    """What a staged node counts: one (tuples, points) pair per stage.
+
+    The two running sums are Revise-Selectivities' whole state
+    (Figure 3.3); a staged node's stage index, cumulative outputs and
+    covered points are views of this one record, so a salvage rollback
+    restores a single integer.
+    """
+
+    # Keyword-only, so a subclass may put required fields of its own first.
+    observations: list[StageObservation] = field(
+        default_factory=list, kw_only=True
+    )
+    # Running Σ tuples / Σ points over ``observations`` (integers, so exact):
+    # ``sel_plus`` reads them four times per candidate stage size.
+    total_tuples: int = field(default=0, init=False, repr=False, compare=False)
+    total_points: int = field(default=0, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._retotal()
+
+    def record_stage(self, tuples: int, points: int) -> None:
+        """Record one completed stage's output count and sampled points."""
+        self.observations.append(StageObservation(tuples, points))
+        self.total_tuples += tuples
+        self.total_points += points
+
+    @property
+    def last(self) -> StageObservation:
+        """The latest completed stage's observation."""
+        return self.observations[-1]
+
+    def snapshot(self) -> int:
+        """Opaque rollback token: the observation count."""
+        return len(self.observations)
+
+    def restore(self, token: int) -> None:
+        """Forget observations recorded after a :meth:`snapshot` token."""
+        if not 0 <= token <= len(self.observations):
+            raise EstimationError(
+                f"cannot restore to {token} observations "
+                f"(has {len(self.observations)})"
+            )
+        del self.observations[token:]
+        self._retotal()
+
+    def _retotal(self) -> None:
+        self.total_tuples = sum(o.tuples for o in self.observations)
+        self.total_points = sum(o.points for o in self.observations)
+
+    @property
+    def stages_observed(self) -> int:
+        return len(self.observations)
+
+
+@dataclass
+class SelectivityTracker(StageLedger):
     """Run-time selectivity state of one RA operator (see module docs).
+
+    The counting half is the :class:`StageLedger` it extends.
 
     ``prior_tuples`` / ``prior_points`` are warm-start pseudo-counts from
     the synopsis catalog (:mod:`repro.synopses`): evidence pooled from
@@ -74,17 +132,12 @@ class SelectivityTracker:
     initial: float
     zero_fix_beta: float = DEFAULT_ZERO_FIX_BETA
     pinned: bool = False
-    observations: list[StageObservation] = field(default_factory=list)
     sink: TraceSink | None = field(default=None, repr=False, compare=False)
     prior_tuples: float = 0.0
     prior_points: float = 0.0
-    # Running Σ tuples / Σ points over ``observations`` (integers, so exact):
-    # ``sel_plus`` reads them four times per candidate stage size.
-    total_tuples: int = field(default=0, init=False, repr=False, compare=False)
-    total_points: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self._retotal()
+        super().__post_init__()
         if not 0.0 < self.initial <= 1.0:
             raise EstimationError(
                 f"{self.label}: initial selectivity must be in (0,1], "
@@ -125,10 +178,7 @@ class SelectivityTracker:
     # Observation
     # ------------------------------------------------------------------
     def record_stage(self, tuples: int, points: int) -> None:
-        """Record one completed stage's output count and sampled points."""
-        self.observations.append(StageObservation(tuples, points))
-        self.total_tuples += tuples
-        self.total_points += points
+        super().record_stage(tuples, points)
         if self.sink is not None:
             self.sink.emit(
                 SelectivityRevision(
@@ -139,28 +189,6 @@ class SelectivityTracker:
                     sel_prev=self.sel_prev,
                 )
             )
-
-    def snapshot(self) -> int:
-        """Opaque rollback token: the observation count."""
-        return len(self.observations)
-
-    def restore(self, token: int) -> None:
-        """Forget observations recorded after a :meth:`snapshot` token."""
-        if not 0 <= token <= len(self.observations):
-            raise EstimationError(
-                f"{self.label}: cannot restore to {token} observations "
-                f"(has {len(self.observations)})"
-            )
-        del self.observations[token:]
-        self._retotal()
-
-    def _retotal(self) -> None:
-        self.total_tuples = sum(o.tuples for o in self.observations)
-        self.total_points = sum(o.points for o in self.observations)
-
-    @property
-    def stages_observed(self) -> int:
-        return len(self.observations)
 
     # ------------------------------------------------------------------
     # Revise-Selectivities (Figure 3.3)

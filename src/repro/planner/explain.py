@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.costmodel import steps as step_names
-from repro.engine.nodes import PredictContext, StagedScan
+from repro.engine.nodes import PredictContext
 from repro.planner.rules import RuleApplication
 from repro.relational.expression import (
     Expression,
@@ -117,25 +117,16 @@ def predicted_stage_costs(plan: "StagedPlan") -> PlanCosts:
     ctx = PredictContext(fraction, initial_selectivity_provider)
     for term in plan.terms:
         term.root.predict(ctx)
-    nodes: list[NodeCost] = []
-    seen: set[int] = set()
-    for term in plan.terms:
-        for node in term.root.iter_nodes():
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            prediction = ctx.cached(node)
-            if prediction is None:  # defensive: predict() visits every node
-                continue
-            label = (
-                f"scan({node.relation.name})"
-                if isinstance(node, StagedScan)
-                else node.tracker.label
-                if node.tracker is not None
-                else type(node).__name__
-            )
-            nodes.append(NodeCost(label, prediction.seconds))
-    return PlanCosts(fraction, overhead, ctx.total_seconds, tuple(nodes))
+    nodes = tuple(
+        NodeCost(
+            node.tracker.label
+            if node.tracker is not None
+            else f"scan({node.relation.name})",
+            ctx.cached(node).seconds,
+        )
+        for node in plan.nodes
+    )
+    return PlanCosts(fraction, overhead, ctx.total_seconds, nodes)
 
 
 @dataclass(frozen=True)

@@ -22,13 +22,13 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.errors import TimeControlError
 from repro.realtime.transaction import (
     FeedbackAllocator,
     QueryTask,
     QuotaAllocator,
     TransactionResult,
     WriteTask,
+    check_transaction,
 )
 from repro.server.request import QueryRequest
 from repro.server.scheduler import QueryServer
@@ -53,13 +53,7 @@ def run_transaction(
     name in ``aborted_after``), because a transaction missing one answer has
     missed its deadline contract.
     """
-    if deadline <= 0:
-        raise TimeControlError(f"deadline must be positive: {deadline}")
-    if not any(isinstance(t, QueryTask) for t in tasks):
-        raise TimeControlError("transaction needs at least one query")
-    names = [t.name for t in tasks]
-    if len(set(names)) != len(names):
-        raise TimeControlError(f"duplicate task names in {names}")
+    check_transaction(tasks, deadline)
     allocator = allocator if allocator is not None else FeedbackAllocator()
 
     start = server.clock.now()

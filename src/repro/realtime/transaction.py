@@ -149,6 +149,17 @@ class TransactionResult:
         )
 
 
+def check_transaction(tasks: Sequence, deadline: float) -> None:
+    """Refuse a transaction no scheduler can run (both entry points call it)."""
+    if deadline <= 0:
+        raise TimeControlError(f"deadline must be positive: {deadline}")
+    if not any(isinstance(t, QueryTask) for t in tasks):
+        raise TimeControlError("transaction needs at least one query")
+    names = [t.name for t in tasks]
+    if len(set(names)) != len(names):
+        raise TimeControlError(f"duplicate task names in {names}")
+
+
 class TransactionScheduler:
     """Runs query batches under one deadline with budgeted quotas."""
 
@@ -175,21 +186,15 @@ class TransactionScheduler:
     ) -> TransactionResult:
         """Execute ``tasks`` in order within ``deadline`` seconds total.
 
-        Each query consumes the simulated time its run actually took (its
-        completed stages plus any overspend), not its nominal quota, so
-        leftover time is visible to the allocator. If the budget for a
+        Each query consumes the simulated time its run actually charged (its
+        completed stages, any overspend, and the stage attempts a fault
+        wasted), not its nominal quota, so leftover time is visible to the
+        allocator. If the budget for a
         query falls below ``min_query_quota`` the transaction aborts —
         mirroring a real-time scheduler killing a transaction that can no
         longer meet its deadline.
         """
-        if deadline <= 0:
-            raise TimeControlError(f"deadline must be positive: {deadline}")
-        if not any(isinstance(t, QueryTask) for t in tasks):
-            raise TimeControlError("transaction needs at least one query")
-        names = [t.name for t in tasks]
-        if len(set(names)) != len(names):
-            raise TimeControlError(f"duplicate task names in {names}")
-
+        check_transaction(tasks, deadline)
         outcome = TransactionResult(deadline=deadline)
         remaining = deadline
         for index, task in enumerate(tasks):
@@ -211,7 +216,8 @@ class TransactionScheduler:
                 seed=None if seed is None else seed + index,
                 **estimate_kwargs,
             )
-            consumed = sum(s.duration for s in result.report.stages)
+            report = result.report
+            consumed = sum(s.duration for s in report.stages) + report.wasted_seconds
             outcome.results[task.name] = result
             outcome.quotas[task.name] = quota
             outcome.elapsed += consumed

@@ -1,12 +1,11 @@
 """repro.synopses — cross-query synopsis catalog.
 
 Queries over the same relations get cheaper the more the process runs:
-completed sessions deposit per-subtree selectivity posteriors, per-relation
-block-sample summaries, and whole-query answer synopses into a
-:class:`SynopsisCatalog`; later sessions warm-start Revise-Selectivities
-from the posteriors (fewer, bigger stages per quota) and the serving layer
-backs degraded answers with recorded estimates instead of flat prestored
-statistics. Relation mutations invalidate/age the affected entries.
+completed sessions deposit per-subtree selectivity posteriors and
+whole-query answer synopses into a :class:`SynopsisCatalog`; later sessions
+warm-start Revise-Selectivities from the posteriors (fewer, bigger stages
+per quota) and the serving layer backs degraded answers with recorded
+estimates instead of flat prestored statistics. Relation mutations invalidate/age the affected entries.
 
 Opt-in via ``QueryOptions(synopses=True)`` (``QueryServer(synopses=True)``
 on a server); off, the engine is bit-identical to one without this package.
@@ -15,7 +14,6 @@ on a server); off, the engine is bit-identical to one without this package.
 from repro.synopses.binder import SynopsisBinder
 from repro.synopses.catalog import (
     AnswerSynopsis,
-    RelationSummary,
     SelectivityPosterior,
     SynopsisCatalog,
     SynopsisCatalogInfo,
@@ -30,7 +28,6 @@ from repro.synopses.events import (
 
 __all__ = [
     "AnswerSynopsis",
-    "RelationSummary",
     "SelectivityPosterior",
     "SynopsisBinder",
     "SynopsisCatalog",

@@ -111,11 +111,6 @@ class SynopsisBinder:
                 self.synopses.record_selectivity(
                     key, relations, tracker.total_tuples, points
                 )
-        for scan in plan.scans:
-            if scan.blocks_drawn > 0:
-                self.synopses.record_relation(
-                    scan.relation.name, scan.blocks_drawn, scan.cum_tuples
-                )
         if report.estimate is None or report.degraded:
             return
         fingerprint = relation_fingerprint(self.catalog, expr.base_relations())

@@ -18,9 +18,7 @@ premise) can have both: *remember what sampling already measured*. The
   variance, sample/population points), keyed by the whole query's
   structural hash and aggregate. The serving layer's degraded answers are
   backed by these: the confidence interval comes from *recorded sample
-  variance*, not a flat made-up half-width;
-* **relation summaries** — cumulative blocks/tuples sampled per relation,
-  cheap observability of how much evidence backs the catalog.
+  variance*, not a flat made-up half-width.
 
 Consistency: every key embeds a base-relation size fingerprint, and
 :meth:`SynopsisCatalog.invalidate_relation` (called by
@@ -41,7 +39,7 @@ the seed replays the run bit for bit.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.errors import ReproError
@@ -156,22 +154,12 @@ class AnswerSynopsis:
         )
 
 
-@dataclass
-class RelationSummary:
-    """Cumulative block-sample evidence recorded against one relation."""
-
-    blocks_sampled: int = 0
-    tuples_seen: int = 0
-    runs: int = 0
-
-
 @dataclass(frozen=True)
 class SynopsisCatalogInfo:
     """Introspection counters (in the style of ``plan_cache_info``)."""
 
     posteriors: int
     answers: int
-    relations: int
     refresh_pending: int
     hits: int
     misses: int
@@ -202,7 +190,6 @@ class SynopsisCatalog:
         self._posterior_relations: dict[SynopsisKey, tuple[str, ...]] = {}
         self._answers: dict[AnswerKey, AnswerSynopsis] = {}
         self._answer_relations: dict[AnswerKey, tuple[str, ...]] = {}
-        self._relations: dict[str, RelationSummary] = {}
         self._refresh: "dict[tuple[str, str], AnswerSynopsis]" = {}
         self._hits = 0
         self._misses = 0
@@ -296,21 +283,6 @@ class SynopsisCatalog:
             self._refresh.pop((key[0], key[1]), None)
 
     # ------------------------------------------------------------------
-    # Relation summaries
-    # ------------------------------------------------------------------
-    def record_relation(self, name: str, blocks: int, tuples: int) -> None:
-        """Absorb one run's per-relation block-sample totals."""
-        with self._lock:
-            summary = self._relations.setdefault(name, RelationSummary())
-            summary.blocks_sampled += blocks
-            summary.tuples_seen += tuples
-            summary.runs += 1
-
-    def relation_summary(self, name: str) -> RelationSummary | None:
-        with self._lock:
-            return self._relations.get(name)
-
-    # ------------------------------------------------------------------
     # Invalidation, aging, refresh
     # ------------------------------------------------------------------
     def invalidate_relation(self, name: str) -> SynopsisInvalidated:
@@ -345,7 +317,6 @@ class SynopsisCatalog:
                 del self._answer_relations[key]
                 self._refresh[(key[0], key[1])] = entry
                 dropped_answers += 1
-            self._relations.pop(name, None)
             self._invalidations += 1
             event = SynopsisInvalidated(
                 relation=name,
@@ -387,7 +358,6 @@ class SynopsisCatalog:
             return SynopsisCatalogInfo(
                 posteriors=len(self._posteriors),
                 answers=len(self._answers),
-                relations=len(self._relations),
                 refresh_pending=len(self._refresh),
                 hits=self._hits,
                 misses=self._misses,
@@ -407,10 +377,6 @@ class SynopsisCatalog:
                 "posterior_relations": dict(self._posterior_relations),
                 "answers": dict(self._answers),
                 "answer_relations": dict(self._answer_relations),
-                "relations": {
-                    k: RelationSummary(v.blocks_sampled, v.tuples_seen, v.runs)
-                    for k, v in self._relations.items()
-                },
                 "refresh": dict(self._refresh),
             }
 
@@ -421,10 +387,6 @@ class SynopsisCatalog:
             self._posterior_relations = dict(token["posterior_relations"])
             self._answers = dict(token["answers"])
             self._answer_relations = dict(token["answer_relations"])
-            self._relations = {
-                k: RelationSummary(v.blocks_sampled, v.tuples_seen, v.runs)
-                for k, v in token["relations"].items()
-            }
             self._refresh = dict(token["refresh"])
 
     def clear(self) -> None:
@@ -434,6 +396,5 @@ class SynopsisCatalog:
             self._posterior_relations.clear()
             self._answers.clear()
             self._answer_relations.clear()
-            self._relations.clear()
             self._refresh.clear()
             self._hits = self._misses = self._invalidations = 0

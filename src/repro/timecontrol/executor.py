@@ -43,10 +43,7 @@ from repro.observability.trace import (
     TraceSink,
 )
 from repro.timecontrol.stopping import HardDeadline, StopState, StoppingCriterion
-from repro.timecontrol.strategies import (
-    FixedFractionHeuristic,
-    TimeControlStrategy,
-)
+from repro.timecontrol.strategies import TimeControlStrategy
 from repro.timekeeping.charger import CostCharger
 from repro.timekeeping.profile import CostKind
 
@@ -409,10 +406,7 @@ class TimeConstrainedExecutor:
                 )
                 self._emit_stage_end(stage_report)
                 break
-            if isinstance(self.strategy, FixedFractionHeuristic):
-                self.strategy.note_stage(
-                    stage_report.duration, stage_report.blocks_read
-                )
+            self.strategy.note_stage(stage_report.duration, stage_report.blocks_read)
             estimate = self.plan.estimate()
             stage_report.estimate = estimate
             estimates.append(estimate)
@@ -423,7 +417,7 @@ class TimeConstrainedExecutor:
                 report.estimate_with_overrun = estimate
                 report.termination = "deadline"
                 break
-            self._notify_stage_duration(stage_report.duration)
+            self.stopping.note_stage_duration(stage_report.duration)
             state = StopState(
                 stage=stage_report.index,
                 remaining_seconds=deadline - clock.now(),
@@ -507,19 +501,6 @@ class TimeConstrainedExecutor:
                 ),
             )
         )
-
-    def _notify_stage_duration(self, seconds: float) -> None:
-        """Feed stage durations to criteria that model future stages."""
-        from repro.timecontrol.stopping import AnyOf, ValueFunction
-
-        criteria = (
-            self.stopping.criteria
-            if isinstance(self.stopping, AnyOf)
-            else (self.stopping,)
-        )
-        for criterion in criteria:
-            if isinstance(criterion, ValueFunction):
-                criterion.note_stage_duration(seconds)
 
     def _run_stage(self, fraction: float, deadline: float) -> StageReport:
         charger = self.plan.charger

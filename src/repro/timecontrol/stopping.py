@@ -51,6 +51,10 @@ class StoppingCriterion:
     def should_stop(self, state: StopState) -> bool:
         raise NotImplementedError
 
+    def note_stage_duration(self, seconds: float) -> None:
+        """One in-time stage took ``seconds``; criteria that model future
+        stages override this."""
+
     def describe(self) -> str:
         return type(self).__name__
 
@@ -189,6 +193,10 @@ class AnyOf(StoppingCriterion):
 
     def should_stop(self, state: StopState) -> bool:
         return any(c.should_stop(state) for c in self.criteria)
+
+    def note_stage_duration(self, seconds: float) -> None:
+        for criterion in self.criteria:
+            criterion.note_stage_duration(seconds)
 
     def describe(self) -> str:
         return " | ".join(c.describe() for c in self.criteria)

@@ -61,6 +61,10 @@ class TimeControlStrategy:
         """Fraction for stage ``stage``; ``None`` = no feasible stage."""
         raise NotImplementedError
 
+    def note_stage(self, seconds: float, blocks: int) -> None:
+        """One executed stage's charged seconds and blocks read; strategies
+        that size stages from measured throughput override this."""
+
     def describe(self) -> str:
         return type(self).__name__
 
@@ -284,7 +288,6 @@ class FixedFractionHeuristic(TimeControlStrategy):
     gamma: float = 0.5
     probe_fraction: float = 0.01
     _seconds_per_block: float | None = field(default=None, repr=False)
-    _spent: float = field(default=0.0, repr=False)
 
     def __post_init__(self) -> None:
         if not 0 < self.gamma <= 1:
@@ -296,7 +299,6 @@ class FixedFractionHeuristic(TimeControlStrategy):
         """Feed back one executed stage (the executor calls this)."""
         if blocks <= 0 or seconds <= 0:
             return
-        self._spent += seconds
         total_blocks = blocks if self._seconds_per_block is None else None
         if total_blocks is not None:
             self._seconds_per_block = seconds / blocks

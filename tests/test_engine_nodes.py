@@ -15,6 +15,7 @@ from repro.catalog.catalog import Catalog
 from repro.costmodel.model import CostModel
 from repro.engine.plan import StagedPlan
 from repro.errors import EstimationError, TimeControlError
+from repro.estimation.selectivity import SelectivityTracker, StageLedger
 from repro.relational.evaluator import count_exact
 from repro.relational.expression import (
     intersect,
@@ -206,7 +207,7 @@ class TestProjectNode:
         root = plan.terms[0].root
         sub = restricted_catalog(plan)
         assert root.cum_out_tuples == count_exact(expr, sub)
-        assert sum(root.occupancy.values()) == root.observed_child_tuples
+        assert sum(root.occupancy.values()) == root.child.cum_out_tuples
 
     def test_full_coverage_project_exact(self, catalog):
         expr = project(rel("r1"), ["a"])
@@ -220,6 +221,57 @@ class TestProjectNode:
         plan.advance_stage(0.5)
         sub = restricted_catalog(plan)
         assert plan.terms[0].root.cum_out_tuples == count_exact(expr, sub)
+
+
+class TestNodeState:
+    """A node stores a ledger, its children and its runs — no other count."""
+
+    def test_rollback_tokens_hold_only_what_the_node_alone_knows(self, catalog):
+        expr = project(
+            select(join(rel("r1"), rel("r2"), on=["a"]), cmp("a", "<", 3)), ["a"]
+        )
+        plan = free_plan(expr, catalog)
+        plan.advance_stage(0.2)
+        keys = {type(n).__name__: set(n.snapshot()) for n in plan.nodes}
+        base = {"ledger", "stage_columns"}
+        assert keys == {
+            "StagedScan": base | {"sampler", "stage_rows"},
+            "StagedSelect": base,
+            "StagedJoin": base
+            | {"left_runs", "right_runs", "left_sorted", "right_sorted"},
+            "StagedProject": base | {"occupancy"},
+        }
+
+    def test_an_operators_ledger_is_its_tracker(self, catalog):
+        plan = free_plan(
+            union(select(rel("r1"), cmp("a", "<", 4)), rel("r2")), catalog
+        )
+        plan.advance_stage(0.2)
+        assert len(plan.nodes) == len({id(n) for n in plan.nodes}) == 5
+        for node in plan.nodes:
+            assert isinstance(node.ledger, StageLedger)
+            if node in plan.scans:
+                assert node.tracker is None
+                assert node.cum_tuples == node.ledger.total_tuples > 0
+            else:
+                assert node.tracker is node.ledger
+                assert isinstance(node.tracker, SelectivityTracker)
+        assert plan.tracked_nodes() == [n for n in plan.nodes if n.children]
+
+    def test_retired_counters_are_gone_and_views_are_read_only(self, catalog):
+        plan = free_plan(
+            project(intersect(rel("r1"), rel("r2")), ["a"]), catalog
+        )
+        plan.advance_stage(0.2)
+        for node in plan.nodes:
+            for name in ("cum_left_in", "cum_right_in", "observed_child_tuples"):
+                assert not hasattr(node, name)
+            assert node.stage == 1
+            for view in ("stage", "cum_out_tuples", "points_so_far"):
+                with pytest.raises(AttributeError):
+                    setattr(node, view, 0)
+        with pytest.raises(AttributeError):
+            plan.scans[0].cum_tuples = 0
 
 
 class TestPlanMechanics:

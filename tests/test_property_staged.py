@@ -8,6 +8,8 @@ tuples. This generalises the hand-picked cases in test_engine_nodes.py to
 randomly generated trees and stage schedules.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,14 @@ from repro.catalog.types import AttributeType
 from repro.costmodel.model import CostModel
 from repro.engine.plan import StagedPlan
 from repro.relational.evaluator import count_exact
-from repro.relational.expression import intersect, join, rel, select
+from repro.relational.expression import (
+    intersect,
+    join,
+    project,
+    rel,
+    select,
+    union,
+)
 from repro.relational.predicate import cmp
 from repro.timekeeping.charger import CostCharger
 from repro.timekeeping.profile import MachineProfile
@@ -172,3 +181,77 @@ def test_partial_fulfillment_counts_subset_of_full(expr, seed):
         partial_plan.terms[0].root.cum_out_tuples
         <= full_plan.terms[0].root.cum_out_tuples
     )
+
+
+# Every operator shape the engine lowers, each with an operator at the root
+# of every term: a selection, a join, an intersection, a projection over any
+# of them, and a union (three inclusion–exclusion terms sharing two scans).
+@st.composite
+def operator_rooted_expression(draw):
+    sji = draw(sji_expression())
+    if sji == rel("r1"):
+        sji = select(sji, cmp("a", "<", draw(st.integers(1, 5))))
+    shape = draw(st.sampled_from(["sji", "project", "union"]))
+    if shape == "sji":
+        return sji
+    if shape == "project":
+        return project(sji, ["a"])
+    return union(
+        select(rel("r1"), cmp("a", "<", draw(st.integers(1, 5)))),
+        select(rel("r2"), cmp("a", ">=", draw(st.integers(0, 4)))),
+    )
+
+
+def ledger_state(plan):
+    return [
+        (list(n.ledger.observations), n.ledger.total_tuples, n.ledger.total_points)
+        for n in plan.nodes
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    expr=operator_rooted_expression(),
+    full=st.booleans(),
+    steps=st.lists(
+        st.tuples(st.booleans(), st.floats(0.05, 0.4)), min_size=1, max_size=5
+    ),
+    seed=st.integers(0, 2**16),
+)
+def test_every_node_counts_its_stages_once(expr, full, steps, seed):
+    """One ledger per node: after any run of stages and salvage rollbacks it
+    is the stage index, and a node's points compose from its children's."""
+    catalog = build_catalog()
+    rng = np.random.default_rng(seed)
+    charger = CostCharger(MachineProfile.uniform(0.0), rng=rng)
+    plan = StagedPlan(
+        expr, catalog, charger, CostModel(), rng, full_fulfillment=full
+    )
+    for rollback, fraction in steps:
+        if plan.all_exhausted():
+            break
+        before = ledger_state(plan)
+        token = plan.snapshot()
+        stats = plan.advance_stage(fraction)
+        roots = [term.root.ledger.last for term in plan.terms]
+        assert stats.new_points == sum(o.points for o in roots)
+        assert stats.new_outputs == sum(o.tuples for o in roots)
+        if rollback:  # what the executor does with a faulted stage
+            plan.restore(token)
+            assert ledger_state(plan) == before
+        for node in plan.nodes:
+            ledger = node.ledger
+            assert len(ledger.observations) == node.stage == plan.stages_completed
+            assert ledger.total_tuples == sum(o.tuples for o in ledger.observations)
+            assert ledger.total_points == sum(o.points for o in ledger.observations)
+            if not node.children or node.stage == 0:
+                continue
+            below = [child.ledger for child in node.children]
+            if full:
+                assert ledger.total_points == math.prod(
+                    b.total_points for b in below
+                )
+            else:
+                assert ledger.last.points == math.prod(
+                    b.last.points for b in below
+                )

@@ -6,6 +6,7 @@ import pytest
 from repro.core.database import Database
 from repro.errors import TimeControlError
 from repro.estimation.aggregates import sum_of
+from repro.faults import FaultPlan
 from repro.realtime.transaction import (
     FeedbackAllocator,
     ProportionalAllocator,
@@ -111,6 +112,26 @@ class TestScheduler:
         assert outcome.quotas["rest"] == pytest.approx(
             10.0 - consumed_first, rel=0.01
         )
+
+    def test_time_wasted_by_faults_is_consumed(self, db):
+        """A salvaged stage attempt is charged time: it comes out of the
+        deadline, and the next query is not granted it a second time."""
+        tasks = three_tasks()[:2]
+        outcome = TransactionScheduler(db).run(
+            tasks,
+            deadline=20.0,
+            seed=5,
+            measure_overspend=False,
+            fault_plan=FaultPlan(read_error_prob=0.005, seed_salt=1),
+        )
+        reports = [outcome.results[t.name].report for t in tasks]
+        wasted = [r.wasted_seconds for r in reports]
+        charged = [
+            sum(s.duration for s in r.stages) + w for r, w in zip(reports, wasted)
+        ]
+        assert wasted[0] > 0  # the scenario: the first query lost a stage
+        assert outcome.elapsed == pytest.approx(sum(charged))
+        assert outcome.quotas["high"] <= 20.0 - charged[0] + 1e-9
 
     def test_validation(self, db):
         scheduler = TransactionScheduler(db)

@@ -3,7 +3,11 @@
 import pytest
 
 from repro.errors import EstimationError
-from repro.estimation.selectivity import SelectivityTracker
+from repro.estimation.selectivity import (
+    SelectivityTracker,
+    StageLedger,
+    StageObservation,
+)
 
 
 @pytest.fixture
@@ -46,6 +50,26 @@ class TestReviseSelectivities:
         with pytest.raises(EstimationError):
             tracker.record_stage(-1, 10)
         assert (tracker.total_tuples, tracker.total_points) == (15, 150)
+
+    def test_the_counting_half_is_a_stage_ledger(self, tracker):
+        """A scan's bare ledger counts exactly as an operator's tracker does."""
+        assert isinstance(tracker, StageLedger)
+        ledger = StageLedger()
+        for counts in (ledger, tracker):
+            counts.record_stage(tuples=10, points=100)
+            token = counts.snapshot()
+            counts.record_stage(tuples=30, points=150)
+            assert counts.last == StageObservation(30, 150)
+            assert (counts.total_tuples, counts.total_points) == (40, 250)
+            counts.restore(token)
+            assert counts.stages_observed == token == 1
+            assert counts.last == StageObservation(10, 100)
+            assert (counts.total_tuples, counts.total_points) == (10, 100)
+            with pytest.raises(EstimationError):
+                counts.restore(2)
+        assert ledger.observations == tracker.observations
+        seeded = SelectivityTracker("s", 1.0, observations=list(ledger.observations))
+        assert (seeded.total_tuples, seeded.total_points) == (10, 100)
 
     def test_intersect_style_initial(self):
         t = SelectivityTracker("int#1", initial=1 / 10_000)
