@@ -25,7 +25,6 @@ from repro.catalog import Attribute, AttributeType, Catalog, Schema
 from repro.core import (
     DEFAULT_OPTIONS,
     Database,
-    ExecutionContext,
     QueryOptions,
     QueryResult,
     QuerySession,
@@ -137,7 +136,6 @@ __all__ = [
     "DEFAULT_OPTIONS",
     "Estimate",
     "ErrorConstrained",
-    "ExecutionContext",
     "FaultInjected",
     "FaultInjector",
     "FaultPlan",

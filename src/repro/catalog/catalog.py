@@ -9,7 +9,7 @@ counts (``D``) from here.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.errors import CatalogError
 
@@ -56,3 +56,23 @@ class Catalog:
     def names(self) -> list[str]:
         """All registered relation names, in registration order."""
         return list(self._relations)
+
+
+def relation_fingerprint(catalog: Catalog, names: Iterable[str]) -> str:
+    """Size fingerprint of base relations: ``name:tuples:blocks;…``.
+
+    Two catalog states agree on a fingerprint only when every named
+    relation has the same tuple and block count — a plan or evidence
+    recorded against one data size is never replayed against another.
+    The plan cache and the synopsis catalog both key on it.
+    """
+    parts = []
+    for name in sorted(set(names)):
+        relation = catalog.get(name)
+        parts.append(f"{name}:{relation.tuple_count}:{relation.block_count}")
+    return ";".join(parts)
+
+
+def fingerprint_relations(fingerprint: str) -> set[str]:
+    """The relation names a :func:`relation_fingerprint` covers."""
+    return {part.split(":", 1)[0] for part in fingerprint.split(";") if part}

@@ -3,12 +3,11 @@
 from repro.core.database import Database
 from repro.core.options import DEFAULT_OPTIONS, QueryOptions
 from repro.core.result import QueryResult
-from repro.core.session import ExecutionContext, QuerySession
+from repro.core.session import QuerySession
 
 __all__ = [
     "DEFAULT_OPTIONS",
     "Database",
-    "ExecutionContext",
     "QueryOptions",
     "QueryResult",
     "QuerySession",

@@ -31,13 +31,17 @@ from repro.catalog.schema import Attribute, Schema
 from repro.catalog.types import AttributeType
 from repro.core.options import QueryOptions
 from repro.core.result import QueryResult
-from repro.core.session import ExecutionContext, QuerySession
+from repro.core.session import QuerySession
 from repro.costmodel.model import CostModel
+from repro.engine.plan import StagedPlan
 from repro.errors import ReproError
+from repro.estimation.aggregates import COUNT
 from repro.observability.trace import NULL_SINK, TraceSink
 from repro.relational.evaluator import ExactEvaluator
 from repro.relational.expression import Expression
 from repro.storage.heapfile import DEFAULT_BLOCK_SIZE, HeapFile
+from repro.timecontrol.executor import TimeConstrainedExecutor
+from repro.timecontrol.strategies import default_strategy
 from repro.timekeeping.charger import CostCharger
 from repro.timekeeping.clock import Clock, SimulatedClock, WallClock
 from repro.timekeeping.profile import MachineProfile
@@ -352,59 +356,38 @@ class Database:
             hinter.require_statistics(expr)
             hint_provider = hinter.hint
 
-        resolved_sink = opts.sink if opts.sink is not None else NULL_SINK
+        sink = opts.sink if opts.sink is not None else NULL_SINK
         binder = None
         if opts.synopses:
             from repro.synopses.binder import SynopsisBinder
 
-            binder = SynopsisBinder(
-                self.synopses, self.catalog, sink=resolved_sink
-            )
+            binder = SynopsisBinder(self.synopses, self.catalog, sink=sink)
         rng = self._spawn_rng(seed)
         injector = None
         if opts.fault_plan is not None and opts.fault_plan.active:
             from repro.faults.injector import FaultInjector
 
-            injector = FaultInjector.for_session(
-                opts.fault_plan, rng, resolved_sink
-            )
-        context = ExecutionContext(
-            rng=rng,
-            charger=self._make_charger(
-                rng,
-                sink=resolved_sink,
-                trace_costs=opts.trace_costs,
-                clock=opts.clock,
-            ),
-            cost_model=opts.cost_model
-            or CostModel(
-                specs=opts.step_specs
-                if opts.step_specs is not None
-                else self._default_specs()
-            ),
-            sink=resolved_sink,
-            injector=injector,
-        )
-        return QuerySession(
+            injector = FaultInjector.for_session(opts.fault_plan, rng, sink)
+        plan = StagedPlan(
             expr,
             self.catalog,
-            quota,
-            context,
-            strategy=opts.strategy,
-            stopping=opts.stopping,
-            measure_overspend=opts.measure_overspend,
-            max_stages=opts.max_stages,
-            aggregate=aggregate,
-            block_size=opts.block_size or self.block_size,
-            full_fulfillment=opts.full_fulfillment,
-            initial_selectivities=opts.initial_selectivities,
-            zero_fix_beta=opts.zero_fix_beta,
+            self._make_charger(
+                rng, sink=sink, trace_costs=opts.trace_costs, clock=opts.clock
+            ),
+            opts.cost_model or self.default_cost_model(),
+            rng,
+            opts,
+            aggregate=aggregate if aggregate is not None else COUNT,
+            block_size=self.block_size,
             hint_provider=hint_provider,
-            pin_selectivities=opts.selectivity_source == "prestored",
-            optimize=opts.optimize,
+            injector=injector,
             binder=binder,
-            bufferpool=opts.bufferpool,
         )
+        strategy = (
+            opts.strategy if opts.strategy is not None else default_strategy()
+        )
+        executor = TimeConstrainedExecutor(plan, strategy, opts)
+        return QuerySession(expr, quota, plan, executor, binder)
 
     def explain(
         self,

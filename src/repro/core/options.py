@@ -26,7 +26,6 @@ from typing import TYPE_CHECKING
 from repro.errors import ReproError
 
 if TYPE_CHECKING:
-    from repro.costmodel.linear import StepSpec
     from repro.costmodel.model import CostModel
     from repro.faults.plan import FaultPlan
     from repro.observability.trace import TraceSink
@@ -42,10 +41,15 @@ SELECTIVITY_SOURCES = ("runtime", "hybrid", "prestored")
 class QueryOptions:
     """Immutable per-query configuration (see module docs).
 
-    Every field has the same meaning it had as an ``open_session`` keyword;
-    ``None`` means "use the database's / engine's default". ``fault_plan``
-    attaches a :class:`repro.faults.FaultPlan` so the run injects
-    deterministic, seed-replayable faults (see :mod:`repro.faults`).
+    This is the one place a per-query option and its default live: the
+    plan, the physical builder and the executor all read their knobs from
+    the bundle they are handed. ``None`` means "use the database's /
+    engine's default" — :func:`~repro.timecontrol.strategies.
+    default_strategy` for ``strategy``, :class:`~repro.timecontrol.stopping.
+    HardDeadline` for ``stopping``, the database's prior-seeded model for
+    ``cost_model`` (pass ``CostModel(specs=…)`` for custom priors).
+    ``fault_plan`` attaches a :class:`repro.faults.FaultPlan` so the run
+    injects deterministic, seed-replayable faults (see :mod:`repro.faults`).
     ``optimize`` selects the logical optimizer (:mod:`repro.planner`),
     default on; ``False`` lowers the expression verbatim, bit-identical to
     the pre-planner engine. ``synopses`` enables the cross-query synopsis
@@ -67,7 +71,6 @@ class QueryOptions:
     zero_fix_beta: float | None = None
     measure_overspend: bool = True
     cost_model: "CostModel | None" = None
-    step_specs: "dict[str, StepSpec] | None" = None
     max_stages: int = 64
     selectivity_source: str = "runtime"
     sink: "TraceSink | None" = None
@@ -76,7 +79,6 @@ class QueryOptions:
     optimize: bool = True
     synopses: bool = False
     bufferpool: "BufferPool | None" = None
-    block_size: int | None = None
     fault_plan: "FaultPlan | None" = None
 
     def __post_init__(self) -> None:
@@ -91,8 +93,6 @@ class QueryOptions:
             )
         if self.max_stages < 1:
             raise ReproError(f"max_stages must be >= 1: {self.max_stages}")
-        if self.block_size is not None and self.block_size <= 0:
-            raise ReproError(f"block_size must be positive: {self.block_size}")
         if self.bufferpool is not None:
             from repro.storage.bufferpool import resolve_pool
 

@@ -6,9 +6,9 @@ the :class:`~repro.timekeeping.charger.CostCharger` with its clock, the
 adaptive :class:`~repro.costmodel.model.CostModel`, the
 :class:`~repro.engine.plan.StagedPlan`, the time-control strategy, the
 stopping criterion, and the run's trace sink. Two sessions never share
-mutable state, which is what makes runs independently replayable,
-traceable, and safe to fan out across processes (see
-:mod:`repro.experiments.runner`).
+mutable state, which is what makes runs independently replayable and
+traceable. The session relays no configuration: the plan and the executor
+read theirs from one :class:`~repro.core.options.QueryOptions`.
 
 :class:`Database` opens sessions (:meth:`Database.open_session`) and its
 ``estimate`` entrypoint is a one-line wrapper over
@@ -27,119 +27,50 @@ inspect the machinery before or after the run::
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import overload
 
 import numpy as np
 
-from repro.catalog.catalog import Catalog
 from repro.core.result import QueryResult
-from repro.costmodel.model import CostModel
 from repro.engine.plan import StagedPlan
 from repro.errors import ReproError
-from repro.estimation.aggregates import AggregateSpec
-from repro.faults.injector import FaultInjector
-from repro.observability.trace import NULL_SINK, TraceSink
+from repro.observability.trace import TraceSink
 from repro.relational.expression import Expression
-from repro.storage.heapfile import DEFAULT_BLOCK_SIZE
 from repro.timecontrol.executor import (
     Checkpoint,
     RunReport,
     SuspendedRun,
     TimeConstrainedExecutor,
 )
-from repro.timecontrol.stopping import StoppingCriterion
-from repro.timecontrol.strategies import OneAtATimeInterval, TimeControlStrategy
 from repro.timekeeping.charger import CostCharger
 
 _session_counter = itertools.count(1)
 
 
-@dataclass(frozen=True)
-class ExecutionContext:
-    """The per-run mutable machinery, bundled.
-
-    Everything in here is owned by exactly one session: the RNG stream
-    (sampling + cost jitter), the charger (clock + deadline + accounting),
-    the cost model (refit during the run), and the trace sink.
-    """
-
-    rng: np.random.Generator
-    charger: CostCharger
-    cost_model: CostModel
-    sink: TraceSink = field(default_factory=lambda: NULL_SINK)
-    injector: FaultInjector | None = None
-
-
 class QuerySession:
     """One time-constrained aggregate query, ready to run.
 
-    Construction builds the full staged machinery (plan + executor) from an
-    :class:`ExecutionContext`; :meth:`run` executes it exactly once. All
-    parts stay reachable afterwards for inspection: :attr:`plan`,
-    :attr:`executor`, :attr:`context`, :attr:`result`.
+    Holds a built plan and the executor that drives it (composed by
+    :meth:`Database.open_session`, or by hand); :meth:`run` executes it
+    exactly once. All parts stay reachable afterwards for inspection:
+    :attr:`plan`, :attr:`executor`, :attr:`result`. ``binder``, when given,
+    receives the finished run's evidence (:mod:`repro.synopses`).
     """
 
     def __init__(
         self,
         expr: Expression,
-        catalog: Catalog,
         quota: float,
-        context: ExecutionContext,
-        strategy: TimeControlStrategy | None = None,
-        stopping: StoppingCriterion | None = None,
-        measure_overspend: bool = True,
-        max_stages: int = 64,
-        aggregate: AggregateSpec | None = None,
-        block_size: int = DEFAULT_BLOCK_SIZE,
-        full_fulfillment: bool = True,
-        initial_selectivities: dict[str, float] | None = None,
-        zero_fix_beta: float | None = None,
-        hint_provider=None,
-        pin_selectivities: bool = False,
-        optimize: bool = True,
+        plan: StagedPlan,
+        executor: TimeConstrainedExecutor,
         binder=None,
-        bufferpool=None,
     ) -> None:
-        from repro.estimation.aggregates import COUNT
-
         self.expr = expr
         self.quota = quota
-        self.context = context
-        self.label = f"session-{next(_session_counter)}"
-        self.optimize = optimize
-        self.strategy = (
-            strategy if strategy is not None else OneAtATimeInterval(d_beta=24.0)
-        )
-        self.plan = StagedPlan(
-            expr,
-            catalog,
-            context.charger,
-            context.cost_model,
-            context.rng,
-            block_size=block_size,
-            full_fulfillment=full_fulfillment,
-            initial_selectivities=initial_selectivities,
-            zero_fix_beta=zero_fix_beta,
-            aggregate=aggregate if aggregate is not None else COUNT,
-            hint_provider=hint_provider,
-            pin_selectivities=pin_selectivities,
-            sink=context.sink,
-            injector=context.injector,
-            optimize=self.optimize,
-            binder=binder,
-            bufferpool=bufferpool,
-        )
+        self.plan = plan
+        self.executor = executor
         self.binder = binder
-        self.bufferpool = self.plan.bufferpool
-        self.executor = TimeConstrainedExecutor(
-            self.plan,
-            self.strategy,
-            stopping=stopping,
-            measure_overspend=measure_overspend,
-            max_stages=max_stages,
-            sink=context.sink,
-        )
+        self.label = f"session-{next(_session_counter)}"
         self._result: QueryResult | None = None
         self._suspended: SuspendedRun | None = None
 
@@ -148,15 +79,15 @@ class QuerySession:
     # ------------------------------------------------------------------
     @property
     def sink(self) -> TraceSink:
-        return self.context.sink
+        return self.plan.sink
 
     @property
     def charger(self) -> CostCharger:
-        return self.context.charger
+        return self.plan.charger
 
     @property
     def rng(self) -> np.random.Generator:
-        return self.context.rng
+        return self.plan.rng
 
     @property
     def result(self) -> QueryResult | None:

@@ -33,7 +33,7 @@ from repro.engine.nodes import (
     StagedScan,
     StagedSelect,
 )
-from repro.errors import ExpressionError
+from repro.errors import EstimationError, ExpressionError
 from repro.relational.expression import (
     Expression,
     Intersect,
@@ -43,12 +43,13 @@ from repro.relational.expression import (
     Select,
 )
 from repro.sampling.sampler import BlockSampler
+from repro.storage.bufferpool import resolve_pool
 from repro.storage.spool import Spool
 from repro.timekeeping.charger import CostCharger
 
 if TYPE_CHECKING:
+    from repro.core.options import QueryOptions
     from repro.faults.injector import FaultInjector
-    from repro.storage.bufferpool import BufferPool
     from repro.synopses.binder import SynopsisBinder
 
 DEFAULT_INITIAL_SELECTIVITY = {
@@ -69,13 +70,11 @@ class PhysicalPlanBuilder:
         charger: CostCharger,
         cost_model: CostModel,
         rng: np.random.Generator,
+        options: "QueryOptions",
+        *,
         block_size: int,
-        full_fulfillment: bool,
-        bufferpool: "BufferPool",
         injector: "FaultInjector | None" = None,
-        initial_selectivities: dict[str, float] | None = None,
         hint_provider=None,
-        pin_selectivities: bool = False,
         binder: "SynopsisBinder | None" = None,
     ) -> None:
         self.catalog = catalog
@@ -83,15 +82,19 @@ class PhysicalPlanBuilder:
         self.cost_model = cost_model
         self.rng = rng
         self.block_size = block_size
-        self.full_fulfillment = full_fulfillment
+        self.full_fulfillment = options.full_fulfillment
         self.injector = injector
-        self.bufferpool = bufferpool
+        self.bufferpool = resolve_pool(options.bufferpool)
         self._hint_provider = hint_provider
-        self._pin_selectivities = pin_selectivities
+        self._pin_selectivities = options.selectivity_source == "prestored"
+        if self._pin_selectivities and hint_provider is None:
+            raise EstimationError(
+                "selectivity_source='prestored' needs a hint provider"
+            )
         self._binder = binder
         self._initial = dict(DEFAULT_INITIAL_SELECTIVITY)
-        if initial_selectivities:
-            self._initial.update(initial_selectivities)
+        if options.initial_selectivities:
+            self._initial.update(options.initial_selectivities)
         self.spool = Spool(block_size)
         self._scans: dict[str, StagedScan] = {}
         self._label_counter = 0

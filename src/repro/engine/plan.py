@@ -1,8 +1,8 @@
 """Staged query plans — wiring expressions to the staged engine.
 
-A :class:`StagedPlan` optionally rewrites ``E`` through the logical
-optimizer (:mod:`repro.planner`; ``optimize=True``), turns ``COUNT(E)``
-into its inclusion–exclusion terms, lowers each term through
+A :class:`StagedPlan` rewrites ``E`` through the logical optimizer
+(:mod:`repro.planner`) unless its options say ``optimize=False``, turns
+``COUNT(E)`` into its inclusion–exclusion terms, lowers each term through
 :class:`~repro.engine.physical.PhysicalPlanBuilder` into a staged operator
 tree over **shared** per-relation scans, and exposes the three operations
 the time-constrained executor needs:
@@ -64,14 +64,13 @@ from repro.relational.expression import Expression
 from repro.relational.inclusion_exclusion import expand_count
 from repro.sampling.point_space import PointSpace
 from repro.sampling.sampler import fraction_blocks
-from repro.storage.bufferpool import resolve_pool
 from repro.storage.events import ShardMerged, ShardScanStarted
 from repro.storage.heapfile import DEFAULT_BLOCK_SIZE
 from repro.timekeeping.charger import CostCharger
 
 if TYPE_CHECKING:
+    from repro.core.options import QueryOptions
     from repro.faults.injector import FaultInjector
-    from repro.storage.bufferpool import BufferPool
     from repro.synopses.binder import SynopsisBinder
 
 __all__ = [
@@ -151,7 +150,12 @@ class StageStats:
 
 
 class StagedPlan:
-    """The staged, multi-term evaluation plan of one COUNT query."""
+    """The staged, multi-term evaluation plan of one COUNT query.
+
+    Every knob comes from ``options`` (``None`` is ``QueryOptions()``, so a
+    plan built here lowers exactly like a default session's); the
+    keywords are the query's aggregate and the objects a session wires in.
+    """
 
     def __init__(
         self,
@@ -160,47 +164,37 @@ class StagedPlan:
         charger: CostCharger,
         cost_model: CostModel,
         rng: np.random.Generator,
-        block_size: int = DEFAULT_BLOCK_SIZE,
-        full_fulfillment: bool = True,
-        initial_selectivities: dict[str, float] | None = None,
-        zero_fix_beta: float | None = None,
+        options: "QueryOptions | None" = None,
+        *,
         aggregate: AggregateSpec = COUNT,
+        block_size: int = DEFAULT_BLOCK_SIZE,
         hint_provider=None,
-        pin_selectivities: bool = False,
-        sink: TraceSink | None = None,
         injector: "FaultInjector | None" = None,
-        optimize: bool = False,
         binder: "SynopsisBinder | None" = None,
-        bufferpool: "BufferPool | None" = None,
     ) -> None:
+        if options is None:
+            from repro.core.options import DEFAULT_OPTIONS as options
         self.expr = expr
-        # None → the process-wide default pool, wherever the plan is built.
-        self.bufferpool = resolve_pool(bufferpool)
-        self.sink: TraceSink = sink if sink is not None else NULL_SINK
+        self.sink: TraceSink = (
+            options.sink if options.sink is not None else NULL_SINK
+        )
         self.injector = injector
         self.aggregate = aggregate
-        self._hint_provider = hint_provider
-        self._pin_selectivities = pin_selectivities
-        if pin_selectivities and hint_provider is None:
-            raise EstimationError(
-                "pin_selectivities needs a hint provider (prestored mode)"
-            )
         self.catalog = catalog
         self.charger = charger
         self.cost_model = cost_model
         self.rng = rng
         self.block_size = block_size
-        self.full_fulfillment = full_fulfillment
 
         expr.schema(catalog)  # validate the query up front
         # Phase 2 — logical optimization (the tree stays `expr` verbatim
         # with optimize=False, preserving the pre-planner engine bit for
         # bit; self.expr always keeps the query as written).
-        self.optimize = optimize
+        self.optimize = options.optimize
         self.rule_applications = ()
         self.plan_cache_hit = False
         self.optimized_expr = expr
-        if optimize:
+        if self.optimize:
             from repro.planner.rewrite import plan_logical
 
             planned = plan_logical(expr, catalog, hint=hint_provider)
@@ -228,19 +222,17 @@ class StagedPlan:
 
         # Phase 3 — physical lowering over shared scans.
         self._builder = PhysicalPlanBuilder(
-            catalog=catalog,
-            charger=charger,
-            cost_model=cost_model,
-            rng=rng,
+            catalog,
+            charger,
+            cost_model,
+            rng,
+            options,
             block_size=block_size,
-            full_fulfillment=full_fulfillment,
-            bufferpool=self.bufferpool,
             injector=injector,
-            initial_selectivities=initial_selectivities,
             hint_provider=hint_provider,
-            pin_selectivities=pin_selectivities,
             binder=binder,
         )
+        self.bufferpool = self._builder.bufferpool
         self.binder = binder
         self.spool = self._builder.spool
         self.terms: list[StagedTerm] = []
@@ -278,8 +270,8 @@ class StagedPlan:
             }.values()
         )
         for tracker in self.trackers():
-            if zero_fix_beta is not None:
-                tracker.zero_fix_beta = zero_fix_beta
+            if options.zero_fix_beta is not None:
+                tracker.zero_fix_beta = options.zero_fix_beta
             if not isinstance(self.sink, NullSink):
                 tracker.sink = self.sink
         self.stages_completed = 0

@@ -119,20 +119,14 @@ class SamplingExhausted(ReproError):
 class CellRunError(ReproError):
     """One run of a ``run_cell`` batch failed.
 
-    Raised in place of the bare exception so a 200-run (possibly
-    multiprocessing) cell names the exact seed and cell that died instead of
-    surfacing an anonymous worker traceback; the original exception is
-    chained as ``__cause__``. Constructed with ``(seed, message)`` so the
-    instance survives the pickling round-trip out of a worker process.
+    Raised in place of the bare exception so a 200-run cell names the
+    exact seed and cell that died; the original exception is chained as
+    ``__cause__``.
     """
 
     def __init__(self, seed: int, message: str) -> None:
-        super().__init__(seed, message)
+        super().__init__(message)
         self.seed = seed
-        self.message = message
-
-    def __str__(self) -> str:
-        return self.message
 
 
 class QuotaExpired(Exception):

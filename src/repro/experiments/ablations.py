@@ -230,6 +230,7 @@ def ablation_estimator_quality(
     }
 
     def mean_error(setup: PaperSetup, fraction: float) -> float:
+        from repro.core.options import QueryOptions
         from repro.engine.plan import StagedPlan
         from repro.timekeeping.charger import CostCharger
         from repro.timekeeping.profile import MachineProfile
@@ -244,6 +245,7 @@ def ablation_estimator_quality(
                 charger,
                 CostModel(),
                 rng,
+                QueryOptions(optimize=False),  # the paper's trees as written
             )
             plan.advance_stage(fraction)
             value = plan.estimate().value

@@ -15,22 +15,13 @@ paper's columns:
 plus a reproduction extra the paper reports elsewhere: the mean relative
 error of the returned estimate against the exact count.
 
-Because every run executes in its own :class:`~repro.core.session.QuerySession`
-(no mutable state shared between seeds), the cell's runs are embarrassingly
-parallel: ``run_cell(..., workers=N)`` fans the seed range out over a
-``ProcessPoolExecutor`` of fork-started workers and returns results in seed
-order — bit-identical to the serial path, just wall-clock faster. The
-default (``workers=0``) stays serial so determinism-sensitive callers (and
-callers passing a shared ``cost_model`` or a trace ``sink``) keep the exact
-single-process semantics.
+Every run executes in its own :class:`~repro.core.session.QuerySession`
+(no mutable state shared between seeds), serially and in seed order.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing
-import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -72,13 +63,6 @@ class CellResult:
         ]
 
 
-# Fork-inherited state of one parallel run_cell call. Set in the parent
-# immediately before the pool forks, cleared right after; child processes
-# receive a copy-on-write snapshot, so nothing (database, closures, strategy
-# factories) ever needs to be pickled.
-_FORK_STATE: tuple[PaperSetup, StrategyFactory, int, dict] | None = None
-
-
 def _run_one(
     setup: PaperSetup,
     strategy_factory: StrategyFactory,
@@ -88,9 +72,8 @@ def _run_one(
     """One independent evaluation — a fresh session for a fresh seed.
 
     A failure is re-raised as :class:`CellRunError` naming the seed and the
-    cell, so a crash deep inside one of 200 runs — possibly inside a forked
-    worker, where the naked traceback would name no seed at all — points
-    straight at the reproducing configuration.
+    cell, so a crash deep inside one of 200 runs points straight at the
+    reproducing configuration.
     """
     strategy = strategy_factory()
     try:
@@ -111,93 +94,21 @@ def _run_one(
         ) from exc
 
 
-def _run_fork_chunk(seeds: Sequence[int]) -> list[QueryResult]:
-    """Worker entry point: run a contiguous chunk of seeds in-process."""
-    assert _FORK_STATE is not None, "worker forked without run_cell state"
-    setup, strategy_factory, _, kwargs = _FORK_STATE
-    return [_run_one(setup, strategy_factory, seed, kwargs) for seed in seeds]
-
-
-def _chunk_seeds(runs: int, seed0: int, workers: int) -> list[list[int]]:
-    """Contiguous seed chunks, in order — ~4 chunks per worker for balance."""
-    chunk_count = min(runs, max(workers * 4, 1))
-    base, extra = divmod(runs, chunk_count)
-    chunks: list[list[int]] = []
-    start = seed0
-    for i in range(chunk_count):
-        size = base + (1 if i < extra else 0)
-        chunks.append(list(range(start, start + size)))
-        start += size
-    return chunks
-
-
 def run_cell(
     setup: PaperSetup,
     strategy_factory: StrategyFactory,
     runs: int,
     seed0: int = 1000,
-    workers: int = 0,
     **estimate_kwargs,
 ) -> list[QueryResult]:
-    """Run one cell: ``runs`` independent evaluations with fresh seeds.
+    """Run one cell: ``runs`` evaluations on seeds ``seed0``, ``seed0 + 1``, …
 
-    ``workers=0`` (default) runs serially in-process. ``workers=N`` fans the
-    seed range out over ``N`` forked worker processes; results come back in
-    seed order and are bit-identical to the serial path, because each run is
-    an isolated :class:`~repro.core.session.QuerySession` keyed only by its
-    seed. Parallel mode refuses configurations whose semantics depend on
-    cross-run shared state (a caller-provided ``cost_model``) or that cannot
-    cross a process boundary (a trace ``sink``).
+    ``estimate_kwargs`` are query options applied to every run.
     """
     kwargs = dict(estimate_kwargs)
     kwargs.setdefault("initial_selectivities", setup.initial_selectivities)
-    if workers and workers > 0 and runs > 1:
-        return _run_cell_parallel(setup, strategy_factory, runs, seed0, workers, kwargs)
     seeds = range(seed0, seed0 + runs)
     return [_run_one(setup, strategy_factory, seed, kwargs) for seed in seeds]
-
-
-def _run_cell_parallel(
-    setup: PaperSetup,
-    strategy_factory: StrategyFactory,
-    runs: int,
-    seed0: int,
-    workers: int,
-    kwargs: dict,
-) -> list[QueryResult]:
-    if kwargs.get("cost_model") is not None:
-        raise ValueError(
-            "run_cell(workers>0) cannot share one cost_model across "
-            "processes; pass step_specs (fresh model per run) or workers=0"
-        )
-    if kwargs.get("sink") is not None:
-        raise ValueError(
-            "run_cell(workers>0) cannot stream one trace sink from several "
-            "processes; trace with workers=0"
-        )
-    try:
-        mp_context = multiprocessing.get_context("fork")
-    except ValueError:
-        warnings.warn(
-            "fork start method unavailable; run_cell falling back to serial",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        seeds = range(seed0, seed0 + runs)
-        return [_run_one(setup, strategy_factory, seed, kwargs) for seed in seeds]
-
-    global _FORK_STATE
-    _FORK_STATE = (setup, strategy_factory, seed0, kwargs)
-    try:
-        with ProcessPoolExecutor(
-            max_workers=workers, mp_context=mp_context
-        ) as pool:
-            chunk_results = list(
-                pool.map(_run_fork_chunk, _chunk_seeds(runs, seed0, workers))
-            )
-    finally:
-        _FORK_STATE = None
-    return [result for chunk in chunk_results for result in chunk]
 
 
 def aggregate(

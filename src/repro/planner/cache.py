@@ -23,7 +23,11 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from repro.catalog.catalog import Catalog
+from repro.catalog.catalog import (
+    Catalog,
+    fingerprint_relations,
+    relation_fingerprint,
+)
 from repro.planner.rules import RuleApplication
 from repro.relational.expression import Expression
 
@@ -50,11 +54,10 @@ class PlanCacheInfo:
 
 def cache_key(expr: Expression, catalog: Catalog) -> CacheKey:
     """(structural hash, base-relation size fingerprint) for ``expr``."""
-    parts = []
-    for name in sorted(set(expr.base_relations())):
-        relation = catalog.get(name)
-        parts.append(f"{name}:{relation.tuple_count}:{relation.block_count}")
-    return expr.structural_hash(), ";".join(parts)
+    return (
+        expr.structural_hash(),
+        relation_fingerprint(catalog, expr.base_relations()),
+    )
 
 
 def lookup(key: CacheKey) -> CacheValue | None:
@@ -104,12 +107,7 @@ def invalidate_plan_cache_relation(name: str) -> int:
     evicted = 0
     with _lock:
         for key in list(_cache):
-            fingerprint = key[1]
-            if any(
-                part.split(":", 1)[0] == name
-                for part in fingerprint.split(";")
-                if part
-            ):
+            if name in fingerprint_relations(key[1]):
                 del _cache[key]
                 evicted += 1
     return evicted

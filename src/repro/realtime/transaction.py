@@ -31,7 +31,7 @@ from repro.errors import TimeControlError
 from repro.estimation.aggregates import COUNT, AggregateSpec
 from repro.relational.expression import Expression
 from repro.timecontrol.stopping import StoppingCriterion
-from repro.timecontrol.strategies import OneAtATimeInterval
+from repro.timecontrol.strategies import default_strategy
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,9 @@ class ProportionalAllocator(QuotaAllocator):
 
     The allocator is handed the remaining time but sizes each query by its
     share of the total weight — leftover time from early finishers is not
-    redistributed (the baseline the feedback allocator improves on).
+    redistributed (the baseline the feedback allocator improves on). The
+    budget split is the one remaining at a transaction's first query, so
+    one allocator serves any number of transactions.
     """
 
     def __init__(self) -> None:
@@ -105,7 +107,8 @@ class ProportionalAllocator(QuotaAllocator):
     def allocate(
         self, tasks: Sequence[QueryTask], index: int, remaining: float
     ) -> float:
-        if self._initial is None:
+        # No query before this one (writes weigh 0): a new transaction.
+        if self._initial is None or not any(t.weight for t in tasks[:index]):
             self._initial = remaining
         total_weight = sum(t.weight for t in tasks)
         return self._initial * tasks[index].weight / total_weight
@@ -167,7 +170,7 @@ class TransactionScheduler:
         self,
         database: Database,
         allocator: QuotaAllocator | None = None,
-        strategy_factory=lambda: OneAtATimeInterval(d_beta=24.0),
+        strategy_factory=default_strategy,
         stopping: StoppingCriterion | None = None,
         min_query_quota: float = 1e-6,
     ) -> None:

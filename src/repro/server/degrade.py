@@ -29,13 +29,13 @@ from __future__ import annotations
 
 import math
 
+from repro.catalog.catalog import relation_fingerprint
 from repro.core.database import Database
 from repro.estimation.aggregates import COUNT, AggregateSpec
 from repro.estimation.estimate import Estimate, normal_quantile
 from repro.observability.trace import NULL_SINK, NullSink, TraceSink
 from repro.relational.expression import Expression
 from repro.statistics.prestored import SelectivityHinter
-from repro.synopses.catalog import relation_fingerprint
 from repro.synopses.events import SynopsisHit
 
 DEGRADED_RELATIVE_HALFWIDTH = 1.0

@@ -59,6 +59,7 @@ from functools import partial
 from operator import attrgetter
 from typing import Callable, Iterable
 
+from repro.catalog.catalog import relation_fingerprint
 from repro.core.database import Database
 from repro.core.options import QueryOptions
 from repro.core.result import QueryResult
@@ -90,13 +91,9 @@ from repro.server.metrics import ServerMetrics
 from repro.server.preempt import PreemptDecision, projected_handback, should_preempt
 from repro.server.request import Outcome, QueryRequest, RequestOutcome
 from repro.storage.bufferpool import resolve_pool
-from repro.synopses.catalog import relation_fingerprint
 from repro.synopses.events import SynopsisRefreshed
 from repro.timecontrol.stopping import HardDeadline
-from repro.timecontrol.strategies import (
-    OneAtATimeInterval,
-    TimeControlStrategy,
-)
+from repro.timecontrol.strategies import TimeControlStrategy, default_strategy
 from repro.timekeeping.clock import SimulatedClock
 
 OnComplete = Callable[[RequestOutcome], "QueryRequest | None"]
@@ -195,7 +192,7 @@ class QueryServer:
         control off (the benchmark baseline).
     strategy_factory:
         Builds the per-session time-control strategy (default
-        One-at-a-Time-Interval with the prototype's ``d_β = 24``).
+        :func:`~repro.timecontrol.strategies.default_strategy`).
     sink:
         Optional extra trace sink tee'd next to the built-in
         :class:`~repro.server.metrics.ServerMetrics`.
@@ -251,9 +248,7 @@ class QueryServer:
             )
         self.database = database
         self.policy = policy if policy is not None else RejectInfeasible()
-        self.strategy_factory = strategy_factory or (
-            lambda: OneAtATimeInterval(d_beta=24.0)
-        )
+        self.strategy_factory = strategy_factory or default_strategy
         self.clock = SimulatedClock()
         self.metrics = ServerMetrics()
         self.sink: TraceSink = (

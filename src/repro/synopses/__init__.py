@@ -11,6 +11,7 @@ Opt-in via ``QueryOptions(synopses=True)`` (``QueryServer(synopses=True)``
 on a server); off, the engine is bit-identical to one without this package.
 """
 
+from repro.catalog.catalog import relation_fingerprint
 from repro.synopses.binder import SynopsisBinder
 from repro.synopses.catalog import (
     AnswerSynopsis,
@@ -18,7 +19,6 @@ from repro.synopses.catalog import (
     SynopsisCatalog,
     SynopsisCatalogInfo,
     aggregate_key,
-    relation_fingerprint,
 )
 from repro.synopses.events import (
     SynopsisHit,

@@ -24,7 +24,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.observability.trace import NULL_SINK, NullSink, TraceSink
-from repro.synopses.catalog import SynopsisCatalog, relation_fingerprint
+from repro.catalog.catalog import relation_fingerprint
+from repro.synopses.catalog import SynopsisCatalog
 from repro.synopses.events import SynopsisHit
 
 if TYPE_CHECKING:

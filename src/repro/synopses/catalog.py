@@ -49,7 +49,6 @@ from repro.observability.trace import NULL_SINK, TraceSink
 from repro.synopses.events import SynopsisInvalidated
 
 if TYPE_CHECKING:
-    from repro.catalog.catalog import Catalog
     from repro.relational.expression import Expression
 
 DEFAULT_DECAY = 0.5
@@ -68,20 +67,6 @@ def aggregate_key(aggregate: AggregateSpec) -> str:
     if aggregate.attribute is None:
         return aggregate.kind
     return f"{aggregate.kind}:{aggregate.attribute}"
-
-
-def relation_fingerprint(catalog: "Catalog", names: Iterable[str]) -> str:
-    """Size fingerprint of base relations (same scheme as the plan cache).
-
-    Two catalog states agree on a fingerprint only when every named
-    relation has the same tuple and block count — evidence recorded against
-    one data size is never replayed against another.
-    """
-    parts = []
-    for name in sorted(set(names)):
-        relation = catalog.get(name)
-        parts.append(f"{name}:{relation.tuple_count}:{relation.block_count}")
-    return ";".join(parts)
 
 
 SynopsisKey = tuple[str, str]

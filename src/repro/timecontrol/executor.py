@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.costmodel import steps as step_names
 from repro.engine.plan import StagedPlan
@@ -42,10 +42,13 @@ from repro.observability.trace import (
     StageStart,
     TraceSink,
 )
-from repro.timecontrol.stopping import HardDeadline, StopState, StoppingCriterion
+from repro.timecontrol.stopping import HardDeadline, StopState
 from repro.timecontrol.strategies import TimeControlStrategy
 from repro.timekeeping.charger import CostCharger
 from repro.timekeeping.profile import CostKind
+
+if TYPE_CHECKING:
+    from repro.core.options import QueryOptions
 
 
 @dataclass
@@ -192,20 +195,21 @@ class TimeConstrainedExecutor:
         self,
         plan: StagedPlan,
         strategy: TimeControlStrategy,
-        stopping: StoppingCriterion | None = None,
-        measure_overspend: bool = True,
-        max_stages: int = 64,
-        sink: TraceSink | None = None,
+        options: "QueryOptions | None" = None,
         max_stage_retries: int = 3,
     ) -> None:
+        if options is None:
+            from repro.core.options import DEFAULT_OPTIONS as options
         self.plan = plan
         self.strategy = strategy
-        self.stopping = stopping if stopping is not None else HardDeadline()
-        self.measure_overspend = measure_overspend
-        self.max_stages = max_stages
+        self.stopping = (
+            options.stopping if options.stopping is not None else HardDeadline()
+        )
+        self.measure_overspend = options.measure_overspend
+        self.max_stages = options.max_stages
         self.max_stage_retries = max_stage_retries
-        # Default to the plan's sink so one wiring point traces the whole run.
-        self.sink: TraceSink = sink if sink is not None else plan.sink
+        # The plan's sink, so one wiring point traces the whole run.
+        self.sink: TraceSink = plan.sink
 
     def run(
         self, quota: float, checkpoint: Checkpoint | None = None

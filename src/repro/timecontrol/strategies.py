@@ -172,6 +172,14 @@ class OneAtATimeInterval(TimeControlStrategy):
         return f"OneAtATimeInterval(d_beta={self.d_beta})"
 
 
+def default_strategy() -> TimeControlStrategy:
+    """The strategy a run gets when none is given: the prototype's d_β = 24.
+
+    A factory, not a constant — strategies carry per-run state.
+    """
+    return OneAtATimeInterval(d_beta=24.0)
+
+
 @dataclass
 class SingleInterval(TimeControlStrategy):
     """Whole-query risk control: ``T_i = μ_t + d_α·sqrt(Var(t_i))``.

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.catalog.catalog import Catalog
+from repro.core.options import QueryOptions
 from repro.costmodel.model import CostModel
 from repro.engine.plan import StagedPlan
 from repro.relational.expression import join, rel, select
@@ -18,6 +19,8 @@ from repro.timecontrol.strategies import OneAtATimeInterval
 from repro.timekeeping.charger import CostCharger
 from repro.timekeeping.profile import MachineProfile
 from tests.conftest import make_relation
+
+VERBATIM = QueryOptions(optimize=False)
 
 
 @pytest.fixture
@@ -41,7 +44,7 @@ def catalog(int_schema):
 def run_one(catalog, expr, quota, seed=0):
     rng = np.random.default_rng(seed)
     charger = CostCharger(MachineProfile.sun3_60(noise_sigma=0.15).scaled(0.1), rng=rng)
-    plan = StagedPlan(expr, catalog, charger, CostModel(), rng)
+    plan = StagedPlan(expr, catalog, charger, CostModel(), rng, VERBATIM)
     executor = TimeConstrainedExecutor(plan, OneAtATimeInterval(d_beta=12.0))
     report = executor.run(quota)
     return report, charger
@@ -115,7 +118,8 @@ class TestSpoolAccounting:
             rng = np.random.default_rng(4)
             charger = CostCharger(MachineProfile.uniform(0.0), rng=rng)
             plan = StagedPlan(
-                expr, catalog, charger, CostModel(), rng, full_fulfillment=full
+                expr, catalog, charger, CostModel(), rng,
+                VERBATIM.replace(full_fulfillment=full),
             )
             plan.advance_stage(0.2)
             plan.advance_stage(0.2)
@@ -129,7 +133,7 @@ class TestSpoolAccounting:
         expr = join(rel("r1"), rel("r2"), on=["a"])
         rng = np.random.default_rng(5)
         charger = CostCharger(MachineProfile.uniform(0.001), rng=rng)
-        plan = StagedPlan(expr, catalog, charger, CostModel(), rng)
+        plan = StagedPlan(expr, catalog, charger, CostModel(), rng, VERBATIM)
         plan.advance_stage(0.2)
         # Every tuple entering the join was spooled exactly once.
         inputs = sum(scan.cum_tuples for scan in plan.scans)
@@ -143,7 +147,7 @@ class TestBlockReadAccounting:
         expr = join(rel("r1"), rel("r2"), on=["a"])
         rng = np.random.default_rng(3)
         charger = CostCharger(MachineProfile.uniform(0.001), rng=rng)
-        plan = StagedPlan(expr, catalog, charger, CostModel(), rng)
+        plan = StagedPlan(expr, catalog, charger, CostModel(), rng, VERBATIM)
         plan.advance_stage(0.2)
         plan.advance_stage(0.3)
         drawn = sum(scan.blocks_drawn for scan in plan.scans)

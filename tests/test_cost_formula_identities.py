@@ -16,6 +16,7 @@ import pytest
 
 from repro.catalog.catalog import Catalog
 from repro.costmodel import steps as step_names
+from repro.core.options import QueryOptions
 from repro.costmodel.model import CostModel
 from repro.engine.plan import StagedPlan
 from repro.errors import QuotaExpired, TimeControlError
@@ -24,6 +25,8 @@ from repro.relational.predicate import cmp
 from repro.timekeeping.charger import CostCharger
 from repro.timekeeping.profile import MachineProfile
 from tests.conftest import make_relation
+
+VERBATIM = QueryOptions(optimize=False)  # the formulas are per written tree
 
 
 class SpyCostModel(CostModel):
@@ -64,7 +67,8 @@ def run_stages(catalog, expr, fractions, seed=0, full=True):
     charger = CostCharger(MachineProfile.uniform(0.0), rng=rng)
     spy = SpyCostModel()
     plan = StagedPlan(
-        expr, catalog, charger, spy, rng, full_fulfillment=full
+        expr, catalog, charger, spy, rng,
+        VERBATIM.replace(full_fulfillment=full),
     )
     for fraction in fractions:
         plan.advance_stage(fraction)
@@ -98,7 +102,7 @@ class TestMergeReadFormula:
         rng = np.random.default_rng(0)
         charger = CostCharger(MachineProfile.uniform(0.0), rng=rng)
         spy2 = SpyCostModel()
-        plan2 = StagedPlan(expr, catalog, charger, spy2, rng)
+        plan2 = StagedPlan(expr, catalog, charger, spy2, rng, VERBATIM)
         cum1 = cum2 = 0
         for s, fraction in enumerate([0.1, 0.15, 0.2], start=1):
             before1 = plan2.scans[0].cum_tuples
@@ -129,7 +133,7 @@ class TestSortFormula:
         rng = np.random.default_rng(1)
         charger = CostCharger(MachineProfile.uniform(0.0), rng=rng)
         spy = SpyCostModel()
-        plan = StagedPlan(expr, catalog, charger, spy, rng)
+        plan = StagedPlan(expr, catalog, charger, spy, rng, VERBATIM)
         before1 = plan.scans[0].cum_tuples
         before2 = plan.scans[1].cum_tuples
         plan.advance_stage(0.2)
@@ -165,7 +169,7 @@ class TestFailureInjection:
         expr = join(rel("r1"), rel("r2"), on=["a"])
         rng = np.random.default_rng(3)
         charger = CostCharger(MachineProfile.uniform(0.01), rng=rng)
-        plan = StagedPlan(expr, catalog, charger, CostModel(), rng)
+        plan = StagedPlan(expr, catalog, charger, CostModel(), rng, VERBATIM)
         plan.advance_stage(0.1)  # healthy first stage
         charger.arm(charger.clock.now() + 0.05, hard=True)
         with pytest.raises(QuotaExpired):
@@ -191,12 +195,11 @@ class TestFailureInjection:
         rng = np.random.default_rng(4)
         # A machine so slow stage 1 cannot finish inside the quota.
         charger = CostCharger(MachineProfile.uniform(5.0), rng=rng)
-        plan = StagedPlan(expr, catalog, charger, CostModel(), rng)
+        plan = StagedPlan(expr, catalog, charger, CostModel(), rng, VERBATIM)
         executor = TimeConstrainedExecutor(
             plan,
             OneAtATimeInterval(d_beta=12.0),
-            stopping=HardDeadline(),
-            measure_overspend=False,
+            QueryOptions(stopping=HardDeadline(), measure_overspend=False),
         )
         report = executor.run(quota=20.0)
         assert report.termination in ("interrupted", "no_feasible_stage")

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.catalog.catalog import Catalog
+from repro.core.options import QueryOptions
 from repro.costmodel.model import CostModel
 from repro.engine.plan import StagedPlan
 from repro.errors import EstimationError, TimeControlError
@@ -34,7 +35,8 @@ from tests.conftest import make_relation
 def free_plan(expr, catalog, seed=0, **kwargs):
     rng = np.random.default_rng(seed)
     charger = CostCharger(MachineProfile.uniform(0.0), rng=rng)
-    return StagedPlan(expr, catalog, charger, CostModel(), rng, **kwargs)
+    options = QueryOptions(optimize=False, **kwargs)  # the tree as written
+    return StagedPlan(expr, catalog, charger, CostModel(), rng, options)
 
 
 def restricted_catalog(plan) -> Catalog:
@@ -160,7 +162,8 @@ class TestSharedScans:
         rng = np.random.default_rng(0)
         charger = CostCharger(MachineProfile.uniform(1.0), rng=rng)
         plan = StagedPlan(
-            union(rel("r1"), rel("r2")), catalog, charger, CostModel(), rng
+            union(rel("r1"), rel("r2")), catalog, charger, CostModel(), rng,
+            QueryOptions(optimize=False),
         )
         # Terms: r1, r2, −(r1 ∩ r2); r1 and r2 each appear in two terms.
         assert len(plan.terms) == 3
@@ -331,7 +334,8 @@ class TestPrediction:
                 MachineProfile.sun3_60(noise_sigma=0.0), rng=rng
             )
             plan = StagedPlan(
-                expr, catalog, charger, CostModel(adaptive=adaptive), rng
+                expr, catalog, charger, CostModel(adaptive=adaptive), rng,
+                QueryOptions(optimize=False),
             )
             for fraction in (0.05, 0.05, 0.05):
                 plan.advance_stage(fraction)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.catalog.catalog import Catalog
+from repro.core.options import QueryOptions
 from repro.costmodel.model import CostModel
 from repro.engine.plan import StagedPlan
 from repro.errors import TimeControlError
@@ -65,23 +66,19 @@ def build_executor(
     seed=0,
     noise=0.15,
     strategy=None,
-    stopping=None,
-    measure_overspend=True,
     profile=None,
     cost_model=None,
-    **plan_kwargs,
+    **options,
 ):
     rng = np.random.default_rng(seed)
     profile = profile or MachineProfile.uniform(0.01, noise_sigma=noise)
     charger = CostCharger(profile, rng=rng)
+    options = QueryOptions(**options)
     plan = StagedPlan(
-        expr, catalog, charger, cost_model or CostModel(), rng, **plan_kwargs
+        expr, catalog, charger, cost_model or CostModel(), rng, options
     )
     return TimeConstrainedExecutor(
-        plan,
-        strategy or OneAtATimeInterval(d_beta=12.0),
-        stopping=stopping,
-        measure_overspend=measure_overspend,
+        plan, strategy or OneAtATimeInterval(d_beta=12.0), options
     )
 
 

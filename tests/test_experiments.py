@@ -12,9 +12,11 @@ from repro.experiments.ablations import (
     ablation_strategies,
     ablation_variance_formula,
 )
+from repro.errors import CellRunError
 from repro.experiments.formatting import PAPER_COLUMNS, Table
 from repro.experiments.runner import aggregate, run_cell
 from repro.experiments.tables import figure_5_1, figure_5_2, figure_5_3
+from repro.observability import RecordingSink
 from repro.timecontrol.strategies import OneAtATimeInterval
 from repro.workloads.paper import make_selection_setup
 
@@ -52,6 +54,45 @@ class TestRunnerAggregation:
     def test_aggregate_empty_rejected(self):
         with pytest.raises(ValueError):
             aggregate("x", [])
+
+
+class ExplodingStrategy(OneAtATimeInterval):
+    """Raises mid-run, deep inside the session."""
+
+    def choose_fraction(self, *args, **kwargs):
+        raise RuntimeError("boom: injected strategy failure")
+
+
+class TestRunCell:
+    SEED0 = 10_000
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        return make_selection_setup(output_tuples=100, tuples=1_000)
+
+    def test_serial_failure_names_the_seed(self, setup):
+        with pytest.raises(CellRunError) as err:
+            run_cell(
+                setup, lambda: ExplodingStrategy(d_beta=24.0), 3, seed0=self.SEED0
+            )
+        assert err.value.seed == self.SEED0
+        assert f"seed {self.SEED0}" in str(err.value)
+        assert "boom" in str(err.value)
+        assert "RuntimeError" in str(err.value)
+        # The original exception rides along for debugging.
+        assert isinstance(err.value.__cause__, RuntimeError)
+
+    def test_serial_mode_accepts_sink(self, setup):
+        sink = RecordingSink()
+        results = run_cell(
+            setup,
+            lambda: OneAtATimeInterval(d_beta=24.0),
+            2,
+            seed0=self.SEED0,
+            sink=sink,
+        )
+        assert len(results) == 2
+        assert sink.of_kind("query_start")
 
 
 class TestFigureTables:

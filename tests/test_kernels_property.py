@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from repro.catalog.catalog import Catalog
 from repro.catalog.schema import Schema
 from repro.catalog.types import AttributeType
+from repro.core.options import QueryOptions
 from repro.costmodel.model import CostModel
 from repro.engine.plan import StagedPlan
 from repro.relational.expression import intersect, join, project, rel, select
@@ -27,6 +28,8 @@ from repro.timekeeping.charger import CostCharger
 from repro.timekeeping.profile import MachineProfile
 from tests.conftest import make_relation
 from tests.rowwise_oracle import rowwise_stages
+
+VERBATIM = QueryOptions(optimize=False)
 
 
 def build_catalog() -> Catalog:
@@ -85,7 +88,7 @@ def run_plan(expr, fractions, seed, rowwise):
     # charge sequence itself is under test, not just the charge totals.
     charger = CostCharger(MachineProfile.sun3_60(), rng=rng)
     with rowwise_stages(rowwise):
-        plan = StagedPlan(expr, catalog, charger, CostModel(), rng)
+        plan = StagedPlan(expr, catalog, charger, CostModel(), rng, VERBATIM)
     stage_rows: list[list] = []
     stage_stats: list[tuple] = []
     for stage, fraction in enumerate(fractions, start=1):
@@ -140,7 +143,8 @@ def test_partial_fulfillment_paths_also_identical(expr, seed):
         charger = CostCharger(MachineProfile.sun3_60(), rng=rng)
         with rowwise_stages(rowwise):
             plan = StagedPlan(
-                expr, catalog, charger, CostModel(), rng, full_fulfillment=False
+                expr, catalog, charger, CostModel(), rng,
+                VERBATIM.replace(full_fulfillment=False),
             )
         plan.advance_stage(0.2)
         plan.advance_stage(0.2)

@@ -9,16 +9,21 @@ configuration, per-call keyword overrides beating the bundle, and the
 from __future__ import annotations
 
 import dataclasses
+import inspect
 
 import pytest
 
 from repro import DEFAULT_OPTIONS, QueryOptions
+from repro.core.session import QuerySession
+from repro.engine.physical import PhysicalPlanBuilder
+from repro.engine.plan import StagedPlan
 from repro.errors import ReproError
 from repro.estimation.aggregates import COUNT, avg_of, count, sum_of
 from repro.observability import RecordingSink
 from repro.relational.expression import rel
 from repro.relational.predicate import cmp
 from repro.server.workload import demo_database
+from repro.timecontrol.executor import TimeConstrainedExecutor
 from repro.timecontrol.strategies import (
     FixedFractionHeuristic,
     OneAtATimeInterval,
@@ -71,8 +76,12 @@ class TestQueryOptionsValue:
             QueryOptions(max_stages=0)
 
     def test_bad_block_size_rejected(self):
-        with pytest.raises(ReproError, match="block_size"):
-            QueryOptions(block_size=-4)
+        # Any block size: a plan uses the database's, no option overrides it.
+        with pytest.raises(TypeError):
+            QueryOptions(block_size=400)
+
+    def test_sixteen_fields(self):
+        assert len(dataclasses.fields(QueryOptions)) == 16
 
     @pytest.mark.parametrize("name", ["optimize", "synopses"])
     @pytest.mark.parametrize("value", [None, "0", "off", 0, 1])
@@ -161,13 +170,8 @@ class TestEstimateEntrypoint:
                 EXPR, sum_of("b"), quota=1.0, aggregate=avg_of("b")
             )
 
-    def test_block_size_option_changes_the_plan(self, db):
-        small = db.open_session(
-            EXPR, 1.0, options=QueryOptions(block_size=400)
-        )
-        default = db.open_session(EXPR, 1.0)
-        assert small.plan.block_size == 400
-        assert default.plan.block_size == db.block_size
+    def test_plan_uses_the_database_block_size(self, db):
+        assert db.open_session(EXPR, 1.0).plan.block_size == db.block_size
 
     def test_sink_option_receives_events(self, db):
         sink = RecordingSink()
@@ -193,3 +197,32 @@ class TestEstimateEntrypoint:
     def test_vectorized_is_no_longer_an_option(self, db):
         with pytest.raises(ReproError, match="unknown query option.*vectorized"):
             db.open_session(EXPR, 1.0, vectorized=True)
+
+    @pytest.mark.parametrize(
+        "name, value", [("step_specs", {}), ("block_size", 400)]
+    )
+    def test_removed_keywords_rejected(self, db, name, value):
+        # Custom priors have one spelling: cost_model=CostModel(specs=…).
+        with pytest.raises(ReproError, match=f"unknown query option.*{name}"):
+            db.open_session(EXPR, 1.0, **{name: value})
+        with pytest.raises(ReproError, match=f"unknown query option.*{name}"):
+            QueryOptions().replace(**{name: value})
+
+
+class TestOneSignature:
+    """Every per-query option has one default, in ``QueryOptions``: no
+    constructor the facade composes re-declares one."""
+
+    @pytest.mark.parametrize(
+        "cls",
+        [QuerySession, StagedPlan, PhysicalPlanBuilder, TimeConstrainedExecutor],
+        ids=lambda cls: cls.__name__,
+    )
+    def test_no_option_default_is_redeclared(self, cls):
+        fields = {f.name for f in dataclasses.fields(QueryOptions)}
+        redeclared = [
+            p.name
+            for p in inspect.signature(cls.__init__).parameters.values()
+            if p.name in fields and p.default is not inspect.Parameter.empty
+        ]
+        assert redeclared == []

@@ -1,13 +1,15 @@
 """Database.explain, the ``optimize`` argument, planner trace events, and
 the optimize=False bit-identity contract."""
 
+import numpy as np
 import pytest
 
 from repro.core.database import Database
 from repro.core.options import QueryOptions
+from repro.engine.plan import StagedPlan
 from repro.observability import RecordingSink
 from repro import caches
-from repro.planner.explain import render_tree
+from repro.planner.explain import predicted_stage_costs, render_tree
 from repro.relational.expression import intersect, join, project, rel, select
 from repro.relational.predicate import cmp
 from repro.server.admission import minimum_stage_cost
@@ -124,6 +126,27 @@ def test_optimize_off_paths_are_identical():
         build_db(), 3, options=QueryOptions(optimize=False)
     )
     assert baseline == via_options
+
+
+def test_plan_without_options_optimizes_like_a_default_session():
+    """``StagedPlan(..., options=None)`` is ``QueryOptions()``: optimizer on."""
+    db = build_db()
+    session = db.open_session(pushable(), quota=5.0, seed=0)
+    rng = np.random.default_rng(0)
+    plan = StagedPlan(
+        pushable(), db.catalog, db._make_charger(rng),
+        db.default_cost_model(), rng,
+    )
+    assert plan.optimize and session.plan.optimize
+    assert [a.rule for a in plan.rule_applications] == ["push-predicates"]
+    assert (
+        plan.optimized_expr.structural_hash()
+        == session.plan.optimized_expr.structural_hash()
+    )
+    assert (
+        predicted_stage_costs(plan).total
+        == predicted_stage_costs(session.plan).total
+    )
 
 
 def test_optimized_run_estimates_the_same_query():

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro.catalog.catalog import Catalog
 from repro.catalog.schema import Schema
 from repro.catalog.types import AttributeType
+from repro.core.options import QueryOptions
 from repro.costmodel.model import CostModel
 from repro.engine.plan import StagedPlan
 from repro.planner import default_rules, optimize_expression
@@ -258,7 +259,7 @@ def test_optimized_plan_full_coverage_estimate_is_exact(expr, seed):
     rng = np.random.default_rng(seed)
     charger = CostCharger(MachineProfile.uniform(0.0), rng=rng)
     plan = StagedPlan(
-        expr, catalog, charger, CostModel(), rng, optimize=True
+        expr, catalog, charger, CostModel(), rng, QueryOptions(optimize=True)
     )
     plan.advance_stage(1.0)
     estimate = plan.estimate()

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from repro.catalog.catalog import Catalog
 from repro.catalog.schema import Schema
 from repro.catalog.types import AttributeType
+from repro.core.options import QueryOptions
 from repro.costmodel.model import CostModel
 from repro.engine.plan import StagedPlan
 from repro.relational.evaluator import count_exact
@@ -33,6 +34,8 @@ from repro.relational.predicate import cmp
 from repro.timekeeping.charger import CostCharger
 from repro.timekeeping.profile import MachineProfile
 from tests.conftest import make_relation
+
+VERBATIM = QueryOptions(optimize=False)  # the generated tree, node for node
 
 
 def build_catalog() -> Catalog:
@@ -105,7 +108,7 @@ def test_staged_count_equals_exact_over_sampled_blocks(expr, fractions, seed):
     catalog = build_catalog()
     rng = np.random.default_rng(seed)
     charger = CostCharger(MachineProfile.uniform(0.0), rng=rng)
-    plan = StagedPlan(expr, catalog, charger, CostModel(), rng)
+    plan = StagedPlan(expr, catalog, charger, CostModel(), rng, VERBATIM)
     for fraction in fractions:
         plan.advance_stage(fraction)
     sub = restricted(plan)
@@ -127,7 +130,7 @@ def test_full_coverage_estimate_is_exact(expr, seed):
     catalog = build_catalog()
     rng = np.random.default_rng(seed)
     charger = CostCharger(MachineProfile.uniform(0.0), rng=rng)
-    plan = StagedPlan(expr, catalog, charger, CostModel(), rng)
+    plan = StagedPlan(expr, catalog, charger, CostModel(), rng, VERBATIM)
     plan.advance_stage(1.0)
     estimate = plan.estimate()
     assert estimate.exact
@@ -144,7 +147,7 @@ def test_estimate_is_feasible_and_variance_nonnegative(expr, fraction, seed):
     catalog = build_catalog()
     rng = np.random.default_rng(seed)
     charger = CostCharger(MachineProfile.uniform(0.0), rng=rng)
-    plan = StagedPlan(expr, catalog, charger, CostModel(), rng)
+    plan = StagedPlan(expr, catalog, charger, CostModel(), rng, VERBATIM)
     plan.advance_stage(fraction)
     estimate = plan.estimate()
     assert estimate.variance >= 0.0
@@ -163,7 +166,8 @@ def test_partial_fulfillment_counts_subset_of_full(expr, seed):
         rng = np.random.default_rng(seed)
         charger = CostCharger(MachineProfile.uniform(0.0), rng=rng)
         plan = StagedPlan(
-            expr, catalog, charger, CostModel(), rng, full_fulfillment=full
+            expr, catalog, charger, CostModel(), rng,
+            VERBATIM.replace(full_fulfillment=full),
         )
         plan.advance_stage(0.3)
         plan.advance_stage(0.3)
@@ -225,7 +229,8 @@ def test_every_node_counts_its_stages_once(expr, full, steps, seed):
     rng = np.random.default_rng(seed)
     charger = CostCharger(MachineProfile.uniform(0.0), rng=rng)
     plan = StagedPlan(
-        expr, catalog, charger, CostModel(), rng, full_fulfillment=full
+        expr, catalog, charger, CostModel(), rng,
+        VERBATIM.replace(full_fulfillment=full),
     )
     for rollback, fraction in steps:
         if plan.all_exhausted():

@@ -59,6 +59,14 @@ class TestAllocators:
         assert allocator.allocate(tasks, 1, 7.5) == pytest.approx(4.0)
         assert allocator.allocate(tasks, 2, 1.0) == pytest.approx(2.0)
 
+    def test_proportional_split_is_per_transaction(self):
+        allocator = ProportionalAllocator()
+        tasks = three_tasks()
+        assert allocator.allocate(tasks, 0, 8.0) == pytest.approx(2.0)
+        # A new transaction (index 0 again) splits its own budget.
+        assert allocator.allocate(tasks, 0, 40.0) == pytest.approx(10.0)
+        assert allocator.allocate(tasks, 1, 30.0) == pytest.approx(20.0)
+
     def test_feedback_splits_remaining(self):
         allocator = FeedbackAllocator()
         tasks = three_tasks()
@@ -132,6 +140,19 @@ class TestScheduler:
         assert wasted[0] > 0  # the scenario: the first query lost a stage
         assert outcome.elapsed == pytest.approx(sum(charged))
         assert outcome.quotas["high"] <= 20.0 - charged[0] + 1e-9
+
+    def test_one_scheduler_splits_each_transaction_afresh(self, db):
+        """Regression: the proportional split leaked the first transaction's
+        budget into every later one run by the same scheduler."""
+        tasks = three_tasks()[:2]  # weights 1, 2
+        scheduler = TransactionScheduler(db, allocator=ProportionalAllocator())
+        scheduler.run(tasks, deadline=4.0, seed=5)
+        second = scheduler.run(tasks, deadline=40.0, seed=5)
+        fresh = TransactionScheduler(
+            db, allocator=ProportionalAllocator()
+        ).run(tasks, deadline=40.0, seed=5)
+        assert second.quotas["low"] == pytest.approx(40.0 / 3)
+        assert second.quotas == fresh.quotas
 
     def test_validation(self, db):
         scheduler = TransactionScheduler(db)

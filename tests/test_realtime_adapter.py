@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from repro.errors import TimeControlError
 from repro.realtime import (
     FeedbackAllocator,
+    ProportionalAllocator,
     QueryTask,
     TransactionScheduler,
     run_transaction,
@@ -93,6 +94,19 @@ class TestRunTransaction:
         twins = [tasks()[0], tasks()[0]]
         with pytest.raises(TimeControlError, match="duplicate"):
             run_transaction(server, twins, deadline=1.0)
+
+    def test_one_allocator_splits_each_transaction_afresh(self, db):
+        """Regression: a proportional allocator kept across transactions
+        split every later one out of the first one's budget."""
+        allocator = ProportionalAllocator()
+        server = QueryServer(db, policy=AdmitAll())
+        run_transaction(server, tasks(), 4.0, allocator=allocator, seed=3)
+        second = run_transaction(
+            server, tasks(), 40.0, allocator=allocator, seed=3
+        )
+        # Weights 1, 2, 1: the opening grant is a quarter of *this* budget.
+        assert second.quotas["narrow"] == pytest.approx(10.0)
+        assert second.quotas["wide"] == pytest.approx(20.0)
 
     def test_agrees_with_the_standalone_scheduler(self, db):
         """Same allocator discipline as TransactionScheduler.run."""

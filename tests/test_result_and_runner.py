@@ -59,13 +59,14 @@ class TestDatabaseKnobs:
         assert result.stages_attempted <= 2
 
     def test_custom_step_specs_accepted(self, db):
+        from repro.costmodel.model import CostModel
         from repro.costmodel.steps import default_step_specs
 
         result = db.estimate(
             select(rel("r1"), cmp("a", "<", 3)),
             quota=2.0,
             seed=1,
-            step_specs=default_step_specs(prior_scale=0.1),
+            cost_model=CostModel(specs=default_step_specs(prior_scale=0.1)),
         )
         assert result.stages_attempted >= 1
 

@@ -55,9 +55,9 @@ class TestMinimumStageCost:
 
     def test_probe_pricing_charges_nothing(self, db):
         probe = db.open_session(query(), quota=10.0, seed=0)
-        before = probe.context.charger.clock.now()
+        before = probe.charger.clock.now()
         minimum_stage_cost(probe)
-        assert probe.context.charger.clock.now() == before
+        assert probe.charger.clock.now() == before
 
     def test_price_reflects_query_shape(self, bare_db):
         from repro.relational.expression import intersect

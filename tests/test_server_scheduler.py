@@ -294,7 +294,9 @@ class TestSessionKwargsValidation:
             QueryServer(db, session_kwargs={"sink": RecordingSink()})
 
     @pytest.mark.parametrize(
-        "name", ["fault_plans", "buffer_pool", "quota", "partitions"]
+        "name",
+        ["fault_plans", "buffer_pool", "quota", "partitions", "block_size",
+         "step_specs"],
     )
     def test_unknown_or_misspelt_options_are_refused(self, db, name):
         with pytest.raises(ValueError, match=f"unknown query option '{name}'"):

@@ -1,4 +1,4 @@
-"""Tests of QuerySession / ExecutionContext (repro.core.session).
+"""Tests of QuerySession (repro.core.session).
 
 A session owns one run's mutable machinery; the Database facade's
 ``estimate`` entrypoint is a one-line wrapper over
@@ -11,12 +11,14 @@ import numpy as np
 import pytest
 
 from repro.core.database import Database
-from repro.core.session import ExecutionContext, QuerySession
+from repro.core.session import QuerySession
 from repro.costmodel.model import CostModel
+from repro.engine.plan import StagedPlan
 from repro.errors import ReproError
 from repro.estimation import avg_of, sum_of
 from repro.observability import NULL_SINK, RecordingSink
 from repro.relational import cmp, rel, select
+from repro.timecontrol.executor import TimeConstrainedExecutor
 from repro.timecontrol.strategies import OneAtATimeInterval, SingleInterval
 from repro.timekeeping.profile import MachineProfile
 
@@ -70,10 +72,10 @@ class TestSessionLifecycle:
     def test_convenience_views_expose_context(self, db):
         sink = RecordingSink()
         session = db.open_session(EXPR, quota=5.0, seed=1, sink=sink)
-        assert session.sink is sink
-        assert session.charger is session.context.charger
-        assert session.rng is session.context.rng
-        assert session.plan.charger is session.context.charger
+        assert session.sink is sink is session.plan.sink
+        assert session.charger is session.plan.charger
+        assert session.rng is session.plan.rng
+        assert session.executor.plan is session.plan
 
     def test_default_sink_is_null(self, db):
         session = db.open_session(EXPR, quota=5.0, seed=1)
@@ -81,11 +83,11 @@ class TestSessionLifecycle:
 
     def test_default_strategy_is_one_at_a_time(self, db):
         session = db.open_session(EXPR, quota=5.0, seed=1)
-        assert isinstance(session.strategy, OneAtATimeInterval)
+        assert session.executor.strategy == OneAtATimeInterval(d_beta=24.0)
         override = db.open_session(
             EXPR, quota=5.0, seed=1, strategy=SingleInterval(d_alpha=2.0)
         )
-        assert isinstance(override.strategy, SingleInterval)
+        assert isinstance(override.executor.strategy, SingleInterval)
 
 
 class TestSessionIndependence:
@@ -95,7 +97,7 @@ class TestSessionIndependence:
         assert a.charger is not b.charger
         assert a.rng is not b.rng
         assert a.plan is not b.plan
-        assert a.context.cost_model is not b.context.cost_model
+        assert a.plan.cost_model is not b.plan.cost_model
 
     def test_same_seed_sessions_replay_identically(self, db):
         first = db.open_session(EXPR, quota=5.0, seed=7).run()
@@ -136,25 +138,15 @@ class TestOptionValidation:
             db.open_session(EXPR, quota=5.0, selectivity_source="psychic")
 
 
-class TestExecutionContext:
-    def test_context_defaults_to_null_sink(self):
-        rng = np.random.default_rng(0)
-        db = Database(profile=MachineProfile.uniform(0.0), seed=0)
-        context = ExecutionContext(
-            rng=rng,
-            charger=db._make_charger(rng),
-            cost_model=CostModel(),
-        )
-        assert context.sink is NULL_SINK
-
+class TestStandaloneSession:
     def test_session_usable_standalone(self, db):
-        """QuerySession works without the facade, given a context."""
+        """QuerySession runs without the facade, given a plan and executor."""
         rng = np.random.default_rng(5)
-        context = ExecutionContext(
-            rng=rng,
-            charger=db._make_charger(rng),
-            cost_model=CostModel(),
+        plan = StagedPlan(
+            EXPR, db.catalog, db._make_charger(rng), CostModel(), rng
         )
-        session = QuerySession(EXPR, db.catalog, 5.0, context)
+        executor = TimeConstrainedExecutor(plan, OneAtATimeInterval(d_beta=24.0))
+        session = QuerySession(EXPR, 5.0, plan, executor)
         result = session.run()
         assert result.report.stages
+        assert session.finished and session.sink is NULL_SINK

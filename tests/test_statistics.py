@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.catalog.catalog import Catalog
 from repro.core.database import Database
+from repro.core.options import QueryOptions
 from repro.errors import EstimationError, ReproError
 from repro.relational.expression import intersect, join, project, rel, select
 from repro.relational.predicate import attr, cmp
@@ -221,7 +222,8 @@ class TestDatabaseSelectivitySources:
         hinter = SelectivityHinter(db.statistics, db.catalog)
         plan = StagedPlan(
             expr, db.catalog, charger, CostModel(), rng,
-            hint_provider=hinter.hint, pin_selectivities=True,
+            QueryOptions(selectivity_source="prestored"),
+            hint_provider=hinter.hint,
         )
         tracker = plan.trackers()[0]
         assert tracker.pinned
@@ -239,5 +241,5 @@ class TestDatabaseSelectivitySources:
         with pytest.raises(EstimationError):
             StagedPlan(
                 rel("r1"), db.catalog, charger, CostModel(), rng,
-                pin_selectivities=True,
+                QueryOptions(selectivity_source="prestored"),
             )
