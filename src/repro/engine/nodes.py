@@ -58,7 +58,7 @@ from repro.sampling.sampler import BlockSampler, fraction_blocks
 from repro.storage.block import Row
 from repro.storage.heapfile import HeapFile
 from repro.storage.partitioned import PartitionedHeapFile, ShardReadStats
-from repro.storage.spool import Spool, SpoolFile
+from repro.storage.spool import Spool
 from repro.timekeeping.charger import CostCharger
 from repro.timekeeping.profile import CostKind
 
@@ -157,7 +157,7 @@ class _NodeBase:
         self.block_size = block_size
         self.full_fulfillment = full_fulfillment
         self.injector = injector
-        self.spool = spool if spool is not None else Spool(block_size)
+        self.spool = spool if spool is not None else Spool()
         self.children = children
         # The tree never changes after lowering: the scans under it, once.
         self._scans = [scan for child in children for scan in child.base_scans()]
@@ -253,7 +253,7 @@ class _NodeBase:
         fault, :meth:`restore` returns the node to the last consistent
         stage boundary (charged time stays spent — only estimator state
         rolls back). Every count is in the ledger; subclasses add what it
-        cannot know (sampler cursor, runs, occupancy).
+        cannot know (sampler cursor, consolidated runs, occupancy).
         """
         return {"ledger": self.ledger.snapshot(), "stage_columns": self.stage_columns}
 
@@ -283,7 +283,6 @@ class StagedScan(_NodeBase):
         self.sampler = sampler
         self.bufferpool = bufferpool
         self.schema = relation.schema
-        self._stage_rows: list[Row] = []
         # Per-shard tallies of the latest stage read over a partitioned
         # relation (always empty over a plain one); StagedPlan turns them
         # into ShardScanStarted/ShardMerged trace events.
@@ -298,7 +297,7 @@ class StagedScan(_NodeBase):
 
     @property
     def new_tuples(self) -> int:
-        return len(self._stage_rows)
+        return self.ledger.last.tuples if self.stage else 0
 
     @property
     def blocks_drawn(self) -> int:
@@ -314,7 +313,7 @@ class StagedScan(_NodeBase):
 
     def advance(self, stage: int, fraction: float | None = None) -> list[Row]:
         if stage == self.stage:  # another term already advanced us
-            return self._stage_rows
+            return self.stage_columns.rows
         self._check_stage(stage)
         if fraction is None:
             raise TimeControlError("scan.advance needs the stage fraction")
@@ -335,10 +334,9 @@ class StagedScan(_NodeBase):
                 )
         if d:
             self.cost_model.observe(step_names.SCAN_READ, [d, 1.0], meter.elapsed)
-        self._stage_rows = rows
-        # The stage's columnar view, decoded once; every term that shares
-        # this scan reuses the same batch. Uncharged: the simulated block
-        # reads above already paid for the I/O.
+        # The stage's rows and their columnar view, decoded once; every
+        # term that shares this scan reuses the same batch. Uncharged: the
+        # simulated block reads above already paid for the I/O.
         self.stage_columns = batch
         self.ledger.record_stage(len(rows), len(rows))  # outputs all it reads
         return rows
@@ -359,13 +357,11 @@ class StagedScan(_NodeBase):
     def snapshot(self) -> dict:
         token = super().snapshot()
         token["sampler"] = self.sampler.snapshot()
-        token["stage_rows"] = self._stage_rows
         return token
 
     def restore(self, token: dict) -> None:
         super().restore(token)
         self.sampler.restore(token["sampler"])
-        self._stage_rows = token["stage_rows"]
 
 
 class StagedSelect(_NodeBase):
@@ -428,14 +424,14 @@ class StagedSelect(_NodeBase):
 class _StagedBinary(_NodeBase):
     """Shared machinery of staged Join and Intersect (Figures 4.4/4.6).
 
-    Keeps the per-stage sorted runs ``F_{j,i}`` of both children; stage ``s``
-    writes + sorts the new runs and performs the full- or partial-fulfillment
-    merges, charging equations (4.2)–(4.4).
-
-    :meth:`_stage` keeps **one consolidated sorted run per side**
-    (:class:`repro.kernels.SortedRun`): all new x old pairs are answered by
-    a single ``searchsorted`` probe and split back into per-old-run outputs
-    by stage tag, after which the new run is merged in once. The *charged*
+    Stage ``s`` spools + sorts the children's new tuples and performs the
+    full- or partial-fulfillment merges, charging equations (4.2)–(4.4).
+    The per-stage runs ``F_{j,i}`` of both children live in **one
+    consolidated sorted run per side** (:class:`repro.kernels.SortedRun`,
+    full fulfillment only); the spool only gauges the temp space they
+    occupy on disk. All new x old pairs are answered by a single
+    ``searchsorted`` probe and split back into per-old-run outputs by
+    stage tag, after which the new run is merged in once. The *charged*
     simulated costs — temp writes, sorts, and one :func:`charge_merge` per
     (new, old-run) pair in run order — are issued exactly as by pairwise
     :func:`~repro.relational.operators.merge_join` /
@@ -464,8 +460,6 @@ class _StagedBinary(_NodeBase):
         )
         self.left = left
         self.right = right
-        self._left_runs: list[SpoolFile] = []
-        self._right_runs: list[SpoolFile] = []
         # Consolidated sorted runs (full fulfillment only; partial
         # fulfillment never revisits old runs).
         self._left_sorted = _kernels.SortedRun()
@@ -495,42 +489,31 @@ class _StagedBinary(_NodeBase):
         self._check_stage(stage)
         new_left = self.left.advance(stage)
         new_right = self.right.advance(stage)
-        out, left_file, right_file = self._stage(stage, new_left, new_right)
-
-        if self.full_fulfillment:
-            # The runs must survive for future cross-stage merges. (The
-            # stage reads them back via the consolidated runs; the files
-            # are retained for the paper's temp-space accounting.)
-            self._left_runs.append(left_file)
-            self._right_runs.append(right_file)
-        else:
+        out = self._stage(stage, new_left, new_right)
+        if not self.full_fulfillment:
             # Partial fulfillment never revisits old runs: release at once.
-            self.spool.release(left_file)
-            self.spool.release(right_file)
+            # (Full fulfillment's runs stay spooled for cross-stage merges.)
+            self.spool.release(len(new_left) + len(new_right))
         self._record(len(out))
         return out
 
-    def _spool_and_charge_writes(
-        self, new_left: list[Row], new_right: list[Row]
-    ) -> tuple[SpoolFile, SpoolFile]:
+    def _spool_writes(self, new_left: list[Row], new_right: list[Row]) -> None:
         # Step (1): write the stage's sample tuples to temporary files —
         # "all the intermediate relations are always kept on disks".
-        left_file = self.spool.create(self.left.schema)
-        right_file = self.spool.create(self.right.schema)
         with self.charger.measure() as meter:
-            left_file.write(new_left, self.charger)
-            right_file.write(new_right, self.charger)
+            self.spool.write(len(new_left), self.charger)
+            self.spool.write(len(new_right), self.charger)
         self.cost_model.observe(
             self.write_step, [len(new_left) + len(new_right), 1.0], meter.elapsed
         )
-        return left_file, right_file
 
     def _stage(
         self, stage: int, new_left: list[Row], new_right: list[Row]
-    ) -> tuple[list[Row], SpoolFile, SpoolFile]:
+    ) -> list[Row]:
         """One stage's write, sort and merges: reference charges, bulk work."""
-        left_file, right_file = self._spool_and_charge_writes(new_left, new_right)
-        total_in = len(new_left) + len(new_right)
+        self._spool_writes(new_left, new_right)
+        n_left, n_right = len(new_left), len(new_right)
+        total_in = n_left + n_right
         left_pos, right_pos = self._key_positions()
         left_keys = self._child_batch(self.left, new_left).key_columns(left_pos)
         right_keys = self._child_batch(self.right, new_right).key_columns(
@@ -540,19 +523,17 @@ class _StagedBinary(_NodeBase):
         # Step (2): sort the temporary files — equation (4.3) charged per
         # file exactly as external_sort would, ordering done columnar.
         with self.charger.measure() as meter:
-            charge_external_sort(self.charger, len(new_left))
+            charge_external_sort(self.charger, n_left)
             left_order = _kernels.stable_lexsort(left_keys)
             sorted_left = _kernels.rows_array(new_left)[left_order]
             left_keys = [col[left_order] for col in left_keys]
-            left_file.replace_rows(sorted_left.tolist())
-            charge_external_sort(self.charger, len(new_right))
+            charge_external_sort(self.charger, n_right)
             right_order = _kernels.stable_lexsort(right_keys)
             sorted_right = _kernels.rows_array(new_right)[right_order]
             right_keys = [col[right_order] for col in right_keys]
-            right_file.replace_rows(sorted_right.tolist())
         self.cost_model.observe(
             self.sort_step,
-            [_nlogn(len(new_left)) + _nlogn(len(new_right)), total_in, 1.0],
+            [_nlogn(n_left) + _nlogn(n_right), total_in, 1.0],
             meter.elapsed,
         )
 
@@ -578,10 +559,8 @@ class _StagedBinary(_NodeBase):
 
             pair_out = self._vec_new_new(keyed_left, keyed_right)
             out.extend(pair_out)
-            charge_merge(
-                self.charger, len(left_file), len(right_file), pair_out, bf
-            )
-            reads += len(left_file) + len(right_file)
+            charge_merge(self.charger, n_left, n_right, pair_out, bf)
+            reads += total_in
             merges += 1
             if self.full_fulfillment:
                 right_outs = self._vec_vs_run(
@@ -591,10 +570,8 @@ class _StagedBinary(_NodeBase):
                     self._right_sorted.lengths, right_outs
                 ):
                     out.extend(pair_out)
-                    charge_merge(
-                        self.charger, len(left_file), run_len, pair_out, bf
-                    )
-                    reads += len(left_file) + run_len
+                    charge_merge(self.charger, n_left, run_len, pair_out, bf)
+                    reads += n_left + run_len
                     merges += 1
                 left_outs = self._vec_vs_run(
                     keyed_right, self._left_sorted, codes[2], new_on_left=False
@@ -603,10 +580,8 @@ class _StagedBinary(_NodeBase):
                     self._left_sorted.lengths, left_outs
                 ):
                     out.extend(pair_out)
-                    charge_merge(
-                        self.charger, run_len, len(right_file), pair_out, bf
-                    )
-                    reads += run_len + len(right_file)
+                    charge_merge(self.charger, run_len, n_right, pair_out, bf)
+                    reads += run_len + n_right
                     merges += 1
         self.cost_model.observe(
             self.merge_step, [reads, len(out), merges], meter.elapsed
@@ -615,21 +590,17 @@ class _StagedBinary(_NodeBase):
         if self.full_fulfillment:
             self._left_sorted.merge_in(left_keys, sorted_left, stage)
             self._right_sorted.merge_in(right_keys, sorted_right, stage)
-        return out, left_file, right_file
+        return out
 
     # Salvage support ----------------------------------------------------
     def snapshot(self) -> dict:
         token = super().snapshot()
-        token["left_runs"] = len(self._left_runs)
-        token["right_runs"] = len(self._right_runs)
         token["left_sorted"] = self._left_sorted.snapshot()
         token["right_sorted"] = self._right_sorted.snapshot()
         return token
 
     def restore(self, token: dict) -> None:
         super().restore(token)
-        del self._left_runs[token["left_runs"] :]
-        del self._right_runs[token["right_runs"] :]
         self._left_sorted.restore(token["left_sorted"])
         self._right_sorted.restore(token["right_sorted"])
 
@@ -758,17 +729,15 @@ class StagedProject(_NodeBase):
         projected = project_rows(rows, self._positions)
 
         # Step (1): spool the projected tuples to a temporary file.
-        temp = self.spool.create(self.schema)
         with self.charger.measure() as meter:
-            temp.write(projected, self.charger)
+            self.spool.write(len(projected), self.charger)
         self.cost_model.observe(
             step_names.PROJECT_WRITE, [len(projected), 1.0], meter.elapsed
         )
 
         # Step (2): sort the temporary file.
         with self.charger.measure() as meter:
-            ordered = external_sort(temp.rows, whole_row_key, self.charger)
-            temp.replace_rows(ordered)
+            ordered = external_sort(projected, whole_row_key, self.charger)
         self.cost_model.observe(
             step_names.PROJECT_SORT,
             [_nlogn(len(projected)), len(projected), 1.0],
@@ -796,7 +765,7 @@ class StagedProject(_NodeBase):
             meter.elapsed,
         )
 
-        self.spool.release(temp)  # folded into the occupancy table
+        self.spool.release(len(projected))  # folded into the occupancy table
         self._record(len(new_groups))
         return new_groups
 

@@ -95,7 +95,7 @@ class PhysicalPlanBuilder:
         self._initial = dict(DEFAULT_INITIAL_SELECTIVITY)
         if options.initial_selectivities:
             self._initial.update(options.initial_selectivities)
-        self.spool = Spool(block_size)
+        self.spool = Spool()
         self._scans: dict[str, StagedScan] = {}
         self._label_counter = 0
 

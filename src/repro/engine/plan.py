@@ -275,7 +275,6 @@ class StagedPlan:
             if not isinstance(self.sink, NullSink):
                 tracker.sink = self.sink
         self.stages_completed = 0
-        self.history: list[StageStats] = []
 
     # ------------------------------------------------------------------
     # Introspection
@@ -416,15 +415,13 @@ class StagedPlan:
                 new_points += term.root.ledger.last.points
                 new_outputs += term.root.ledger.last.tuples
         self.stages_completed = stage
-        stats = StageStats(
+        return StageStats(
             stage=stage,
             fraction=fraction,
             blocks_read=self.blocks_drawn() - blocks_before,
             new_points=new_points,
             new_outputs=new_outputs,
         )
-        self.history.append(stats)
-        return stats
 
     # ------------------------------------------------------------------
     # Salvage support (fault injection)
@@ -435,13 +432,12 @@ class StagedPlan:
         Taken by the executor before each stage attempt when a fault
         injector is active. Everything an estimator reads rolls back on
         :meth:`restore` — node ledgers, sampler cursors, consolidated runs,
-        spool files, term moments — while everything *physical* stays:
+        the spool gauge, term moments — while everything *physical* stays:
         charged time, the cost model's observations, and already-emitted
         trace events are the true record of work the fault wasted.
         """
         return {
             "stages_completed": self.stages_completed,
-            "history": len(self.history),
             "spool": self.spool.snapshot(),
             "nodes": [(node, node.snapshot()) for node in self.nodes],
             "moments": [
@@ -456,7 +452,6 @@ class StagedPlan:
             node.restore(node_token)
         self.spool.restore(token["spool"])
         self.stages_completed = token["stages_completed"]
-        del self.history[token["history"] :]
         for term, (ones, total, total_sq) in zip(self.terms, token["moments"]):
             term.moments.ones = ones
             term.moments.total = total

@@ -22,7 +22,7 @@ from repro.kernels.cache import (
     KernelCacheInfo,
     compiled_predicate,
 )
-from repro.kernels.columns import ColumnBatch, column_array, columnize
+from repro.kernels.columns import ColumnBatch, column_array
 from repro.kernels.runs import (
     KeyedRows,
     SortedRun,
@@ -39,7 +39,6 @@ __all__ = [
     "KeyedRows",
     "SortedRun",
     "column_array",
-    "columnize",
     "compiled_predicate",
     "encode_columns",
     "first_occurrence",

@@ -42,50 +42,6 @@ def column_array(values: Sequence, attr_type: AttributeType) -> np.ndarray:
     return np.asarray(values)  # STR -> '<U…', code-point order == Python's
 
 
-_MATRIX_DTYPES = {
-    AttributeType.INT: np.int64,
-    AttributeType.FLOAT: np.float64,
-}
-
-
-def _matrix_dtype(schema: Schema) -> "np.dtype | None":
-    """The 2-D dtype for a uniform fast-dtype schema, else ``None``."""
-    types = {a.type for a in schema.attributes}
-    if len(types) == 1:
-        return _MATRIX_DTYPES.get(next(iter(types)))
-    return None
-
-
-def columnize(rows: Sequence[Row], schema: Schema) -> list[np.ndarray]:
-    """Decode ``rows`` into one array per attribute of ``schema``.
-
-    Uniform all-INT / all-FLOAT schemas transpose through one 2-D NumPy
-    conversion (a single C-level pass) instead of ``zip(*rows)``; the
-    resulting columns are value-identical to :func:`column_array`'s. INT
-    values too wide for ``int64`` make the matrix conversion overflow, and
-    the per-column path below takes over with its exact ``object``-array
-    fallback — correctness never depends on the fast path applying.
-    """
-    if not rows:
-        return [column_array((), a.type) for a in schema.attributes]
-    dtype = _matrix_dtype(schema)
-    if dtype is not None:
-        try:
-            matrix = np.asarray(rows, dtype=dtype)
-        except (OverflowError, TypeError, ValueError):
-            matrix = None
-        if matrix is not None and matrix.ndim == 2:
-            return [
-                np.ascontiguousarray(matrix[:, i])
-                for i in range(len(schema.attributes))
-            ]
-    transposed = list(zip(*rows))
-    return [
-        column_array(values, attr.type)
-        for values, attr in zip(transposed, schema.attributes)
-    ]
-
-
 class ColumnBatch:
     """Lazy columnar view over one stage's row list.
 

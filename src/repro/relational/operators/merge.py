@@ -48,9 +48,6 @@ def charge_merge(
         charger.charge(CostKind.PAGE_WRITE, -(-len(outputs) // blocking_factor))
 
 
-_charge_merge = charge_merge  # backwards-compatible module-private alias
-
-
 def merge_intersect(
     left: list[Row],
     right: list[Row],
@@ -72,7 +69,7 @@ def merge_intersect(
             i += 1
         else:
             j += 1
-    _charge_merge(charger, len(left), len(right), out, blocking_factor)
+    charge_merge(charger, len(left), len(right), out, blocking_factor)
     return out
 
 
@@ -97,7 +94,7 @@ def merge_union(
             i += 1
         while j < len(right) and right[j] == value:
             j += 1
-    _charge_merge(charger, len(left), len(right), out, blocking_factor)
+    charge_merge(charger, len(left), len(right), out, blocking_factor)
     return out
 
 
@@ -122,7 +119,7 @@ def merge_difference(
             out.append(value)
             while i < len(left) and left[i] == value:
                 i += 1
-    _charge_merge(charger, len(left), len(right), out, blocking_factor)
+    charge_merge(charger, len(left), len(right), out, blocking_factor)
     return out
 
 
@@ -162,5 +159,5 @@ def merge_join(
                 for rj in range(j, j_end):
                     out.append(left[li] + right[rj])
             i, j = i_end, j_end
-    _charge_merge(charger, len(left), len(right), out, blocking_factor)
+    charge_merge(charger, len(left), len(right), out, blocking_factor)
     return out

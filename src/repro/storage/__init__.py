@@ -10,7 +10,7 @@ from repro.storage.bufferpool import (
 )
 from repro.storage.events import BufferEvicted, BufferHit, BufferInvalidated
 from repro.storage.heapfile import DEFAULT_BLOCK_SIZE, HeapFile
-from repro.storage.spool import Spool, SpoolFile
+from repro.storage.spool import Spool
 
 __all__ = [
     "BufferEvicted",
@@ -24,7 +24,6 @@ __all__ = [
     "PooledBatch",
     "Row",
     "Spool",
-    "SpoolFile",
     "default_pool",
     "invalidate_bufferpool_relation",
 ]

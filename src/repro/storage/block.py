@@ -10,14 +10,9 @@ configured block size.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import Any, Iterator
 
 from repro.errors import StorageError
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    import numpy as np
-
-    from repro.catalog.schema import Schema
 
 Row = tuple[Any, ...]
 
@@ -48,18 +43,6 @@ class DiskBlock:
         if self.is_full:
             raise StorageError(f"block {self.block_id} is full")
         self.rows.append(row)
-
-    def columns(self, schema: "Schema") -> "list[np.ndarray]":
-        """Decode the block into one typed NumPy array per attribute.
-
-        The columnar view the kernel layer (:mod:`repro.kernels`) consumes;
-        uncharged, because decoding is host-side representation work — the
-        simulated block I/O was already charged by the read that produced
-        the rows.
-        """
-        from repro.kernels.columns import columnize
-
-        return columnize(self.rows, schema)
 
     def __len__(self) -> int:
         return len(self.rows)

@@ -2,13 +2,13 @@
 
 The engine charges *simulated* time for every sampled block (the paper's
 dominant ``BLOCK_READ`` term) — but on the wall-clock side each stage used
-to re-materialize Python row tuples and re-run :func:`~repro.kernels.
-columns.columnize` even when the very same block was decoded moments ago
-by an earlier stage, a salvage retry, or a concurrent server request over
-the same relation. :class:`BufferPool` is a process-wide, thread-safe
-buffer manager that caches, per ``(relation name, size fingerprint,
-block_id)``, both the raw row tuples and their lazily decoded columnar
-arrays, so the decode happens once and every later reader shares it.
+to re-materialize Python row tuples and re-decode their columns even when
+the very same block was decoded moments ago by an earlier stage, a salvage
+retry, or a concurrent server request over the same relation.
+:class:`BufferPool` is a process-wide, thread-safe buffer manager that
+caches, per ``(relation name, size fingerprint, block_id)``, both the raw
+row tuples and their lazily decoded columnar arrays, so the decode happens
+once and every later reader shares it.
 
 The hard contract (invariant 9 in ``docs/architecture.md``): **charged
 simulated costs, estimates, stage schedules, and traces never depend on
@@ -92,26 +92,15 @@ class BufferPoolInfo:
     pinned: int
 
 
-class _BlockEntry:
-    """One resident block: its row tuple plus lazily decoded columns."""
+class _BlockEntry(ColumnBatch):
+    """One resident block: its row tuple, its columns decoded once."""
 
-    __slots__ = ("key", "rows", "schema", "pins", "_cols")
+    __slots__ = ("key", "pins")
 
     def __init__(self, key: PoolKey, rows: tuple[Row, ...], schema: Schema) -> None:
+        super().__init__(rows, schema)
         self.key = key
-        self.rows = rows
-        self.schema = schema
         self.pins = 0
-        self._cols: dict[int, np.ndarray] = {}
-
-    def column(self, position: int) -> np.ndarray:
-        """This block's array for attribute ``position`` (decoded once)."""
-        col = self._cols.get(position)
-        if col is None:
-            attr = self.schema.attributes[position]
-            col = column_array([r[position] for r in self.rows], attr.type)
-            self._cols[position] = col
-        return col
 
 
 class PooledBatch(ColumnBatch):

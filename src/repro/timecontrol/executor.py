@@ -159,7 +159,8 @@ class SuspendedRun:
     Produced by :meth:`TimeConstrainedExecutor.run` when its ``checkpoint``
     callback asks to suspend. Everything the continuation needs is here:
     the partial :class:`RunReport` (stages completed so far, all still
-    charged), the absolute ``deadline`` (queue wait while suspended keeps
+    charged, with their estimates and salvaged faults — the run's whole
+    history), the absolute ``deadline`` (queue wait while suspended keeps
     eating the budget — the paper's time-quota semantics applied to
     preemption), the estimator/tracker state as a plan snapshot ``token``
     (:meth:`~repro.engine.plan.StagedPlan.snapshot` — restored on resume so
@@ -173,8 +174,6 @@ class SuspendedRun:
     report: RunReport
     deadline: float
     token: dict
-    estimates: list[Estimate]
-    stage_retries: int
     consumed: float
     suspended_at: float
 
@@ -245,12 +244,7 @@ class TimeConstrainedExecutor:
             )
         )
         return self._drive(
-            report,
-            deadline=start + quota,
-            estimates=[],
-            stage_retries=0,
-            checkpoint=checkpoint,
-            consumed=0.0,
+            report, deadline=start + quota, checkpoint=checkpoint, consumed=0.0
         )
 
     def resume(
@@ -274,8 +268,6 @@ class TimeConstrainedExecutor:
         return self._drive(
             suspended.report,
             deadline=suspended.deadline,
-            estimates=suspended.estimates,
-            stage_retries=suspended.stage_retries,
             checkpoint=checkpoint,
             consumed=suspended.consumed,
         )
@@ -284,8 +276,6 @@ class TimeConstrainedExecutor:
         self,
         report: RunReport,
         deadline: float,
-        estimates: list[Estimate],
-        stage_retries: int,
         checkpoint: Checkpoint | None,
         consumed: float,
     ) -> RunReport | SuspendedRun:
@@ -300,9 +290,7 @@ class TimeConstrainedExecutor:
             charger.arm(deadline, hard=live_hard)
         suspend = False
         try:
-            suspend, stage_retries = self._loop(
-                report, deadline, estimates, stage_retries, checkpoint
-            )
+            suspend = self._loop(report, deadline, checkpoint)
         finally:
             charger.disarm()
         if suspend:
@@ -310,8 +298,6 @@ class TimeConstrainedExecutor:
                 report=report,
                 deadline=deadline,
                 token=self.plan.snapshot(),
-                estimates=estimates,
-                stage_retries=stage_retries,
                 consumed=consumed + (clock.now() - segment_start),
                 suspended_at=clock.now(),
             )
@@ -339,11 +325,9 @@ class TimeConstrainedExecutor:
         self,
         report: RunReport,
         deadline: float,
-        estimates: list[Estimate],
-        stage_retries: int,
         checkpoint: Checkpoint | None,
-    ) -> tuple[bool, int]:
-        """The Figure 3.1 while-loop; ``(True, retries)`` = suspend."""
+    ) -> bool:
+        """The Figure 3.1 while-loop; ``True`` = suspend."""
         clock = self.plan.charger.clock
         injector = self.plan.injector
         while len(report.stages) < self.max_stages:
@@ -354,7 +338,7 @@ class TimeConstrainedExecutor:
                 and report.stages
                 and checkpoint(report)
             ):
-                return True, stage_retries
+                return True
             now = clock.now()
             remaining = deadline - now
             if remaining <= 0:
@@ -389,15 +373,10 @@ class TimeConstrainedExecutor:
             except (StorageError, SamplingExhausted) as fault:
                 if token is None:
                     raise
-                salvaged = self._salvage(
-                    report, fault, token, attempt_started, stage_retries
-                )
-                if not salvaged:
+                if not self._salvage(report, fault, token, attempt_started):
                     report.termination = "degraded"
                     break
-                stage_retries += 1
                 continue
-            stage_retries = 0
             report.stages.append(stage_report)
             if stage_report.aborted_mid_stage:
                 report.termination = "interrupted"
@@ -413,7 +392,6 @@ class TimeConstrainedExecutor:
             self.strategy.note_stage(stage_report.duration, stage_report.blocks_read)
             estimate = self.plan.estimate()
             stage_report.estimate = estimate
-            estimates.append(estimate)
             self._emit_stage_end(stage_report)
             if stage_report.completed_in_time:
                 report.estimate = estimate
@@ -426,7 +404,9 @@ class TimeConstrainedExecutor:
                 stage=stage_report.index,
                 remaining_seconds=deadline - clock.now(),
                 estimate=estimate,
-                estimate_history=estimates,
+                # Only a mid-stage abort leaves a stage without an
+                # estimate, and it ends the loop before reaching here.
+                estimate_history=[s.estimate for s in report.stages],
                 elapsed_seconds=clock.now() - report.started_at,
             )
             if self.stopping.should_stop(state):
@@ -438,7 +418,7 @@ class TimeConstrainedExecutor:
                 break
         else:
             report.termination = "max_stages"
-        return False, stage_retries
+        return False
 
     def _salvage(
         self,
@@ -446,7 +426,6 @@ class TimeConstrainedExecutor:
         fault: Exception,
         token: dict,
         attempt_started: float,
-        stage_retries: int,
     ) -> bool:
         """Discard the faulted stage attempt and decide whether to retry.
 
@@ -454,16 +433,17 @@ class TimeConstrainedExecutor:
         trackers, runs, moments) while the clock keeps every second the
         wasted attempt charged — faults cost time but never corrupt the
         estimate. Returns ``True`` to retry the stage, ``False`` to finish
-        the run with the last consistent estimate (``degraded``).
+        the run with the last consistent estimate (``degraded``). The
+        stage's earlier retries are the faults already recorded for it.
         """
         clock = self.plan.charger.clock
         wasted = clock.now() - attempt_started
         stage_index = self.plan.stages_completed + 1
         self.plan.restore(token)
         plan = self.plan.injector.plan
+        retries = sum(1 for f in report.faults if f.stage == stage_index)
         retry = (
-            plan.salvage == "continue"
-            and stage_retries + 1 < self.max_stage_retries
+            plan.salvage == "continue" and retries + 1 < self.max_stage_retries
         )
         record = FaultRecord(
             stage=stage_index,

@@ -6,8 +6,9 @@ subclasses compute the same stage the way the paper describes it — one
 ``apply_select`` pass, one ``external_sort`` per temp file, one pairwise
 ``merge_join`` / ``merge_intersect`` against every old run — using only the
 row-at-a-time operators in :mod:`repro.relational.operators`. They override
-the stage/filter method and nothing else, so ``advance``, prediction,
-selectivity tracking and snapshots are the engine's own.
+the stage/filter method, plus the snapshot of the per-stage runs only they
+keep, so ``advance``, prediction and selectivity tracking are the engine's
+own.
 
 :func:`rowwise_stages` substitutes them for the node classes
 :mod:`repro.engine.physical` instantiates; plans built inside the ``with``
@@ -40,24 +41,29 @@ class RowwiseSelect(StagedSelect):
 
 
 class _RowwiseStage:
-    """Pairwise merges against every old run (Figures 4.4–4.6)."""
+    """Pairwise merges against every old run (Figures 4.4–4.6).
+
+    The oracle keeps its own per-stage sorted runs ``F_{j,i}`` — the engine
+    holds only the consolidated ones — and rolls them back with the node.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._old_left = []
+        self._old_right = []
 
     def _stage(self, stage, new_left, new_right):
-        left_file, right_file = self._spool_and_charge_writes(new_left, new_right)
+        self._spool_writes(new_left, new_right)
         total_in = len(new_left) + len(new_right)
 
         # Step (2): sort the temporary files.
         left_pos, right_pos = self._key_positions()
         with self.charger.measure() as meter:
-            left_file.replace_rows(
-                external_sort(
-                    left_file.rows, key_for_positions(left_pos), self.charger
-                )
+            left_run = external_sort(
+                new_left, key_for_positions(left_pos), self.charger
             )
-            right_file.replace_rows(
-                external_sort(
-                    right_file.rows, key_for_positions(right_pos), self.charger
-                )
+            right_run = external_sort(
+                new_right, key_for_positions(right_pos), self.charger
             )
         self.cost_model.observe(
             self.sort_step,
@@ -71,22 +77,36 @@ class _RowwiseStage:
         reads = 0
         merges = 0
         with self.charger.measure() as meter:
-            out.extend(self._merge(left_file.rows, right_file.rows))
-            reads += len(left_file) + len(right_file)
+            out.extend(self._merge(left_run, right_run))
+            reads += total_in
             merges += 1
             if self.full_fulfillment:
-                for old_right in self._right_runs:
-                    out.extend(self._merge(left_file.rows, old_right.rows))
-                    reads += len(left_file) + len(old_right)
+                for old_right in self._old_right:
+                    out.extend(self._merge(left_run, old_right))
+                    reads += len(left_run) + len(old_right)
                     merges += 1
-                for old_left in self._left_runs:
-                    out.extend(self._merge(old_left.rows, right_file.rows))
-                    reads += len(old_left) + len(right_file)
+                for old_left in self._old_left:
+                    out.extend(self._merge(old_left, right_run))
+                    reads += len(old_left) + len(right_run)
                     merges += 1
         self.cost_model.observe(
             self.merge_step, [reads, len(out), merges], meter.elapsed
         )
-        return out, left_file, right_file
+        if self.full_fulfillment:
+            self._old_left.append(left_run)
+            self._old_right.append(right_run)
+        return out
+
+    def snapshot(self):
+        token = super().snapshot()
+        token["old_runs"] = (len(self._old_left), len(self._old_right))
+        return token
+
+    def restore(self, token):
+        super().restore(token)
+        left, right = token["old_runs"]
+        del self._old_left[left:]
+        del self._old_right[right:]
 
 
 class RowwiseJoin(_RowwiseStage, StagedJoin):

@@ -107,25 +107,34 @@ class TestSpoolAccounting:
         assert report.peak_temp_tuples > 0
 
     def test_partial_fulfillment_releases_runs(self, catalog):
-        """Under partial fulfillment old runs are never reused, so the
-        spool's live footprint stays bounded while full fulfillment's
-        grows with the sample."""
+        """Full fulfillment keeps every sampled tuple spooled for the
+        cross-stage merges; partial fulfillment never reuses old runs, so
+        each stage's runs are released and the peak is the largest stage."""
         from repro.relational.expression import intersect
 
         expr = intersect(rel("r1"), rel("r2"))
 
-        def live_after(full: bool) -> int:
+        def spooled(full: bool):
             rng = np.random.default_rng(4)
             charger = CostCharger(MachineProfile.uniform(0.0), rng=rng)
             plan = StagedPlan(
                 expr, catalog, charger, CostModel(), rng,
                 VERBATIM.replace(full_fulfillment=full),
             )
-            plan.advance_stage(0.2)
-            plan.advance_stage(0.2)
-            return plan.spool.live_tuples
+            stage_inputs = []
+            for fraction in (0.2, 0.1, 0.3):
+                before = sum(scan.cum_tuples for scan in plan.scans)
+                plan.advance_stage(fraction)
+                after = sum(scan.cum_tuples for scan in plan.scans)
+                stage_inputs.append(after - before)
+            return plan, stage_inputs
 
-        assert live_after(False) < live_after(True)
+        full, _ = spooled(True)
+        assert full.spool.live_tuples == sum(s.cum_tuples for s in full.scans)
+        assert full.spool.peak_tuples == full.spool.live_tuples
+        partial, stage_inputs = spooled(False)
+        assert partial.spool.live_tuples == 0
+        assert partial.spool.peak_tuples == max(stage_inputs)
 
     def test_temp_writes_match_spooled_tuples(self, catalog):
         from repro.timekeeping.profile import CostKind

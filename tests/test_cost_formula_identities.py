@@ -79,26 +79,14 @@ class TestMergeReadFormula:
     def test_equation_4_4_reads(self, catalog):
         """Realized merge reads equal N_{1,s−1}+N_{2,s−1}+s(n1s+n2s)."""
         expr = join(rel("r1"), rel("r2"), on=["a"])
-        plan, spy = run_stages(catalog, expr, [0.1, 0.15, 0.2])
+        _, spy = run_stages(catalog, expr, [0.1, 0.15, 0.2])
         merges = spy.of(step_names.JOIN_MERGE)
         assert len(merges) == 3
-        # Reconstruct the per-stage input sizes from the scans' history is
-        # implicit: both children are scans, so n_js equals the stage's new
-        # tuples. Walk the formula stage by stage.
-        n1_hist, n2_hist = [], []
-        cum1 = cum2 = 0
-        for s, features in enumerate(merges, start=1):
-            reads, _outputs, merge_count = features
-            # The executor interleaves: recover n_js from the scans via the
-            # recorded merge counts. For stage s the formula must hold with
-            # some (n1s, n2s); get them from the plan history instead.
-            stats = plan.history[s - 1]
-            n1s = n2s = stats.blocks_read  # not per-relation; recompute below
+        for s, (_reads, _outputs, merge_count) in enumerate(merges, start=1):
             assert merge_count == 2 * s - 1
 
-        # Cross-check stage by stage with per-relation numbers.
-        scan1, scan2 = plan.scans
-        # Re-run with the same seed to capture per-stage per-relation sizes.
+        # Both children are scans, so n_js is the stage's new tuples of
+        # relation j. Re-run with the same seed to capture them per stage.
         rng = np.random.default_rng(0)
         charger = CostCharger(MachineProfile.uniform(0.0), rng=rng)
         spy2 = SpyCostModel()
@@ -107,7 +95,7 @@ class TestMergeReadFormula:
         for s, fraction in enumerate([0.1, 0.15, 0.2], start=1):
             before1 = plan2.scans[0].cum_tuples
             before2 = plan2.scans[1].cum_tuples
-            plan2.advance_stage(fraction)
+            assert plan2.advance_stage(fraction).stage == s
             n1s = plan2.scans[0].cum_tuples - before1
             n2s = plan2.scans[1].cum_tuples - before2
             reads = spy2.of(step_names.JOIN_MERGE)[s - 1][0]

@@ -227,7 +227,8 @@ class TestProjectNode:
 
 
 class TestNodeState:
-    """A node stores a ledger, its children and its runs — no other count."""
+    """A node stores a ledger, its children and its consolidated runs — no
+    other count, and no second copy of a sampled tuple."""
 
     def test_rollback_tokens_hold_only_what_the_node_alone_knows(self, catalog):
         expr = project(
@@ -238,10 +239,9 @@ class TestNodeState:
         keys = {type(n).__name__: set(n.snapshot()) for n in plan.nodes}
         base = {"ledger", "stage_columns"}
         assert keys == {
-            "StagedScan": base | {"sampler", "stage_rows"},
+            "StagedScan": base | {"sampler"},
             "StagedSelect": base,
-            "StagedJoin": base
-            | {"left_runs", "right_runs", "left_sorted", "right_sorted"},
+            "StagedJoin": base | {"left_sorted", "right_sorted"},
             "StagedProject": base | {"occupancy"},
         }
 
@@ -314,8 +314,9 @@ class TestPlanMechanics:
         plan = free_plan(rel("r1"), catalog)
         stats = plan.advance_stage(0.2)
         assert stats.stage == 1
-        assert stats.blocks_read > 0
-        assert plan.history == [stats]
+        assert stats.blocks_read == plan.blocks_drawn() > 0
+        assert plan.advance_stage(0.2).stage == 2
+        assert not hasattr(plan, "history")  # the caller keeps the record
 
 
 class TestPrediction:

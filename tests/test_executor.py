@@ -12,7 +12,11 @@ from repro.relational.evaluator import count_exact
 from repro.relational.expression import join, rel, select
 from repro.relational.predicate import cmp
 from repro.timecontrol.executor import TimeConstrainedExecutor
-from repro.timecontrol.stopping import ErrorConstrained, HardDeadline
+from repro.timecontrol.stopping import (
+    ErrorConstrained,
+    HardDeadline,
+    StoppingCriterion,
+)
 from repro.timecontrol.strategies import (
     FixedFractionHeuristic,
     OneAtATimeInterval,
@@ -230,6 +234,27 @@ class TestStoppingIntegration:
         executor.max_stages = 2
         report = executor.run(quota=1e9)
         assert len(report.stages) <= 2
+
+    def test_estimate_history_is_the_reports_stage_estimates(self, catalog):
+        class Recording(StoppingCriterion):
+            def __init__(self):
+                self.histories = []
+
+            def should_stop(self, state):
+                self.histories.append(list(state.estimate_history))
+                return False
+
+        stopping = Recording()
+        executor = build_executor(
+            catalog,
+            join(rel("r1"), rel("r2"), on=["a"]),
+            strategy=FixedFractionHeuristic(gamma=0.3, probe_fraction=0.05),
+            stopping=stopping,
+        )
+        report = executor.run(quota=3.0)
+        assert len(stopping.histories) >= 2
+        for stage, history in enumerate(stopping.histories, start=1):
+            assert history == [s.estimate for s in report.stages[:stage]]
 
 
 class TestHeuristicStrategy:

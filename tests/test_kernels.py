@@ -14,7 +14,7 @@ import pytest
 from repro.catalog.schema import Attribute, Schema
 from repro.catalog.types import AttributeType
 from repro.kernels.cache import compiled_predicate
-from repro.kernels.columns import ColumnBatch, column_array, columnize
+from repro.kernels.columns import ColumnBatch, column_array
 from repro.kernels.runs import (
     KeyedRows,
     SortedRun,
@@ -30,7 +30,6 @@ from repro.kernels.runs import (
 )
 from repro.relational.operators import merge_intersect, merge_join
 from repro.relational.predicate import And, Not, Or, TruePredicate, attr, cmp
-from repro.storage.block import DiskBlock
 from repro.timekeeping.charger import CostCharger
 from repro.timekeeping.profile import MachineProfile
 
@@ -69,45 +68,6 @@ def test_column_array_huge_int_falls_back_to_object():
     assert col[1] == huge
 
 
-def test_columnize_round_trips_rows():
-    rows = [(1, 0.5, "x"), (2, 1.5, "y")]
-    cols = columnize(rows, SCHEMA)
-    assert [c.tolist() for c in cols] == [[1, 2], [0.5, 1.5], ["x", "y"]]
-    assert all(len(c) == 0 for c in columnize([], SCHEMA))
-
-
-def test_columnize_uniform_int_matrix_path_matches_per_column():
-    schema = Schema.of(id=AttributeType.INT, a=AttributeType.INT)
-    rows = [(i, i % 7) for i in range(100)]
-    cols = columnize(rows, schema)
-    for position, col in enumerate(cols):
-        expected = column_array([r[position] for r in rows], AttributeType.INT)
-        assert col.dtype == expected.dtype == np.int64
-        assert col.flags["C_CONTIGUOUS"]
-        np.testing.assert_array_equal(col, expected)
-
-
-def test_columnize_uniform_float_matrix_path_matches_per_column():
-    schema = Schema.of(x=AttributeType.FLOAT, y=AttributeType.FLOAT)
-    rows = [(i * 0.5, i * 0.25) for i in range(50)]
-    cols = columnize(rows, schema)
-    assert all(c.dtype == np.float64 for c in cols)
-    assert cols[0].tolist() == [i * 0.5 for i in range(50)]
-
-
-def test_columnize_wide_int_overflow_falls_back_to_object():
-    """Regression: an INT too wide for int64 must not break (or silently
-    wrap through) the 2-D fast path — the per-column object fallback keeps
-    exact Python comparison semantics."""
-    schema = Schema.of(id=AttributeType.INT, a=AttributeType.INT)
-    huge = 1 << 80
-    rows = [(1, 10), (2, huge), (3, -huge)]
-    cols = columnize(rows, schema)
-    assert cols[1].dtype == object
-    assert cols[1][1] == huge and cols[1][2] == -huge
-    assert cols[0].tolist() == [1, 2, 3]
-
-
 def test_column_batch_lazy_and_cached():
     rows = [(1, 0.5, "x"), (2, 1.5, "y"), (3, 2.5, "z")]
     batch = ColumnBatch(rows, SCHEMA)
@@ -117,12 +77,6 @@ def test_column_batch_lazy_and_cached():
     got = batch.key_columns([2, 0])
     assert got[0].tolist() == ["x", "y", "z"]
     assert got[1] is first
-
-
-def test_disk_block_columns():
-    block = DiskBlock(block_id=0, capacity=4, rows=[(1, 1.0, "a"), (2, 2.0, "b")])
-    cols = block.columns(SCHEMA)
-    assert [c.tolist() for c in cols] == [[1, 2], [1.0, 2.0], ["a", "b"]]
 
 
 # ----------------------------------------------------------------------

@@ -10,11 +10,13 @@ path is pinned separately in ``tests/test_preempt_identity.py``.
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 
 import pytest
 
 from repro.errors import ReproError
+from repro.faults.plan import FaultPlan
 from repro.observability import RecordingSink
 from repro.relational.expression import intersect, rel, select
 from repro.relational.predicate import cmp
@@ -115,6 +117,37 @@ class TestExecutorSuspendResume:
         assert result.report.termination == "deadline"
         assert result.estimate is not None
         assert result.estimate.value == pytest.approx(banked.value)
+
+    def test_a_suspended_run_is_its_report(self, db):
+        """A stage's retries are the faults its report records, so a run
+        parked between a faulted attempt and its retry stores nothing else
+        and resumes exactly like the run that never parked."""
+
+        def after_fault(report):
+            return bool(report.faults)
+
+        def run(checkpoint):
+            session = db.open_session(
+                query(), quota=6.0, seed=7, fault_plan=FaultPlan(fail_stages=(2,))
+            )
+            session.run(checkpoint=checkpoint)
+            return session
+
+        parked = run(after_fault)
+        state = parked.suspended_state
+        assert {f.name for f in dataclasses.fields(state)} == {
+            "report", "deadline", "token", "consumed", "suspended_at"
+        }
+        assert [(f.stage, f.action) for f in state.report.faults] == [(2, "retry")]
+        assert state.stages_completed == 1
+        resumed = parked.resume().report
+        straight = run(None).result.report
+        for report in (resumed, straight):
+            assert [(f.stage, f.action) for f in report.faults] == [(2, "retry")]
+        assert resumed.faults[0].wasted_seconds == straight.faults[0].wasted_seconds
+        assert [s.estimate for s in resumed.stages] == [
+            s.estimate for s in straight.stages
+        ]
 
     def test_plain_run_is_unchanged(self, db):
         session = db.open_session(query(), quota=4.0, seed=7)

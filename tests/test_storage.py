@@ -1,4 +1,4 @@
-"""Unit tests for blocks, heap files, and the spool."""
+"""Unit tests for blocks, heap files, and the spool gauge."""
 
 import pytest
 
@@ -99,40 +99,50 @@ class TestHeapFileReads:
 
 
 class TestSpool:
-    def test_write_charges_temp_write(self, int_schema, unit_charger):
-        spool = Spool(block_size=16)
-        f = spool.create(int_schema)
-        f.write([(1, 1), (2, 2), (3, 3)], unit_charger)
+    """The spool is a gauge: TEMP_WRITE charges plus live / peak tuples."""
+
+    def test_write_charges_temp_write(self, unit_charger):
+        spool = Spool()
+        spool.write(3, unit_charger)
+        spool.write(0, unit_charger)  # nothing spooled, nothing charged
         assert unit_charger.counts[CostKind.TEMP_WRITE] == 3
-        assert len(f) == 3
+        assert spool.live_tuples == spool.peak_tuples == 3
 
-    def test_page_count_ceiling(self, int_schema, unit_charger):
-        spool = Spool(block_size=16)  # bf = 2
-        f = spool.create(int_schema)
-        f.write([(i, i) for i in range(5)], unit_charger)
-        assert f.page_count(16) == 3
-
-    def test_sortedness_invalidated_by_write(self, int_schema, unit_charger):
-        spool = Spool(block_size=16)
-        f = spool.create(int_schema)
-        f.write([(2, 2)], unit_charger)
-        f.mark_sorted((0,))
-        assert f.sort_key == (0,)
-        f.write([(1, 1)], unit_charger)
-        assert f.sort_key is None
-
-    def test_peak_usage_tracked(self, int_schema, unit_charger):
-        spool = Spool(block_size=16)
-        a = spool.create(int_schema)
-        b = spool.create(int_schema)
-        a.write([(1, 1)] , unit_charger)
-        b.write([(2, 2), (3, 3)], unit_charger)
-        assert spool.peak_tuples == 3
-        spool.release(a)
+    def test_peak_usage_tracked(self, unit_charger):
+        spool = Spool()
+        spool.write(1, unit_charger)
+        spool.write(2, unit_charger)
+        assert spool.live_tuples == spool.peak_tuples == 3
+        spool.release(1)
         assert spool.live_tuples == 2
         assert spool.peak_tuples == 3
-        assert len(spool) == 2
+        spool.write(4, unit_charger)
+        assert spool.live_tuples == spool.peak_tuples == 6
+        assert unit_charger.counts[CostKind.TEMP_WRITE] == 7
+
+    def test_restore_keeps_the_high_water_mark(self, unit_charger):
+        spool = Spool()
+        spool.write(2, unit_charger)
+        token = spool.snapshot()
+        assert token == 2
+        spool.write(5, unit_charger)  # a faulted stage's transient space
+        spool.restore(token)
+        assert spool.live_tuples == 2
+        assert spool.peak_tuples == 7
+        spool.write(1, unit_charger)
+        assert spool.live_tuples == 3
+        assert spool.peak_tuples == 7
+
+    def test_spool_holds_no_rows(self, unit_charger):
+        import repro.storage
+
+        spool = Spool()
+        spool.write(2, unit_charger)
+        for name in ("create", "rows", "replace_rows", "block_size"):
+            assert not hasattr(spool, name)
+        assert not hasattr(repro.storage, "SpoolFile")
 
     def test_bad_block_size_rejected(self):
-        with pytest.raises(StorageError):
-            Spool(block_size=0)
+        # The gauge counts tuples, not pages: any block size is refused.
+        with pytest.raises(TypeError):
+            Spool(block_size=16)
