@@ -55,7 +55,7 @@ import weakref
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -93,14 +93,19 @@ class BufferPoolInfo:
 
 
 class _BlockEntry(ColumnBatch):
-    """One resident block: its row tuple, its columns decoded once."""
+    """One resident block: its row tuple, its columns decoded once.
 
-    __slots__ = ("key", "pins")
+    ``resident`` is true from admission until the pool drops the entry
+    (eviction, invalidation, clear), so pinning needs no key lookup.
+    """
+
+    __slots__ = ("key", "pins", "resident")
 
     def __init__(self, key: PoolKey, rows: tuple[Row, ...], schema: Schema) -> None:
         super().__init__(rows, schema)
         self.key = key
         self.pins = 0
+        self.resident = True
 
 
 class PooledBatch(ColumnBatch):
@@ -144,6 +149,56 @@ class PooledBatch(ColumnBatch):
         return col
 
 
+class _PoolReader:
+    """The context manager :meth:`BufferPool.reader` returns.
+
+    Holds the pool lock from ``__enter__`` to ``__exit__`` and yields
+    :meth:`lookup`: a hit is served inline, a miss goes through
+    :meth:`BufferPool.get_or_admit`. On exit the read's hits join the
+    pool's counter and, when the read completed, :meth:`BufferPool.
+    note_read` reports it.
+    """
+
+    __slots__ = (
+        "_pool", "_relation", "_prefix", "_name", "_fingerprint", "_get",
+        "_move_to_end", "_hits", "_misses",
+    )
+
+    def __init__(self, pool: "BufferPool", relation: "HeapFile") -> None:
+        self._pool = pool
+        self._relation = relation
+        self._prefix = pool.key_prefix(relation)
+        self._name, self._fingerprint = self._prefix
+        self._get = pool._entries.get
+        self._move_to_end = pool._entries.move_to_end
+        self._hits = 0
+        self._misses = 0
+
+    def __enter__(self) -> Callable[[int], _BlockEntry]:
+        self._pool._lock.acquire()
+        return self.lookup
+
+    def lookup(self, block_id: int) -> _BlockEntry:
+        """The resident entry for ``block_id``, admitting it on miss."""
+        key = (self._name, self._fingerprint, block_id)
+        entry = self._get(key)
+        if entry is not None:
+            self._move_to_end(key)
+            self._hits += 1
+            return entry
+        self._misses += 1
+        return self._pool.get_or_admit(self._relation, block_id, self._prefix)[0]
+
+    def __exit__(self, exc_type, *exc_info) -> None:
+        pool = self._pool
+        pool._hits += self._hits
+        pool._lock.release()
+        if exc_type is None:
+            pool.note_read(
+                self._name, self._hits + self._misses, self._hits, self._misses
+            )
+
+
 class BufferPool:
     """A thread-safe, capacity-bounded LRU over decoded disk blocks."""
 
@@ -177,8 +232,8 @@ class BufferPool:
         The per-heap storage token distinguishes same-named relations from
         different databases (or a drop-and-recreate); the size components
         make a grown heap miss naturally even before the explicit
-        mutation-time eviction lands. Batched readers compute it once per
-        call and hand it to :meth:`get_or_admit` with every block.
+        mutation-time eviction lands. A :meth:`reader` computes it once
+        per read.
         """
         return relation.name, (
             f"{relation.storage_token}:"
@@ -229,12 +284,24 @@ class BufferPool:
                             break
                 for victim in evicted:
                     del entries[victim.key]
+                    victim.resident = False
                 self._evictions += len(evicted)
         for victim in evicted:
             self._emit(
                 BufferEvicted, relation=victim.key[0], block_id=victim.key[2]
             )
         return entry, False
+
+    def reader(self, relation: "HeapFile") -> _PoolReader:
+        """``with pool.reader(relation) as lookup:`` — one batched read.
+
+        The lock is taken once for the whole read, not once per block;
+        ``lookup(block_id)`` returns the block's entry with
+        :meth:`get_or_admit`'s contract (a hit moves it to the MRU end, a
+        miss admits and may evict). The hit/miss split reaches
+        :meth:`note_read` only when the read completes.
+        """
+        return _PoolReader(self, relation)
 
     def note_read(
         self, relation_name: str, blocks: int, hits: int, misses: int
@@ -304,7 +371,7 @@ class BufferPool:
     def pin(self, entries: Sequence[_BlockEntry]) -> None:
         with self._lock:
             for entry in entries:
-                if entry.pins == 0 and self._entries.get(entry.key) is entry:
+                if entry.pins == 0 and entry.resident:
                     self._pinned += 1
                 entry.pins += 1
 
@@ -315,7 +382,7 @@ class BufferPool:
             for entry in entries:
                 if entry.pins > 0:
                     entry.pins -= 1
-                    if entry.pins == 0 and self._entries.get(entry.key) is entry:
+                    if entry.pins == 0 and entry.resident:
                         self._pinned -= 1
 
     # ------------------------------------------------------------------
@@ -333,7 +400,9 @@ class BufferPool:
         with self._lock:
             doomed = [key for key in self._entries if key[0] == name]
             for key in doomed:
-                if self._entries.pop(key).pins > 0:
+                entry = self._entries.pop(key)
+                entry.resident = False
+                if entry.pins > 0:
                     self._pinned -= 1
             self._invalidations += len(doomed)
         if doomed:
@@ -356,6 +425,8 @@ class BufferPool:
     def clear(self) -> None:
         """Drop all entries and reset counters (tests; catalog reloads)."""
         with self._lock:
+            for entry in self._entries.values():
+                entry.resident = False
             self._entries.clear()
             self._pinned = 0
             self._hits = 0

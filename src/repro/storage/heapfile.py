@@ -190,25 +190,28 @@ class HeapFile:
         pool lookup/admit. A raise from the charge (armed deadline) or the
         injector (injected fault, slow-read stall past the deadline)
         propagates *before* the admit step, so a faulted read never
-        poisons the cache.
+        poisons the cache. The read holds the pool lock once and charges
+        through :meth:`CostCharger.units`, whose per-block charge is
+        bit-identical to the ``charge`` in :meth:`read_block`.
         """
         rows: list[Row] = []
         entries = []
-        hits = 0
-        prefix = pool.key_prefix(self)
-        for block_id in block_ids:
-            if not 0 <= block_id < len(self._blocks):
-                raise self._no_such_block(block_id)
-            charger.charge(CostKind.BLOCK_READ, 1)
-            if injector is not None:
-                injector.on_block_read(
-                    self.name, block_id, charger, shard=self.shard_of_block(block_id)
-                )
-            entry, hit = pool.get_or_admit(self, block_id, prefix)
-            hits += hit
-            entries.append(entry)
-            rows.extend(entry.rows)
-        pool.note_read(self.name, len(block_ids), hits, len(block_ids) - hits)
+        n_blocks = len(self._blocks)
+        with pool.reader(self) as lookup, charger.units(
+            CostKind.BLOCK_READ, len(block_ids)
+        ) as charge_block:
+            for block_id in block_ids:
+                if not 0 <= block_id < n_blocks:
+                    raise self._no_such_block(block_id)
+                charge_block()
+                if injector is not None:
+                    injector.on_block_read(
+                        self.name, block_id, charger,
+                        shard=self.shard_of_block(block_id),
+                    )
+                entry = lookup(block_id)
+                entries.append(entry)
+                rows.extend(entry.rows)
         return rows, entries
 
     def scan(self, charger: CostCharger) -> Iterator[Row]:

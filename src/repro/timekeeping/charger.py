@@ -18,6 +18,10 @@ Every primitive operation in the storage and operator layers calls
   elapsed charged time, which the adaptive cost model uses to refit its
   coefficients (Section 4's "record the actual amount of time spent on each
   step").
+
+A pooled block read charges its blocks through :meth:`CostCharger.units`:
+one unit per call, bit-identical to one ``charge(kind, 1)`` per block, but
+with the jitter of the whole read drawn in one vectorised call.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -41,6 +45,81 @@ class _Meter:
 
     start: float
     elapsed: float = 0.0
+
+
+class _Units:
+    """The context manager :meth:`CostCharger.units` returns.
+
+    ``__enter__`` draws the jitter of all ``count`` units at once and
+    yields :meth:`charge_one`; ``__exit__`` writes the summed totals back
+    and, when fewer than ``count`` units were charged, rewinds the RNG to
+    where that many scalar charges would have left it.
+    """
+
+    __slots__ = (
+        "_charger", "_kind", "_count", "_rate", "_seconds", "_state",
+        "_total", "_counted", "_used",
+    )
+
+    def __init__(self, charger: "CostCharger", kind: CostKind, count: int) -> None:
+        if count < 0:
+            raise TimeControlError(f"cannot charge a negative unit count {count}")
+        self._charger = charger
+        self._kind = kind
+        self._count = count
+        self._rate = charger.profile.rate(kind)
+        self._seconds: list[float] | None = None
+        self._state: dict | None = None
+        self._used = 0
+
+    def __enter__(self) -> Callable[[], float]:
+        charger = self._charger
+        sigma = charger.profile.noise_sigma
+        if self._count and sigma > 0 and self._rate > 0:
+            rng = charger._rng
+            self._state = rng.bit_generator.state
+            # One draw for the read: element i equals the i-th scalar
+            # ``charge`` jitter bit for bit (tests/test_timekeeping.py).
+            jitter = np.exp(rng.normal(-0.5 * sigma * sigma, sigma, self._count))
+            self._seconds = (self._rate * jitter).tolist()
+        self._total = charger.totals[self._kind]
+        self._counted = charger.counts[self._kind]
+        return self.charge_one
+
+    def charge_one(self) -> float:
+        """Charge the next unit; exactly ``charge(kind, 1)``."""
+        used = self._used
+        if used == self._count:
+            raise TimeControlError(f"all {self._count} units already charged")
+        self._used = used + 1
+        seconds = self._rate if self._seconds is None else self._seconds[used]
+        self._total += seconds
+        self._counted += 1
+        charger = self._charger
+        now = charger._advance(seconds)
+        if charger.trace_costs:
+            charger.sink.emit(
+                CostCharged(
+                    cost_kind=self._kind.name.lower(),
+                    amount=1,
+                    seconds=seconds,
+                    clock=now,
+                )
+            )
+        charger._check_deadline(now)
+        return seconds
+
+    def __exit__(self, *exc_info) -> None:
+        charger = self._charger
+        charger.totals[self._kind] = self._total
+        charger.counts[self._kind] = self._counted
+        used = self._used
+        if self._state is not None and used < self._count:
+            rng = charger._rng
+            rng.bit_generator.state = self._state
+            if used:
+                sigma = charger.profile.noise_sigma
+                rng.normal(-0.5 * sigma * sigma, sigma, used)
 
 
 class CostCharger:
@@ -139,14 +218,24 @@ class CostCharger:
                     clock=now,
                 )
             )
-        if self._deadline is not None and now > self._deadline:
-            if self._first_crossing is None:
-                self._first_crossing = now
-            if self._hard:
-                deadline = self._deadline
-                self._deadline = None  # fire once
-                raise QuotaExpired(deadline, now)
+        self._check_deadline(now)
         return seconds
+
+    def units(self, kind: CostKind, count: int) -> _Units:
+        """Charge up to ``count`` single units of ``kind``, one per call.
+
+        ``with charger.units(kind, n) as charge_one:`` — each
+        ``charge_one()`` is bit-identical to ``charge(kind, 1)``: the same
+        clock advance, ``CostCharged`` event, first crossing and
+        ``QuotaExpired``. Only the bookkeeping is batched. The jitter of
+        all ``count`` units is drawn up front in one call; ``totals`` and
+        ``counts`` are summed in the same order and written back on exit;
+        and leaving the ``with`` block after fewer than ``count`` calls (a
+        deadline, a fault, a bad block id) rewinds the RNG to where that
+        many scalar charges would have left it. Inside the ``with`` block
+        nothing else may draw from this charger's RNG or charge ``kind``.
+        """
+        return _Units(self, kind, count)
 
     def penalty(self, seconds: float) -> float:
         """Charge ``seconds`` of raw stall time (injected or external waits).
@@ -163,14 +252,19 @@ class CostCharger:
             return 0.0
         self.penalty_seconds += seconds
         now = self._advance(seconds)
-        if self._deadline is not None and now > self._deadline:
+        self._check_deadline(now)
+        return seconds
+
+    def _check_deadline(self, now: float) -> None:
+        """The timer interrupt: note the first crossing of the armed
+        deadline and, in hard mode, raise :class:`QuotaExpired` once."""
+        deadline = self._deadline
+        if deadline is not None and now > deadline:
             if self._first_crossing is None:
                 self._first_crossing = now
             if self._hard:
-                deadline = self._deadline
                 self._deadline = None  # fire once
                 raise QuotaExpired(deadline, now)
-        return seconds
 
     def _advance(self, seconds: float) -> float:
         clock = self.clock

@@ -7,7 +7,9 @@ faulted or not. Every plan reads through a pool, so "pool off" is played
 by ``BufferPool(capacity=1)``: every read is a miss plus an eviction, i.e.
 the pool never saves a single materialization. At the storage level the
 pooled read is pinned against the pool-less reference
-``HeapFile.read_blocks`` in rows, charges and injector consultations, and
+``HeapFile.read_blocks`` in rows, charges and injector consultations —
+also when a deadline, a fault or a bad block id cuts the read short, down
+to the deadline crossing and the RNG position it leaves — and
 a partitioned relation's ``read_sharded`` against the plain pooled read
 (invariant 10 at the same level: one loop, one set of pool keys). The
 contract is checked on the engine and on the row-at-a-time stage oracle
@@ -24,7 +26,7 @@ import pytest
 
 from repro.core.database import Database
 from repro.core.options import QueryOptions
-from repro.errors import InjectedFault, StorageError
+from repro.errors import InjectedFault, QuotaExpired, StorageError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.observability import RecordingSink
@@ -34,7 +36,7 @@ from repro.server.workload import demo_database
 from repro.storage.bufferpool import BufferPool
 from repro.storage.partitioned import PARTITION_STRATEGIES, PartitionedHeapFile
 from repro.timekeeping.charger import CostCharger
-from repro.timekeeping.profile import MachineProfile
+from repro.timekeeping.profile import CostKind, MachineProfile
 from tests.conftest import make_relation
 from tests.rowwise_oracle import rowwise_stages
 
@@ -254,24 +256,38 @@ class TestFaults:
         assert on == off
 
 
-def observed_read(read, faulted=True, salt=9):
+def observed_read(
+    read, faulted=True, salt=9, *, profile=None, plan=None, deadline=None,
+    hard=True,
+):
     """One charged read — ``read(charger, injector) -> rows`` — and
-    everything it did observably, an out-of-bounds raise included."""
+    everything it did observably: the rows or the error that stopped it
+    (out-of-bounds id, injected fault, deadline), the clock, totals,
+    counts, fault events, the first deadline crossing, and where the
+    session RNG stream stands afterwards.
+
+    ``plan`` replaces the default slow-read plan (and implies an
+    injector); ``deadline`` arms the charger, in hard mode unless
+    ``hard=False``.
+    """
     import numpy as np
 
-    charger = CostCharger(MachineProfile.sun3_60(), rng=np.random.default_rng(salt))
+    rng = np.random.default_rng(salt)
+    charger = CostCharger(profile or MachineProfile.sun3_60(), rng=rng)
+    if deadline is not None:
+        charger.arm(deadline, hard=hard)
     sink = RecordingSink()
     injector = None
-    if faulted:
+    if faulted or plan is not None:
         injector = FaultInjector(
-            FaultPlan(slow_read_prob=0.5, slow_read_factor=3.0),
+            plan or FaultPlan(slow_read_prob=0.5, slow_read_factor=3.0),
             np.random.default_rng(salt + 1),
             sink,
         )
     try:
         rows, error = read(charger, injector), None
-    except StorageError as exc:
-        rows, error = None, str(exc)
+    except (StorageError, QuotaExpired) as exc:
+        rows, error = None, f"{type(exc).__name__}: {exc}"
     return (
         rows,
         error,
@@ -279,6 +295,8 @@ def observed_read(read, faulted=True, salt=9):
         sorted((k.name, v) for k, v in charger.totals.items()),
         sorted((k.name, v) for k, v in charger.counts.items()),
         [e.to_dict() for e in sink],
+        charger.crossed_at,
+        rng.bit_generator.state,
     )
 
 
@@ -312,6 +330,76 @@ class TestStorageReference:
         assert pool.info().hits == 6
         thrashed = observed_read(pooled_read(heap, thrashing_pool(), self.DRAW))
         assert thrashed == reference
+
+    # On sun3_60 with salt 9 the five jittered BLOCK_READs of DRAW end at
+    # clock 0.051, 0.113, 0.157, 0.223, 0.296: a deadline of 0.14 falls in
+    # block 3. With a 1x slow-read penalty after every block, block 2's
+    # penalty carries the clock from 0.173 to 0.233, across 0.2.
+    INTERRUPTED = {
+        "hard-deadline": (dict(faulted=False, deadline=0.14), "QuotaExpired", 3),
+        "record-deadline": (
+            dict(faulted=False, deadline=0.14, hard=False), None, 5
+        ),
+        "read-error": (
+            dict(plan=FaultPlan(read_error_prob=1.0, max_injections=1)),
+            "InjectedFault",
+            1,
+        ),
+        "slow-read-past-deadline": (
+            dict(
+                plan=FaultPlan(slow_read_prob=1.0, slow_read_factor=1.0),
+                deadline=0.2,
+            ),
+            "QuotaExpired",
+            2,
+        ),
+        "out-of-range-id": (dict(draw=[3, 0, 99, 4, 2]), "StorageError", 2),
+        "no-jitter": (
+            dict(
+                faulted=False,
+                profile=MachineProfile.sun3_60(noise_sigma=0.0),
+                deadline=0.14,
+            ),
+            "QuotaExpired",
+            3,
+        ),
+        "free-machine": (
+            dict(profile=MachineProfile.uniform(0.0, noise_sigma=0.3)), None, 5
+        ),
+    }
+
+    @pytest.mark.parametrize(
+        "setup,stopped_by,charged", INTERRUPTED.values(), ids=INTERRUPTED.keys()
+    )
+    def test_interrupted_read_leaves_the_reference_state(
+        self, int_schema, setup, stopped_by, charged
+    ):
+        """A read cut short leaves the clock, totals, crossing and RNG
+        position exactly where the per-block reference leaves them."""
+        import numpy as np
+
+        heap = make_relation("r1", int_schema, [(i, i % 3) for i in range(25)])
+        setup = dict(setup)
+        draw = setup.pop("draw", self.DRAW)
+        reference = observed_read(
+            lambda charger, injector: heap.read_blocks(draw, charger, injector),
+            **setup,
+        )
+        rows, error, *_, counts, _, crossed_at, rng_state = reference
+        if stopped_by is None:
+            assert error is None and len(rows) == 5 * len(draw)
+        else:
+            assert error.startswith(stopped_by + ":") and rows is None
+        assert dict(counts)["BLOCK_READ"] == charged
+        if "deadline" in setup:
+            assert crossed_at is not None
+        profile = setup.get("profile", MachineProfile.sun3_60())
+        if profile.noise_sigma == 0 or profile.rate(CostKind.BLOCK_READ) == 0:
+            # Nothing was drawn, so nothing may have been rewound either.
+            assert rng_state == np.random.default_rng(9).bit_generator.state
+        pool = BufferPool()
+        for target in (pool, pool, thrashing_pool()):  # cold, warm, thrashing
+            assert observed_read(pooled_read(heap, target, draw), **setup) == reference
 
 
 @pytest.mark.parametrize("strategy", PARTITION_STRATEGIES)
@@ -353,7 +441,7 @@ class TestShardedReadReference:
         plain, part = self._heaps(int_schema, strategy)
         draw = [3, 0, plain.block_count + 2, 4]
         reference = self._read(plain, BufferPool(), draw)
-        (_, error, _, _, counts, _), pooled = reference
+        (_, error, _, _, counts, *_), pooled = reference
         assert error is not None  # it did raise …
         # … after charging and admitting the two blocks ahead of the bad
         # id, and nothing behind it.

@@ -117,6 +117,106 @@ class TestChargerNoise:
         assert seq_a == seq_b
 
 
+class TestBatchedJitter:
+    """The premise of :meth:`CostCharger.units`: one vectorised normal
+    draw plus ``np.exp`` is bit-equal to the scalar sequence ``charge``
+    draws, and leaves the generator where the scalar draws would."""
+
+    @pytest.mark.parametrize("sigma", [0.18, 0.3])
+    def test_batched_normal_and_exp_equal_the_scalar_sequence(self, sigma):
+        loc = -0.5 * sigma * sigma
+        scalar_rng = np.random.default_rng(2024)
+        scalar, states = [], []
+        for _ in range(1000):
+            scalar.append(float(np.exp(scalar_rng.normal(loc, sigma))))
+            states.append(scalar_rng.bit_generator.state)
+        for size in range(1, 1001):
+            rng = np.random.default_rng(2024)
+            batched = np.exp(rng.normal(loc, sigma, size)).tolist()
+            assert batched == scalar[:size] and (
+                rng.bit_generator.state == states[size - 1]
+            ), (
+                f"numpy {np.__version__}: batched normal+exp of size {size} "
+                f"(sigma={sigma}) differs from the scalar sequence; "
+                "CostCharger.units is no longer bit-identical to charge()"
+            )
+
+
+class TestUnits:
+    @staticmethod
+    def _pair(trace: bool = True):
+        from repro.observability import RecordingSink
+
+        profile = MachineProfile.sun3_60()
+        return [
+            CostCharger(
+                profile,
+                rng=np.random.default_rng(5),
+                sink=RecordingSink(),
+                trace_costs=trace,
+            )
+            for _ in range(2)
+        ]
+
+    @staticmethod
+    def _state(charger):
+        return (
+            charger.clock.now(),
+            dict(charger.totals),
+            dict(charger.counts),
+            charger.crossed_at,
+            charger._rng.bit_generator.state,
+            [e.to_dict() for e in charger.sink],
+        )
+
+    def test_units_equal_scalar_charges(self):
+        batched, scalar = self._pair()
+        scalar.charge(CostKind.BLOCK_READ, 2)
+        batched.charge(CostKind.BLOCK_READ, 2)
+        with batched.units(CostKind.BLOCK_READ, 7) as charge_one:
+            got = [charge_one() for _ in range(7)]
+        want = [scalar.charge(CostKind.BLOCK_READ, 1) for _ in range(7)]
+        assert got == want
+        assert self._state(batched) == self._state(scalar)
+
+    @pytest.mark.parametrize("used", [0, 1, 4])
+    def test_early_exit_rewinds_the_rng(self, used):
+        batched, scalar = self._pair()
+        with pytest.raises(RuntimeError):
+            with batched.units(CostKind.BLOCK_READ, 9) as charge_one:
+                for _ in range(used):
+                    charge_one()
+                raise RuntimeError("read cut short")
+        for _ in range(used):
+            scalar.charge(CostKind.BLOCK_READ, 1)
+        assert self._state(batched) == self._state(scalar)
+        # ... and the stream carries on exactly as the scalar one does.
+        assert batched.charge(CostKind.SORT_TUPLE, 3) == scalar.charge(
+            CostKind.SORT_TUPLE, 3
+        )
+
+    def test_hard_deadline_inside_units(self):
+        batched, scalar = self._pair()
+        for charger in (batched, scalar):
+            charger.arm(0.14, hard=True)
+        with pytest.raises(QuotaExpired):
+            with batched.units(CostKind.BLOCK_READ, 6) as charge_one:
+                for _ in range(6):
+                    charge_one()
+        with pytest.raises(QuotaExpired):
+            for _ in range(6):
+                scalar.charge(CostKind.BLOCK_READ, 1)
+        assert batched.counts[CostKind.BLOCK_READ] < 6
+        assert self._state(batched) == self._state(scalar)
+
+    def test_charging_past_count_is_rejected(self, unit_charger):
+        with unit_charger.units(CostKind.BLOCK_READ, 1) as charge_one:
+            charge_one()
+            with pytest.raises(TimeControlError):
+                charge_one()
+        assert unit_charger.counts[CostKind.BLOCK_READ] == 1
+
+
 class TestDeadline:
     def test_record_mode_notes_crossing(self, unit_charger):
         unit_charger.arm(2.5, hard=False)
