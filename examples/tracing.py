@@ -65,8 +65,9 @@ def main() -> None:
         chose = sizing[end.stage]
         flag = "" if end.completed_in_time else "  <-- overspent"
         print(
-            f"stage {end.stage}: bisected {chose.bisection_iterations}x to "
-            f"f={end.fraction:.4f}, read {end.blocks_read} blocks in "
+            f"stage {end.stage}: sized in {chose.bisection_iterations} "
+            f"bisection steps to f={end.fraction:.4f}, read "
+            f"{end.blocks_read} blocks in "
             f"{end.duration:.2f}s, estimate {end.estimate_value:.0f}{flag}"
         )
 

@@ -19,7 +19,7 @@ the time-constrained executor needs:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -63,7 +63,6 @@ from repro.observability.trace import (
 from repro.relational.expression import Expression
 from repro.relational.inclusion_exclusion import expand_count
 from repro.sampling.point_space import PointSpace
-from repro.sampling.sampler import fraction_blocks
 from repro.storage.events import ShardMerged, ShardScanStarted
 from repro.storage.heapfile import DEFAULT_BLOCK_SIZE
 from repro.timekeeping.charger import CostCharger
@@ -269,6 +268,10 @@ class StagedPlan:
                 for node in term.root.iter_nodes()
             }.values()
         )
+        # D_max, the unit of a stage size (fixed: a plan's relations are).
+        self.max_block_count = max(
+            (scan.relation.block_count for scan in self.scans), default=0
+        )
         for tracker in self.trackers():
             if options.zero_fix_beta is not None:
                 tracker.zero_fix_beta = options.zero_fix_beta
@@ -298,7 +301,7 @@ class StagedPlan:
         return all(scan.exhausted for scan in self.scans)
 
     def max_remaining_fraction(self) -> float:
-        """Upper bisection bound: the largest per-relation fraction left."""
+        """The largest per-relation fraction left."""
         fractions = [
             scan.sampler.remaining_blocks / scan.relation.block_count
             for scan in self.scans
@@ -315,23 +318,23 @@ class StagedPlan:
         ]
         return min(fractions, default=0.0)
 
-    def stage_allotter(self) -> Callable[[float], tuple[int, ...]]:
-        """``f`` → the *stage allotment*: the blocks each scan would draw.
+    def max_stage_size(self) -> int:
+        """``k_max``: the stage size at which every scan draws all it has left.
 
-        A fraction reaches :meth:`predict_stage` only through these integers
-        (``StagedScan._blocks_for``), so between two stages ``QCOST`` is a
-        step function of the allotment. Each scan's ``(D, remaining)`` is
-        read once, here: the closure is for one bisection, never kept.
+        A stage of size ``k`` is ``k`` blocks of the largest operand,
+        ``f = k / max_block_count``; a scan over ``D`` blocks with ``r`` left
+        draws all ``r`` once ``k·D / max_block_count ≥ r``. 0 when every
+        scan is exhausted.
         """
-        bounds = [
-            (scan.relation.block_count, scan.sampler.remaining_blocks)
-            for scan in self.scans
-        ]
-        return lambda f: tuple([min(fraction_blocks(f, d), r) for d, r in bounds])
-
-    def stage_allotment(self, fraction: float) -> tuple[int, ...]:
-        """The blocks each scan would draw at ``fraction``, in scan order."""
-        return self.stage_allotter()(fraction)
+        unit = self.max_block_count
+        return max(
+            (
+                -(-scan.sampler.remaining_blocks * unit // scan.relation.block_count)
+                for scan in self.scans
+                if scan.relation.block_count
+            ),
+            default=0,
+        )
 
     # ------------------------------------------------------------------
     # Controller operations

@@ -39,7 +39,7 @@ the seed replays the run bit for bit.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.errors import ReproError
@@ -81,12 +81,15 @@ class SelectivityPosterior:
     """Pooled stage evidence for one operator subtree.
 
     ``tuples`` / ``points`` are cumulative Revise-Selectivities counts
-    (floats: aging scales them); ``runs`` counts the absorbed sessions.
+    (floats: aging scales them); ``runs`` counts the absorbed sessions;
+    ``relations`` are the subtree's base relations, which an invalidation
+    of any of them ages.
     """
 
     tuples: float
     points: float
     runs: int = 1
+    relations: tuple[str, ...] = field(default=(), compare=False, repr=False)
 
     @property
     def mean(self) -> float:
@@ -103,7 +106,9 @@ class SelectivityPosterior:
             scale = MAX_PRIOR_POINTS / new_points
             new_tuples *= scale
             new_points = MAX_PRIOR_POINTS
-        return SelectivityPosterior(new_tuples, new_points, self.runs + 1)
+        return replace(
+            self, tuples=new_tuples, points=new_points, runs=self.runs + 1
+        )
 
     def aged(self, decay: float) -> "SelectivityPosterior":
         """Evidence decayed by one mutation epoch."""
@@ -172,9 +177,7 @@ class SynopsisCatalog:
         self.sink: TraceSink = sink if sink is not None else NULL_SINK
         self._lock = threading.Lock()
         self._posteriors: dict[SynopsisKey, SelectivityPosterior] = {}
-        self._posterior_relations: dict[SynopsisKey, tuple[str, ...]] = {}
         self._answers: dict[AnswerKey, AnswerSynopsis] = {}
-        self._answer_relations: dict[AnswerKey, tuple[str, ...]] = {}
         self._refresh: "dict[tuple[str, str], AnswerSynopsis]" = {}
         self._hits = 0
         self._misses = 0
@@ -207,11 +210,10 @@ class SynopsisCatalog:
             existing = self._posteriors.get(key)
             if existing is None:
                 self._posteriors[key] = SelectivityPosterior(
-                    float(tuples), float(points)
+                    float(tuples), float(points), relations=tuple(relations)
                 )
             else:
                 self._posteriors[key] = existing.absorbed(tuples, points)
-            self._posterior_relations[key] = tuple(sorted(set(relations)))
 
     # ------------------------------------------------------------------
     # Answer synopses
@@ -243,7 +245,6 @@ class SynopsisCatalog:
         wins — the catalog keeps the best evidence it has ever seen for the
         shape, not merely the latest.
         """
-        relations = tuple(sorted(set(expr.base_relations())))
         key = (expr.structural_hash(), aggregate_key(aggregate), fingerprint)
         with self._lock:
             existing = self._answers.get(key)
@@ -264,7 +265,6 @@ class SynopsisCatalog:
                 blocks=blocks,
                 runs=runs,
             )
-            self._answer_relations[key] = relations
             self._refresh.pop((key[0], key[1]), None)
 
     # ------------------------------------------------------------------
@@ -283,23 +283,21 @@ class SynopsisCatalog:
         """
         with self._lock:
             aged = dropped_posteriors = 0
-            for key, relations in list(self._posterior_relations.items()):
-                if name not in relations:
+            for key, posterior in list(self._posteriors.items()):
+                if name not in posterior.relations:
                     continue
-                decayed = self._posteriors[key].aged(self.decay)
+                decayed = posterior.aged(self.decay)
                 if decayed.points < MIN_PRIOR_POINTS:
                     del self._posteriors[key]
-                    del self._posterior_relations[key]
                     dropped_posteriors += 1
                 else:
                     self._posteriors[key] = decayed
                     aged += 1
             dropped_answers = 0
-            for key, relations in list(self._answer_relations.items()):
-                if name not in relations:
+            for key, entry in list(self._answers.items()):
+                if name not in entry.expr.base_relations():
                     continue
-                entry = self._answers.pop(key)
-                del self._answer_relations[key]
+                del self._answers[key]
                 self._refresh[(key[0], key[1])] = entry
                 dropped_answers += 1
             self._invalidations += 1
@@ -359,9 +357,7 @@ class SynopsisCatalog:
         with self._lock:
             return {
                 "posteriors": dict(self._posteriors),
-                "posterior_relations": dict(self._posterior_relations),
                 "answers": dict(self._answers),
-                "answer_relations": dict(self._answer_relations),
                 "refresh": dict(self._refresh),
             }
 
@@ -369,17 +365,13 @@ class SynopsisCatalog:
         """Reset the state to a :meth:`snapshot` token (replay runs)."""
         with self._lock:
             self._posteriors = dict(token["posteriors"])
-            self._posterior_relations = dict(token["posterior_relations"])
             self._answers = dict(token["answers"])
-            self._answer_relations = dict(token["answer_relations"])
             self._refresh = dict(token["refresh"])
 
     def clear(self) -> None:
         """Drop everything and reset counters."""
         with self._lock:
             self._posteriors.clear()
-            self._posterior_relations.clear()
             self._answers.clear()
-            self._answer_relations.clear()
             self._refresh.clear()
             self._hits = self._misses = self._invalidations = 0

@@ -5,7 +5,7 @@ from repro.timecontrol.executor import (
     StageReport,
     TimeConstrainedExecutor,
 )
-from repro.timecontrol.sample_size import determine_fraction
+from repro.timecontrol.sample_size import determine_stage_size
 from repro.timecontrol.stopping import (
     AnyOf,
     ErrorConstrained,
@@ -38,6 +38,6 @@ __all__ = [
     "ValueFunction",
     "TimeConstrainedExecutor",
     "TimeControlStrategy",
-    "determine_fraction",
+    "determine_stage_size",
     "unlimited_quota",
 ]

@@ -37,19 +37,7 @@ from repro.engine.plan import StagedPlan
 from repro.errors import TimeControlError
 from repro.estimation.selectivity import SelectivityTracker
 from repro.observability.trace import FractionChosen
-from repro.timecontrol.sample_size import determine_fraction
-
-
-class _BisectionCounter:
-    """Counts Figure 3.4 iterations for the trace (see ``determine_fraction``)."""
-
-    __slots__ = ("iterations",)
-
-    def __init__(self) -> None:
-        self.iterations = 0
-
-    def __call__(self, iteration: int, fraction: float, cost: float) -> None:
-        self.iterations = iteration
+from repro.timecontrol.sample_size import determine_stage_size
 
 
 class TimeControlStrategy:
@@ -82,34 +70,23 @@ class TimeControlStrategy:
         stage: int,
         cost: Callable[[float], float],
     ) -> float | None:
-        """Figure 3.4 over ``cost``, pricing each distinct allotment once.
+        """Figure 3.4 over whole stage sizes; returns ``f = k / D_max``.
 
-        ``cost`` depends on ``f`` only through ``plan``'s stage allotment, so
-        the iterates of one bisection that draw the same blocks share one
-        evaluation. ``priced`` dies with this call: coefficients, tracker
-        state and remaining blocks all move between stages.
+        A stage of size ``k`` is ``k`` blocks of the plan's largest operand
+        (``D_max`` = ``plan.max_block_count``); ``cost`` prices the fraction
+        that stands for it. Where every scan has ``D_max`` blocks, the sizes
+        reach every allotment a real-valued ``f`` could.
         """
         budget = self._budget(plan, remaining_seconds)
-        allotment = plan.stage_allotter()
-        priced: dict[tuple[int, ...], float] = {}
-
-        def cost_of_allotment(fraction: float) -> float:
-            key = allotment(fraction)
-            seconds = priced.get(key)
-            if seconds is None:
-                seconds = priced[key] = cost(fraction)
-            return seconds
-
-        counter = _BisectionCounter()
-        fraction = determine_fraction(
-            cost=cost_of_allotment,
-            budget_seconds=budget,
-            min_fraction=plan.min_feasible_fraction(),
-            max_fraction=plan.max_remaining_fraction(),
-            epsilon_ratio=self.epsilon_ratio,
-            observer=counter,
+        unit = plan.max_block_count
+        size, iterations = determine_stage_size(
+            lambda k: cost(k / unit),
+            budget,
+            plan.max_stage_size(),
+            self.epsilon_ratio,
         )
-        return self._trace_choice(plan, stage, fraction, budget, counter.iterations)
+        fraction = None if size is None else size / unit
+        return self._trace_choice(plan, stage, fraction, budget, iterations)
 
     @staticmethod
     def _trace_choice(

@@ -148,3 +148,13 @@ class TestAblations:
     def test_stopping_table(self):
         table = ablation_stopping(runs=3)
         assert len(table.rows) == 5
+
+    def test_hard_and_soft_deadline_rows_differ(self):
+        # The hard row runs with the live interrupt armed, so an overspending
+        # stage is cut at the deadline instead of running to its end.
+        table = ablation_stopping(runs=50)
+        hard, soft = table.rows[0], table.rows[1]
+        assert (hard[0], soft[0]) == ("hard deadline", "soft deadline")
+        assert float(soft[2]) > 0  # some run overspent
+        assert float(hard[3]) < float(soft[3])  # ovsp: cut short
+        assert hard[4:] == soft[4:]  # the in-time stages are the same

@@ -50,7 +50,7 @@ class TestOneAtATimeInterval:
 
     @pytest.mark.parametrize("epsilon_ratio", [0.0, -1.0])
     def test_invalid_epsilon_ratio_rejected_at_construction(self, epsilon_ratio):
-        # At construction — not from determine_fraction, at stage 1 of every query.
+        # At construction: determine_stage_size does not check it again.
         with pytest.raises(TimeControlError, match="epsilon_ratio"):
             OneAtATimeInterval(epsilon_ratio=epsilon_ratio)
 
