@@ -10,6 +10,7 @@ validate / coerce Python values.
 from __future__ import annotations
 
 import enum
+import math
 from typing import Any
 
 from repro.errors import SchemaError
@@ -41,6 +42,8 @@ class AttributeType(enum.Enum):
 
         Booleans are rejected as INTs (a common silent-bug source), and
         numeric strings are *not* auto-parsed: the loader should be explicit.
+        A FLOAT may be ±inf but not NaN, which has no place in the sort order
+        that histograms and merges rely on.
         """
         if self is AttributeType.INT:
             if isinstance(value, bool) or not isinstance(value, int):
@@ -49,7 +52,10 @@ class AttributeType(enum.Enum):
         if self is AttributeType.FLOAT:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise SchemaError(f"expected float, got {value!r}")
-            return float(value)
+            value = float(value)
+            if math.isnan(value):
+                raise SchemaError("expected float, got nan")
+            return value
         if not isinstance(value, str):
             raise SchemaError(f"expected str, got {value!r}")
         return value

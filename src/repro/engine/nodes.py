@@ -35,7 +35,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import compress
 from typing import TYPE_CHECKING, Callable, Protocol, Sequence
 
 from repro.catalog.schema import Schema
@@ -51,6 +50,7 @@ from repro.relational.operators import (
     charge_merge,
     external_sort,
     project_rows,
+    select_batch,
     whole_row_key,
 )
 from repro.relational.predicate import Predicate
@@ -391,14 +391,9 @@ class StagedSelect(_NodeBase):
 
     def _filter(self, rows: list[Row]) -> list[Row]:
         """Whole-stage filter: same charges as ``apply_select``, one mask."""
-        self.charger.charge(CostKind.OP_INIT, 1)
-        if rows:
-            self.charger.charge(CostKind.SELECT_CHECK, len(rows))
-        batch = self._child_batch(self.child, rows)
-        mask = self._mask_fn(batch)
-        out = list(compress(rows, mask.tolist()))
-        if out:
-            self.charger.charge(CostKind.PAGE_WRITE, -(-len(out) // self._bf()))
+        out = select_batch(
+            self._child_batch(self.child, rows), self._mask_fn, self.charger, self._bf()
+        )
         self.stage_columns = ColumnBatch(out, self.schema)
         return out
 

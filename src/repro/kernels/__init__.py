@@ -8,9 +8,10 @@ bulk primitives (vectorized predicate masks, lexicographic sorts,
 sorted run per operand side) that the staged nodes use to *compute* each
 stage, while every charged cost — block reads, comparisons, sort and merge
 steps — is issued in exactly the sequence and amounts of the row-at-a-time
-operators in :mod:`repro.relational.operators`. Those
-operators stay in the library — the exact evaluator runs on them — and are
-the reference every kernel is tested against: estimates, trace events, and
+operators in :mod:`repro.relational.operators`. Those operators stay in
+the library — the exact evaluator runs on them (its selection on the
+whole-batch ``select_batch`` the staged select uses) — and are the
+reference every kernel is tested against: estimates, trace events, and
 charged simulated times are bit-identical to a stage computed with them;
 only wall-clock time differs.
 """

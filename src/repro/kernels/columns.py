@@ -4,9 +4,10 @@ The storage layer hands the engine lists of Python tuples (the paper's
 fixed-size records). The kernels work column-wise: each attribute becomes
 one contiguous array whose dtype follows the attribute type (``int64`` for
 INT, ``float64`` for FLOAT, unicode for STR). Integers too wide for
-``int64`` fall back to ``object`` arrays, which keep exact Python
-comparison semantics at reduced speed — correctness never depends on the
-fast dtype being available.
+``int64``, and strings ending in NUL (which a unicode array would drop),
+fall back to ``object`` arrays, which keep exact Python comparison
+semantics at reduced speed — correctness never depends on the fast dtype
+being available.
 
 :class:`ColumnBatch` is the lazy per-stage view a node attaches to its
 output: columns materialize on first access and are cached, so a parent
@@ -15,6 +16,7 @@ that only needs the join-key columns never pays for the rest.
 
 from __future__ import annotations
 
+from operator import methodcaller
 from typing import Sequence
 
 import numpy as np
@@ -22,6 +24,8 @@ import numpy as np
 from repro.catalog.schema import Schema
 from repro.catalog.types import AttributeType
 from repro.storage.block import Row
+
+_ENDS_IN_NUL = methodcaller("endswith", "\x00")
 
 
 def column_array(values: Sequence, attr_type: AttributeType) -> np.ndarray:
@@ -39,6 +43,8 @@ def column_array(values: Sequence, attr_type: AttributeType) -> np.ndarray:
             return np.asarray(values, dtype=object)
     if attr_type is AttributeType.FLOAT:
         return np.asarray(values, dtype=np.float64)
+    if any(map(_ENDS_IN_NUL, values)):
+        return np.asarray(values, dtype=object)  # '<U…' drops trailing NULs
     return np.asarray(values)  # STR -> '<U…', code-point order == Python's
 
 

@@ -3,7 +3,11 @@
 Evaluates an expression over the *full* stored relations using the very same
 charged primitives as the sampling engine (scan, external sort, sorted
 merge), so exact evaluation is both the correctness oracle for the
-estimators and the cost baseline a time quota is traded against.
+estimators and the cost baseline a time quota is traded against. A base
+relation is read in one pass (:meth:`HeapFile.scan_all`, charged like the
+per-block :meth:`HeapFile.scan`), and a selection decides the whole input
+with the predicate's compiled column mask (:func:`select_batch`, the
+staged select's filter), charged like :func:`apply_select`.
 
 The algorithms mirror Figures 4.3–4.7 of the paper: every binary operator
 writes its inputs to temporary files, sorts them, and merges; projection
@@ -28,7 +32,6 @@ from repro.relational.expression import (
     Union,
 )
 from repro.relational.operators import (
-    apply_select,
     dedupe_sorted,
     external_sort,
     key_for_positions,
@@ -37,6 +40,7 @@ from repro.relational.operators import (
     merge_join,
     merge_union,
     project_rows,
+    select_batch,
     whole_row_key,
 )
 from repro.storage.block import Row
@@ -78,17 +82,19 @@ class ExactEvaluator:
 
     def _eval(self, expr: Expression) -> list[Row]:
         if isinstance(expr, RelationRef):
-            relation = self.catalog.get(expr.name)
-            return list(relation.scan(self.charger))
+            return self.catalog.get(expr.name).scan_all(self.charger)
         if isinstance(expr, Select):
             rows = self._eval(expr.child)
             schema = expr.schema(self.catalog)
             # Shared compilation cache: repeated evaluations of the same
             # formula (oracle checks inside experiment batteries) bind once.
             from repro.kernels.cache import compiled_predicate
+            from repro.kernels.columns import ColumnBatch
 
-            predicate = compiled_predicate(expr.predicate, schema).row_fn
-            return apply_select(rows, predicate, self.charger, self._bf(schema))
+            mask_fn = compiled_predicate(expr.predicate, schema).mask_fn
+            return select_batch(
+                ColumnBatch(rows, schema), mask_fn, self.charger, self._bf(schema)
+            )
         if isinstance(expr, Project):
             return self._eval_project(expr)
         if isinstance(expr, Join):

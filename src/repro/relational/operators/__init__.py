@@ -17,6 +17,7 @@ from repro.relational.operators.unary import (
     apply_select,
     dedupe_sorted,
     project_rows,
+    select_batch,
 )
 
 __all__ = [
@@ -31,5 +32,6 @@ __all__ = [
     "merge_join",
     "merge_union",
     "project_rows",
+    "select_batch",
     "whole_row_key",
 ]

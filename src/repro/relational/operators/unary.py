@@ -4,7 +4,10 @@ Selection (Figure 4.3) is "exactly the same as the regular selection
 operation evaluation in a relational DBMS": scan input tuples, check the
 formula, write qualifying tuples out. Its cost formula — equation (4.1) —
 is ``c1·n + C1·p + C2`` and we charge ``SELECT_CHECK`` per input tuple,
-``PAGE_WRITE`` per output page and ``OP_INIT`` once.
+``PAGE_WRITE`` per output page and ``OP_INIT`` once. :func:`apply_select`
+checks one row at a time and is the reference; :func:`select_batch` issues
+the same charges but decides a whole column batch with one compiled mask —
+the staged select and the exact evaluator both run on it.
 
 Duplicate elimination is the third step of the Project algorithm
 (Figure 4.7): "scan the temporary file and write distinct tuples with their
@@ -15,11 +18,16 @@ occupancies, which Goodman's estimator consumes.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from itertools import compress
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.storage.block import Row
 from repro.timekeeping.charger import CostCharger
 from repro.timekeeping.profile import CostKind
+
+if TYPE_CHECKING:
+    from repro.kernels.columns import ColumnBatch
+    from repro.relational.predicate import ColumnMask
 
 
 def apply_select(
@@ -33,6 +41,29 @@ def apply_select(
     if rows:
         charger.charge(CostKind.SELECT_CHECK, len(rows))
     out = [row for row in rows if predicate(row)]
+    if out:
+        charger.charge(CostKind.PAGE_WRITE, -(-len(out) // blocking_factor))
+    return out
+
+
+def select_batch(
+    batch: "ColumnBatch",
+    mask_fn: "ColumnMask",
+    charger: CostCharger,
+    blocking_factor: int,
+) -> list[Row]:
+    """:func:`apply_select` over ``batch.rows``, decided by one mask.
+
+    Charges ``OP_INIT``, ``SELECT_CHECK`` and ``PAGE_WRITE`` exactly as
+    :func:`apply_select` does and keeps the selected rows in input order.
+    An empty batch is not handed to the mask.
+    """
+    rows = batch.rows
+    charger.charge(CostKind.OP_INIT, 1)
+    if not rows:
+        return []
+    charger.charge(CostKind.SELECT_CHECK, len(rows))
+    out = list(compress(rows, mask_fn(batch).tolist()))
     if out:
         charger.charge(CostKind.PAGE_WRITE, -(-len(out) // blocking_factor))
     return out

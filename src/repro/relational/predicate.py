@@ -45,6 +45,39 @@ _OPS: dict[str, Callable[[Any, Any], bool]] = {
 }
 
 
+_EXACT_IN_FLOAT = 2**53
+"""Every integer of at most this magnitude is exactly a float64."""
+
+
+def _compare(fn: Callable[[Any, Any], Any], left: Any, right: Any) -> np.ndarray:
+    """``fn(left, right)`` elementwise, decided as Python decides it per row.
+
+    NumPy compares an integer with a float in float64, which rounds an
+    integer past 2**53; such a pair is compared as Python objects instead.
+    """
+    if _rounds(left, right) or _rounds(right, left):
+        left, right = _as_objects(left), _as_objects(right)
+    return np.asarray(fn(left, right), dtype=bool)
+
+
+def _rounds(ints: Any, floats: Any) -> bool:
+    """Would comparing ``ints`` with ``floats`` in float64 round an integer?"""
+    if isinstance(floats, np.ndarray):
+        if floats.dtype.kind != "f":
+            return False
+    elif not isinstance(floats, float):
+        return False
+    if isinstance(ints, np.ndarray):
+        return ints.dtype.kind == "i" and bool(
+            ((ints > _EXACT_IN_FLOAT) | (ints < -_EXACT_IN_FLOAT)).any()
+        )
+    return isinstance(ints, (int, np.integer)) and abs(int(ints)) > _EXACT_IN_FLOAT
+
+
+def _as_objects(value: Any) -> Any:
+    return value.astype(object) if isinstance(value, np.ndarray) else value
+
+
 class Predicate:
     """Abstract base of all selection formulas."""
 
@@ -112,13 +145,9 @@ class Comparison(Predicate):
         fn = _OPS[self.op]
         if isinstance(self.value, Attr):
             other = schema.index_of(self.value.name)
-            return lambda cols: np.asarray(
-                fn(cols.column(idx), cols.column(other)), dtype=bool
-            )
+            return lambda cols: _compare(fn, cols.column(idx), cols.column(other))
         constant = self.value
-        return lambda cols: np.asarray(
-            fn(cols.column(idx), constant), dtype=bool
-        )
+        return lambda cols: _compare(fn, cols.column(idx), constant)
 
     def comparison_count(self) -> int:
         return 1

@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from repro.errors import EstimationError
 
 
@@ -56,27 +58,29 @@ class EquiDepthHistogram:
     # ------------------------------------------------------------------
     @classmethod
     def build(cls, values: Sequence[float], buckets: int = 32) -> "EquiDepthHistogram":
-        """Build from raw attribute values (one pass after a sort)."""
+        """Build from raw attribute values (one pass after a sort).
+
+        ``np.sort(kind="stable")`` orders ``-0.0`` and ``0.0`` as
+        ``sorted()`` does (by input position), so boundaries match the
+        Python sort bit for bit. NaN has no place in that order and is
+        refused.
+        """
         if buckets <= 0:
             raise EstimationError(f"need at least one bucket, got {buckets}")
-        ordered = sorted(float(v) for v in values)
-        total = len(ordered)
+        total = len(values)
         if total == 0:
             return cls(boundaries=(0.0, 0.0), depths=(0,), distinct=0, total=0)
-        buckets = min(buckets, total)
-        distinct = 1 + sum(
-            1 for a, b in zip(ordered, ordered[1:]) if a != b
+        ordered = np.sort(
+            np.fromiter(map(float, values), dtype=np.float64, count=total),
+            kind="stable",
         )
-        boundaries = [ordered[0]]
-        depths = []
-        taken = 0
-        for i in range(buckets):
-            target = round((i + 1) * total / buckets)
-            depth = target - taken
-            taken = target
-            depths.append(depth)
-            boundaries.append(ordered[min(taken, total) - 1])
-        # Guard against zero-width trailing buckets from duplicates.
+        if np.isnan(ordered[-1]):
+            raise EstimationError("cannot build a histogram over NaN values")
+        buckets = min(buckets, total)
+        distinct = 1 + int(np.count_nonzero(ordered[1:] != ordered[:-1]))
+        ends = [round((i + 1) * total / buckets) for i in range(buckets)]
+        depths = [end - taken for taken, end in zip([0, *ends], ends)]
+        boundaries = ordered[[0, *(end - 1 for end in ends)]].tolist()
         return cls(
             boundaries=tuple(boundaries),
             depths=tuple(depths),

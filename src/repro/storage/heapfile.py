@@ -64,21 +64,26 @@ class HeapFile:
     def load(self, rows: Iterable[Sequence]) -> int:
         """Bulk-append validated rows, packing blocks densely.
 
-        Returns the number of rows loaded. Loading is not charged: the
-        experiments (like the paper's) treat relation creation as offline
-        setup outside any quota.
+        Returns the number of rows loaded. The whole batch is validated
+        (:meth:`Schema.validate_rows`) before any block changes, so a batch
+        with one bad row stores nothing. The rows then top up a partial
+        last block and are cut into whole blocks by slicing. Loading is
+        not charged: the experiments (like the paper's) treat relation
+        creation as offline setup outside any quota.
         """
-        count = 0
-        for raw in rows:
-            row = self.schema.validate_row(raw)
-            if not self._blocks or self._blocks[-1].is_full:
-                self._blocks.append(
-                    DiskBlock(block_id=len(self._blocks), capacity=self.blocking_factor)
-                )
-            self._blocks[-1].append(row)
-            count += 1
-        self._tuple_count += count
-        return count
+        rows = self.schema.validate_rows(rows)
+        bf = self.blocking_factor
+        start = 0
+        if self._blocks and not self._blocks[-1].is_full:
+            last = self._blocks[-1]
+            start = bf - len(last)
+            last.rows.extend(rows[:start])
+        for offset in range(start, len(rows), bf):
+            self._blocks.append(
+                DiskBlock(len(self._blocks), bf, rows[offset:offset + bf])
+            )
+        self._tuple_count += len(rows)
+        return len(rows)
 
     # ------------------------------------------------------------------
     # Size introspection (read by the catalog, sampler, and cost model)
@@ -217,11 +222,25 @@ class HeapFile:
     def scan(self, charger: CostCharger) -> Iterator[Row]:
         """Full sequential scan, charging one ``BLOCK_READ`` per block.
 
-        Used by the exact-evaluation baseline; sampling never scans.
+        The per-block reference of :meth:`scan_all`, which the exact
+        evaluator reads with; sampling never scans.
         """
         for block in self._blocks:
             charger.charge(CostKind.BLOCK_READ, 1)
             yield from block.rows
+
+    def scan_all(self, charger: CostCharger) -> list[Row]:
+        """:meth:`scan` as one list, its ``BLOCK_READ``s charged through
+        :meth:`CostCharger.units` — bit-identical to the per-block charges.
+
+        The exact evaluator's read of a base relation.
+        """
+        rows: list[Row] = []
+        with charger.units(CostKind.BLOCK_READ, len(self._blocks)) as charge_block:
+            for block in self._blocks:
+                charge_block()
+                rows.extend(block.rows)
+        return rows
 
     def all_rows(self) -> list[Row]:
         """All rows without any charge — for tests and ground-truth checks."""

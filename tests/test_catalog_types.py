@@ -38,6 +38,12 @@ class TestValidate:
         with pytest.raises(SchemaError):
             AttributeType.FLOAT.validate(False)
 
+    def test_float_rejects_nan_but_not_infinity(self):
+        with pytest.raises(SchemaError, match="nan"):
+            AttributeType.FLOAT.validate(float("nan"))
+        assert AttributeType.FLOAT.validate(float("inf")) == float("inf")
+        assert AttributeType.FLOAT.validate(float("-inf")) == float("-inf")
+
     def test_str_accepts_str(self):
         assert AttributeType.STR.validate("x") == "x"
 

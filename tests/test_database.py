@@ -2,10 +2,11 @@
 
 import pytest
 
+from repro import caches
 from repro.catalog.schema import Schema
 from repro.catalog.types import AttributeType
 from repro.core.database import Database
-from repro.errors import EstimationError, ReproError
+from repro.errors import EstimationError, ReproError, SchemaError
 from repro.relational.expression import join, rel, select, union
 from repro.relational.predicate import cmp
 from repro.timecontrol.strategies import OneAtATimeInterval
@@ -57,6 +58,70 @@ class TestRelationManagement:
     def test_duplicate_name_rejected(self, db):
         with pytest.raises(Exception):
             db.create_relation("r1", [("x", "int")], rows=[])
+
+
+class TestAtomicLoad:
+    """A batch with one bad row stores nothing: the heap, its counts and
+    every cache derived from it stay exactly as they were."""
+
+    SCHEMA = [("id", "int"), ("a", "int"), ("b", "int"), ("s", "str")]
+    BAD = [(100, 1, 1, "x"), (101, 2, 2, "x"), (102, True, 3, "x")]
+
+    def _db(self, partitions):
+        caches.clear()
+        database = Database(seed=3, block_size=100)
+        database.create_relation(
+            "r",
+            self.SCHEMA,
+            rows=[(i, i % 3, i % 5, "x") for i in range(12)],
+            partitions=partitions,
+        )
+        database.analyze()
+        database.estimate(
+            rel("r").where(cmp("a", "<", 2)), quota=60.0, seed=1, synopses=True
+        )
+        return database
+
+    @staticmethod
+    def _state(database):
+        heap = database.relation("r")
+        return (
+            heap.all_rows(),
+            heap.tuple_count,
+            heap.block_count,
+            database.count(rel("r")),
+            database.catalog.names(),
+            dict(database.statistics),
+            database.synopses.snapshot(),
+            caches.info(),
+        )
+
+    @pytest.mark.parametrize("partitions", [None, 3], ids=["plain", "partitioned"])
+    def test_failed_append_rows_changes_nothing(self, partitions):
+        database = self._db(partitions)
+        before = self._state(database)
+        assert before[1] == 12 and before[5] and caches.info()["bufferpool"].currsize
+        with pytest.raises(SchemaError, match="expected int, got True"):
+            database.append_rows("r", self.BAD)
+        assert self._state(database) == before
+        assert database.append_rows("r", self.BAD[:2]) == 2
+        assert database.count(rel("r")) == 14 and "r" not in database.statistics
+
+    @pytest.mark.parametrize("partitions", [None, 3], ids=["plain", "partitioned"])
+    def test_failed_create_relation_registers_nothing(self, partitions):
+        database = self._db(partitions)
+        before = self._state(database)
+        with pytest.raises(SchemaError, match="expected int, got True"):
+            database.create_relation("q", self.SCHEMA, self.BAD, partitions=partitions)
+        assert self._state(database) == before
+        database.create_relation("q", self.SCHEMA, self.BAD[:2], partitions=partitions)
+        assert database.count(rel("q")) == 2
+
+    def test_nan_is_rejected_at_load(self):
+        database = Database(seed=3)
+        with pytest.raises(SchemaError, match="nan"):
+            database.create_relation("f", [("x", "float")], [(1.0,), (float("nan"),)])
+        assert "f" not in database.catalog.names()
 
 
 class TestExactCounting:

@@ -19,6 +19,15 @@ from tests.conftest import make_relation
 
 
 class TestEquiDepthHistogram:
+    @pytest.mark.parametrize(
+        "values", [[np.nan, 3.0, 1.0, 2.0], [3.0, np.nan, 1.0, 2.0]]
+    )
+    def test_nan_is_refused_wherever_it_sits(self, values):
+        # sorted() put NaN wherever it started, leaving non-ascending
+        # boundaries such as (3.0, nan, 2.0).
+        with pytest.raises(EstimationError, match="NaN"):
+            EquiDepthHistogram.build(values, buckets=2)
+
     def test_build_uniform(self):
         hist = EquiDepthHistogram.build(list(range(100)), buckets=4)
         assert hist.total == 100
