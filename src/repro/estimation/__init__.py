@@ -14,7 +14,6 @@ from repro.estimation.aggregates import (
 from repro.estimation.count_estimators import (
     cluster_count_estimate,
     combine_term_estimates,
-    required_sample_for_error,
     srs_count_estimate,
     srs_count_variance,
     srs_selectivity_variance,
@@ -54,7 +53,6 @@ __all__ = [
     "goodman_raw",
     "jackknife1",
     "normal_quantile",
-    "required_sample_for_error",
     "srs_count_estimate",
     "srs_sum_estimate",
     "sum_of",

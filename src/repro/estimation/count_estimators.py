@@ -18,7 +18,6 @@ both so the approximation itself is testable (ablation A4 in DESIGN.md).
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 from repro.errors import EstimationError
@@ -164,19 +163,3 @@ def combine_term_estimates(
         exact=all(est.exact for _, est in terms),
     )
 
-
-def required_sample_for_error(
-    population: int, p_guess: float, target_relative: float, z: float = 1.96
-) -> int:
-    """Sample points needed for a target relative CI half-width.
-
-    Solves ``z·sqrt(Var(û))/ (N·p) ≤ target`` for ``m`` under SRS with
-    replacement (conservative versus without-replacement). Used by the
-    error-constrained stopping criterion to plan ahead.
-    """
-    if not 0 < p_guess <= 1:
-        raise EstimationError(f"p_guess must be in (0,1]: {p_guess}")
-    if target_relative <= 0:
-        raise EstimationError("target relative error must be positive")
-    m = (z * z * (1 - p_guess)) / (p_guess * target_relative * target_relative)
-    return max(1, min(population, math.ceil(m)))

@@ -1,12 +1,13 @@
 """Transaction-level deadline budgeting (the paper's [AbMo 88] use case).
 
-:func:`run_transaction` routes a transaction through the
+:class:`TransactionScheduler` runs a transaction's queries directly on a
+database; :func:`run_transaction` routes them through the
 :mod:`repro.server` serving layer — same allocators, same deadline, but
-every query flows through admission control and the server metrics — so
-the two quota layers share one execution path and cannot drift apart.
+every query flows through admission control and the server metrics. Both
+drive the one transaction loop in :mod:`repro.realtime.transaction`, and
+differ only in how a query runs and which clock measures it.
 """
 
-from repro.realtime.adapter import run_transaction
 from repro.realtime.transaction import (
     FeedbackAllocator,
     ProportionalAllocator,
@@ -15,6 +16,7 @@ from repro.realtime.transaction import (
     TransactionResult,
     TransactionScheduler,
     WriteTask,
+    run_transaction,
 )
 
 __all__ = [

@@ -38,12 +38,6 @@ class DiskBlock:
     def is_full(self) -> bool:
         return len(self.rows) >= self.capacity
 
-    def append(self, row: Row) -> None:
-        """Add ``row``; raises ``StorageError`` if the block is full."""
-        if self.is_full:
-            raise StorageError(f"block {self.block_id} is full")
-        self.rows.append(row)
-
     def __len__(self) -> int:
         return len(self.rows)
 

@@ -41,10 +41,11 @@ mutations additionally evict explicitly through
 therefore realtime :class:`~repro.realtime.transaction.WriteTask` commits)
 call alongside plan-cache and synopsis invalidation.
 
-Capacity is a bounded LRU over block entries; entries referenced by a live
-:class:`PooledBatch` are *pinned* (refcounted, released by a weakref
-finalizer when the batch is garbage-collected) and skipped by eviction, so
-a stage can never lose the columns it is actively filtering.
+Capacity is a plain LRU over block entries: a miss in a full pool evicts
+the least recently used entry, never the block just admitted. Eviction
+only decides what a *later* read finds pooled — a :class:`PooledBatch`
+holds its entries by reference, so a stage never loses the columns it is
+filtering, whatever the pool drops meanwhile.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ PoolKey = tuple[str, str, int]
 @dataclass(frozen=True)
 class BufferPoolInfo:
     """Counters in the style of ``functools.lru_cache``'s ``cache_info``,
-    extended with the pool's eviction/invalidation/pin bookkeeping."""
+    extended with the pool's eviction/invalidation bookkeeping."""
 
     hits: int
     misses: int
@@ -89,23 +90,6 @@ class BufferPoolInfo:
     currsize: int
     evictions: int
     invalidations: int
-    pinned: int
-
-
-class _BlockEntry(ColumnBatch):
-    """One resident block: its row tuple, its columns decoded once.
-
-    ``resident`` is true from admission until the pool drops the entry
-    (eviction, invalidation, clear), so pinning needs no key lookup.
-    """
-
-    __slots__ = ("key", "pins", "resident")
-
-    def __init__(self, key: PoolKey, rows: tuple[Row, ...], schema: Schema) -> None:
-        super().__init__(rows, schema)
-        self.key = key
-        self.pins = 0
-        self.resident = True
 
 
 class PooledBatch(ColumnBatch):
@@ -120,15 +104,19 @@ class PooledBatch(ColumnBatch):
     the stage's rows. Mixed per-block dtypes concatenate to the widest
     (``int64`` + ``object`` → ``object``, ``<U3`` + ``<U5`` → ``<U5``),
     preserving exact comparison semantics.
+
+    ``entries`` are the pool's per-block batches, one per block read, held
+    by reference: the pool evicting or invalidating one later leaves this
+    batch's columns as they were.
     """
 
-    __slots__ = ("_entries", "__weakref__")
+    __slots__ = ("_entries",)
 
     def __init__(
         self,
         rows: Sequence[Row],
         schema: Schema,
-        entries: Sequence[_BlockEntry],
+        entries: Sequence[ColumnBatch],
     ) -> None:
         super().__init__(rows, schema)
         self._entries = tuple(entries)
@@ -174,12 +162,12 @@ class _PoolReader:
         self._hits = 0
         self._misses = 0
 
-    def __enter__(self) -> Callable[[int], _BlockEntry]:
+    def __enter__(self) -> Callable[[int], ColumnBatch]:
         self._pool._lock.acquire()
         return self.lookup
 
-    def lookup(self, block_id: int) -> _BlockEntry:
-        """The resident entry for ``block_id``, admitting it on miss."""
+    def lookup(self, block_id: int) -> ColumnBatch:
+        """The pooled entry for ``block_id``, admitting it on miss."""
         key = (self._name, self._fingerprint, block_id)
         entry = self._get(key)
         if entry is not None:
@@ -213,12 +201,11 @@ class BufferPool:
         self.sink: TraceSink = sink if sink is not None else NULL_SINK
         self.label = f"bufferpool-{next(_pool_ids)}"
         self._lock = threading.RLock()
-        self._entries: "OrderedDict[PoolKey, _BlockEntry]" = OrderedDict()
+        self._entries: "OrderedDict[PoolKey, ColumnBatch]" = OrderedDict()
         self._hits = 0
         self._misses = 0
         self._evictions = 0
         self._invalidations = 0
-        self._pinned = 0  # resident entries with pins > 0
         _all_pools.add(self)
 
     # ------------------------------------------------------------------
@@ -245,8 +232,8 @@ class BufferPool:
         relation: "HeapFile",
         block_id: int,
         prefix: tuple[str, str] | None = None,
-    ) -> tuple[_BlockEntry, bool]:
-        """The resident entry for one block, admitting it on miss.
+    ) -> tuple[ColumnBatch, bool]:
+        """The pooled entry for one block, admitting it on miss.
 
         Returns ``(entry, hit)``. Must be called only after the block's
         ``BLOCK_READ`` was charged and the fault injector consulted: a
@@ -254,17 +241,14 @@ class BufferPool:
         never admitted. ``prefix`` is ``key_prefix(relation)`` when the
         caller already has it.
 
-        Replacement contract: victims are taken LRU-first, skipping pinned
-        entries (a stage holds a live reference to their columns) and the
-        block just admitted; when everything else is pinned the pool
-        transiently exceeds capacity and the next unpinned miss trims it
-        back. The walk starts at the LRU end and stops at the last victim,
-        so a miss costs O(1 + pinned entries at the LRU end).
+        Replacement contract: the victim is the least recently used entry,
+        never the block just admitted, so the pool never holds more than
+        ``capacity`` entries and a miss costs O(1).
         """
         if prefix is None:
             prefix = self.key_prefix(relation)
         key = (*prefix, block_id)
-        evicted: list[_BlockEntry] = []
+        evicted: list[PoolKey] = []
         with self._lock:
             entries = self._entries
             entry = entries.get(key)
@@ -273,23 +257,13 @@ class BufferPool:
                 self._hits += 1
                 return entry, True
             self._misses += 1
-            entry = _BlockEntry(key, relation.block_tuple(block_id), relation.schema)
+            entry = ColumnBatch(relation.block_tuple(block_id), relation.schema)
             entries[key] = entry
-            excess = len(entries) - self.capacity
-            if excess > 0:
-                for candidate in entries.values():
-                    if candidate.pins == 0 and candidate is not entry:
-                        evicted.append(candidate)
-                        if len(evicted) == excess:
-                            break
-                for victim in evicted:
-                    del entries[victim.key]
-                    victim.resident = False
-                self._evictions += len(evicted)
-        for victim in evicted:
-            self._emit(
-                BufferEvicted, relation=victim.key[0], block_id=victim.key[2]
-            )
+            while len(entries) > self.capacity:
+                evicted.append(entries.popitem(last=False)[0])
+            self._evictions += len(evicted)
+        for name, _, victim_id in evicted:
+            self._emit(BufferEvicted, relation=name, block_id=victim_id)
         return entry, False
 
     def reader(self, relation: "HeapFile") -> _PoolReader:
@@ -353,57 +327,20 @@ class BufferPool:
             self.sink = previous
 
     # ------------------------------------------------------------------
-    # Pinning (entries referenced by a live PooledBatch)
-    # ------------------------------------------------------------------
-    def batch(
-        self,
-        rows: Sequence[Row],
-        schema: Schema,
-        entries: Sequence[_BlockEntry],
-    ) -> PooledBatch:
-        """A columnar batch over pooled entries, pinned while it lives."""
-        batch = PooledBatch(rows, schema, entries)
-        if entries:
-            self.pin(entries)
-            weakref.finalize(batch, self.unpin, tuple(entries))
-        return batch
-
-    def pin(self, entries: Sequence[_BlockEntry]) -> None:
-        with self._lock:
-            for entry in entries:
-                if entry.pins == 0 and entry.resident:
-                    self._pinned += 1
-                entry.pins += 1
-
-    def unpin(self, entries: Sequence[_BlockEntry]) -> None:
-        # An entry dropped while pinned (invalidated, cleared) left the
-        # pinned count then; only resident entries are counted down here.
-        with self._lock:
-            for entry in entries:
-                if entry.pins > 0:
-                    entry.pins -= 1
-                    if entry.pins == 0 and entry.resident:
-                        self._pinned -= 1
-
-    # ------------------------------------------------------------------
     # Invalidation and introspection
     # ------------------------------------------------------------------
     def invalidate_relation(self, name: str) -> int:
         """Drop every entry of relation ``name`` (any fingerprint).
 
         Called on committed mutations, in the same breath as plan-cache
-        and synopsis invalidation. Pinned entries are dropped from the
-        pool too: a batch already holding them keeps its (pre-mutation)
-        arrays alive, but no future read can see them. Returns the number
-        of entries dropped.
+        and synopsis invalidation. A batch already holding some of them
+        keeps its (pre-mutation) arrays, but no future read can see them.
+        Returns the number of entries dropped.
         """
         with self._lock:
             doomed = [key for key in self._entries if key[0] == name]
             for key in doomed:
-                entry = self._entries.pop(key)
-                entry.resident = False
-                if entry.pins > 0:
-                    self._pinned -= 1
+                del self._entries[key]
             self._invalidations += len(doomed)
         if doomed:
             self._emit(BufferInvalidated, relation=name, entries=len(doomed))
@@ -419,16 +356,12 @@ class BufferPool:
                 currsize=len(self._entries),
                 evictions=self._evictions,
                 invalidations=self._invalidations,
-                pinned=self._pinned,
             )
 
     def clear(self) -> None:
         """Drop all entries and reset counters (tests; catalog reloads)."""
         with self._lock:
-            for entry in self._entries.values():
-                entry.resident = False
             self._entries.clear()
-            self._pinned = 0
             self._hits = 0
             self._misses = 0
             self._evictions = 0

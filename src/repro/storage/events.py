@@ -3,7 +3,7 @@
 Like the serving layer (:mod:`repro.server.events`) and the synopsis
 catalog (:mod:`repro.synopses.events`), the buffer pool reports its
 decisions through the observability stream: how many of a read's blocks
-were already resident, which entries the LRU evicted, and which a relation
+were already in the pool, which entries the LRU evicted, and which a relation
 mutation threw away. All three events are registered with
 :func:`~repro.observability.register_event_type`, so JSONL traces
 containing them round-trip through
@@ -32,7 +32,7 @@ class BufferHit(TraceEvent):
     Emitted once per :meth:`~repro.storage.heapfile.HeapFile.read_blocks`
     call that went through a pool (not once per block, keeping event volume
     at one per scan stage); ``hits``/``misses`` split the read's blocks
-    into already-resident and freshly admitted.
+    into already pooled and freshly admitted.
     """
 
     kind: ClassVar[str] = "buffer_hit"
@@ -45,7 +45,7 @@ class BufferHit(TraceEvent):
 @register_event_type
 @dataclass(frozen=True)
 class BufferEvicted(TraceEvent):
-    """The capacity-bounded LRU evicted one unpinned block entry."""
+    """The capacity-bounded LRU evicted its least recently used block entry."""
 
     kind: ClassVar[str] = "buffer_evicted"
     relation: str = ""
@@ -68,7 +68,7 @@ class ShardScanStarted(TraceEvent):
     """One shard label's portion of a stage read over a partitioned relation.
 
     Unlike buffer events, shard events **do** flow into per-session trace
-    sinks: invariant 10 pins estimates, charged costs, and stage schedules
+    sinks: invariant 10 holds estimates, charged costs, and stage schedules
     bit-identical to an unpartitioned relation's, but explicitly lets
     traces differ by these shard markers.
     """

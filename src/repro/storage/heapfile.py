@@ -3,10 +3,14 @@
 A :class:`HeapFile` is a sequence of fixed-size :class:`DiskBlock`s holding
 one relation, the way ERAM stored its experimental relations ("each relation
 instance consists of 2,000 disk blocks (1K bytes in each disk block) with 5
-tuples in each disk block", Section 5). Reads go through
-:meth:`read_block`, which charges :data:`CostKind.BLOCK_READ` on the supplied
-charger — block-level random I/O is the dominant term of the paper's cost
-formulas, and sampling draws whole blocks.
+tuples in each disk block", Section 5). Every read charges one
+:data:`CostKind.BLOCK_READ` per block on the supplied charger — block-level
+random I/O is the dominant term of the paper's cost formulas, and sampling
+draws whole blocks. :meth:`read_block` / :meth:`read_blocks` are the
+per-block reference; the engine reads through :meth:`read_blocks_decoded`,
+the same loop run through a :class:`~repro.storage.bufferpool.BufferPool`,
+which returns the rows plus a :class:`~repro.storage.bufferpool.PooledBatch`
+holding the pool's decoded per-block columns.
 """
 
 from __future__ import annotations
@@ -17,12 +21,12 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 from repro.catalog.schema import Schema
 from repro.errors import StorageError
 from repro.storage.block import DiskBlock, Row
+from repro.storage.bufferpool import BufferPool, PooledBatch
 from repro.timekeeping.charger import CostCharger
 from repro.timekeeping.profile import CostKind
 
 if TYPE_CHECKING:
     from repro.kernels.columns import ColumnBatch
-    from repro.storage.bufferpool import BufferPool
 
     from repro.faults.injector import FaultInjector
 
@@ -166,28 +170,28 @@ class HeapFile:
         charger: CostCharger,
         injector: "FaultInjector | None" = None,
         *,
-        pool: "BufferPool",
+        pool: BufferPool,
     ) -> "tuple[list[Row], ColumnBatch]":
         """Read several blocks through ``pool``, plus a lazy columnar view.
 
-        Resident blocks skip re-materialization — but the charge and the
+        Pooled blocks skip re-materialization — but the charge and the
         injector consultation happen per block, in the same order as in
         :meth:`read_blocks`, so simulated costs and fault streams never
         depend on what the pool holds. The batch is a
         :class:`~repro.storage.bufferpool.PooledBatch` sharing each
-        block's decode-once arrays (pinned while the batch lives), and
-        ``batch.rows`` *is* the returned list, so the engine's
-        batch-identity handoff between nodes keeps working.
+        block's decode-once arrays (it holds them, so a later eviction
+        leaves them alone), and ``batch.rows`` *is* the returned list, so
+        the engine's batch-identity handoff between nodes keeps working.
         """
         rows, entries = self._read_pooled(block_ids, charger, injector, pool)
-        return rows, pool.batch(rows, self.schema, entries)
+        return rows, PooledBatch(rows, self.schema, entries)
 
     def _read_pooled(
         self,
         block_ids: Sequence[int],
         charger: CostCharger,
         injector: "FaultInjector | None",
-        pool: "BufferPool",
+        pool: BufferPool,
     ) -> tuple[list[Row], list]:
         """Charged per-block reads through the pool.
 

@@ -27,12 +27,12 @@ from typing import TYPE_CHECKING, Sequence
 from repro.catalog.schema import Schema
 from repro.errors import StorageError
 from repro.storage.block import Row
+from repro.storage.bufferpool import BufferPool, PooledBatch
 from repro.storage.heapfile import DEFAULT_BLOCK_SIZE, HeapFile
 from repro.timekeeping.charger import CostCharger
 
 if TYPE_CHECKING:
     from repro.kernels.columns import ColumnBatch
-    from repro.storage.bufferpool import BufferPool
 
     from repro.faults.injector import FaultInjector
 
@@ -97,7 +97,7 @@ class PartitionedHeapFile(HeapFile):
         charger: CostCharger,
         injector: "FaultInjector | None" = None,
         *,
-        pool: "BufferPool",
+        pool: BufferPool,
     ) -> "tuple[list[Row], ColumnBatch, list[ShardReadStats]]":
         """:meth:`read_blocks_decoded` plus per-shard tallies of the read.
 
@@ -114,7 +114,7 @@ class PartitionedHeapFile(HeapFile):
             tally[0] += 1
             tally[1] += len(entry.rows)
         stats = [ShardReadStats(shard, *tallies[shard]) for shard in sorted(tallies)]
-        return rows, pool.batch(rows, self.schema, entries), stats
+        return rows, PooledBatch(rows, self.schema, entries), stats
 
     def __repr__(self) -> str:
         return (

@@ -1,8 +1,8 @@
 """Unit tests of the buffer pool (system S1's buffer manager).
 
 Covers the pool in isolation — hit/miss accounting, LRU order, capacity
-and eviction, pinning via live :class:`PooledBatch` objects, decode-once
-column sharing, explicit invalidation, event emission and JSONL round-trip,
+and eviction, a live :class:`PooledBatch` outliving its pool entries,
+decode-once column sharing, explicit invalidation, event emission and JSONL round-trip,
 and the unified ``repro.caches`` surface shared with the planner and
 kernel caches. Engine-level identity contracts live
 in ``test_bufferpool_identity.py``.
@@ -110,22 +110,36 @@ class TestDecodeOnceAndPinning:
         _, second = heap.read_blocks_decoded([0], free_charger, pool=pool)
         assert first.column(1) is second.column(1)  # one decode, pool-wide
 
-    def test_live_batch_pins_entries_against_eviction(self, heap, free_charger):
-        pool = BufferPool(capacity=2)
-        _, batch = heap.read_blocks_decoded([0, 1], free_charger, pool=pool)
-        assert pool.info().pinned == 2
-        read(pool, heap, [2, 3, 4], free_charger)
-        # Pinned entries survive even though capacity is exceeded.
-        info = pool.info()
-        assert info.currsize >= 2
-        assert batch.column(0) is not None  # still usable
-        del batch
-        import gc
-
-        gc.collect()
-        assert pool.info().pinned == 0
-        read(pool, heap, [2], free_charger)  # next admit can evict freely
-        assert pool.info().currsize <= 2 + 1
+    @pytest.mark.parametrize(
+        "capacity, drop",
+        [
+            (1, "evict"),
+            (2, "evict"),
+            (8, "invalidate"),
+            (8, "clear"),
+        ],
+        ids=["evict-capacity-1", "evict-capacity-2", "invalidate", "clear"],
+    )
+    def test_batch_outlives_its_entries(self, heap, free_charger, capacity, drop):
+        """A batch holds its entries: once the pool has dropped every one of
+        them, the batch still returns the columns of a fresh decode."""
+        pool = BufferPool(capacity=capacity)
+        rows, batch = heap.read_blocks_decoded([0, 1, 2], free_charger, pool=pool)
+        assert pool.info().currsize <= capacity
+        if drop == "evict":
+            for block_id in (3, 4, 3, 4):
+                read(pool, heap, [block_id], free_charger)
+                assert pool.info().currsize <= capacity
+        elif drop == "invalidate":
+            assert pool.invalidate_relation("r1") == 3
+        else:
+            pool.clear()
+        assert not set(batch._entries) & set(pool._entries.values())
+        plain = ColumnBatch(list(rows), heap.schema)
+        for position in range(len(heap.schema.attributes)):
+            np.testing.assert_array_equal(
+                batch.column(position), plain.column(position)
+            )
 
     def test_empty_read_produces_empty_batch(self, heap, free_charger):
         pool = BufferPool(capacity=8)
@@ -163,7 +177,7 @@ class TestInvalidation:
         pool.clear()
         assert pool.info() == BufferPoolInfo(
             hits=0, misses=0, maxsize=8, currsize=0,
-            evictions=0, invalidations=0, pinned=0,
+            evictions=0, invalidations=0,
         )
 
 

@@ -16,7 +16,6 @@ from repro.errors import EstimationError
 from repro.estimation.count_estimators import (
     cluster_count_estimate,
     combine_term_estimates,
-    required_sample_for_error,
     srs_count_estimate,
     srs_selectivity_variance,
 )
@@ -166,18 +165,3 @@ class TestCombineTerms:
         with pytest.raises(EstimationError):
             combine_term_estimates([])
 
-
-class TestRequiredSample:
-    def test_tighter_target_needs_more(self):
-        loose = required_sample_for_error(10_000, 0.1, 0.2)
-        tight = required_sample_for_error(10_000, 0.1, 0.05)
-        assert tight > loose
-
-    def test_capped_by_population(self):
-        assert required_sample_for_error(100, 0.001, 0.001) == 100
-
-    def test_invalid_inputs(self):
-        with pytest.raises(EstimationError):
-            required_sample_for_error(100, 0.0, 0.1)
-        with pytest.raises(EstimationError):
-            required_sample_for_error(100, 0.5, 0.0)

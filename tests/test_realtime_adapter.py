@@ -1,4 +1,4 @@
-"""Transactions through the serving layer (repro.realtime.adapter) and the
+"""Transactions through the serving layer (``run_transaction``) and the
 feedback allocator's budget-conservation property.
 
 The property test pins the heart of the [AbMo 88] use case: the feedback

@@ -10,14 +10,6 @@ from repro.timekeeping.profile import CostKind
 
 
 class TestDiskBlock:
-    def test_append_until_full(self):
-        block = DiskBlock(block_id=0, capacity=2)
-        block.append((1,))
-        block.append((2,))
-        assert block.is_full
-        with pytest.raises(StorageError):
-            block.append((3,))
-
     def test_len_and_iter(self):
         block = DiskBlock(block_id=0, capacity=3, rows=[(1,), (2,)])
         assert len(block) == 2
