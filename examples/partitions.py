@@ -106,12 +106,8 @@ def main() -> None:
     )
 
     # -- 4. the server prices charged seconds: no sharding knob -------
-    plain_price = minimum_stage_cost(
-        build_database(partitions=None).open_session(panel, quota=3.0, seed=2)
-    )
-    sharded_price = minimum_stage_cost(
-        build_database().open_session(panel, quota=3.0, seed=2)
-    )
+    plain_price = minimum_stage_cost(build_database(partitions=None).plan(panel))
+    sharded_price = minimum_stage_cost(build_database().plan(panel))
     assert plain_price == sharded_price
     outcome = QueryServer(build_database()).serve(
         QueryRequest(expr=panel, quota=10.0, seed=2)

@@ -348,6 +348,38 @@ class Database:
         opts = (options if options is not None else QueryOptions()).replace(
             **overrides
         )
+        plan = self._lower(expr, opts, aggregate, run=True, seed=seed)
+        strategy = (
+            opts.strategy if opts.strategy is not None else default_strategy()
+        )
+        executor = TimeConstrainedExecutor(plan, strategy, opts)
+        return QuerySession(expr, quota, plan, executor, plan.binder)
+
+    def plan(
+        self,
+        expr: Expression,
+        options: QueryOptions | None = None,
+        *,
+        aggregate: "AggregateSpec | None" = None,
+        **overrides,
+    ) -> StagedPlan:
+        """Lower ``expr`` exactly as :meth:`open_session` would, to price it.
+
+        Same hint check, synopsis warm start, optimizer, plan cache and cost
+        model, but no RNG stream (the seed sequence is untouched), charger
+        or injector: the plan is priced and explained, never run
+        (``advance_stage`` raises :class:`ReproError`).
+        """
+        opts = (options if options is not None else QueryOptions()).replace(
+            **overrides
+        )
+        return self._lower(expr, opts, aggregate, run=False)
+
+    def _lower(
+        self, expr: Expression, opts: QueryOptions, aggregate, run: bool, seed=None
+    ) -> StagedPlan:
+        """Lower ``expr``; a plan to ``run`` also gets its RNG stream (spawned
+        after the hint check), charger and fault injector."""
         hint_provider = None
         if opts.selectivity_source in ("hybrid", "prestored"):
             from repro.statistics.prestored import SelectivityHinter
@@ -362,18 +394,20 @@ class Database:
             from repro.synopses.binder import SynopsisBinder
 
             binder = SynopsisBinder(self.synopses, self.catalog, sink=sink)
-        rng = self._spawn_rng(seed)
-        injector = None
-        if opts.fault_plan is not None and opts.fault_plan.active:
-            from repro.faults.injector import FaultInjector
+        rng = charger = injector = None
+        if run:
+            rng = self._spawn_rng(seed)
+            if opts.fault_plan is not None and opts.fault_plan.active:
+                from repro.faults.injector import FaultInjector
 
-            injector = FaultInjector.for_session(opts.fault_plan, rng, sink)
-        plan = StagedPlan(
+                injector = FaultInjector.for_session(opts.fault_plan, rng, sink)
+            charger = self._make_charger(
+                rng, sink=sink, trace_costs=opts.trace_costs, clock=opts.clock
+            )
+        return StagedPlan(
             expr,
             self.catalog,
-            self._make_charger(
-                rng, sink=sink, trace_costs=opts.trace_costs, clock=opts.clock
-            ),
+            charger,
             opts.cost_model or self.default_cost_model(),
             rng,
             opts,
@@ -383,11 +417,6 @@ class Database:
             injector=injector,
             binder=binder,
         )
-        strategy = (
-            opts.strategy if opts.strategy is not None else default_strategy()
-        )
-        executor = TimeConstrainedExecutor(plan, strategy, opts)
-        return QuerySession(expr, quota, plan, executor, binder)
 
     def explain(
         self,
@@ -399,17 +428,17 @@ class Database:
     ) -> "PlanExplanation":
         """What the planner would do with ``expr`` — without running it.
 
-        Builds two probe sessions over the live catalog — one lowering the
-        query verbatim, one through the logical optimizer — and returns a
+        Lowers two plans over the live catalog (:meth:`plan`) — one
+        verbatim, one through the logical optimizer — and returns a
         :class:`~repro.planner.explain.PlanExplanation`: the before/after
         logical trees, the rule-application log, and the cost model's
         predicted price of each plan's cheapest useful stage (the same
-        number the server's admission control rules on). Neither session is
-        ever run, so explaining charges nothing to any clock::
+        number the server's admission control rules on). Neither plan can
+        run, so explaining charges nothing to any clock::
 
             print(db.explain(expr).render())
 
-        ``options``/``overrides`` configure the probes like
+        ``options``/``overrides`` configure the plans like
         :meth:`open_session` (e.g. ``selectivity_source='hybrid'`` explains
         with prestored hints); any explicit ``optimize`` setting is ignored
         since explain builds both variants by definition.
@@ -419,21 +448,10 @@ class Database:
         opts = (options if options is not None else QueryOptions()).replace(
             **overrides
         )
-        before = self.open_session(
-            expr,
-            quota=1.0,
-            options=opts.replace(optimize=False),
-            aggregate=aggregate,
-            seed=0,
+        return build_explanation(
+            self.plan(expr, opts, aggregate=aggregate, optimize=False),
+            self.plan(expr, opts, aggregate=aggregate, optimize=True),
         )
-        after = self.open_session(
-            expr,
-            quota=1.0,
-            options=opts.replace(optimize=True),
-            aggregate=aggregate,
-            seed=0,
-        )
-        return build_explanation(before.plan, after.plan)
 
     def estimate(
         self,

@@ -67,9 +67,9 @@ class PhysicalPlanBuilder:
     def __init__(
         self,
         catalog: Catalog,
-        charger: CostCharger,
+        charger: CostCharger | None,
         cost_model: CostModel,
-        rng: np.random.Generator,
+        rng: np.random.Generator | None,
         options: "QueryOptions",
         *,
         block_size: int,

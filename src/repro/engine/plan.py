@@ -36,7 +36,7 @@ from repro.engine.physical import (
     DEFAULT_INITIAL_SELECTIVITY,
     PhysicalPlanBuilder,
 )
-from repro.errors import EstimationError
+from repro.errors import EstimationError, ReproError
 from repro.estimation.aggregates import (
     COUNT,
     AggregateSpec,
@@ -154,15 +154,17 @@ class StagedPlan:
     Every knob comes from ``options`` (``None`` is ``QueryOptions()``, so a
     plan built here lowers exactly like a default session's); the
     keywords are the query's aggregate and the objects a session wires in.
+    A plan built with ``rng=None`` (and no charger) can be priced and
+    explained but not run: its scans hold no block order.
     """
 
     def __init__(
         self,
         expr: Expression,
         catalog: Catalog,
-        charger: CostCharger,
+        charger: CostCharger | None,
         cost_model: CostModel,
-        rng: np.random.Generator,
+        rng: np.random.Generator | None,
         options: "QueryOptions | None" = None,
         *,
         aggregate: AggregateSpec = COUNT,
@@ -348,6 +350,8 @@ class StagedPlan:
 
     def advance_stage(self, fraction: float) -> StageStats:
         """Execute the next stage at ``fraction``; returns its statistics."""
+        if self.rng is None:
+            raise ReproError("a plan built without an RNG is priced, not run")
         if fraction <= 0:
             raise EstimationError(f"stage fraction must be positive: {fraction}")
         stage = self.stages_completed + 1

@@ -2,10 +2,11 @@
 
 ``Predicate`` nodes and :class:`~repro.catalog.schema.Schema` are frozen
 (hashable) dataclasses, so one process-wide LRU maps
-``(predicate, schema)`` to its compiled row function *and* vectorized mask
-function. The staged nodes hold the compiled pair from construction on —
+``(predicate, schema)`` to its vectorized mask function. The staged nodes
+and the exact evaluator hold the compiled mask from construction on —
 nothing is recompiled per stage — and repeated queries over the same
-formula (a serving workload's common case) share one compilation.
+formula (a serving workload's common case) share one compilation. The
+row-at-a-time function is ``predicate.compile(schema)``, the reference.
 
 Predicates carrying unhashable constants fall back to direct compilation;
 the cache is an optimization, never a requirement.
@@ -15,35 +16,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 from repro.catalog.schema import Schema
 from repro.relational.predicate import ColumnMask, Predicate
-from repro.storage.block import Row
 
 
 @dataclass(frozen=True)
 class CompiledPredicate:
-    """Both compilations of one formula against one schema."""
+    """The column-mask compilation of one formula against one schema."""
 
-    row_fn: Callable[[Row], bool]
     mask_fn: ColumnMask
-    comparison_count: int
 
 
 def _compile(predicate: Predicate, schema: Schema) -> CompiledPredicate:
-    return CompiledPredicate(
-        row_fn=predicate.compile(schema),
-        mask_fn=predicate.compile_mask(schema),
-        comparison_count=predicate.comparison_count(),
-    )
+    return CompiledPredicate(mask_fn=predicate.compile_mask(schema))
 
 
 _cached_compile = lru_cache(maxsize=512)(_compile)
 
 
 def compiled_predicate(predicate: Predicate, schema: Schema) -> CompiledPredicate:
-    """Compiled (row, mask) pair for ``predicate`` bound to ``schema``."""
+    """Compiled mask for ``predicate`` bound to ``schema``."""
     try:
         return _cached_compile(predicate, schema)
     except TypeError:  # unhashable constant inside the formula

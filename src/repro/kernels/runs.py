@@ -75,6 +75,9 @@ def encode_columns(
     consolidated-right). The returned code arrays order exactly like the
     original key tuples: ``code_a < code_b`` iff ``key_a < key_b``, across
     *all* sets, so they can be merged, searched, and compared directly.
+    Each key position must hold one attribute type in every set, as
+    ``Join.schema`` and ``Schema.require_compatible`` (set operations)
+    guarantee: INT past 2**53 mixed with FLOAT would round in float64.
     """
     n_positions = len(column_sets[0])
     codes = [np.zeros(len(s[0]) if s else 0, dtype=np.int64) for s in column_sets]

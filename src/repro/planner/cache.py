@@ -2,10 +2,10 @@
 
 Planning is pure tree rewriting and cheap, but the server executes the
 same query shapes over and over (the paper's fixed-mix workload
-assumption), and every :class:`~repro.core.session.QuerySession` plans at
-construction time — including the never-run probe sessions admission
-control prices requests with. Caching the logical phase makes repeat
-planning O(hash).
+assumption), and every lowered plan is planned at construction time —
+the dispatch session's and the one admission control prices the request
+with (``Database.plan``). Caching the logical phase makes repeat planning
+O(hash).
 
 The key is the query's :meth:`~repro.relational.expression.Expression.
 structural_hash` — so ``A ∩ B`` and ``B ∩ A``, or differently-ordered but

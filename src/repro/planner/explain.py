@@ -1,12 +1,12 @@
 """Plan explanation — before/after trees with predicted stage costs.
 
-``Database.explain(expr)`` builds two probe sessions over the same data —
-one lowering the query verbatim, one through the optimizer — and renders
+``Database.explain(expr)`` lowers two plans over the same data
+(``Database.plan``) — one verbatim, one through the optimizer — and renders
 what the planner did: the logical trees, the rule applications, and the
 cost model's price of the cheapest useful stage of each physical plan
 (stage overhead + ``QCOST`` at the minimum feasible fraction, exactly the
-number admission control rules on). Probe sessions are never run, so
-explaining a query charges nothing to any clock.
+number admission control rules on). Such plans hold no RNG and cannot run,
+so explaining a query charges nothing to any clock.
 
 :func:`predicted_stage_costs` is also the single pricing routine behind
 :func:`repro.server.admission.minimum_stage_cost` — the server admits
@@ -192,7 +192,7 @@ class PlanExplanation:
 def build_explanation(
     before_plan: "StagedPlan", after_plan: "StagedPlan"
 ) -> PlanExplanation:
-    """Assemble a :class:`PlanExplanation` from two probe plans.
+    """Assemble a :class:`PlanExplanation` from two lowered plans.
 
     ``before_plan`` lowered the query verbatim (``optimize=False``);
     ``after_plan`` went through the optimizer and carries the rule log.

@@ -7,7 +7,8 @@ numbers and ``New-Sample-Select`` draws only new ones.
 
 :class:`BlockSampler` pre-shuffles the block ids of one relation with the
 run's RNG and hands out successive prefixes, which is exactly sampling
-without replacement with O(1) bookkeeping per stage.
+without replacement with O(1) bookkeeping per stage. Built without an RNG
+(a plan that is priced, never run) it holds no order and draws nothing.
 """
 
 from __future__ import annotations
@@ -21,9 +22,10 @@ from repro.storage.heapfile import HeapFile
 class BlockSampler:
     """Without-replacement block sampler over one relation."""
 
-    def __init__(self, relation: HeapFile, rng: np.random.Generator) -> None:
+    def __init__(self, relation: HeapFile, rng: np.random.Generator | None) -> None:
         self.relation = relation
-        self._order = rng.permutation(relation.block_count)
+        self._blocks = relation.block_count
+        self._order = None if rng is None else rng.permutation(self._blocks)
         self._next = 0
 
     @property
@@ -38,18 +40,18 @@ class BlockSampler:
 
     @property
     def remaining_blocks(self) -> int:
-        return len(self._order) - self._next
+        return self._blocks - self._next
 
     @property
     def exhausted(self) -> bool:
-        return self._next >= len(self._order)
+        return self._next >= self._blocks
 
     @property
     def drawn_fraction(self) -> float:
         """Cumulative sample fraction ``d / D`` of this relation."""
-        if len(self._order) == 0:
+        if self._blocks == 0:
             return 1.0
-        return self._next / len(self._order)
+        return self._next / self._blocks
 
     def draw(self, n_blocks: int) -> list[int]:
         """Return the next ``n_blocks`` sampled block ids.

@@ -32,7 +32,7 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable
 
-from repro.core.session import QuerySession
+from repro.engine.plan import StagedPlan
 from repro.planner.explain import predicted_stage_costs
 from repro.server.preempt import projected_handback
 from repro.server.request import QueryRequest
@@ -84,19 +84,19 @@ class AdmissionDecision:
     reason: str
 
 
-def minimum_stage_cost(session: QuerySession) -> float:
-    """Price of the cheapest useful stage of ``session``'s plan (seconds).
+def minimum_stage_cost(plan: StagedPlan) -> float:
+    """Price of the cheapest useful stage of ``plan`` (seconds).
 
     Stage overhead plus ``QCOST`` at the minimum feasible fraction (one new
     block on the smallest relation), under the plan's initial selectivities.
-    Evaluated on a probe session that is never run, so pricing charges
-    nothing to any clock. The pricing routine is shared with
-    ``Database.explain`` (:func:`repro.planner.explain.
-    predicted_stage_costs`), and the probe plan is built exactly like the
-    dispatch plan — optimizer included — so admission rules on the plan
-    that will actually execute.
+    ``plan`` comes from ``Database.plan``, which lowers the query exactly
+    like the dispatch session will — optimizer included — but holds no RNG
+    and cannot run, so pricing charges nothing to any clock and admission
+    rules on the plan that will actually execute. The pricing routine is
+    shared with ``Database.explain``
+    (:func:`repro.planner.explain.predicted_stage_costs`).
     """
-    return predicted_stage_costs(session.plan).total
+    return predicted_stage_costs(plan).total
 
 
 def projected_wait(

@@ -478,17 +478,18 @@ class QueryServer:
     def _minimum_cost(self, request: QueryRequest) -> float:
         """Price the cheapest useful stage with the calibrated cost model.
 
-        The probe session is never run: construction charges nothing, so
-        pricing is free on the server timeline. A fixed probe seed keeps
-        the database's master seed sequence untouched (probe RNG streams
-        are never drawn from). With synopses on, lowering the probe
-        warm-starts its trackers from the catalog, so the price reflects
-        the posterior selectivities the run would actually start from.
+        ``Database.plan`` lowers the query as dispatch will, synopsis warm
+        start included, but never runs: pricing is free on the timeline.
         """
-        probe = self._open_session(
-            request.expr, request.quota, request.aggregate, seed=0
+        return minimum_stage_cost(
+            self.database.plan(
+                request.expr,
+                aggregate=request.aggregate,
+                cost_model=self._cost_model,
+                synopses=self.synopses,
+                **self.session_kwargs,
+            )
         )
-        return minimum_stage_cost(probe)
 
     def _on_arrival(
         self,

@@ -14,9 +14,10 @@ A :class:`SynopsisBinder` is the per-session adapter between the shared
   stage counts (never the prior — no evidence is counted twice), its
   per-relation scan totals, and its final estimate back into the catalog.
 
-Probe sessions (admission pricing) bind but are never run, so they absorb
-nothing; pinned trackers (pure prestored mode) are skipped entirely —
-"prestored" means the operator neither learns nor borrows.
+Plans lowered only to be priced (``Database.plan``: admission, explain)
+bind but never run, so they absorb nothing; pinned trackers (pure
+prestored mode) are skipped entirely — "prestored" means the operator
+neither learns nor borrows.
 """
 
 from __future__ import annotations

@@ -51,10 +51,8 @@ def selective_query():
 
 
 def probe(db, expr, **options):
-    """A never-run pricing session, as the admission path builds it."""
-    return db.open_session(
-        expr, quota=10.0, seed=0, options=QueryOptions(**options)
-    )
+    """A pricing plan, as the admission path lowers it."""
+    return db.plan(expr, QueryOptions(**options))
 
 
 # ---------------------------------------------------------------------------
@@ -93,15 +91,15 @@ class TestHistogramSelectivity:
 class TestPricingPrecedence:
     def test_default_plan_prices_at_selectivity_one(self):
         db = make_db()
-        session = probe(db, selective_query())
-        (tracker,) = session.plan.trackers()
+        plan = probe(db, selective_query())
+        (tracker,) = plan.trackers()
         assert tracker.initial == 1.0 and not tracker.has_prior
 
     def test_prestored_hint_sets_initial_and_pins(self):
         db = make_db()
         db.analyze()
-        session = probe(db, selective_query(), selectivity_source="prestored")
-        (tracker,) = session.plan.trackers()
+        plan = probe(db, selective_query(), selectivity_source="prestored")
+        (tracker,) = plan.trackers()
         assert tracker.pinned
         assert tracker.initial == pytest.approx(0.02, abs=0.01)
 
@@ -111,10 +109,10 @@ class TestPricingPrecedence:
         warm = QueryOptions(synopses=True)
         db.estimate(selective_query(), quota=5.0, seed=3, options=warm)
         assert db.synopses.info().posteriors == 1
-        session = probe(
+        plan = probe(
             db, selective_query(), selectivity_source="prestored", synopses=True
         )
-        (tracker,) = session.plan.trackers()
+        (tracker,) = plan.trackers()
         assert tracker.pinned and not tracker.has_prior
         assert tracker.sel_prev == tracker.initial
 
@@ -123,10 +121,10 @@ class TestPricingPrecedence:
         db.analyze()
         warm = QueryOptions(synopses=True)
         db.estimate(selective_query(), quota=5.0, seed=3, options=warm)
-        session = probe(
+        plan = probe(
             db, selective_query(), selectivity_source="hybrid", synopses=True
         )
-        (tracker,) = session.plan.trackers()
+        (tracker,) = plan.trackers()
         # The hint survives as the configured initial; the posterior's
         # pseudo-counts carry the pricing.
         assert not tracker.pinned

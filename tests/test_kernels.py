@@ -267,8 +267,8 @@ def test_mask_agrees_with_row_function(predicate):
     compiled = compiled_predicate(predicate, SCHEMA)
     mask = compiled.mask_fn(ColumnBatch(rows, SCHEMA))
     assert mask.dtype == bool
-    assert mask.tolist() == [compiled.row_fn(r) for r in rows]
-    assert compiled.comparison_count == predicate.comparison_count()
+    row_fn = predicate.compile(SCHEMA)
+    assert mask.tolist() == [row_fn(r) for r in rows]
 
 
 def test_compiled_predicate_is_cached_per_predicate_and_schema():
@@ -282,4 +282,5 @@ def test_compiled_predicate_is_cached_per_predicate_and_schema():
 def test_compiled_predicate_unhashable_constant_falls_back():
     sneaky = cmp("a", "==", [1, 2])  # list constant: unhashable
     compiled = compiled_predicate(sneaky, SCHEMA)
-    assert compiled.row_fn((1, 0.0, "x")) is False
+    assert compiled is not compiled_predicate(sneaky, SCHEMA)  # not cached
+    assert sneaky.compile(SCHEMA)((1, 0.0, "x")) is False

@@ -29,7 +29,6 @@ from repro.catalog.types import AttributeType
 from repro.core.database import Database
 from repro.errors import QuotaExpired, SchemaError
 from repro.estimation.aggregates import avg_of, sum_of
-from repro.kernels.cache import compiled_predicate
 from repro.observability import RecordingSink
 from repro.relational import (
     ExactEvaluator,
@@ -272,7 +271,7 @@ class ReferenceEvaluator(ExactEvaluator):
         if isinstance(expr, Select):
             rows = self._eval(expr.child)
             schema = expr.schema(self.catalog)
-            row_fn = compiled_predicate(expr.predicate, schema).row_fn
+            row_fn = expr.predicate.compile(schema)
             return apply_select(rows, row_fn, self.charger, self._bf(schema))
         return super()._eval(expr)
 

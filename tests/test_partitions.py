@@ -276,11 +276,7 @@ class TestAdmissionPricing:
                 rows=[(i, i % 9) for i in range(8_000)],
                 partitions=partitions,
             )
-            return minimum_stage_cost(
-                db.open_session(
-                    rel("r1").where(cmp("a", "<", 5)), quota=5.0, seed=0
-                )
-            )
+            return minimum_stage_cost(db.plan(rel("r1").where(cmp("a", "<", 5))))
 
         assert price(4) == price(None)
 

@@ -209,12 +209,8 @@ def test_untouched_query_emits_no_planner_events_and_starts_clean():
 def test_minimum_stage_cost_prices_the_plan_it_will_run():
     db = build_db()
     cost_model = db.default_cost_model()
-    optimized = db.open_session(
-        pushable(), quota=5.0, seed=0, cost_model=cost_model, optimize=True
-    )
-    verbatim = db.open_session(
-        pushable(), quota=5.0, seed=0, cost_model=cost_model, optimize=False
-    )
+    optimized = db.plan(pushable(), cost_model=cost_model, optimize=True)
+    verbatim = db.plan(pushable(), cost_model=cost_model, optimize=False)
     assert minimum_stage_cost(optimized) < minimum_stage_cost(verbatim)
 
 

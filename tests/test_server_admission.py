@@ -10,9 +10,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import TimeControlError
+from repro.core.database import Database
+from repro.core.options import QueryOptions
+from repro.errors import ReproError, TimeControlError
 from repro.estimation.aggregates import avg_of, sum_of
-from repro.relational.expression import rel, select
+from repro.faults.plan import FaultPlan
+from repro.observability import RecordingSink
+from repro.planner.explain import predicted_stage_costs
+from repro.relational.expression import intersect, rel, select
 from repro.relational.predicate import cmp
 from repro.server.admission import (
     AdmissionAction,
@@ -48,26 +53,19 @@ def query():
 
 class TestMinimumStageCost:
     def test_positive_and_small_relative_to_a_generous_quota(self, db):
-        probe = db.open_session(query(), quota=10.0, seed=0)
-        cost = minimum_stage_cost(probe)
+        cost = minimum_stage_cost(db.plan(query()))
         assert cost > 0
         assert cost < 10.0
 
     def test_probe_pricing_charges_nothing(self, db):
-        probe = db.open_session(query(), quota=10.0, seed=0)
-        before = probe.charger.clock.now()
-        minimum_stage_cost(probe)
-        assert probe.charger.clock.now() == before
+        plan = db.plan(query())
+        minimum_stage_cost(plan)
+        assert plan.charger is None  # nothing to charge, no clock to move
+        assert plan.blocks_drawn() == 0
 
     def test_price_reflects_query_shape(self, bare_db):
-        from repro.relational.expression import intersect
-
-        sel = minimum_stage_cost(bare_db.open_session(query(), quota=10.0, seed=0))
-        both = minimum_stage_cost(
-            bare_db.open_session(
-                intersect(rel("r1"), rel("r2")), quota=10.0, seed=0
-            )
-        )
+        sel = minimum_stage_cost(bare_db.plan(query()))
+        both = minimum_stage_cost(bare_db.plan(intersect(rel("r1"), rel("r2"))))
         assert both > sel  # two relations' minimum stage costs more than one
 
 
@@ -269,3 +267,86 @@ class TestProjectedWaitAccumulates:
         arriving = QueryRequest(expr=query(), quota=3.5, seed=2)
         wait = projected_wait(arriving, [], now=0.0, running=running)
         assert wait == pytest.approx(0.0)
+
+
+class TestPricingPlan:
+    """Admission and explain price a plan that holds no RNG; only a
+    dispatch attempt opens a session."""
+
+    def test_one_session_per_dispatch_attempt(self, monkeypatch):
+        opened = []
+        open_session = Database.open_session
+
+        def counting(self, *args, **kwargs):
+            opened.append(args[0])
+            return open_session(self, *args, **kwargs)
+
+        monkeypatch.setattr(Database, "open_session", counting)
+        sink = RecordingSink()
+        # Every first stage faults and salvage ends the run empty, so each
+        # dispatched request is retried once.
+        lethal = FaultPlan(fail_stages=(1,), salvage="finish")
+        server = QueryServer(
+            demo_database(seed=11, tuples=TUPLES),
+            policy=DegradeInfeasible(),
+            sink=sink,
+            session_kwargs={"fault_plan": lethal},
+            max_fault_retries=1,
+        )
+        outcomes = server.process(
+            [
+                QueryRequest(expr=query(), quota=5.0, seed=1),
+                QueryRequest(expr=query(), quota=1e-6, seed=2, arrival=0.1),
+                QueryRequest(expr=rel("nope"), quota=5.0, seed=3, arrival=0.2),
+                QueryRequest(
+                    expr=intersect(rel("r1"), rel("r2")),
+                    quota=5.0,
+                    seed=4,
+                    arrival=0.3,
+                ),
+            ]
+        )
+        assert len(outcomes) == 4
+        attempts = len(sink.of_kind("request_started")) + len(
+            sink.of_kind("request_retried")
+        )
+        assert len(sink.of_kind("request_retried")) == 2
+        assert len(opened) == attempts == 4
+
+    @pytest.mark.parametrize("pricing", ["plan", "explain"])
+    def test_pricing_leaves_the_seed_sequence_untouched(self, pricing):
+        priced = demo_database(seed=11, tuples=TUPLES)
+        getattr(priced, pricing)(query())
+        fresh = demo_database(seed=11, tuples=TUPLES)
+        after = priced.open_session(query(), quota=2.0)
+        expected = fresh.open_session(query(), quota=2.0)
+        assert after.run().estimate == expected.run().estimate
+        (scan,), (fresh_scan,) = after.plan.scans, expected.plan.scans
+        assert scan.sampler.drawn_block_ids == fresh_scan.sampler.drawn_block_ids
+
+    def test_a_priced_plan_cannot_run(self, db):
+        plan = db.plan(query())
+        with pytest.raises(ReproError, match="priced, not run"):
+            plan.advance_stage(0.1)
+
+    @pytest.mark.parametrize("optimize", [False, True])
+    @pytest.mark.parametrize("synopses", [False, True])
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            query(),
+            select(intersect(rel("r1"), rel("r2")), cmp("a", "<", TUPLES // 2)),
+        ],
+        ids=["select", "select-over-intersect"],
+    )
+    def test_plan_prices_like_the_session_it_will_open(
+        self, expr, synopses, optimize
+    ):
+        db = demo_database(seed=11, tuples=TUPLES)
+        options = QueryOptions(synopses=synopses, optimize=optimize)
+        db.estimate(expr, quota=5.0, seed=3, options=options)  # warm catalog
+        cost_model = db.default_cost_model()
+        plan = db.plan(expr, options, cost_model=cost_model)
+        session = db.open_session(expr, 5.0, options, cost_model=cost_model)
+        assert predicted_stage_costs(plan) == predicted_stage_costs(session.plan)
+        assert minimum_stage_cost(plan) > 0
