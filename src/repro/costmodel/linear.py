@@ -18,6 +18,7 @@ describes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -58,44 +59,65 @@ class StepSpec:
 
 
 class OnlineLinearModel:
-    """Posterior-mean linear model for one step's cost."""
+    """Posterior-mean linear model for one step's cost, in Python floats:
+    ``θ = solve(A, b)`` is solved when next read, and a prediction is the
+    fixed-order sum ``θ₀x₀ + θ₁x₁ + …`` (the same bits on any IEEE-754 host)."""
 
     def __init__(self, spec: StepSpec) -> None:
         self.spec = spec
         theta0 = np.asarray(spec.prior, dtype=float)
         scales = np.asarray(spec.scales, dtype=float)
         # Prior precision: weight observations at typical feature magnitude.
-        self._a = np.diag(spec.weight * scales * scales)
-        self._b = self._a @ theta0
-        self._theta = theta0.copy()
+        a = np.diag(spec.weight * scales * scales)
+        self._a: list[list[float]] = a.tolist()
+        self._b: list[float] = (a @ theta0).tolist()
+        self._theta: tuple[float, ...] | None = tuple(theta0.tolist())
         self.observations = 0
+
+    @property
+    def theta(self) -> tuple[float, ...]:
+        """Posterior-mean coefficients (solved here if an observation is new)."""
+        if self._theta is None:
+            solved = np.linalg.solve(np.array(self._a), np.array(self._b))
+            self._theta = tuple(solved.tolist())
+        return self._theta
 
     @property
     def coefficients(self) -> np.ndarray:
         """Current posterior-mean coefficients."""
-        return self._theta.copy()
+        return np.array(self.theta)
+
+    def check(self, features: Sequence[float], seconds: float = 0.0) -> list[float]:
+        """``features`` as floats; a wrong length, a non-finite value (θ would
+        be NaN for good) and a negative time are refused."""
+        x = [float(v) for v in features]
+        if len(x) != self.spec.dim or not (
+            all(map(math.isfinite, x)) and 0 <= seconds < math.inf
+        ):
+            raise CostModelError(
+                f"step {self.spec.name!r}: expected {self.spec.dim} finite "
+                f"features and a finite time >= 0, got {x} -> {seconds}"
+            )
+        return x
 
     def predict(self, features: Sequence[float]) -> float:
         """Predicted seconds for one step execution (floored at 0)."""
-        x = np.asarray(features, dtype=float)
-        if x.shape != (self.spec.dim,):
-            raise CostModelError(
-                f"step {self.spec.name!r}: expected {self.spec.dim} features, "
-                f"got {x.shape}"
-            )
-        return float(max(self._theta @ x, 0.0))
+        x = self.check(features)
+        theta = self.theta
+        total = theta[0] * x[0]
+        for c, v in zip(theta[1:], x[1:]):
+            total += c * v
+        return max(total, 0.0)
 
     def observe(self, features: Sequence[float], seconds: float) -> None:
         """Fold one measured (features, seconds) pair into the posterior."""
-        x = np.asarray(features, dtype=float)
-        if x.shape != (self.spec.dim,):
-            raise CostModelError(
-                f"step {self.spec.name!r}: expected {self.spec.dim} features, "
-                f"got {x.shape}"
-            )
-        if seconds < 0:
-            raise CostModelError(f"negative step time {seconds}")
-        self._a += np.outer(x, x)
-        self._b += x * seconds
-        self._theta = np.linalg.solve(self._a, self._b)
+        x = self.check(features, seconds)
+        seconds = float(seconds)
+        # The roundings of A += outer(x, x), b += x·seconds, element by element.
+        for i, x_i in enumerate(x):
+            row = self._a[i]
+            for j, x_j in enumerate(x):
+                row[j] += x_i * x_j
+            self._b[i] += x_i * seconds
+        self._theta = None
         self.observations += 1

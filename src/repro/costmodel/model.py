@@ -46,11 +46,17 @@ class CostModel:
         """Predicted seconds for one execution of ``step``."""
         return self._model(step).predict(features)
 
+    def theta(self, step: str) -> tuple[float, ...]:
+        """``step``'s posterior-mean coefficients as floats (not a copy)."""
+        return self._model(step).theta
+
     def observe(self, step: str, features: Sequence[float], seconds: float) -> None:
         """Refit ``step``'s coefficients from a measured execution."""
+        model = self._model(step)
         if not self.adaptive:
+            model.check(features, seconds)  # refused as an adaptive one would
             return
-        self._model(step).observe(features, seconds)
+        model.observe(features, seconds)
 
     def coefficients(self, step: str) -> list[float]:
         """Current coefficients (posterior mean) of ``step``'s formula."""

@@ -1,15 +1,14 @@
 """Staged estimator-evaluation engine (full/partial fulfillment plans)."""
 
 from repro.engine.nodes import (
-    PredictContext,
     SelProvider,
+    StageCurve,
     StagedIntersect,
     StagedJoin,
     StagedNode,
     StagedProject,
     StagedScan,
     StagedSelect,
-    StagePrediction,
 )
 from repro.engine.plan import (
     DEFAULT_INITIAL_SELECTIVITY,
@@ -20,9 +19,8 @@ from repro.engine.plan import (
 
 __all__ = [
     "DEFAULT_INITIAL_SELECTIVITY",
-    "PredictContext",
     "SelProvider",
-    "StagePrediction",
+    "StageCurve",
     "StageStats",
     "StagedIntersect",
     "StagedJoin",

@@ -7,9 +7,10 @@ A :class:`StagedPlan` rewrites ``E`` through the logical optimizer
 tree over **shared** per-relation scans, and exposes the three operations
 the time-constrained executor needs:
 
-* :meth:`predict_stage` — price a candidate sample fraction with the
+* :meth:`stage_curve` — price candidate sample fractions with the
   adaptive cost model (the ``QCOST(f, SEL⁺)`` of Section 3.3, summed over
-  terms, shared scans priced once);
+  terms, shared scans priced once), constants taken once per curve;
+  :meth:`predict_stage` is its one-point case;
 * :meth:`advance_stage` — execute one stage over fresh sample blocks;
 * :meth:`estimate` — the current ``COUNT(E)`` estimate: per term the SRS
   point-space estimator ``û`` (or the revised Goodman estimator when the
@@ -26,8 +27,8 @@ import numpy as np
 from repro.catalog.catalog import Catalog
 from repro.costmodel.model import CostModel
 from repro.engine.nodes import (
-    PredictContext,
     SelProvider,
+    StageCurve,
     StagedNode,
     StagedProject,
     StagedScan,
@@ -270,6 +271,10 @@ class StagedPlan:
                 for node in term.root.iter_nodes()
             }.values()
         )
+        # ... and in pricing order: children first, shared nodes at first use.
+        self._pricing_order: list[StagedNode] = list(
+            {id(n): n for term in self.terms for n in term.root.post_order()}.values()
+        )
         # D_max, the unit of a stage size (fixed: a plan's relations are).
         self.max_block_count = max(
             (scan.relation.block_count for scan in self.scans), default=0
@@ -341,12 +346,14 @@ class StagedPlan:
     # ------------------------------------------------------------------
     # Controller operations
     # ------------------------------------------------------------------
+    def stage_curve(self, sel_provider: SelProvider) -> StageCurve:
+        """``f -> QCOST(f, SEL)`` of the next stage across all terms (seconds),
+        for one sizing decision: counts and coefficients are read now."""
+        return StageCurve(self._pricing_order, sel_provider)
+
     def predict_stage(self, fraction: float, sel_provider: SelProvider) -> float:
         """``QCOST(f, SEL)`` of the next stage across all terms (seconds)."""
-        ctx = PredictContext(fraction, sel_provider)
-        for term in self.terms:
-            term.root.predict(ctx)
-        return ctx.total_seconds
+        return self.stage_curve(sel_provider)(fraction)
 
     def advance_stage(self, fraction: float) -> StageStats:
         """Execute the next stage at ``fraction``; returns its statistics."""

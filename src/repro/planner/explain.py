@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.costmodel import steps as step_names
-from repro.engine.nodes import PredictContext
+from repro.engine.nodes import MEAN_SELECTIVITY
 from repro.planner.rules import RuleApplication
 from repro.relational.expression import (
     Expression,
@@ -65,16 +65,6 @@ def render_tree(expr: Expression) -> str:
     return "\n".join(lines)
 
 
-def initial_selectivity_provider(tracker, new_points, space_points) -> float:
-    """Initial/running-mean selectivity — no risk inflation for pricing.
-
-    A warm-started tracker (synopsis prior, no stages yet) prices at its
-    posterior mean, so admission control sees the cheaper plan the run will
-    actually execute.
-    """
-    return tracker.mean_selectivity()
-
-
 @dataclass(frozen=True)
 class NodeCost:
     """Predicted cost of one staged operator in the cheapest useful stage."""
@@ -107,26 +97,28 @@ def predicted_stage_costs(plan: "StagedPlan") -> PlanCosts:
     """Price ``plan``'s cheapest useful stage with its own cost model.
 
     Uses initial selectivities (prestored hints when the plan has them,
-    Figure 3.3's maximum otherwise) and itemizes per staged node. Pure
-    prediction: nothing is charged, sampled, or mutated.
+    Figure 3.3's maximum otherwise; a synopsis posterior when warm-started,
+    so admission sees the cheaper plan the run will execute) and itemizes
+    per staged node. Pure prediction: nothing is charged, sampled, or
+    mutated.
     """
     overhead = plan.cost_model.predict(step_names.STAGE_OVERHEAD, [1.0])
     fraction = plan.min_feasible_fraction()
     if fraction <= 0:  # nothing left to sample — only overhead remains
         return PlanCosts(0.0, overhead, 0.0, ())
-    ctx = PredictContext(fraction, initial_selectivity_provider)
-    for term in plan.terms:
-        term.root.predict(ctx)
+    curve = plan.stage_curve(MEAN_SELECTIVITY)
+    qcost, seconds, _ = curve.price(fraction)
+    by_node = {id(node): s for node, s in zip(curve.nodes, seconds)}
     nodes = tuple(
         NodeCost(
             node.tracker.label
             if node.tracker is not None
             else f"scan({node.relation.name})",
-            ctx.cached(node).seconds,
+            by_node[id(node)],
         )
         for node in plan.nodes
     )
-    return PlanCosts(fraction, overhead, ctx.total_seconds, nodes)
+    return PlanCosts(fraction, overhead, qcost, nodes)
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,9 @@ from __future__ import annotations
 
 from typing import Callable
 
+from repro.errors import TimeControlError
+
+
 def determine_stage_size(
     cost: Callable[[int], float],
     budget_seconds: float,
@@ -40,11 +43,19 @@ def determine_stage_size(
     """``(size, iterations)``: the stage size in ``[1, max_size]`` to run.
 
     ``size`` is ``None`` when no feasible stage exists (nothing left, or even
-    size 1 overruns the budget); ``iterations`` counts Figure 3.4's loop.
+    size 1 overruns the budget); ``iterations`` counts Figure 3.4's loop. A
+    NaN price, which fails every comparison, raises :class:`TimeControlError`.
     """
-    if budget_seconds <= 0 or max_size < 1 or cost(1) > budget_seconds:
+
+    def price(size: int) -> float:
+        mu = cost(size)
+        if mu != mu:  # NaN
+            raise TimeControlError(f"stage size {size} is priced at {mu} seconds")
+        return mu
+
+    if budget_seconds <= 0 or max_size < 1 or price(1) > budget_seconds:
         return None, 0
-    if cost(max_size) <= budget_seconds:
+    if price(max_size) <= budget_seconds:
         return max_size, 0
     epsilon = epsilon_ratio * budget_seconds
     low, high = 1, max_size  # cost(low) ≤ budget < cost(high)
@@ -52,7 +63,7 @@ def determine_stage_size(
     while high - low > 1:
         iterations += 1
         size = (low + high) // 2
-        mu = cost(size)
+        mu = price(size)
         # Figure 3.4's loop condition: stop once μ_t is within ε of T_i —
         # on either side. Accepting a predicted cost slightly above the
         # budget is what makes d_β (not the bisection) carry the risk

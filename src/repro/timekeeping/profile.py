@@ -22,6 +22,7 @@ intersection quota roughly 20–30 blocks (Figures 5.1/5.2).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping
 
@@ -66,11 +67,11 @@ class MachineProfile:
             raise CostModelError(
                 f"profile {self.name!r} missing rates for {missing}"
             )
-        bad = {k: v for k, v in self.rates.items() if v < 0}
+        bad = {k: v for k, v in self.rates.items() if not 0 <= v < math.inf}
         if bad:
-            raise CostModelError(f"profile {self.name!r} has negative rates {bad}")
-        if self.noise_sigma < 0:
-            raise CostModelError("noise_sigma must be >= 0")
+            raise CostModelError(f"profile {self.name!r}: non-finite or <0 rates {bad}")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise CostModelError(f"noise_sigma not finite and >= 0: {self.noise_sigma}")
 
     def rate(self, kind: CostKind) -> float:
         """True seconds per unit of ``kind``."""
@@ -82,8 +83,8 @@ class MachineProfile:
 
     def scaled(self, factor: float, name: str | None = None) -> "MachineProfile":
         """A uniformly faster/slower machine (all rates times ``factor``)."""
-        if factor <= 0:
-            raise CostModelError(f"scale factor must be positive: {factor}")
+        if not 0 < factor < math.inf:
+            raise CostModelError(f"scale factor must be finite and positive: {factor}")
         return MachineProfile(
             name=name or f"{self.name}*{factor:g}",
             rates={k: v * factor for k, v in self.rates.items()},

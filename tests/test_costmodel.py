@@ -1,7 +1,11 @@
 """Tests for the adaptive cost model (OnlineLinearModel, CostModel)."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.costmodel.linear import OnlineLinearModel, StepSpec
 from repro.costmodel.model import CostModel
@@ -87,6 +91,90 @@ class TestOnlineLinearModel:
         model.observe([1.0, 1.0], 1.0)
         assert model.observations == 1
 
+    @pytest.mark.parametrize(
+        "features, seconds",
+        [
+            ([4, 1.0], math.nan),
+            ([4, 1.0], math.inf),
+            ([math.nan, 1.0], 1.0),
+            ([4, -math.inf], 1.0),
+        ],
+    )
+    def test_non_finite_observation_rejected(self, spec, features, seconds):
+        """One NaN folded in would make every later prediction NaN."""
+        model = OnlineLinearModel(spec)
+        with pytest.raises(CostModelError, match="finite"):
+            model.observe(features, seconds)
+        assert model.observations == 0
+        assert model.predict([4, 1.0]) == 4.5
+
+
+_values = st.floats(min_value=0.0, max_value=1e4, allow_nan=False)
+_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["observe", "predict", "read"]),
+        st.lists(_values, min_size=3, max_size=3),
+        st.floats(min_value=0.0, max_value=1e3, allow_nan=False),
+    ),
+    max_size=30,
+)
+
+
+class TestPlainFloatPosterior:
+    """The posterior in Python floats against the eager NumPy reference:
+    ``A += outer(x, x)``, ``b += x·seconds``, ``θ = solve(A, b)`` after
+    every observation, ``θ @ x`` per prediction."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(dim=st.integers(min_value=1, max_value=3), ops=_ops)
+    def test_lazy_solve_matches_the_eager_reference(self, dim, ops):
+        spec = StepSpec(
+            "s", prior=(0.3, 0.02, 0.05)[:dim], scales=(20.0, 2.0, 1.0)[:dim]
+        )
+        model = OnlineLinearModel(spec)
+        a = np.diag(spec.weight * np.asarray(spec.scales) ** 2)
+        b = a @ np.asarray(spec.prior)
+        theta = np.asarray(spec.prior, dtype=float)
+        for op, values, seconds in ops:
+            x = values[:dim]
+            if op == "observe":
+                model.observe(x, seconds)
+                xs = np.asarray(x)
+                a += np.outer(xs, xs)
+                b += xs * seconds
+                theta = np.linalg.solve(a, b)
+                assert np.array(model._a).tobytes() == a.tobytes()
+                assert np.array(model._b).tobytes() == b.tobytes()
+            elif op == "predict":
+                fixed_order = theta[0] * x[0]
+                for c, v in zip(theta[1:], x[1:]):
+                    fixed_order += c * v
+                predicted = model.predict(x)
+                assert predicted == max(float(fixed_order), 0.0)
+                # NumPy's θ @ x is an FMA chain here: within two ulps of
+                # Σ|θᵢxᵢ| (one, mostly), which is the result itself when no
+                # term cancels another.
+                blas = max(float(theta @ np.asarray(x)), 0.0)
+                magnitude = sum(abs(c * v) for c, v in zip(theta, x))
+                assert abs(predicted - blas) <= 2 * math.ulp(magnitude)
+            else:
+                assert model.coefficients.tobytes() == theta.tobytes()
+        assert model.coefficients.tobytes() == theta.tobytes()
+
+    def test_a_solve_no_prediction_reads_is_skipped(self, spec, monkeypatch):
+        calls = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(
+            np.linalg, "solve", lambda a, b: calls.append(1) or solve(a, b)
+        )
+        model = OnlineLinearModel(spec)
+        for n in range(1, 6):
+            model.observe([n, 1.0], 0.1 * n)
+        assert calls == []
+        model.predict([3, 1.0])
+        model.predict([4, 1.0])
+        assert len(calls) == 1
+
 
 class TestCostModel:
     def test_default_specs_cover_all_steps(self):
@@ -108,6 +196,14 @@ class TestCostModel:
         model.observe(SCAN_READ, [10.0, 1.0], before * 0.1)
         after = model.predict(SCAN_READ, [10.0, 1.0])
         assert after < before
+
+    @pytest.mark.parametrize(
+        "features, seconds", [([1, 2, 3], 1.0), ([1.0, 1.0], math.nan)]
+    )
+    def test_non_adaptive_still_validates(self, features, seconds):
+        """A frozen model refuses what an adaptive one would."""
+        with pytest.raises(CostModelError):
+            CostModel(adaptive=False).observe(SCAN_READ, features, seconds)
 
     def test_non_adaptive_freezes_coefficients(self):
         model = CostModel(adaptive=False)

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from repro.errors import TimeControlError
 from repro.timecontrol.sample_size import determine_stage_size
 
 
@@ -85,3 +86,16 @@ class TestBisection:
                 assert k == math.floor(budget)
                 assert iterations <= math.ceil(math.log2(max_size))
                 assert len(asked) == len(set(asked)) == iterations + 2
+
+
+class TestNanPrice:
+    """A NaN price fails every comparison: the bisection would settle on one
+    block after a full search instead of reporting the broken price."""
+
+    @pytest.mark.parametrize("nan_at", [1, 100, 50, 25])
+    def test_nan_price_raises_and_names_it(self, nan_at):
+        def cost(k):
+            return math.nan if k == nan_at else 0.01 * k
+
+        with pytest.raises(TimeControlError, match=f"size {nan_at} is priced at nan"):
+            determine_stage_size(cost, 0.3, 100, 1e-9)

@@ -64,6 +64,16 @@ class TestMachineProfile:
         with pytest.raises(CostModelError):
             MachineProfile.uniform(1.0).scaled(0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_values_rejected(self, bad):
+        """A NaN rate would make every charge NaN; inf is no machine."""
+        with pytest.raises(CostModelError, match="non-finite"):
+            MachineProfile.uniform(bad)
+        with pytest.raises(CostModelError, match="finite"):
+            MachineProfile.uniform(1.0, noise_sigma=bad)
+        with pytest.raises(CostModelError, match="finite and positive"):
+            MachineProfile.uniform(1.0).scaled(bad)
+
     def test_modern_is_much_faster(self):
         assert MachineProfile.modern().rate(CostKind.BLOCK_READ) < 1e-3
 
