@@ -4,14 +4,17 @@ The optimizer cannot change what a query *means*, so its value under a
 time constraint is throughput: cheaper stages let the Figure 3.4 bisection
 afford larger sample fractions inside the same quota. This benchmark runs
 the canonical pushdown workload — a selective predicate written *above* a
-join — with the optimizer on and off, same data, same seeds, same quota,
-and measures
+join — as the optimized plan every session runs and as a plan of the tree
+as written, same data, same seeds, same quota, and measures
 
 * **blocks drawn in-quota** (the sample the estimator actually got),
 * **charged cost per block** (how much simulated time each block of
   sample costs end to end),
 * the cost model's **predicted cheapest-stage speedup** from
   ``Database.explain``.
+
+The as-written arm is a :class:`QuerySession` composed by hand over a
+:class:`StagedPlan` of the written tree, which lowers it node for node.
 
 Acceptance floor: the optimized arm must draw ≥1.5× the blocks of the
 verbatim arm on every seed (measured ratios sit around 2.1–2.5×). A
@@ -25,9 +28,16 @@ from __future__ import annotations
 import json
 import pathlib
 
+import numpy as np
+
 from repro.core.database import Database
+from repro.core.session import QuerySession
+from repro.engine.plan import StagedPlan
 from repro.relational.expression import join, rel, select
 from repro.relational.predicate import cmp
+from repro.timecontrol.executor import TimeConstrainedExecutor
+from repro.timecontrol.strategies import default_strategy
+from repro.timekeeping.charger import CostCharger
 
 ORDERS = 200_000
 PARTS = 800
@@ -60,9 +70,26 @@ def pushdown_query():
     )
 
 
+def as_written_session(db: Database, seed: int, quota: float) -> QuerySession:
+    """What ``open_session`` builds, over the tree as written."""
+    rng = np.random.default_rng(seed)
+    plan = StagedPlan(
+        pushdown_query(),
+        db.catalog,
+        CostCharger(db.profile, rng=rng),
+        db.default_cost_model(),
+        rng,
+        block_size=db.block_size,
+    )
+    executor = TimeConstrainedExecutor(plan, default_strategy())
+    return QuerySession(pushdown_query(), quota, plan, executor)
+
+
 def run_arm(db: Database, seed: int, optimize: bool, quota: float) -> dict:
-    session = db.open_session(
-        pushdown_query(), quota=quota, seed=seed, optimize=optimize
+    session = (
+        db.open_session(pushdown_query(), quota=quota, seed=seed)
+        if optimize
+        else as_written_session(db, seed, quota)
     )
     result = session.run()
     blocks = session.plan.blocks_drawn()

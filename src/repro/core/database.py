@@ -36,7 +36,8 @@ from repro.costmodel.model import CostModel
 from repro.engine.plan import StagedPlan
 from repro.errors import ReproError
 from repro.estimation.aggregates import COUNT
-from repro.observability.trace import NULL_SINK, TraceSink
+from repro.observability.trace import NULL_SINK, PlanOptimized, RuleApplied, TraceSink
+from repro.planner import rewrite as rewrite_module
 from repro.relational.evaluator import ExactEvaluator
 from repro.relational.expression import Expression
 from repro.storage.heapfile import DEFAULT_BLOCK_SIZE, HeapFile
@@ -47,6 +48,7 @@ from repro.timekeeping.clock import Clock, SimulatedClock, WallClock
 from repro.timekeeping.profile import MachineProfile
 
 if TYPE_CHECKING:
+    from repro.planner.rewrite import PlannedQuery
     from repro.synopses.catalog import SynopsisCatalog
 
 _TYPE_NAMES = {
@@ -70,6 +72,23 @@ def _resolve_schema(
             )
         attributes.append(Attribute(name, _TYPE_NAMES[type_name]))
     return Schema(tuple(attributes))
+
+
+def _emit_rewrites(sink: TraceSink, expr: Expression, planned: "PlannedQuery") -> None:
+    """Trace the optimizer's rule log and its summary for ``expr``."""
+    for app in planned.applications:
+        sink.emit(RuleApplied(rule=app.rule, before=app.before, after=app.after))
+    sink.emit(
+        PlanOptimized(
+            before_hash=expr.structural_hash(),
+            after_hash=planned.expression.structural_hash(),
+            rules=",".join(a.rule for a in planned.applications),
+            rules_applied=len(planned.applications),
+            cache_hit=planned.cache_hit,
+            operators_before=expr.operator_count(),
+            operators_after=planned.expression.operator_count(),
+        )
+    )
 
 
 class Database:
@@ -348,7 +367,7 @@ class Database:
         opts = (options if options is not None else QueryOptions()).replace(
             **overrides
         )
-        plan = self._lower(expr, opts, aggregate, run=True, seed=seed)
+        plan, _ = self._lower(expr, opts, aggregate, run=True, seed=seed)
         strategy = (
             opts.strategy if opts.strategy is not None else default_strategy()
         )
@@ -373,13 +392,16 @@ class Database:
         opts = (options if options is not None else QueryOptions()).replace(
             **overrides
         )
-        return self._lower(expr, opts, aggregate, run=False)
+        return self._lower(expr, opts, aggregate, run=False)[0]
 
     def _lower(
-        self, expr: Expression, opts: QueryOptions, aggregate, run: bool, seed=None
-    ) -> StagedPlan:
+        self, expr: Expression, opts: QueryOptions, aggregate, run: bool, seed=None,
+        rewrite: bool = True,
+    ) -> tuple[StagedPlan, "PlannedQuery | None"]:
         """Lower ``expr``; a plan to ``run`` also gets its RNG stream (spawned
-        after the hint check), charger and fault injector."""
+        after the hint check), charger and fault injector. The query is then
+        validated, rewritten (phase 2; ``rewrite=False`` only for
+        :meth:`explain`'s as-written plan) and lowered node for node."""
         hint_provider = None
         if opts.selectivity_source in ("hybrid", "prestored"):
             from repro.statistics.prestored import SelectivityHinter
@@ -404,7 +426,15 @@ class Database:
             charger = self._make_charger(
                 rng, sink=sink, trace_costs=opts.trace_costs, clock=opts.clock
             )
-        return StagedPlan(
+        planned = None
+        if rewrite:
+            expr.schema(self.catalog)  # a malformed query fails before rewriting
+            # Read off the module per call: that attribute is what a tracer wraps.
+            planned = rewrite_module.plan_logical(expr, self.catalog, hint_provider)
+            if planned.applications and sink is not NULL_SINK:
+                _emit_rewrites(sink, expr, planned)
+            expr = planned.expression
+        plan = StagedPlan(
             expr,
             self.catalog,
             charger,
@@ -417,6 +447,7 @@ class Database:
             injector=injector,
             binder=binder,
         )
+        return plan, planned
 
     def explain(
         self,
@@ -428,9 +459,9 @@ class Database:
     ) -> "PlanExplanation":
         """What the planner would do with ``expr`` — without running it.
 
-        Lowers two plans over the live catalog (:meth:`plan`) — one
-        verbatim, one through the logical optimizer — and returns a
-        :class:`~repro.planner.explain.PlanExplanation`: the before/after
+        Lowers two plans over the live catalog like :meth:`plan` — one over
+        the tree as written, one over the optimizer's rewrite — and returns
+        a :class:`~repro.planner.explain.PlanExplanation`: the before/after
         logical trees, the rule-application log, and the cost model's
         predicted price of each plan's cheapest useful stage (the same
         number the server's admission control rules on). Neither plan can
@@ -440,18 +471,16 @@ class Database:
 
         ``options``/``overrides`` configure the plans like
         :meth:`open_session` (e.g. ``selectivity_source='hybrid'`` explains
-        with prestored hints); any explicit ``optimize`` setting is ignored
-        since explain builds both variants by definition.
+        with prestored hints).
         """
         from repro.planner.explain import build_explanation
 
         opts = (options if options is not None else QueryOptions()).replace(
             **overrides
         )
-        return build_explanation(
-            self.plan(expr, opts, aggregate=aggregate, optimize=False),
-            self.plan(expr, opts, aggregate=aggregate, optimize=True),
-        )
+        before, _ = self._lower(expr, opts, aggregate, run=False, rewrite=False)
+        after, planned = self._lower(expr, opts, aggregate, run=False)
+        return build_explanation(before, after, planned)
 
     def estimate(
         self,

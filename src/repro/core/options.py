@@ -35,6 +35,7 @@ if TYPE_CHECKING:
     from repro.timekeeping.clock import Clock
 
 SELECTIVITY_SOURCES = ("runtime", "hybrid", "prestored")
+INITIAL_SELECTIVITY_KINDS = ("select", "join", "intersect", "project")
 
 
 @dataclass(frozen=True)
@@ -50,13 +51,13 @@ class QueryOptions:
     ``cost_model`` (pass ``CostModel(specs=…)`` for custom priors).
     ``fault_plan`` attaches a :class:`repro.faults.FaultPlan` so the run
     injects deterministic, seed-replayable faults (see :mod:`repro.faults`).
-    ``optimize`` selects the logical optimizer (:mod:`repro.planner`),
-    default on; ``False`` lowers the expression verbatim, bit-identical to
-    the pre-planner engine. ``synopses`` enables the cross-query synopsis
-    catalog (:mod:`repro.synopses`), default *off* — the catalog carries
-    state between runs, so it is opt-in; ``False`` is bit-identical to an
-    engine without the catalog. Both are plain ``bool`` arguments: any
-    other value (``None``, ``"0"``) is rejected.
+    ``synopses`` enables the cross-query synopsis catalog
+    (:mod:`repro.synopses`), default *off* — the catalog carries state
+    between runs, so it is opt-in; ``False`` is bit-identical to an engine
+    without the catalog. It is a plain ``bool``: any other value (``None``,
+    ``"0"``) is rejected, as are an ``initial_selectivities`` key outside
+    :data:`INITIAL_SELECTIVITY_KINDS` or value outside ``(0, 1]`` and a
+    ``zero_fix_beta`` outside ``(0, 1)``.
     ``bufferpool`` attaches a specific
     :class:`~repro.storage.bufferpool.BufferPool` (isolated pools for
     tests and experiments); ``None`` reads through the process-wide
@@ -76,16 +77,26 @@ class QueryOptions:
     sink: "TraceSink | None" = None
     trace_costs: bool = False
     clock: "Clock | None" = None
-    optimize: bool = True
     synopses: bool = False
     bufferpool: "BufferPool | None" = None
     fault_plan: "FaultPlan | None" = None
 
     def __post_init__(self) -> None:
-        for name in ("optimize", "synopses"):
-            value = getattr(self, name)
-            if not isinstance(value, bool):
-                raise ReproError(f"{name} must be True or False, got {value!r}")
+        if not isinstance(self.synopses, bool):
+            raise ReproError(f"synopses must be True or False, got {self.synopses!r}")
+        for kind, value in (self.initial_selectivities or {}).items():
+            if kind not in INITIAL_SELECTIVITY_KINDS:
+                raise ReproError(
+                    f"initial_selectivities has unknown operator kind {kind!r}; "
+                    f"valid kinds: {', '.join(INITIAL_SELECTIVITY_KINDS)}"
+                )
+            if not 0.0 < value <= 1.0:  # NaN fails too
+                raise ReproError(
+                    f"initial_selectivities[{kind!r}] must be in (0, 1], got {value!r}"
+                )
+        beta = self.zero_fix_beta
+        if beta is not None and not 0.0 < beta < 1.0:
+            raise ReproError(f"zero_fix_beta must be in (0, 1), got {beta!r}")
         if self.selectivity_source not in SELECTIVITY_SOURCES:
             raise ReproError(
                 f"selectivity_source must be one of {SELECTIVITY_SOURCES}, "

@@ -1,11 +1,12 @@
-"""The three behaviour switches, and where a run's values came from.
+"""The two behaviour switches, and where a run's values came from.
 
 A switch selects between two *behaviours* of the engine or the server —
 what a run computes, stores, or schedules. Each is a plain boolean argument
-(``QueryOptions.optimize`` / ``.synopses``, ``QueryServer(synopses=,
-preempt=)``) whose default lives in that signature; nothing is read from
-the process environment. How the host computes a stage (columnar kernels,
-the buffer pool) is not a switch.
+(``QueryOptions.synopses``, ``QueryServer(synopses=, preempt=)``) whose
+default lives in that signature; nothing is read from the process
+environment. How the host computes a stage (columnar kernels, the buffer
+pool) is not a switch, and neither is the logical optimizer: every session
+runs the rewritten plan.
 
 :data:`SWITCHES` names them and :func:`describe` reports, for an options
 bundle and/or explicit keyword values, each switch's value and whether it
@@ -29,7 +30,6 @@ class Switch:
 
 
 SWITCHES: tuple[Switch, ...] = (
-    Switch(name="optimize", option="optimize", default=True),
     Switch(name="synopses", option="synopses", default=False),
     Switch(name="preempt", option="preempt", default=False),
 )

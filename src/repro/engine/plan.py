@@ -1,11 +1,10 @@
 """Staged query plans — wiring expressions to the staged engine.
 
-A :class:`StagedPlan` rewrites ``E`` through the logical optimizer
-(:mod:`repro.planner`) unless its options say ``optimize=False``, turns
-``COUNT(E)`` into its inclusion–exclusion terms, lowers each term through
-:class:`~repro.engine.physical.PhysicalPlanBuilder` into a staged operator
-tree over **shared** per-relation scans, and exposes the three operations
-the time-constrained executor needs:
+A :class:`StagedPlan` lowers exactly the expression it is handed, node for
+node: it turns ``COUNT(E)`` into its inclusion–exclusion terms, lowers each
+term through :class:`~repro.engine.physical.PhysicalPlanBuilder` into a
+staged operator tree over **shared** per-relation scans, and exposes the
+three operations the time-constrained executor needs:
 
 * :meth:`stage_curve` — price candidate sample fractions with the
   adaptive cost model (the ``QCOST(f, SEL⁺)`` of Section 3.3, summed over
@@ -56,8 +55,6 @@ from repro.observability.trace import (
     NULL_SINK,
     NullSink,
     OperatorAdvance,
-    PlanOptimized,
-    RuleApplied,
     ScanAdvance,
     TraceSink,
 )
@@ -152,9 +149,10 @@ class StageStats:
 class StagedPlan:
     """The staged, multi-term evaluation plan of one COUNT query.
 
-    Every knob comes from ``options`` (``None`` is ``QueryOptions()``, so a
-    plan built here lowers exactly like a default session's); the
+    Every knob comes from ``options`` (``None`` is ``QueryOptions()``); the
     keywords are the query's aggregate and the objects a session wires in.
+    ``expr`` is lowered node for node: to lower what a session would, pass
+    ``plan_logical(expr, catalog).expression`` (:mod:`repro.planner`).
     A plan built with ``rng=None`` (and no charger) can be priced and
     explained but not run: its scans hold no block order.
     """
@@ -189,40 +187,7 @@ class StagedPlan:
         self.block_size = block_size
 
         expr.schema(catalog)  # validate the query up front
-        # Phase 2 — logical optimization (the tree stays `expr` verbatim
-        # with optimize=False, preserving the pre-planner engine bit for
-        # bit; self.expr always keeps the query as written).
-        self.optimize = options.optimize
-        self.rule_applications = ()
-        self.plan_cache_hit = False
-        self.optimized_expr = expr
-        if self.optimize:
-            from repro.planner.rewrite import plan_logical
-
-            planned = plan_logical(expr, catalog, hint=hint_provider)
-            self.optimized_expr = planned.expression
-            self.rule_applications = planned.applications
-            self.plan_cache_hit = planned.cache_hit
-            if planned.applications and not isinstance(self.sink, NullSink):
-                for app in planned.applications:
-                    self.sink.emit(
-                        RuleApplied(
-                            rule=app.rule, before=app.before, after=app.after
-                        )
-                    )
-                self.sink.emit(
-                    PlanOptimized(
-                        before_hash=expr.structural_hash(),
-                        after_hash=self.optimized_expr.structural_hash(),
-                        rules=",".join(a.rule for a in planned.applications),
-                        rules_applied=len(planned.applications),
-                        cache_hit=planned.cache_hit,
-                        operators_before=expr.operator_count(),
-                        operators_after=self.optimized_expr.operator_count(),
-                    )
-                )
-
-        # Phase 3 — physical lowering over shared scans.
+        # Phase 3 — physical lowering over shared scans, node for node.
         self._builder = PhysicalPlanBuilder(
             catalog,
             charger,
@@ -244,7 +209,7 @@ class StagedPlan:
                 "(the population becomes groups, not tuples); aggregate "
                 "before projecting or use COUNT"
             )
-        for count_term in expand_count(self.optimized_expr):
+        for count_term in expand_count(expr):
             root = self._builder.build(count_term.expression)
             scans = root.base_scans()
             space = PointSpace(

@@ -5,7 +5,7 @@ Regenerate the paper's tables and the ablations from a shell::
     python -m repro.experiments                 # every table, 60 runs/cell
     python -m repro.experiments --runs 200      # the paper's run count
     python -m repro.experiments --only 5.1 5.3  # a subset
-    python -m repro.experiments --ablations     # the A1–A6 ablations too
+    python -m repro.experiments --ablations     # the A1–A9 ablations too
 """
 
 from __future__ import annotations
@@ -45,7 +45,9 @@ def main(argv: list[str] | None = None) -> int:
         help="table ids to run (5.1, 5.1b, 5.2, 5.3)",
     )
     parser.add_argument(
-        "--ablations", action="store_true", help="also run ablations A1-A6"
+        "--ablations",
+        action="store_true",
+        help="also run the ten ablation tables (A1-A9, A5 in two parts)",
     )
     args = parser.parse_args(argv)
 

@@ -230,7 +230,6 @@ def ablation_estimator_quality(
     }
 
     def mean_error(setup: PaperSetup, fraction: float) -> float:
-        from repro.core.options import QueryOptions
         from repro.engine.plan import StagedPlan
         from repro.timekeeping.charger import CostCharger
         from repro.timekeeping.profile import MachineProfile
@@ -239,13 +238,8 @@ def ablation_estimator_quality(
         for i in range(runs):
             rng = np.random.default_rng(70_000 + i)
             charger = CostCharger(MachineProfile.uniform(0.0), rng=rng)
-            plan = StagedPlan(
-                setup.query,
-                setup.database.catalog,
-                charger,
-                CostModel(),
-                rng,
-                QueryOptions(optimize=False),  # the paper's trees as written
+            plan = StagedPlan(  # the paper's trees as written
+                setup.query, setup.database.catalog, charger, CostModel(), rng
             )
             plan.advance_stage(fraction)
             value = plan.estimate().value

@@ -13,14 +13,14 @@ Planning a query is a three-phase pipeline:
    normalization, and selectivity-guided join-chain reordering. Outcomes
    of purely algebraic planning are memoized process-wide
    (:mod:`repro.planner.cache`);
-3. **Physical lowering** — :class:`repro.engine.physical.PhysicalPlanBuilder`
-   turns the (optimized or verbatim) tree into staged operator trees over
-   shared sampling scans.
+3. **Physical lowering** — :class:`repro.engine.plan.StagedPlan` turns the
+   tree it is given, node for node, into staged operator trees over shared
+   sampling scans (:class:`repro.engine.physical.PhysicalPlanBuilder`).
 
-The optimizer is on by default and controlled per query via
-``QueryOptions(optimize=...)`` / ``open_session(optimize=...)``. With
-``optimize=False`` the expression is lowered verbatim — bit-identical to
-the engine before this package existed.
+Phase 2 is a step of ``Database``'s lowering: every session and every
+``Database.plan`` lowers :func:`plan_logical`'s rewrite; there is no switch.
+A :class:`~repro.engine.plan.StagedPlan` built by hand over the written
+tree lowers it as written, as the pre-planner engine did.
 
 ``Database.explain(expr)`` surfaces what the planner did as a
 :class:`~repro.planner.explain.PlanExplanation`: before/after trees, the

@@ -1,16 +1,16 @@
 """Plan explanation — before/after trees with predicted stage costs.
 
-``Database.explain(expr)`` lowers two plans over the same data
-(``Database.plan``) — one verbatim, one through the optimizer — and renders
-what the planner did: the logical trees, the rule applications, and the
-cost model's price of the cheapest useful stage of each physical plan
-(stage overhead + ``QCOST`` at the minimum feasible fraction, exactly the
-number admission control rules on). Such plans hold no RNG and cannot run,
-so explaining a query charges nothing to any clock.
+``Database.explain(expr)`` lowers two plans over the same data, like
+``Database.plan`` — one over the tree as written, one over the optimizer's
+rewrite — and renders what the planner did: the logical trees, the rule
+applications, and the cost model's price of the cheapest useful stage of
+each physical plan (stage overhead + ``QCOST`` at the minimum feasible
+fraction, exactly the number admission control rules on). Such plans hold
+no RNG and cannot run, so explaining a query charges nothing to any clock.
 
 :func:`predicted_stage_costs` is also the single pricing routine behind
 :func:`repro.server.admission.minimum_stage_cost` — the server admits
-against the plan it will actually execute, optimized or not.
+against the plan it will actually execute.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from repro.relational.expression import (
 
 if TYPE_CHECKING:
     from repro.engine.plan import StagedPlan
+    from repro.planner.rewrite import PlannedQuery
 
 
 def _label(node: Expression) -> str:
@@ -182,18 +183,15 @@ class PlanExplanation:
 
 
 def build_explanation(
-    before_plan: "StagedPlan", after_plan: "StagedPlan"
+    before_plan: "StagedPlan", after_plan: "StagedPlan", planned: "PlannedQuery"
 ) -> PlanExplanation:
-    """Assemble a :class:`PlanExplanation` from two lowered plans.
-
-    ``before_plan`` lowered the query verbatim (``optimize=False``);
-    ``after_plan`` went through the optimizer and carries the rule log.
-    """
+    """Assemble a :class:`PlanExplanation` from the plan of the query as
+    written and the plan of its rewrite ``planned`` (which holds the rule log)."""
     return PlanExplanation(
         before=before_plan.expr,
-        after=after_plan.optimized_expr,
-        applications=after_plan.rule_applications,
-        cache_hit=after_plan.plan_cache_hit,
+        after=after_plan.expr,
+        applications=planned.applications,
+        cache_hit=planned.cache_hit,
         before_costs=predicted_stage_costs(before_plan),
         after_costs=predicted_stage_costs(after_plan),
     )

@@ -20,9 +20,6 @@ from repro.timekeeping.charger import CostCharger
 from repro.timekeeping.profile import MachineProfile
 from tests.conftest import make_relation
 
-VERBATIM = QueryOptions(optimize=False)
-
-
 @pytest.fixture
 def catalog(int_schema):
     catalog = Catalog()
@@ -44,7 +41,7 @@ def catalog(int_schema):
 def run_one(catalog, expr, quota, seed=0):
     rng = np.random.default_rng(seed)
     charger = CostCharger(MachineProfile.sun3_60(noise_sigma=0.15).scaled(0.1), rng=rng)
-    plan = StagedPlan(expr, catalog, charger, CostModel(), rng, VERBATIM)
+    plan = StagedPlan(expr, catalog, charger, CostModel(), rng)
     executor = TimeConstrainedExecutor(plan, OneAtATimeInterval(d_beta=12.0))
     report = executor.run(quota)
     return report, charger
@@ -119,7 +116,7 @@ class TestSpoolAccounting:
             charger = CostCharger(MachineProfile.uniform(0.0), rng=rng)
             plan = StagedPlan(
                 expr, catalog, charger, CostModel(), rng,
-                VERBATIM.replace(full_fulfillment=full),
+                QueryOptions(full_fulfillment=full),
             )
             stage_inputs = []
             for fraction in (0.2, 0.1, 0.3):
@@ -142,7 +139,7 @@ class TestSpoolAccounting:
         expr = join(rel("r1"), rel("r2"), on=["a"])
         rng = np.random.default_rng(5)
         charger = CostCharger(MachineProfile.uniform(0.001), rng=rng)
-        plan = StagedPlan(expr, catalog, charger, CostModel(), rng, VERBATIM)
+        plan = StagedPlan(expr, catalog, charger, CostModel(), rng)
         plan.advance_stage(0.2)
         # Every tuple entering the join was spooled exactly once.
         inputs = sum(scan.cum_tuples for scan in plan.scans)
@@ -156,7 +153,7 @@ class TestBlockReadAccounting:
         expr = join(rel("r1"), rel("r2"), on=["a"])
         rng = np.random.default_rng(3)
         charger = CostCharger(MachineProfile.uniform(0.001), rng=rng)
-        plan = StagedPlan(expr, catalog, charger, CostModel(), rng, VERBATIM)
+        plan = StagedPlan(expr, catalog, charger, CostModel(), rng)
         plan.advance_stage(0.2)
         plan.advance_stage(0.3)
         drawn = sum(scan.blocks_drawn for scan in plan.scans)

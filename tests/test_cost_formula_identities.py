@@ -26,9 +26,6 @@ from repro.timekeeping.charger import CostCharger
 from repro.timekeeping.profile import MachineProfile
 from tests.conftest import make_relation
 
-VERBATIM = QueryOptions(optimize=False)  # the formulas are per written tree
-
-
 class SpyCostModel(CostModel):
     """Records every observed (step, features, seconds) triple."""
 
@@ -68,7 +65,7 @@ def run_stages(catalog, expr, fractions, seed=0, full=True):
     spy = SpyCostModel()
     plan = StagedPlan(
         expr, catalog, charger, spy, rng,
-        VERBATIM.replace(full_fulfillment=full),
+        QueryOptions(full_fulfillment=full),
     )
     for fraction in fractions:
         plan.advance_stage(fraction)
@@ -90,7 +87,7 @@ class TestMergeReadFormula:
         rng = np.random.default_rng(0)
         charger = CostCharger(MachineProfile.uniform(0.0), rng=rng)
         spy2 = SpyCostModel()
-        plan2 = StagedPlan(expr, catalog, charger, spy2, rng, VERBATIM)
+        plan2 = StagedPlan(expr, catalog, charger, spy2, rng)
         cum1 = cum2 = 0
         for s, fraction in enumerate([0.1, 0.15, 0.2], start=1):
             before1 = plan2.scans[0].cum_tuples
@@ -121,7 +118,7 @@ class TestSortFormula:
         rng = np.random.default_rng(1)
         charger = CostCharger(MachineProfile.uniform(0.0), rng=rng)
         spy = SpyCostModel()
-        plan = StagedPlan(expr, catalog, charger, spy, rng, VERBATIM)
+        plan = StagedPlan(expr, catalog, charger, spy, rng)
         before1 = plan.scans[0].cum_tuples
         before2 = plan.scans[1].cum_tuples
         plan.advance_stage(0.2)
@@ -157,7 +154,7 @@ class TestFailureInjection:
         expr = join(rel("r1"), rel("r2"), on=["a"])
         rng = np.random.default_rng(3)
         charger = CostCharger(MachineProfile.uniform(0.01), rng=rng)
-        plan = StagedPlan(expr, catalog, charger, CostModel(), rng, VERBATIM)
+        plan = StagedPlan(expr, catalog, charger, CostModel(), rng)
         plan.advance_stage(0.1)  # healthy first stage
         charger.arm(charger.clock.now() + 0.05, hard=True)
         with pytest.raises(QuotaExpired):
@@ -183,7 +180,7 @@ class TestFailureInjection:
         rng = np.random.default_rng(4)
         # A machine so slow stage 1 cannot finish inside the quota.
         charger = CostCharger(MachineProfile.uniform(5.0), rng=rng)
-        plan = StagedPlan(expr, catalog, charger, CostModel(), rng, VERBATIM)
+        plan = StagedPlan(expr, catalog, charger, CostModel(), rng)
         executor = TimeConstrainedExecutor(
             plan,
             OneAtATimeInterval(d_beta=12.0),

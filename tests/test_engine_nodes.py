@@ -35,7 +35,7 @@ from tests.conftest import make_relation
 def free_plan(expr, catalog, seed=0, **kwargs):
     rng = np.random.default_rng(seed)
     charger = CostCharger(MachineProfile.uniform(0.0), rng=rng)
-    options = QueryOptions(optimize=False, **kwargs)  # the tree as written
+    options = QueryOptions(**kwargs)
     return StagedPlan(expr, catalog, charger, CostModel(), rng, options)
 
 
@@ -162,8 +162,7 @@ class TestSharedScans:
         rng = np.random.default_rng(0)
         charger = CostCharger(MachineProfile.uniform(1.0), rng=rng)
         plan = StagedPlan(
-            union(rel("r1"), rel("r2")), catalog, charger, CostModel(), rng,
-            QueryOptions(optimize=False),
+            union(rel("r1"), rel("r2")), catalog, charger, CostModel(), rng
         )
         # Terms: r1, r2, −(r1 ∩ r2); r1 and r2 each appear in two terms.
         assert len(plan.terms) == 3
@@ -335,8 +334,7 @@ class TestPrediction:
                 MachineProfile.sun3_60(noise_sigma=0.0), rng=rng
             )
             plan = StagedPlan(
-                expr, catalog, charger, CostModel(adaptive=adaptive), rng,
-                QueryOptions(optimize=False),
+                expr, catalog, charger, CostModel(adaptive=adaptive), rng
             )
             for fraction in (0.05, 0.05, 0.05):
                 plan.advance_stage(fraction)

@@ -1,10 +1,9 @@
 """``Database.explain`` takes the same options bundle as ``estimate``.
 
 Mirrors ``test_options_api.py`` for the explain entrypoint: a
-:class:`QueryOptions` bundle configures the probe sessions, per-call
-keyword overrides beat the bundle, unknown names are rejected with the
-valid list, and ``optimize`` is ignored (explain builds both variants by
-definition).
+:class:`QueryOptions` bundle configures the plans, per-call
+keyword overrides beat the bundle, and unknown names are rejected with the
+valid list.
 """
 
 from __future__ import annotations
@@ -75,12 +74,6 @@ class TestExplainOptions:
     def test_unknown_keyword_rejected_with_valid_names(self, db):
         with pytest.raises(ReproError, match="valid options"):
             db.explain(EXPR, strategee=None)
-
-    def test_explicit_optimize_is_ignored(self, db):
-        """Explain builds both variants regardless of the optimize setting."""
-        forced_off = db.explain(EXPR, options=QueryOptions(optimize=False))
-        plain = db.explain(EXPR)
-        assert sig(forced_off) == sig(plain)
 
     def test_explain_charges_nothing(self, db):
         baseline = db.count(EXPR)  # free oracle for comparison

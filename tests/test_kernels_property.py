@@ -39,9 +39,6 @@ from repro.timekeeping.profile import MachineProfile
 from tests.conftest import make_relation
 from tests.rowwise_oracle import rowwise_stages
 
-VERBATIM = QueryOptions(optimize=False)
-
-
 def build_catalog() -> Catalog:
     schema = Schema.of(id=AttributeType.INT, a=AttributeType.INT)
     catalog = Catalog()
@@ -98,7 +95,7 @@ def run_plan(expr, fractions, seed, rowwise):
     # charge sequence itself is under test, not just the charge totals.
     charger = CostCharger(MachineProfile.sun3_60(), rng=rng)
     with rowwise_stages(rowwise):
-        plan = StagedPlan(expr, catalog, charger, CostModel(), rng, VERBATIM)
+        plan = StagedPlan(expr, catalog, charger, CostModel(), rng)
     stage_rows: list[list] = []
     stage_stats: list[tuple] = []
     for stage, fraction in enumerate(fractions, start=1):
@@ -154,7 +151,7 @@ def test_partial_fulfillment_paths_also_identical(expr, seed):
         with rowwise_stages(rowwise):
             plan = StagedPlan(
                 expr, catalog, charger, CostModel(), rng,
-                VERBATIM.replace(full_fulfillment=False),
+                QueryOptions(full_fulfillment=False),
             )
         plan.advance_stage(0.2)
         plan.advance_stage(0.2)
@@ -180,7 +177,7 @@ def test_rolled_back_stages_are_bit_identical_to_rowwise(expr, schedule, seed):
         rng = np.random.default_rng(seed)
         charger = CostCharger(MachineProfile.sun3_60(), rng=rng)
         with rowwise_stages(rowwise):
-            plan = StagedPlan(expr, catalog, charger, CostModel(), rng, VERBATIM)
+            plan = StagedPlan(expr, catalog, charger, CostModel(), rng)
         observed = []
         for fraction, rolled_back in schedule:
             if rolled_back:
@@ -209,7 +206,7 @@ def faulted_run(expr, quota, rowwise):
         session = db.open_session(
             expr,
             quota,
-            VERBATIM.replace(
+            QueryOptions(
                 sink=sink,
                 fault_plan=FaultPlan(fail_stages=(2,)),
                 strategy=FixedFractionHeuristic(gamma=0.3, probe_fraction=0.05),

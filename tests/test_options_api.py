@@ -20,7 +20,7 @@ from repro.engine.plan import StagedPlan
 from repro.errors import ReproError
 from repro.estimation.aggregates import COUNT, avg_of, count, sum_of
 from repro.observability import RecordingSink
-from repro.relational.expression import rel
+from repro.relational.expression import join, rel
 from repro.relational.predicate import cmp
 from repro.server.workload import demo_database
 from repro.timecontrol.executor import TimeConstrainedExecutor
@@ -80,10 +80,52 @@ class TestQueryOptionsValue:
         with pytest.raises(TypeError):
             QueryOptions(block_size=400)
 
-    def test_sixteen_fields(self):
-        assert len(dataclasses.fields(QueryOptions)) == 16
+    def test_fifteen_fields(self):
+        assert len(dataclasses.fields(QueryOptions)) == 15
 
-    @pytest.mark.parametrize("name", ["optimize", "synopses"])
+    def test_optimize_is_no_longer_an_option(self):
+        # Every session lowers the optimizer's rewrite; a plan of the tree
+        # as written is a StagedPlan built over it by hand.
+        with pytest.raises(TypeError, match="optimize"):
+            QueryOptions(optimize=False)
+
+    @pytest.mark.parametrize("value", [5.0, 0.0, -1.0, float("nan")])
+    def test_zero_fix_beta_outside_the_open_unit_interval_rejected(self, value):
+        with pytest.raises(ReproError, match=r"zero_fix_beta must be in \(0, 1\)"):
+            QueryOptions(zero_fix_beta=value)
+
+    @pytest.mark.parametrize("beta", [0.01, 0.05, 0.25, 0.5, 0.9])
+    def test_zero_fix_beta_reaches_every_tracker(self, db, beta):
+        # A9's sweep, on a query with one tracker per operator kind it runs.
+        expr = join(rel("r1").where(cmp("a", "<", 50)), rel("r2"), on=["a"])
+        plan = db.plan(expr, zero_fix_beta=beta)
+        assert len(plan.trackers()) == 2
+        assert all(t.zero_fix_beta == beta for t in plan.trackers())
+
+    def test_misspelt_initial_selectivity_kind_rejected(self):
+        with pytest.raises(
+            ReproError,
+            match="unknown operator kind 'selct'; "
+            "valid kinds: select, join, intersect, project",
+        ):
+            QueryOptions(initial_selectivities={"selct": 0.1})
+
+    @pytest.mark.parametrize("value", [0.0, -0.5, 1.5, float("nan")])
+    def test_initial_selectivity_outside_its_range_rejected(self, value):
+        with pytest.raises(
+            ReproError, match=r"initial_selectivities\['join'\] must be in \(0, 1\]"
+        ):
+            QueryOptions(initial_selectivities={"join": value})
+
+    def test_paper_initial_selectivities_accepted(self):
+        from repro.workloads.paper import make_join_setup
+
+        setup = make_join_setup(seed=0, tuples=400)
+        options = QueryOptions(initial_selectivities=setup.initial_selectivities)
+        (join_node,) = setup.database.plan(setup.query, options).tracked_nodes()
+        assert join_node.tracker.initial == setup.initial_selectivities["join"]
+
+    @pytest.mark.parametrize("name", ["synopses"])
     @pytest.mark.parametrize("value", [None, "0", "off", 0, 1])
     def test_non_bool_switch_rejected(self, name, value):
         # The spellings the removed env parser read as "off" are truthy
@@ -199,7 +241,8 @@ class TestEstimateEntrypoint:
             db.open_session(EXPR, 1.0, vectorized=True)
 
     @pytest.mark.parametrize(
-        "name, value", [("step_specs", {}), ("block_size", 400)]
+        "name, value",
+        [("step_specs", {}), ("block_size", 400), ("optimize", False)],
     )
     def test_removed_keywords_rejected(self, db, name, value):
         # Custom priors have one spelling: cost_model=CostModel(specs=…).

@@ -6,6 +6,7 @@ from repro.catalog.catalog import Catalog
 from repro.catalog.schema import Schema
 from repro.catalog.types import AttributeType
 from repro import caches
+from repro.observability import RecordingSink
 from repro.planner import plan_logical
 from repro.planner.cache import PLAN_CACHE_MAXSIZE, cache_key
 from repro.relational.expression import intersect, join, rel, select
@@ -122,10 +123,12 @@ def test_session_plans_report_cache_hits():
         "r2", [("id", "int"), ("a", "int")],
         rows=[(i, i % 5) for i in range(60)],
     )
-    s1 = db.open_session(pushable(), quota=5.0, seed=0)
-    s2 = db.open_session(pushable(), quota=5.0, seed=1)
-    assert not s1.plan.plan_cache_hit and s2.plan.plan_cache_hit
-    assert s2.plan.optimized_expr == s1.plan.optimized_expr
+    sink1, sink2 = RecordingSink(), RecordingSink()
+    s1 = db.open_session(pushable(), quota=5.0, seed=0, sink=sink1)
+    s2 = db.open_session(pushable(), quota=5.0, seed=1, sink=sink2)
+    (fresh,), (cached,) = (s.of_kind("plan_optimized") for s in (sink1, sink2))
+    assert not fresh.cache_hit and cached.cache_hit
+    assert s2.plan.expr == s1.plan.expr
     # Cached or fresh, runs are replayable: same seed → same outcome.
     r1 = db.open_session(pushable(), quota=5.0, seed=7).run()
     r2 = db.open_session(pushable(), quota=5.0, seed=7).run()

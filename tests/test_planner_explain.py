@@ -1,18 +1,32 @@
-"""Database.explain, the ``optimize`` argument, planner trace events, and
-the optimize=False bit-identity contract."""
+"""Database.explain, planner trace events, and the lowering contract: a
+plan lowers the tree it is given, and ``Database`` rewrites before it lowers."""
 
 import numpy as np
 import pytest
 
 from repro.core.database import Database
 from repro.core.options import QueryOptions
+from repro.core.session import QuerySession
 from repro.engine.plan import StagedPlan
+from repro.errors import ReproError
 from repro.observability import RecordingSink
 from repro import caches
+from repro.planner import plan_logical
+from repro.planner import rewrite
 from repro.planner.explain import predicted_stage_costs, render_tree
-from repro.relational.expression import intersect, join, project, rel, select
+from repro.relational.expression import (
+    RelationRef,
+    intersect,
+    join,
+    project,
+    rel,
+    select,
+)
 from repro.relational.predicate import cmp
+from repro.server import QueryServer
 from repro.server.admission import minimum_stage_cost
+from repro.timecontrol.executor import TimeConstrainedExecutor
+from repro.timecontrol.strategies import default_strategy
 
 
 @pytest.fixture(autouse=True)
@@ -104,10 +118,23 @@ def test_render_tree_box_drawing():
 
 
 # ----------------------------------------------------------------------
-# Bit-identity: optimize=False is the pre-planner engine
+# A plan lowers the tree it is given
 # ----------------------------------------------------------------------
-def run_signature(db, seed, **kwargs):
-    session = db.open_session(pushable(), quota=2_000.0, seed=seed, **kwargs)
+def as_written_session(db, expr, quota, seed):
+    """A session over a by-hand plan of ``expr`` as written (no rewrite)."""
+    rng = np.random.default_rng(seed)
+    plan = StagedPlan(
+        expr, db.catalog, db._make_charger(rng), db.default_cost_model(), rng
+    )
+    executor = TimeConstrainedExecutor(plan, default_strategy())
+    return QuerySession(expr, quota, plan, executor)
+
+
+def run_signature(db, seed, as_written=False):
+    if as_written:
+        session = as_written_session(db, pushable(), 2_000.0, seed)
+    else:
+        session = db.open_session(pushable(), quota=2_000.0, seed=seed)
     result = session.run()
     report = result.report
     return (
@@ -120,40 +147,96 @@ def run_signature(db, seed, **kwargs):
     )
 
 
-def test_optimize_off_paths_are_identical():
-    baseline = run_signature(build_db(), 3, optimize=False)
-    via_options = run_signature(
-        build_db(), 3, options=QueryOptions(optimize=False)
-    )
-    assert baseline == via_options
+def operator_kinds(plan):
+    """The plan's operator kinds in tree order, read off tracker labels."""
+    return [tracker.label.split("#")[0] for tracker in plan.trackers()]
 
 
-def test_plan_without_options_optimizes_like_a_default_session():
-    """``StagedPlan(..., options=None)`` is ``QueryOptions()``: optimizer on."""
+def test_hand_built_plan_lowers_the_written_tree_node_for_node():
     db = build_db()
-    session = db.open_session(pushable(), quota=5.0, seed=0)
     rng = np.random.default_rng(0)
     plan = StagedPlan(
         pushable(), db.catalog, db._make_charger(rng),
         db.default_cost_model(), rng,
     )
-    assert plan.optimize and session.plan.optimize
-    assert [a.rule for a in plan.rule_applications] == ["push-predicates"]
-    assert (
-        plan.optimized_expr.structural_hash()
-        == session.plan.optimized_expr.structural_hash()
+    written = [
+        type(node).__name__.lower()
+        for node in pushable().walk()
+        if not isinstance(node, RelationRef)
+    ]
+    assert plan.expr == pushable()
+    assert operator_kinds(plan) == written == ["select", "join"]
+    assert len(plan.trackers()) == pushable().operator_count()
+    session = db.open_session(pushable(), quota=5.0, seed=0)
+    assert operator_kinds(session.plan) == ["join", "select"]
+
+
+def test_database_lowers_the_optimizers_rewrite():
+    db = build_db()
+    rewritten = plan_logical(pushable(), db.catalog).expression
+    assert rewritten != pushable()
+    assert db.plan(pushable()).expr == rewritten
+    assert db.open_session(pushable(), quota=5.0, seed=0).plan.expr == rewritten
+    # A by-hand plan of the rewrite prices like the session's plan.
+    rng = np.random.default_rng(0)
+    by_hand = StagedPlan(
+        rewritten, db.catalog, db._make_charger(rng),
+        db.default_cost_model(), rng,
     )
+    session = db.open_session(pushable(), quota=5.0, seed=0)
     assert (
-        predicted_stage_costs(plan).total
+        predicted_stage_costs(by_hand).total
         == predicted_stage_costs(session.plan).total
     )
+
+
+@pytest.mark.parametrize(
+    "lower",
+    [
+        lambda db: db.open_session(pushable(), quota=5.0, seed=0),
+        lambda db: db.plan(pushable()),
+        lambda db: db.explain(pushable()),
+    ],
+    ids=["open_session", "plan", "explain"],
+)
+def test_one_rewrite_per_lowering(monkeypatch, lower):
+    # Patched on the module, as a tracer wraps it: the call site looks the
+    # function up per call.
+    calls = []
+    original = rewrite.plan_logical
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(rewrite, "plan_logical", counting)
+    lower(build_db())
+    assert calls == [pushable()]
+
+
+def test_malformed_query_fails_before_the_rewrite(monkeypatch):
+    monkeypatch.setattr(
+        rewrite, "plan_logical", lambda *a, **k: pytest.fail("rewritten")
+    )
+    with pytest.raises(ReproError):
+        build_db().plan(select(rel("orders"), cmp("nope", ">", 1)))
+
+
+def test_optimize_is_refused_everywhere():
+    db = build_db()
+    with pytest.raises(TypeError, match="optimize"):
+        QueryOptions(optimize=False)
+    with pytest.raises(ReproError, match="unknown query option.*optimize"):
+        db.open_session(pushable(), quota=5.0, optimize=False)
+    with pytest.raises(ValueError, match="unknown query option 'optimize'"):
+        QueryServer(db, session_kwargs={"optimize": False})
 
 
 def test_optimized_run_estimates_the_same_query():
     db = build_db()
     exact = db.count(pushable())
     on = run_signature(build_db(), 5)
-    off = run_signature(build_db(), 5, optimize=False)
+    off = run_signature(build_db(), 5, as_written=True)
     # Different plans, same answer ballpark: both CIs bracket the truth
     # loosely here; the strict equivalence contract lives in the
     # exact-evaluator property tests.
@@ -171,9 +254,7 @@ def test_optimized_run_estimates_the_same_query():
 def test_optimized_traced_session_emits_planner_events():
     db = build_db()
     sink = RecordingSink()
-    session = db.open_session(
-        pushable(), quota=50.0, seed=0, sink=sink, optimize=True
-    )
+    session = db.open_session(pushable(), quota=50.0, seed=0, sink=sink)
     applied = sink.of_kind("rule_applied")
     summaries = sink.of_kind("plan_optimized")
     assert [e.rule for e in applied] == ["push-predicates"]
@@ -181,13 +262,25 @@ def test_optimized_traced_session_emits_planner_events():
     event = summaries[0]
     assert event.rules == "push-predicates" and event.rules_applied == 1
     assert event.before_hash == pushable().structural_hash()
-    assert event.after_hash == session.plan.optimized_expr.structural_hash()
+    assert event.after_hash == session.plan.expr.structural_hash()
     assert event.operators_before == 2 and event.operators_after == 2
     # Events round-trip through the JSONL registry.
     from repro.observability import event_from_dict
 
     assert event_from_dict(event.to_dict()) == event
     assert event_from_dict(applied[0].to_dict()) == applied[0]
+
+
+def test_planner_events_come_before_any_synopsis_hit():
+    # The rewrite is traced before a node is built, so before the binder
+    # warm-starts one.
+    db = build_db()
+    db.estimate(pushable(), quota=500.0, seed=1, synopses=True)
+    sink = RecordingSink()
+    db.open_session(pushable(), quota=5.0, seed=2, synopses=True, sink=sink)
+    assert sink.kinds() == [
+        "rule_applied", "plan_optimized", "synopsis_hit", "synopsis_hit"
+    ]
 
 
 def test_untouched_query_emits_no_planner_events_and_starts_clean():
@@ -209,9 +302,9 @@ def test_untouched_query_emits_no_planner_events_and_starts_clean():
 def test_minimum_stage_cost_prices_the_plan_it_will_run():
     db = build_db()
     cost_model = db.default_cost_model()
-    optimized = db.plan(pushable(), cost_model=cost_model, optimize=True)
-    verbatim = db.plan(pushable(), cost_model=cost_model, optimize=False)
-    assert minimum_stage_cost(optimized) < minimum_stage_cost(verbatim)
+    optimized = db.plan(pushable(), cost_model=cost_model)
+    as_written = StagedPlan(pushable(), db.catalog, None, cost_model, None)
+    assert minimum_stage_cost(optimized) < minimum_stage_cost(as_written)
 
 
 def test_projection_query_explains_and_prices():

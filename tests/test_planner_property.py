@@ -20,10 +20,9 @@ from hypothesis import strategies as st
 from repro.catalog.catalog import Catalog
 from repro.catalog.schema import Schema
 from repro.catalog.types import AttributeType
-from repro.core.options import QueryOptions
 from repro.costmodel.model import CostModel
 from repro.engine.plan import StagedPlan
-from repro.planner import default_rules, optimize_expression
+from repro.planner import default_rules, optimize_expression, plan_logical
 from repro.planner.rules import JoinChainReorder
 from repro.relational.evaluator import count_exact, rows_exact
 from repro.relational.expression import (
@@ -258,9 +257,8 @@ def test_optimized_plan_full_coverage_estimate_is_exact(expr, seed):
     catalog = build_catalog()
     rng = np.random.default_rng(seed)
     charger = CostCharger(MachineProfile.uniform(0.0), rng=rng)
-    plan = StagedPlan(
-        expr, catalog, charger, CostModel(), rng, QueryOptions(optimize=True)
-    )
+    optimized = plan_logical(expr, catalog).expression
+    plan = StagedPlan(optimized, catalog, charger, CostModel(), rng)
     plan.advance_stage(1.0)
     estimate = plan.estimate()
     assert estimate.value == pytest.approx(count_exact(expr, catalog))

@@ -35,9 +35,6 @@ from repro.timekeeping.charger import CostCharger
 from repro.timekeeping.profile import MachineProfile
 from tests.conftest import make_relation
 
-VERBATIM = QueryOptions(optimize=False)  # the generated tree, node for node
-
-
 def build_catalog() -> Catalog:
     schema = Schema.of(id=AttributeType.INT, a=AttributeType.INT)
     catalog = Catalog()
@@ -108,7 +105,7 @@ def test_staged_count_equals_exact_over_sampled_blocks(expr, fractions, seed):
     catalog = build_catalog()
     rng = np.random.default_rng(seed)
     charger = CostCharger(MachineProfile.uniform(0.0), rng=rng)
-    plan = StagedPlan(expr, catalog, charger, CostModel(), rng, VERBATIM)
+    plan = StagedPlan(expr, catalog, charger, CostModel(), rng)
     for fraction in fractions:
         plan.advance_stage(fraction)
     sub = restricted(plan)
@@ -130,7 +127,7 @@ def test_full_coverage_estimate_is_exact(expr, seed):
     catalog = build_catalog()
     rng = np.random.default_rng(seed)
     charger = CostCharger(MachineProfile.uniform(0.0), rng=rng)
-    plan = StagedPlan(expr, catalog, charger, CostModel(), rng, VERBATIM)
+    plan = StagedPlan(expr, catalog, charger, CostModel(), rng)
     plan.advance_stage(1.0)
     estimate = plan.estimate()
     assert estimate.exact
@@ -147,7 +144,7 @@ def test_estimate_is_feasible_and_variance_nonnegative(expr, fraction, seed):
     catalog = build_catalog()
     rng = np.random.default_rng(seed)
     charger = CostCharger(MachineProfile.uniform(0.0), rng=rng)
-    plan = StagedPlan(expr, catalog, charger, CostModel(), rng, VERBATIM)
+    plan = StagedPlan(expr, catalog, charger, CostModel(), rng)
     plan.advance_stage(fraction)
     estimate = plan.estimate()
     assert estimate.variance >= 0.0
@@ -167,7 +164,7 @@ def test_partial_fulfillment_counts_subset_of_full(expr, seed):
         charger = CostCharger(MachineProfile.uniform(0.0), rng=rng)
         plan = StagedPlan(
             expr, catalog, charger, CostModel(), rng,
-            VERBATIM.replace(full_fulfillment=full),
+            QueryOptions(full_fulfillment=full),
         )
         plan.advance_stage(0.3)
         plan.advance_stage(0.3)
@@ -230,7 +227,7 @@ def test_every_node_counts_its_stages_once(expr, full, steps, seed):
     charger = CostCharger(MachineProfile.uniform(0.0), rng=rng)
     plan = StagedPlan(
         expr, catalog, charger, CostModel(), rng,
-        VERBATIM.replace(full_fulfillment=full),
+        QueryOptions(full_fulfillment=full),
     )
     for rollback, fraction in steps:
         if plan.all_exhausted():

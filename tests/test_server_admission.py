@@ -329,7 +329,6 @@ class TestPricingPlan:
         with pytest.raises(ReproError, match="priced, not run"):
             plan.advance_stage(0.1)
 
-    @pytest.mark.parametrize("optimize", [False, True])
     @pytest.mark.parametrize("synopses", [False, True])
     @pytest.mark.parametrize(
         "expr",
@@ -340,10 +339,10 @@ class TestPricingPlan:
         ids=["select", "select-over-intersect"],
     )
     def test_plan_prices_like_the_session_it_will_open(
-        self, expr, synopses, optimize
+        self, expr, synopses
     ):
         db = demo_database(seed=11, tuples=TUPLES)
-        options = QueryOptions(synopses=synopses, optimize=optimize)
+        options = QueryOptions(synopses=synopses)
         db.estimate(expr, quota=5.0, seed=3, options=options)  # warm catalog
         cost_model = db.default_cost_model()
         plan = db.plan(expr, options, cost_model=cost_model)

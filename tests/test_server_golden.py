@@ -132,7 +132,7 @@ class Recording:
     def server(self, db, policy, preempt: bool, fault_plan=None, **kwargs):
         """A server on the isolated pool with every behavioural switch
         spelled out at the value the streams were recorded under."""
-        session_kwargs = {"bufferpool": self.pool, "optimize": True}
+        session_kwargs = {"bufferpool": self.pool}
         if fault_plan is not None:
             session_kwargs["fault_plan"] = fault_plan
         return QueryServer(

@@ -296,7 +296,7 @@ class TestSessionKwargsValidation:
     @pytest.mark.parametrize(
         "name",
         ["fault_plans", "buffer_pool", "quota", "partitions", "block_size",
-         "step_specs"],
+         "step_specs", "optimize"],
     )
     def test_unknown_or_misspelt_options_are_refused(self, db, name):
         with pytest.raises(ValueError, match=f"unknown query option '{name}'"):
@@ -309,7 +309,7 @@ class TestSessionKwargsValidation:
             db,
             session_kwargs={
                 "fault_plan": FaultPlan(),
-                "optimize": False,
+                "full_fulfillment": True,
                 "max_stages": 8,
             },
         )

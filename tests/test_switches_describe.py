@@ -1,6 +1,6 @@
 """The switch inventory — ``describe()`` and the retired environment layer.
 
-The three behaviour switches are plain boolean arguments; nothing under
+The two behaviour switches are plain boolean arguments; nothing under
 ``src/`` reads the process environment. :func:`repro.core.switches.describe`
 reports each switch's value *and where it came from*: an explicit keyword
 beats the ``QueryOptions`` bundle, which beats the signature default.
@@ -29,28 +29,24 @@ class TestDescribe:
     def test_defaults_with_clean_env(self):
         states = describe()
         assert all(s.source == "default" for s in states)
-        assert state(states, "optimize").value is True
         assert state(states, "synopses").value is False
         assert state(states, "preempt").value is False
 
     def test_options_beat_default(self):
-        states = describe(options=QueryOptions(optimize=False, synopses=True))
-        optimize = state(states, "optimize")
-        assert (optimize.value, optimize.source) == (False, "options")
+        states = describe(options=QueryOptions(synopses=True))
         synopses = state(states, "synopses")
         assert (synopses.value, synopses.source) == (True, "options")
         assert state(states, "preempt").source == "default"
 
     def test_explicit_beats_options(self):
         states = describe(
-            options=QueryOptions(optimize=True, synopses=True),
-            explicit={"optimize": False, "preempt": True},
+            options=QueryOptions(synopses=True),
+            explicit={"synopses": False, "preempt": True},
         )
-        optimize = state(states, "optimize")
-        assert (optimize.value, optimize.source) == (False, "explicit")
+        synopses = state(states, "synopses")
+        assert (synopses.value, synopses.source) == (False, "explicit")
         preempt = state(states, "preempt")
         assert (preempt.value, preempt.source) == (True, "explicit")
-        assert state(states, "synopses").source == "options"
 
 
 class TestRetiredSwitches:
@@ -62,7 +58,6 @@ class TestRetiredSwitches:
 
     def test_only_behavioural_switches_are_declared(self):
         assert [(s.name, s.default) for s in SWITCHES] == [
-            ("optimize", True),
             ("synopses", False),
             ("preempt", False),
         ]
