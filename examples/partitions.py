@@ -3,13 +3,13 @@
 ``create_relation(..., partitions=K)`` stores exactly the blocks a plain
 relation would and labels each with one of K shards by arithmetic on its
 block id. Every read goes through the same per-block loop (charge, then
-fault injector, then buffer pool), so invariant 10 holds by construction:
-estimates, charged costs, stage schedules and buffer-pool counters are
-**bit-identical** to the same rows in a plain relation. Only two things
-ever read the label — this example walks both:
+fault injector), so invariant 10 holds by construction: estimates,
+charged costs and stage schedules are **bit-identical** to the same rows
+in a plain relation. Only two things ever read the label — this example
+walks both:
 
 1. the same query, same seed, over a plain and a partitioned relation:
-   bit-equal answers, schedules and pool counters;
+   bit-equal answers and schedules;
 2. the ``shard_scan_started`` / ``shard_merged`` trace events break each
    stage's read down by shard, and round-robin labels spread a run
    evenly;
@@ -24,7 +24,7 @@ Run:  python examples/partitions.py
 
 from __future__ import annotations
 
-from repro import BufferPool, Database, FaultPlan, QueryOptions, cmp, rel
+from repro import Database, FaultPlan, QueryOptions, cmp, rel
 from repro.observability import RecordingSink
 from repro.server import QueryRequest, QueryServer
 from repro.server.admission import minimum_stage_cost
@@ -44,30 +44,27 @@ def build_database(seed: int = 7, partitions: int | None = PARTITIONS) -> Databa
 
 
 def signature(db: Database, expr) -> tuple:
-    """One run through its own pool: what invariant 10 pins."""
-    pool = BufferPool()
-    result = db.estimate(
-        expr, quota=3.0, seed=1, options=QueryOptions(bufferpool=pool)
-    )
+    """One run: what invariant 10 pins."""
+    result = db.estimate(expr, quota=3.0, seed=1)
     report = result.report
     return (
         result.value,
         None if report.estimate is None else report.estimate.variance,
         tuple((s.fraction, s.duration, s.blocks_read) for s in report.stages),
-        pool.info(),
     )
 
 
 def main() -> None:
     panel = rel("orders").where(cmp("qty", "<", 10))
 
-    # -- 1. labels never change what the controller or the pool sees --
+    # -- 1. labels never change what the controller sees -------------
     plain = signature(build_database(partitions=None), panel)
     sharded = signature(build_database(), panel)
     assert sharded == plain
     print(
         f"plain / {PARTITIONS} shards : estimate {sharded[0]:.1f}, "
-        f"{len(sharded[2])} stages, pool misses {sharded[3].misses} — "
+        f"{len(sharded[2])} stages, "
+        f"{sum(blocks for *_, blocks in sharded[2])} blocks — "
         "bit-identical runs"
     )
 

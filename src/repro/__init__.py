@@ -74,20 +74,7 @@ from repro.relational import (
     select,
     union,
 )
-from repro.storage.bufferpool import (
-    BufferPool,
-    BufferPoolInfo,
-    PooledBatch,
-    default_pool,
-    invalidate_bufferpool_relation,
-)
-from repro.storage.events import (
-    BufferEvicted,
-    BufferHit,
-    BufferInvalidated,
-    ShardMerged,
-    ShardScanStarted,
-)
+from repro.storage.events import ShardMerged, ShardScanStarted
 from repro.storage.partitioned import PartitionedHeapFile
 from repro.synopses import (
     SynopsisBinder,
@@ -122,11 +109,6 @@ __all__ = [
     "AnyOf",
     "Attribute",
     "AttributeType",
-    "BufferEvicted",
-    "BufferHit",
-    "BufferInvalidated",
-    "BufferPool",
-    "BufferPoolInfo",
     "Catalog",
     "CatalogError",
     "Clock",
@@ -150,7 +132,6 @@ __all__ = [
     "OneAtATimeInterval",
     "PartitionedHeapFile",
     "PlanExplanation",
-    "PooledBatch",
     "QueryOptions",
     "QueryResult",
     "QuerySession",
@@ -191,11 +172,9 @@ __all__ = [
     "cmp",
     "count",
     "count_exact",
-    "default_pool",
     "difference",
     "expand_count",
     "intersect",
-    "invalidate_bufferpool_relation",
     "join",
     "project",
     "rel",

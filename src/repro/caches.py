@@ -1,7 +1,8 @@
 """Unified management surface for every process-wide cache.
 
 One registry of named handles over the library's three process-wide
-caches (compiled predicates, logical plans and the default buffer pool)::
+caches (compiled predicates, logical plans and the default buffer pool,
+which no read path uses — see :mod:`repro.storage.bufferpool`)::
 
     from repro import caches
 
@@ -14,10 +15,9 @@ caches (compiled predicates, logical plans and the default buffer pool)::
 Each handle's ``info()`` returns that cache's own counters dataclass
 (every one carries at least ``hits``/``misses``/``maxsize``/``currsize``,
 ``lru_cache.cache_info()``-style), and ``clear()`` empties the cache and
-resets its counters. The *relation-keyed invalidation* hooks
-(``invalidate_plan_cache_relation``, ``invalidate_bufferpool_relation``)
-live with their caches — they are mutation plumbing, not management
-surface.
+resets its counters. The *relation-keyed invalidation* hook
+(``invalidate_plan_cache_relation``) lives with its cache — it is
+mutation plumbing, not management surface.
 
 The registry holds no cache state itself: handles call through to the
 owning modules, so a cache's behavior is unchanged whether it is managed
@@ -109,8 +109,8 @@ _REGISTRY: tuple[CacheHandle, ...] = (
     ),
     CacheHandle(
         "bufferpool",
-        "process-wide default block/decoded-column buffer pool "
-        "(repro.storage.bufferpool)",
+        "process-wide default block/decoded-column buffer pool, unused by "
+        "the engine (repro.storage.bufferpool)",
         _bufferpool_info,
         _bufferpool_clear,
     ),

@@ -154,8 +154,8 @@ class Database:
         block id (``partition_strategy`` is ``"round_robin"`` or
         ``"hash"``). The label is read only by ``FaultPlan.fail_shards``
         and the ``shard_scan_started`` / ``shard_merged`` trace events;
-        every sample, estimate, charged cost and buffer-pool counter is
-        bit-identical to the unpartitioned relation (invariant 10).
+        every sample, estimate and charged cost is bit-identical to the
+        unpartitioned relation (invariant 10).
         """
         if partitions is not None and partitions >= 1:
             from repro.storage.partitioned import PartitionedHeapFile
@@ -183,9 +183,8 @@ class Database:
         Grows the heap file in place and invalidates everything derived
         from the old contents: the plan cache's entries fingerprinted over
         this relation, its prestored statistics (the paper's maintenance
-        burden — re-run :meth:`analyze`), the synopsis catalog's entries
-        over it, and every buffer pool's cached blocks of it. Returns the
-        number of rows appended. This is what
+        burden — re-run :meth:`analyze`) and the synopsis catalog's entries
+        over it. Returns the number of rows appended. This is what
         :mod:`repro.realtime` write transactions call on commit.
         """
         heap = self.catalog.get(name)
@@ -202,19 +201,15 @@ class Database:
         """Committed mutation of ``name``: drop every derived artifact.
 
         One breath evicts every derived layer: plan-cache entries
-        fingerprinted over the relation, its prestored statistics, the
-        synopsis catalog's entries and every buffer pool's cached blocks
-        (:mod:`repro.storage.bufferpool` broadcasts across live pools).
-        Realtime :class:`~repro.realtime.transaction.WriteTask` commits
+        fingerprinted over the relation, its prestored statistics and the
+        synopsis catalog's entries. Realtime :class:`~repro.realtime.transaction.WriteTask` commits
         land here too, via :meth:`append_rows`.
         """
         from repro.planner.cache import invalidate_plan_cache_relation
-        from repro.storage.bufferpool import invalidate_bufferpool_relation
 
         invalidate_plan_cache_relation(name)
         self.statistics.pop(name, None)
         self.synopses.invalidate_relation(name)
-        invalidate_bufferpool_relation(name)
 
     def relation(self, name: str) -> HeapFile:
         return self.catalog.get(name)
@@ -355,9 +350,7 @@ class Database:
         Notable options: ``clock`` places several sessions on one shared
         timeline (how :class:`repro.server.QueryServer` multiplexes
         deadline-bound queries over one simulated machine — such sessions
-        must run serially); ``bufferpool`` attaches an isolated
-        :class:`~repro.storage.bufferpool.BufferPool` instead of the
-        process-wide one; ``trace_costs=True`` emits one event per primitive
+        must run serially); ``trace_costs=True`` emits one event per primitive
         cost charge; ``fault_plan`` arms deterministic fault injection
         (see :mod:`repro.faults`).
 

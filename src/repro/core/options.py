@@ -20,7 +20,9 @@ the run rather than configure the machinery.
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Mapping
 from dataclasses import dataclass
+from numbers import Real
 from typing import TYPE_CHECKING
 
 from repro.errors import ReproError
@@ -29,7 +31,6 @@ if TYPE_CHECKING:
     from repro.costmodel.model import CostModel
     from repro.faults.plan import FaultPlan
     from repro.observability.trace import TraceSink
-    from repro.storage.bufferpool import BufferPool
     from repro.timecontrol.stopping import StoppingCriterion
     from repro.timecontrol.strategies import TimeControlStrategy
     from repro.timekeeping.clock import Clock
@@ -55,14 +56,10 @@ class QueryOptions:
     (:mod:`repro.synopses`), default *off* — the catalog carries state
     between runs, so it is opt-in; ``False`` is bit-identical to an engine
     without the catalog. It is a plain ``bool``: any other value (``None``,
-    ``"0"``) is rejected, as are an ``initial_selectivities`` key outside
-    :data:`INITIAL_SELECTIVITY_KINDS` or value outside ``(0, 1]`` and a
-    ``zero_fix_beta`` outside ``(0, 1)``.
-    ``bufferpool`` attaches a specific
-    :class:`~repro.storage.bufferpool.BufferPool` (isolated pools for
-    tests and experiments); ``None`` reads through the process-wide
-    default pool. Every plan reads through a pool — it is a pure
-    wall-clock structure, invisible to charges, estimates and traces.
+    ``"0"``) is rejected, as are an ``initial_selectivities`` that is not a
+    mapping, a key of it outside :data:`INITIAL_SELECTIVITY_KINDS` or a
+    value that is not a real number in ``(0, 1]``, and a ``zero_fix_beta``
+    that is not a real number in ``(0, 1)``.
     """
 
     strategy: "TimeControlStrategy | None" = None
@@ -78,24 +75,29 @@ class QueryOptions:
     trace_costs: bool = False
     clock: "Clock | None" = None
     synopses: bool = False
-    bufferpool: "BufferPool | None" = None
     fault_plan: "FaultPlan | None" = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.synopses, bool):
             raise ReproError(f"synopses must be True or False, got {self.synopses!r}")
-        for kind, value in (self.initial_selectivities or {}).items():
+        initial = self.initial_selectivities
+        if initial is not None and not isinstance(initial, Mapping):
+            raise ReproError(
+                "initial_selectivities must be a mapping of operator kind to "
+                f"selectivity, got {initial!r}"
+            )
+        for kind, value in (initial or {}).items():
             if kind not in INITIAL_SELECTIVITY_KINDS:
                 raise ReproError(
                     f"initial_selectivities has unknown operator kind {kind!r}; "
                     f"valid kinds: {', '.join(INITIAL_SELECTIVITY_KINDS)}"
                 )
-            if not 0.0 < value <= 1.0:  # NaN fails too
+            if not _is_real(value) or not 0.0 < value <= 1.0:  # NaN fails too
                 raise ReproError(
                     f"initial_selectivities[{kind!r}] must be in (0, 1], got {value!r}"
                 )
         beta = self.zero_fix_beta
-        if beta is not None and not 0.0 < beta < 1.0:
+        if beta is not None and (not _is_real(beta) or not 0.0 < beta < 1.0):
             raise ReproError(f"zero_fix_beta must be in (0, 1), got {beta!r}")
         if self.selectivity_source not in SELECTIVITY_SOURCES:
             raise ReproError(
@@ -104,10 +106,6 @@ class QueryOptions:
             )
         if self.max_stages < 1:
             raise ReproError(f"max_stages must be >= 1: {self.max_stages}")
-        if self.bufferpool is not None:
-            from repro.storage.bufferpool import resolve_pool
-
-            resolve_pool(self.bufferpool)  # rejects the removed on/off forms
 
     def replace(self, **changes) -> "QueryOptions":
         """A copy with the given fields changed (unknown names rejected)."""
@@ -119,6 +117,11 @@ class QueryOptions:
                 f"valid options: {', '.join(sorted(field_names))}"
             )
         return dataclasses.replace(self, **changes)
+
+
+def _is_real(value) -> bool:
+    """A real number that is not a ``bool`` (``True`` is no selectivity)."""
+    return isinstance(value, Real) and not isinstance(value, bool)
 
 
 DEFAULT_OPTIONS = QueryOptions()

@@ -4,9 +4,9 @@ A switch selects between two *behaviours* of the engine or the server —
 what a run computes, stores, or schedules. Each is a plain boolean argument
 (``QueryOptions.synopses``, ``QueryServer(synopses=, preempt=)``) whose
 default lives in that signature; nothing is read from the process
-environment. How the host computes a stage (columnar kernels, the buffer
-pool) is not a switch, and neither is the logical optimizer: every session
-runs the rewritten plan.
+environment. How the host computes a stage (columnar kernels) is not a
+switch, and neither is the logical optimizer: every session runs the
+rewritten plan.
 
 :data:`SWITCHES` names them and :func:`describe` reports, for an options
 bundle and/or explicit keyword values, each switch's value and whether it

@@ -64,7 +64,6 @@ from repro.timekeeping.profile import CostKind
 
 if TYPE_CHECKING:
     from repro.faults.injector import FaultInjector
-    from repro.storage.bufferpool import BufferPool
 
 SelProvider = Callable[[SelectivityTracker, int, int], float]
 """Strategy hook: (tracker, candidate_new_points, space_points) -> sel used."""
@@ -313,13 +312,11 @@ class StagedScan(_NodeBase):
         self,
         relation: HeapFile,
         sampler: BlockSampler,
-        bufferpool: "BufferPool",
         **common,
     ) -> None:
         super().__init__(**common)
         self.relation = relation
         self.sampler = sampler
-        self.bufferpool = bufferpool
         self.schema = relation.schema
         # Per-shard tallies of the latest stage read over a partitioned
         # relation (always empty over a plain one); StagedPlan turns them
@@ -358,17 +355,16 @@ class StagedScan(_NodeBase):
         d = self._blocks_for(fraction)
         with self.charger.measure() as meter:
             block_ids = self.sampler.draw(d)
-            # Resident blocks hand back their decode-once arrays; charges
-            # and injector consultations are issued per block, in global
-            # draw order, exactly as the pool-less reference read does.
+            # Charges and injector consultations are issued per block, in
+            # global draw order, exactly as the reference read does.
             if isinstance(self.relation, PartitionedHeapFile):
                 # The same read, plus the per-shard tallies of its blocks.
                 rows, batch, self.last_shard_stats = self.relation.read_sharded(
-                    block_ids, self.charger, self.injector, pool=self.bufferpool
+                    block_ids, self.charger, self.injector
                 )
             else:
                 rows, batch = self.relation.read_blocks_decoded(
-                    block_ids, self.charger, self.injector, pool=self.bufferpool
+                    block_ids, self.charger, self.injector
                 )
         if d:
             self.cost_model.observe(step_names.SCAN_READ, [d, 1.0], meter.elapsed)

@@ -43,7 +43,6 @@ from repro.relational.expression import (
     Select,
 )
 from repro.sampling.sampler import BlockSampler
-from repro.storage.bufferpool import resolve_pool
 from repro.storage.spool import Spool
 from repro.timekeeping.charger import CostCharger
 
@@ -84,7 +83,6 @@ class PhysicalPlanBuilder:
         self.block_size = block_size
         self.full_fulfillment = options.full_fulfillment
         self.injector = injector
-        self.bufferpool = resolve_pool(options.bufferpool)
         self._hint_provider = hint_provider
         self._pin_selectivities = options.selectivity_source == "prestored"
         if self._pin_selectivities and hint_provider is None:
@@ -154,7 +152,6 @@ class PhysicalPlanBuilder:
                 self._scans[expr.name] = StagedScan(
                     relation,
                     BlockSampler(relation, self.rng),
-                    bufferpool=self.bufferpool,
                     **self._common_kwargs(),
                 )
             return self._scans[expr.name]

@@ -199,7 +199,6 @@ class StagedPlan:
             hint_provider=hint_provider,
             binder=binder,
         )
-        self.bufferpool = self._builder.bufferpool
         self.binder = binder
         self.spool = self._builder.spool
         self.terms: list[StagedTerm] = []

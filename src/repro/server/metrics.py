@@ -26,7 +26,6 @@ from repro.server.events import (
     RequestCompleted,
 )
 from repro.server.request import Outcome
-from repro.storage.events import BufferEvicted, BufferHit, BufferInvalidated
 
 LATENESS_EDGES = (0.001, 0.01, 0.1, 1.0, 10.0)
 """Default lateness histogram bucket edges (seconds past the deadline)."""
@@ -93,12 +92,6 @@ class ServerMetrics:
         self.queue_wait_total = 0.0
         self.lateness = BucketHistogram(LATENESS_EDGES)
         self.achieved_ci = BucketHistogram(CI_EDGES)
-        # Buffer-pool traffic (events arrive when the server points the
-        # process-wide pool's sink at its own stream — see QueryServer).
-        self.buffer_hits = 0
-        self.buffer_misses = 0
-        self.buffer_evictions = 0
-        self.buffer_invalidations = 0
         # Stage-boundary EDF preemption (QueryServer(preempt=True); zero when off).
         self.preempted = 0
         self.resumed = 0
@@ -116,13 +109,6 @@ class ServerMetrics:
                 self.rejected_at_admission += 1
             elif event.action == "degrade":
                 self.degraded_at_admission += 1
-        elif isinstance(event, BufferHit):
-            self.buffer_hits += event.hits
-            self.buffer_misses += event.misses
-        elif isinstance(event, BufferEvicted):
-            self.buffer_evictions += 1
-        elif isinstance(event, BufferInvalidated):
-            self.buffer_invalidations += event.entries
         elif isinstance(event, QueryPreempted):
             self.preempted += 1
         elif isinstance(event, QueryResumed):
@@ -171,14 +157,6 @@ class ServerMetrics:
     def mean_queue_wait(self) -> float:
         return self.queue_wait_total / self.completed if self.completed else 0.0
 
-    @property
-    def buffer_hit_ratio(self) -> float | None:
-        """Pooled block reads served from cache; ``None`` before any read."""
-        reads = self.buffer_hits + self.buffer_misses
-        if reads == 0:
-            return None
-        return self.buffer_hits / reads
-
     def as_dict(self) -> dict:
         return {
             "arrived": self.arrived,
@@ -191,11 +169,6 @@ class ServerMetrics:
             "mean_queue_wait": self.mean_queue_wait,
             "lateness": self.lateness.as_dict(),
             "achieved_ci": self.achieved_ci.as_dict(),
-            "buffer_hits": self.buffer_hits,
-            "buffer_misses": self.buffer_misses,
-            "buffer_evictions": self.buffer_evictions,
-            "buffer_invalidations": self.buffer_invalidations,
-            "buffer_hit_ratio": self.buffer_hit_ratio,
             "preempted": self.preempted,
             "resumed": self.resumed,
         }
@@ -227,13 +200,5 @@ class ServerMetrics:
             lines.append(
                 f"  preemption: {self.preempted} suspended, "
                 f"{self.resumed} resumed"
-            )
-        ratio = self.buffer_hit_ratio
-        if ratio is not None:
-            lines.append(
-                f"  buffer pool: {self.buffer_hits} hits / "
-                f"{self.buffer_misses} misses (ratio {ratio:.3f}), "
-                f"{self.buffer_evictions} evicted, "
-                f"{self.buffer_invalidations} invalidated"
             )
         return "\n".join(lines)

@@ -90,7 +90,6 @@ from repro.server.events import (
 from repro.server.metrics import ServerMetrics
 from repro.server.preempt import PreemptDecision, projected_handback, should_preempt
 from repro.server.request import Outcome, QueryRequest, RequestOutcome
-from repro.storage.bufferpool import resolve_pool
 from repro.synopses.events import SynopsisRefreshed
 from repro.timecontrol.stopping import HardDeadline
 from repro.timecontrol.strategies import TimeControlStrategy, default_strategy
@@ -201,7 +200,7 @@ class QueryServer:
         per-stage query events with scheduling events on one stream.
     session_kwargs:
         Extra :class:`~repro.core.options.QueryOptions` fields for every
-        session the server opens (``fault_plan``, ``bufferpool``, …).
+        session the server opens (``fault_plan``, ``max_stages``, …).
         Unknown names and the names the server sets itself
         (:data:`SERVER_OWNED_OPTIONS`) raise ``ValueError`` here rather
         than failing every request later.
@@ -283,16 +282,6 @@ class QueryServer:
         self.synopses = synopses
         if self.synopses:
             self.database.synopses.sink = self.sink
-        # Every session the server opens shares one buffer pool — the
-        # process-wide one unless ``session_kwargs`` attaches another —
-        # so concurrent requests sampling the same relation hit each
-        # other's decoded blocks, and, while *this* server is processing,
-        # the pool's hit/miss/eviction events are routed onto the server's
-        # metrics stream (never the per-session traces). Routing is scoped
-        # per call rather than a permanent sink reassignment: the pool
-        # outlives any one server, so two servers never see each other's
-        # counters and a later one cannot inherit a torn-down sink.
-        self._pool = resolve_pool(self.session_kwargs.get("bufferpool"))
         self.preempt = preempt
         self._seq = itertools.count()
         self._refresh_counter = itertools.count(1)
@@ -340,29 +329,28 @@ class QueryServer:
             ticket.decision = should_preempt(ticket, queue, self.clock.now())
             return ticket.decision is not None
 
-        with self._pool.route_events(self.sink):
-            while arrivals or queue:
-                if not queue and arrivals:
-                    # Idle server: sleep until the next arrival.
-                    self.clock.advance_to(arrivals[0].arrival)
-                admit_due()
-                if not queue:
-                    continue
-                for shed in self._shed_overload(queue):
-                    finish(shed)
-                if not queue:
-                    continue
-                ticket = heapq.heappop(queue)
-                outcome = self._dispatch(
-                    ticket, partial(checkpoint, ticket) if self.preempt else None
-                )
-                if outcome is not None:
-                    finish(outcome)
-                else:
-                    # The runner was preempted: it re-queues under its own
-                    # EDF key, the strictly-earlier challenger goes first,
-                    # and its terminal outcome comes from a later dispatch.
-                    heapq.heappush(queue, ticket)
+        while arrivals or queue:
+            if not queue and arrivals:
+                # Idle server: sleep until the next arrival.
+                self.clock.advance_to(arrivals[0].arrival)
+            admit_due()
+            if not queue:
+                continue
+            for shed in self._shed_overload(queue):
+                finish(shed)
+            if not queue:
+                continue
+            ticket = heapq.heappop(queue)
+            outcome = self._dispatch(
+                ticket, partial(checkpoint, ticket) if self.preempt else None
+            )
+            if outcome is not None:
+                finish(outcome)
+            else:
+                # The runner was preempted: it re-queues under its own
+                # EDF key, the strictly-earlier challenger goes first,
+                # and its terminal outcome comes from a later dispatch.
+                heapq.heappush(queue, ticket)
         return self.outcomes[first:]
 
     def serve(self, request: QueryRequest) -> RequestOutcome:
@@ -619,56 +607,55 @@ class QueryServer:
         with synopses on.
         """
         refreshed = 0
-        with self._pool.route_events(self.sink):
-            while (
-                self.synopses
-                and budget > 0
-                and (entry := self.database.synopses.pop_refresh()) is not None
-            ):
-                started = self.clock.now()
-                quota = budget
-                session = self._open_session(
+        while (
+            self.synopses
+            and budget > 0
+            and (entry := self.database.synopses.pop_refresh()) is not None
+        ):
+            started = self.clock.now()
+            quota = budget
+            session = self._open_session(
+                entry.expr,
+                quota,
+                entry.aggregate,
+                seed=next(self._refresh_counter),
+                strategy=self.strategy_factory(),
+                stopping=HardDeadline(),
+                measure_overspend=True,
+            )
+            report = session.run().report
+            budget -= self.clock.now() - started
+            estimate = report.estimate or report.estimate_with_overrun
+            if estimate is None:
+                # Not even the overspend estimate survived (faults ate
+                # the run). Put the entry back for the next idle grant
+                # instead of silently losing it, and stop burning this
+                # one.
+                self.database.synopses.requeue_refresh(entry)
+                break
+            blocks = sum(stage.blocks_read for stage in report.stages)
+            if report.estimate is None:
+                # Only the overrun stage produced an answer, so the
+                # session's binder had nothing to absorb — deposit it
+                # here.
+                relations = sorted(set(entry.expr.base_relations()))
+                self.database.synopses.record_answer(
                     entry.expr,
-                    quota,
                     entry.aggregate,
-                    seed=next(self._refresh_counter),
-                    strategy=self.strategy_factory(),
-                    stopping=HardDeadline(),
-                    measure_overspend=True,
+                    relation_fingerprint(self.database.catalog, relations),
+                    estimate,
+                    blocks=blocks,
                 )
-                report = session.run().report
-                budget -= self.clock.now() - started
-                estimate = report.estimate or report.estimate_with_overrun
-                if estimate is None:
-                    # Not even the overspend estimate survived (faults ate
-                    # the run). Put the entry back for the next idle grant
-                    # instead of silently losing it, and stop burning this
-                    # one.
-                    self.database.synopses.requeue_refresh(entry)
-                    break
-                blocks = sum(stage.blocks_read for stage in report.stages)
-                if report.estimate is None:
-                    # Only the overrun stage produced an answer, so the
-                    # session's binder had nothing to absorb — deposit it
-                    # here.
-                    relations = sorted(set(entry.expr.base_relations()))
-                    self.database.synopses.record_answer(
-                        entry.expr,
-                        entry.aggregate,
-                        relation_fingerprint(self.database.catalog, relations),
-                        estimate,
-                        blocks=blocks,
-                    )
-                refreshed += 1
-                self.sink.emit(
-                    SynopsisRefreshed(
-                        key=entry.expr.structural_hash()[:16],
-                        aggregate=entry.aggregate.kind,
-                        quota=quota,
-                        blocks=blocks,
-                        clock=self.clock.now(),
-                    )
+            refreshed += 1
+            self.sink.emit(
+                SynopsisRefreshed(
+                    key=entry.expr.structural_hash()[:16],
+                    aggregate=entry.aggregate.kind,
+                    quota=quota,
+                    blocks=blocks,
+                    clock=self.clock.now(),
                 )
+            )
         return refreshed
 
     # ------------------------------------------------------------------

@@ -8,9 +8,9 @@ tuples in each disk block", Section 5). Every read charges one
 random I/O is the dominant term of the paper's cost formulas, and sampling
 draws whole blocks. :meth:`read_block` / :meth:`read_blocks` are the
 per-block reference; the engine reads through :meth:`read_blocks_decoded`,
-the same loop run through a :class:`~repro.storage.bufferpool.BufferPool`,
-which returns the rows plus a :class:`~repro.storage.bufferpool.PooledBatch`
-holding the pool's decoded per-block columns.
+the same loop with its charges batched, which returns the rows plus one
+:class:`~repro.kernels.columns.ColumnBatch` over them, so a stage decodes
+each column it touches once.
 """
 
 from __future__ import annotations
@@ -20,14 +20,12 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from repro.catalog.schema import Schema
 from repro.errors import StorageError
+from repro.kernels.columns import ColumnBatch
 from repro.storage.block import DiskBlock, Row
-from repro.storage.bufferpool import BufferPool, PooledBatch
 from repro.timekeeping.charger import CostCharger
 from repro.timekeeping.profile import CostKind
 
 if TYPE_CHECKING:
-    from repro.kernels.columns import ColumnBatch
-
     from repro.faults.injector import FaultInjector
 
 DEFAULT_BLOCK_SIZE = 1024
@@ -155,7 +153,7 @@ class HeapFile:
     ) -> list[Row]:
         """Read several blocks (each charged), concatenating their rows.
 
-        The pool-less storage reference: the engine reads through
+        The per-block storage reference: the engine reads through
         :meth:`read_blocks_decoded`, which must charge, consult the
         injector and return rows exactly as this loop does.
         """
@@ -169,46 +167,34 @@ class HeapFile:
         block_ids: Sequence[int],
         charger: CostCharger,
         injector: "FaultInjector | None" = None,
-        *,
-        pool: BufferPool,
-    ) -> "tuple[list[Row], ColumnBatch]":
-        """Read several blocks through ``pool``, plus a lazy columnar view.
+    ) -> tuple[list[Row], ColumnBatch]:
+        """:meth:`read_blocks`, plus a lazy columnar view of its rows.
 
-        Pooled blocks skip re-materialization — but the charge and the
-        injector consultation happen per block, in the same order as in
-        :meth:`read_blocks`, so simulated costs and fault streams never
-        depend on what the pool holds. The batch is a
-        :class:`~repro.storage.bufferpool.PooledBatch` sharing each
-        block's decode-once arrays (it holds them, so a later eviction
-        leaves them alone), and ``batch.rows`` *is* the returned list, so
-        the engine's batch-identity handoff between nodes keeps working.
+        ``batch.rows`` *is* the returned list, so the engine's
+        batch-identity handoff between nodes keeps working, and each
+        column is decoded at most once per stage.
         """
-        rows, entries = self._read_pooled(block_ids, charger, injector, pool)
-        return rows, PooledBatch(rows, self.schema, entries)
+        rows = self._read(block_ids, charger, injector)
+        return rows, ColumnBatch(rows, self.schema)
 
-    def _read_pooled(
+    def _read(
         self,
         block_ids: Sequence[int],
         charger: CostCharger,
         injector: "FaultInjector | None",
-        pool: BufferPool,
-    ) -> tuple[list[Row], list]:
-        """Charged per-block reads through the pool.
+    ) -> list[Row]:
+        """The engine's charged per-block read loop.
 
-        Order per block: bounds check → ``BLOCK_READ`` charge → injector →
-        pool lookup/admit. A raise from the charge (armed deadline) or the
-        injector (injected fault, slow-read stall past the deadline)
-        propagates *before* the admit step, so a faulted read never
-        poisons the cache. The read holds the pool lock once and charges
-        through :meth:`CostCharger.units`, whose per-block charge is
-        bit-identical to the ``charge`` in :meth:`read_block`.
+        Order per block: bounds check → ``BLOCK_READ`` charge → injector.
+        The charges go through :meth:`CostCharger.units`, whose per-block
+        charge is bit-identical to the ``charge`` in :meth:`read_block`, so
+        a read cut short by a bad id, a fault or a deadline leaves the
+        charger exactly where :meth:`read_blocks` leaves it.
         """
         rows: list[Row] = []
-        entries = []
-        n_blocks = len(self._blocks)
-        with pool.reader(self) as lookup, charger.units(
-            CostKind.BLOCK_READ, len(block_ids)
-        ) as charge_block:
+        blocks = self._blocks
+        n_blocks = len(blocks)
+        with charger.units(CostKind.BLOCK_READ, len(block_ids)) as charge_block:
             for block_id in block_ids:
                 if not 0 <= block_id < n_blocks:
                     raise self._no_such_block(block_id)
@@ -218,10 +204,8 @@ class HeapFile:
                         self.name, block_id, charger,
                         shard=self.shard_of_block(block_id),
                     )
-                entry = lookup(block_id)
-                entries.append(entry)
-                rows.extend(entry.rows)
-        return rows, entries
+                rows.extend(blocks[block_id].rows)
+        return rows
 
     def scan(self, charger: CostCharger) -> Iterator[Row]:
         """Full sequential scan, charging one ``BLOCK_READ`` per block.
@@ -256,9 +240,9 @@ class HeapFile:
     def block_tuple(self, block_id: int) -> tuple[Row, ...]:
         """One block's rows as an immutable tuple, uncharged.
 
-        The buffer pool's admission path: the caller charged the block's
-        ``BLOCK_READ`` already, and the pool shares the tuple between
-        readers, so it is copied once and can never be mutated.
+        What a :class:`~repro.storage.bufferpool.BufferPool` admits: the
+        caller charged the block's ``BLOCK_READ`` already, and a shared
+        tuple can never be mutated.
         """
         if not 0 <= block_id < len(self._blocks):
             raise self._no_such_block(block_id)

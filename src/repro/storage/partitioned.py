@@ -4,8 +4,8 @@ A :class:`PartitionedHeapFile` *is* a plain
 :class:`~repro.storage.heapfile.HeapFile`: rows pack densely into the same
 blocks, in the same order, with the same global block ids, and every read
 goes through the one per-block loop the plain relation uses
-(:meth:`HeapFile._read_pooled`: bounds check → ``BLOCK_READ`` charge →
-fault injector → pool lookup/admit, under the relation's own pool keys).
+(:meth:`HeapFile._read`: bounds check → ``BLOCK_READ`` charge → fault
+injector).
 Partitioning adds exactly one thing — :meth:`shard_of_block`, arithmetic on
 the block id (``round_robin``: ``block_id % K``; ``hash``: a splitmix64
 bit-mix of the block id modulo ``K``) — and only two readers look at it:
@@ -15,8 +15,8 @@ bit-mix of the block id modulo ``K``) — and only two readers look at it:
 
 That is invariant 10 (``docs/architecture.md``) by construction: the same
 rows in a partitioned and an unpartitioned relation produce bit-identical
-estimates, charged costs, stage schedules, fault records and buffer-pool
-counters; traces differ only by the ``shard_*`` events.
+estimates, charged costs, stage schedules and fault records; traces differ
+only by the ``shard_*`` events.
 """
 
 from __future__ import annotations
@@ -26,14 +26,12 @@ from typing import TYPE_CHECKING, Sequence
 
 from repro.catalog.schema import Schema
 from repro.errors import StorageError
+from repro.kernels.columns import ColumnBatch
 from repro.storage.block import Row
-from repro.storage.bufferpool import BufferPool, PooledBatch
 from repro.storage.heapfile import DEFAULT_BLOCK_SIZE, HeapFile
 from repro.timekeeping.charger import CostCharger
 
 if TYPE_CHECKING:
-    from repro.kernels.columns import ColumnBatch
-
     from repro.faults.injector import FaultInjector
 
 PARTITION_STRATEGIES = ("round_robin", "hash")
@@ -96,25 +94,23 @@ class PartitionedHeapFile(HeapFile):
         block_ids: Sequence[int],
         charger: CostCharger,
         injector: "FaultInjector | None" = None,
-        *,
-        pool: BufferPool,
-    ) -> "tuple[list[Row], ColumnBatch, list[ShardReadStats]]":
+    ) -> tuple[list[Row], ColumnBatch, list[ShardReadStats]]:
         """:meth:`read_blocks_decoded` plus per-shard tallies of the read.
 
         Returns ``(rows, batch, stats)``: rows and batch exactly as the
-        plain pooled read returns them (same loop, same pool keys, same
-        charges and injector consultations), and one
-        :class:`ShardReadStats` per shard touched, ascending, for the
-        ``ShardScanStarted`` / ``ShardMerged`` trace events.
+        plain read returns them (same loop, same charges and injector
+        consultations), and one :class:`ShardReadStats` per shard touched,
+        ascending, for the ``ShardScanStarted`` / ``ShardMerged`` trace
+        events.
         """
-        rows, entries = self._read_pooled(block_ids, charger, injector, pool)
+        rows = self._read(block_ids, charger, injector)
         tallies: dict[int, list[int]] = {}  # shard -> [blocks, tuples]
-        for block_id, entry in zip(block_ids, entries):
+        for block_id in block_ids:
             tally = tallies.setdefault(self.shard_of_block(block_id), [0, 0])
             tally[0] += 1
-            tally[1] += len(entry.rows)
+            tally[1] += len(self._blocks[block_id])
         stats = [ShardReadStats(shard, *tallies[shard]) for shard in sorted(tallies)]
-        return rows, PooledBatch(rows, self.schema, entries), stats
+        return rows, ColumnBatch(rows, self.schema), stats
 
     def __repr__(self) -> str:
         return (

@@ -19,7 +19,7 @@ Every primitive operation in the storage and operator layers calls
   coefficients (Section 4's "record the actual amount of time spent on each
   step").
 
-A pooled block read charges its blocks through :meth:`CostCharger.units`:
+A batched block read charges its blocks through :meth:`CostCharger.units`:
 one unit per call, bit-identical to one ``charge(kind, 1)`` per block, but
 with the jitter of the whole read drawn in one vectorised call.
 """

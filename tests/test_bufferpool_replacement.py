@@ -3,9 +3,9 @@
 :class:`NaivePool` is a plain LRU written the slow way: on every miss in a
 full pool it copies the whole key list and walks it for a victim,
 least recently used first, never the block just admitted. The pool proper
-pops the victim off the LRU end; seeded random op sequences — with live
-batches held and released along the way — must not be able to tell the two
-apart, and an instrumented mapping shows a miss does not walk the pool.
+pops the victim off the LRU end; seeded random op sequences — with entries
+held and released along the way — must not be able to tell the two apart,
+and an instrumented mapping shows a miss does not walk the pool.
 """
 
 from __future__ import annotations
@@ -19,11 +19,9 @@ import pytest
 
 from repro.kernels.columns import ColumnBatch
 from repro.observability import RecordingSink
-from repro.storage.bufferpool import BufferPool, BufferPoolInfo, PooledBatch
+from repro.storage.bufferpool import BufferPool, BufferPoolInfo
 from repro.storage.events import BufferEvicted
 from repro.storage.partitioned import PartitionedHeapFile
-from repro.timekeeping.charger import CostCharger
-from repro.timekeeping.profile import MachineProfile
 from tests.conftest import make_relation
 
 
@@ -101,13 +99,12 @@ def test_random_ops_match_the_naive_model(relations, seed):
     pool = BufferPool(capacity=capacity, sink=sink)
     naive = NaivePool(capacity)
     names = sorted(relations)
-    held: list[PooledBatch] = []  # live batches over pool entries
+    held: list[ColumnBatch] = []  # live pool entries
 
     for _ in range(600):
         roll = rng.random()
         if roll < 0.70:
             view = relations[rng.choice(names)]
-            entries = []
             for _ in range(rng.randint(1, 4)):
                 block_id = rng.randrange(view.block_count)
                 seen = len(sink.events)
@@ -118,14 +115,12 @@ def test_random_ops_match_the_naive_model(relations, seed):
                     if isinstance(e, BufferEvicted)
                 ]
                 assert (hit, victims) == naive.get_or_admit(view.name, block_id)
-                entries.append(entry)
-            if rng.random() < 0.5:
-                rows = [row for entry in entries for row in entry.rows]
-                held.append(PooledBatch(rows, view.schema, entries))
+                if rng.random() < 0.5:
+                    held.append(entry)
         elif roll < 0.90:
             if held:
                 batch = held.pop(rng.randrange(len(held)))
-                # Whatever the pool dropped meanwhile, the batch's columns
+                # Whatever the pool dropped meanwhile, the entry's columns
                 # are those of a fresh decode.
                 plain = ColumnBatch(list(batch.rows), batch.schema)
                 for position in range(len(batch.schema.attributes)):
@@ -170,7 +165,7 @@ class CountingEntries(OrderedDict):
 @pytest.mark.parametrize("capacity", [64, 8192])
 @pytest.mark.parametrize("held_prefix", [0, 5])
 def test_entries_examined_per_miss_do_not_grow_with_capacity(
-    int_schema, free_charger, capacity, held_prefix
+    int_schema, capacity, held_prefix
 ):
     misses = 100
     blocks = capacity + misses
@@ -179,14 +174,11 @@ def test_entries_examined_per_miss_do_not_grow_with_capacity(
     )
     pool = BufferPool(capacity=capacity)
     pool._entries = CountingEntries()
-    # Fill to capacity in block order; a live batch holds the LRU end,
+    # Fill to capacity in block order; live references hold the LRU end,
     # which changes nothing about what is evicted first.
-    _, batch = heap.read_blocks_decoded(
-        list(range(held_prefix)), free_charger, pool=pool
-    )
-    heap.read_blocks_decoded(
-        list(range(held_prefix, capacity)), free_charger, pool=pool
-    )
+    held = [pool.get_or_admit(heap, block_id)[0] for block_id in range(held_prefix)]
+    for block_id in range(held_prefix, capacity):
+        pool.get_or_admit(heap, block_id)
     assert pool.info().currsize == capacity
 
     for block_id in range(capacity, blocks):
@@ -196,7 +188,7 @@ def test_entries_examined_per_miss_do_not_grow_with_capacity(
         assert pool._entries.examined <= 2
     info = pool.info()
     assert (info.currsize, info.evictions) == (capacity, misses)
-    assert len(batch) == held_prefix
+    assert len(held) == held_prefix
 
 
 def test_concurrent_readers_keep_the_counters_exact(int_schema):
@@ -211,13 +203,11 @@ def test_concurrent_readers_keep_the_counters_exact(int_schema):
 
     def worker(seed: int) -> None:
         rng = random.Random(seed)
-        charger = CostCharger(MachineProfile.uniform(0.0))
         try:
             for _ in range(reads):
                 ids = [rng.randrange(heap.block_count) for _ in range(width)]
-                rows, batch = heap.read_blocks_decoded(ids, charger, pool=pool)
+                rows = [pool.get_or_admit(heap, b)[0].rows[0] for b in ids]
                 assert rows == [heap.block_rows_uncharged(b)[0] for b in ids]
-                del batch
         except Exception as error:  # surfaced by the main thread
             failures.append(error)
 

@@ -3,7 +3,7 @@
 One management surface for all three process-wide caches (kernels, plans,
 bufferpool): named handles with ``info()``/``clear()`` and whole-
 registry ``caches.info()``/``caches.clear()``. The relation-keyed
-invalidation hooks stay with their caches as mutation plumbing.
+invalidation hook stays with its cache as mutation plumbing.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ def fresh_registry():
 
 
 def populate_all_caches():
-    """One estimate that touches kernels, plans and the buffer pool."""
+    """One estimate that touches kernels and plans (never the pool)."""
     db = Database(seed=17)
     db.create_relation(
         "r1",
@@ -56,16 +56,16 @@ class TestRegistry:
             for field in ("hits", "misses", "maxsize", "currsize"):
                 assert getattr(counters, field) >= 0
         assert info["plans"].currsize >= 1
-        assert info["bufferpool"].currsize >= 1
+        assert info["bufferpool"].currsize == 0  # no read path uses it
         assert info["kernels"].currsize >= 1
 
     def test_clear_one_cache_leaves_the_rest(self):
         populate_all_caches()
         assert caches.get("plans").info().currsize >= 1
-        pooled_before = caches.get("bufferpool").info().currsize
+        compiled_before = caches.get("kernels").info().currsize
         caches.clear("plans")
         assert caches.get("plans").info().currsize == 0
-        assert caches.get("bufferpool").info().currsize == pooled_before >= 1
+        assert caches.get("kernels").info().currsize == compiled_before >= 1
 
     def test_clear_all(self):
         populate_all_caches()
@@ -79,10 +79,8 @@ class TestLegacyNames:
     def test_relation_invalidation_hooks_do_not_warn(self, recwarn):
         """Mutation plumbing is public API: calling it never warns."""
         from repro.planner.cache import invalidate_plan_cache_relation
-        from repro.storage.bufferpool import invalidate_bufferpool_relation
 
         invalidate_plan_cache_relation("nope")
-        invalidate_bufferpool_relation("nope")
         assert not [
             w for w in recwarn if issubclass(w.category, DeprecationWarning)
         ]

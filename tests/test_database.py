@@ -100,7 +100,7 @@ class TestAtomicLoad:
     def test_failed_append_rows_changes_nothing(self, partitions):
         database = self._db(partitions)
         before = self._state(database)
-        assert before[1] == 12 and before[5] and caches.info()["bufferpool"].currsize
+        assert before[1] == 12 and before[5] and caches.info()["plans"].currsize
         with pytest.raises(SchemaError, match="expected int, got True"):
             database.append_rows("r", self.BAD)
         assert self._state(database) == before

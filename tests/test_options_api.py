@@ -80,8 +80,8 @@ class TestQueryOptionsValue:
         with pytest.raises(TypeError):
             QueryOptions(block_size=400)
 
-    def test_fifteen_fields(self):
-        assert len(dataclasses.fields(QueryOptions)) == 15
+    def test_fourteen_fields(self):
+        assert len(dataclasses.fields(QueryOptions)) == 14
 
     def test_optimize_is_no_longer_an_option(self):
         # Every session lowers the optimizer's rewrite; a plan of the tree
@@ -117,6 +117,26 @@ class TestQueryOptionsValue:
         ):
             QueryOptions(initial_selectivities={"join": value})
 
+    @pytest.mark.parametrize(
+        "options, field",
+        [
+            (dict(initial_selectivities=[("join", 0.1)]), "initial_selectivities"),
+            (dict(initial_selectivities="join=0.1"), "initial_selectivities"),
+            (dict(initial_selectivities={"join": "0.1"}), r"initial_selectivities\['join'\]"),
+            (dict(initial_selectivities={"select": None}), r"initial_selectivities\['select'\]"),
+            (dict(initial_selectivities={"join": True}), r"initial_selectivities\['join'\]"),
+            (dict(zero_fix_beta="0.5"), "zero_fix_beta"),
+            (dict(zero_fix_beta=[0.5]), "zero_fix_beta"),
+        ],
+        ids=[
+            "selectivities-list", "selectivities-str", "selectivity-str",
+            "selectivity-none", "selectivity-bool", "beta-str", "beta-list",
+        ],
+    )
+    def test_wrongly_typed_value_names_its_field(self, options, field):
+        with pytest.raises(ReproError, match=f"^{field} must be"):
+            QueryOptions(**options)
+
     def test_paper_initial_selectivities_accepted(self):
         from repro.workloads.paper import make_join_setup
 
@@ -143,7 +163,10 @@ class TestQueryOptionsValue:
 
     @pytest.mark.parametrize("value", [True, False])
     def test_bufferpool_on_off_forms_removed(self, value):
-        with pytest.raises(ReproError, match="on/off forms.*removed"):
+        # No read goes through a pool, so the option is gone in every form.
+        with pytest.raises(ReproError, match="unknown query option.*bufferpool"):
+            QueryOptions().replace(bufferpool=value)
+        with pytest.raises(TypeError, match="bufferpool"):
             QueryOptions(bufferpool=value)
 
 

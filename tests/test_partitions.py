@@ -2,13 +2,13 @@
 
 Covers the storage half of partitioning: the deterministic block→shard
 label (:meth:`PartitionedHeapFile.shard_of_block`), ``read_sharded``'s
-parity with the reference reads (it *is* the pooled read, plus tallies),
+parity with the reference reads (it *is* the batched read, plus tallies),
 shard-targeted fault injection, and the
 ``shard_scan_started``/``shard_merged`` trace events. The invariant-10
 plain-vs-partitioned identity battery lives in
 ``test_partitions_identity.py``; the storage-level differential against
 ``read_blocks_decoded`` sits next to ``TestStorageReference`` in
-``test_bufferpool_identity.py``.
+``test_read_reference.py``.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from repro.observability import RecordingSink
 from repro.observability.trace import event_from_dict
 from repro.relational.expression import rel
 from repro.relational.predicate import cmp
-from repro.storage.bufferpool import BufferPool
 from repro.storage.events import ShardMerged, ShardScanStarted
 from repro.storage.heapfile import HeapFile
 from repro.storage.partitioned import PARTITION_STRATEGIES, PartitionedHeapFile
@@ -138,35 +137,23 @@ class TestReadSharded:
         heap = make_partitioned()
         ref_charger, shard_charger = unit_charger(), unit_charger()
         expected = heap.read_blocks(self.DRAW, ref_charger)
-        rows, batch, stats = heap.read_sharded(
-            self.DRAW, shard_charger, pool=BufferPool()
-        )
+        rows, batch, stats = heap.read_sharded(self.DRAW, shard_charger)
         assert rows == expected
         assert batch.rows is rows
         assert shard_charger.total_charged() == ref_charger.total_charged()
-        assert [s.shard for s in stats] == sorted(
-            {heap.shard_of_block(b) for b in self.DRAW}
+        tallies: dict[int, list[int]] = {}
+        for block_id in self.DRAW:
+            tally = tallies.setdefault(heap.shard_of_block(block_id), [0, 0])
+            tally[0] += 1
+            tally[1] += len(heap.block_rows_uncharged(block_id))
+        assert [(s.shard, s.blocks, s.tuples) for s in stats] == sorted(
+            (shard, *tally) for shard, tally in tallies.items()
         )
-        assert sum(s.blocks for s in stats) == len(self.DRAW)
         assert sum(s.tuples for s in stats) == len(rows)
-
-    def test_pooled_read_admits_the_relations_own_keys(self):
-        heap = make_partitioned(partitions=3)
-        pool = BufferPool()
-        rows, _, _ = heap.read_sharded(self.DRAW, unit_charger(), pool=pool)
-        assert rows == heap.read_blocks(self.DRAW, unit_charger())
-        assert pool.info().currsize == len(set(self.DRAW))
-        # The plain pooled read finds every one of them: one key space.
-        again, _ = heap.read_blocks_decoded(self.DRAW, unit_charger(), pool=pool)
-        assert again == rows
-        info = pool.info()
-        assert (info.hits, info.misses) == (len(self.DRAW), len(self.DRAW))
 
     def test_decoded_returns_column_batch(self):
         heap = make_partitioned()
-        rows, batch, _ = heap.read_sharded(
-            self.DRAW, unit_charger(), pool=BufferPool()
-        )
+        rows, batch, _ = heap.read_sharded(self.DRAW, unit_charger())
         assert isinstance(batch, ColumnBatch)
         assert len(batch) == len(rows)
         assert batch.column(0).tolist() == [row[0] for row in rows]
@@ -178,15 +165,8 @@ class TestReadSharded:
         with pytest.raises(StorageError):
             heap.read_blocks(bad, ref_charger)
         with pytest.raises(StorageError):
-            heap.read_sharded(bad, shard_charger, pool=BufferPool())
+            heap.read_sharded(bad, shard_charger)
         assert shard_charger.total_charged() == ref_charger.total_charged()
-
-    def test_pool_invalidation_drops_every_admitted_block(self):
-        heap = make_partitioned(partitions=3)
-        pool = BufferPool()
-        heap.read_sharded(self.DRAW, unit_charger(), pool=pool)
-        assert pool.invalidate_relation("orders") == len(set(self.DRAW))
-        assert pool.info().currsize == 0
 
 
 class TestShardFaults:
@@ -200,13 +180,12 @@ class TestShardFaults:
             FaultPlan(fail_shards=(0, 1)), np.random.default_rng(2), sink
         )
         draw = list(range(8))  # two blocks of every shard, in order
-        pool = BufferPool()
         # First two reads trip the two targeted shards, once each …
         for _ in range(2):
             with pytest.raises(InjectedFault):
-                heap.read_sharded(draw, unit_charger(), injector, pool=pool)
+                heap.read_sharded(draw, unit_charger(), injector)
         # … then the stream is clean and the read completes normally.
-        rows, _, _ = heap.read_sharded(draw, unit_charger(), injector, pool=pool)
+        rows, _, _ = heap.read_sharded(draw, unit_charger(), injector)
         assert rows == heap.read_blocks(draw, unit_charger())
         injected = sink.of_kind("fault_injected")
         assert len(injected) == 2
@@ -231,7 +210,7 @@ class TestShardFaults:
 
     def test_fail_shards_fires_on_the_unsharded_path_too(self):
         """Shard-targeted faults key off the block's label, not the read
-        method: the pool-less reference read trips exactly what
+        method: the per-block reference read trips exactly what
         ``read_sharded`` does."""
         from repro.errors import InjectedFault
         from repro.faults.injector import FaultInjector
@@ -250,11 +229,7 @@ class TestShardFaults:
             return [e.to_dict() for e in sink.of_kind("fault_injected")]
 
         reference = faults(lambda inj: heap.read_blocks(draw, unit_charger(), inj))
-        sharded = faults(
-            lambda inj: heap.read_sharded(
-                draw, unit_charger(), inj, pool=BufferPool()
-            )
-        )
+        sharded = faults(lambda inj: heap.read_sharded(draw, unit_charger(), inj))
         assert reference == sharded and len(reference) == 1
 
     def test_negative_fail_shards_rejected(self):

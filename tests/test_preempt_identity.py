@@ -30,7 +30,6 @@ from repro.server.admission import AdmitAll
 from repro.server.request import QueryRequest
 from repro.server.scheduler import QueryServer
 from repro.server.workload import demo_database
-from repro.storage.bufferpool import BufferPool
 
 TUPLES = 1_000
 
@@ -161,9 +160,7 @@ def run_server(preempt, fault_plan):
         policy=AdmitAll(),
         sink=sink,
         preempt=preempt,
-        # Its own pool: the compared streams carry buffer events, which must
-        # not depend on what earlier tests left in the process-wide pool.
-        session_kwargs={"bufferpool": BufferPool(), "fault_plan": fault_plan},
+        session_kwargs={"fault_plan": fault_plan},
     )
     requests = [
         QueryRequest(
@@ -191,7 +188,6 @@ class TestServerSwitchIdentity:
                 policy=AdmitAll(),
                 sink=sink,
                 preempt=preempt,
-                session_kwargs={"bufferpool": BufferPool()},
             )
             outcomes = server.process(
                 [

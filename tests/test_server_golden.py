@@ -42,7 +42,6 @@ from repro.server.admission import (
 from repro.server.request import QueryRequest, RequestOutcome
 from repro.server.scheduler import QueryServer
 from repro.server.workload import demo_database
-from repro.storage.bufferpool import BufferPool
 from repro.timecontrol.strategies import FixedFractionHeuristic
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "server_golden"
@@ -116,23 +115,17 @@ def plain_outcome(outcome: RequestOutcome) -> dict:
 
 
 class Recording:
-    """One served stream: the JSONL event text plus what the server returned.
-
-    Every stream reads through its own buffer pool: the process-wide one
-    carries whatever earlier tests left in it, and its hit / eviction
-    events are part of the recorded stream.
-    """
+    """One served stream: the JSONL event text plus what the server returned."""
 
     def __init__(self) -> None:
         self._events = io.StringIO()
         self.sink = JsonlSink(self._events)
-        self.pool = BufferPool(capacity=512)
         self.returned: list[RequestOutcome] = []
 
     def server(self, db, policy, preempt: bool, fault_plan=None, **kwargs):
-        """A server on the isolated pool with every behavioural switch
-        spelled out at the value the streams were recorded under."""
-        session_kwargs = {"bufferpool": self.pool}
+        """A server with every behavioural switch spelled out at the value
+        the streams were recorded under."""
+        session_kwargs = {}
         if fault_plan is not None:
             session_kwargs["fault_plan"] = fault_plan
         return QueryServer(

@@ -35,7 +35,6 @@ from repro.server.admission import AdmitAll, DegradeInfeasible, RejectInfeasible
 from repro.server.request import Outcome, QueryRequest
 from repro.server.scheduler import LIFECYCLE, QueryServer, Ticket, TicketState
 from repro.server.workload import demo_database
-from repro.storage.bufferpool import BufferPool
 from repro.timecontrol.strategies import FixedFractionHeuristic
 
 TUPLES = 400
@@ -86,7 +85,6 @@ class ServerLifecycle(RuleBasedStateMachine):
                 (lambda: FixedFractionHeuristic(gamma=0.3)) if many_stages else None
             ),
             sink=self.sink,
-            session_kwargs={"bufferpool": BufferPool(capacity=256)},
             max_fault_retries=2,
             synopses=synopses,
             preempt=preempt,
