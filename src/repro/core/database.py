@@ -408,7 +408,9 @@ class Database:
         if opts.synopses:
             from repro.synopses.binder import SynopsisBinder
 
-            binder = SynopsisBinder(self.synopses, self.catalog, sink=sink)
+            binder = SynopsisBinder(
+                self.synopses, self.catalog, sink=sink, counted=run
+            )
         rng = charger = injector = None
         if run:
             rng = self._spawn_rng(seed)

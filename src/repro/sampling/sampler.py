@@ -5,10 +5,15 @@ randomly chosen from each operand relation" (Section 2), without replacement
 across stages — ``SAMPLE-SET`` in Figure 3.1 accumulates the drawn block
 numbers and ``New-Sample-Select`` draws only new ones.
 
-:class:`BlockSampler` pre-shuffles the block ids of one relation with the
-run's RNG and hands out successive prefixes, which is exactly sampling
-without replacement with O(1) bookkeeping per stage. Built without an RNG
-(a plan that is priced, never run) it holds no order and draws nothing.
+:class:`BlockSampler` draws the block ids of one relation lazily, by
+Fisher–Yates on a sparse swap map: position ``i`` of the draw order takes
+the id at a uniform position ``j ∈ [i, D)``, one 64-bit word per pick, so a
+stage pays for the blocks it takes and never for the whole relation. The
+words come from the scan's own stream, spawned from the run's generator at
+lowering without advancing it, so the drawn order depends on the session
+seed and the scan alone — not on the cost jitter or the Goodman bootstrap
+drawn in between. Built without an RNG (a plan that is priced, never run)
+it has no stream and draws nothing.
 """
 
 from __future__ import annotations
@@ -25,7 +30,15 @@ class BlockSampler:
     def __init__(self, relation: HeapFile, rng: np.random.Generator | None) -> None:
         self.relation = relation
         self._blocks = relation.block_count
-        self._order = None if rng is None else rng.permutation(self._blocks)
+        # A child of the run's seed sequence (spawning leaves the run's
+        # generator state alone), always PCG64 so every word has 64 bits.
+        self._bits = (
+            None
+            if rng is None
+            else np.random.PCG64(rng.bit_generator.seed_seq.spawn(1)[0])
+        )
+        self._drawn: list[int] = []  # ids picked so far, in draw order
+        self._swaps: dict[int, int] = {}  # position ≥ len(_drawn) → its id
         self._next = 0
 
     @property
@@ -36,7 +49,7 @@ class BlockSampler:
     @property
     def drawn_block_ids(self) -> list[int]:
         """The block ids handed out so far, in draw order (SAMPLE-SET)."""
-        return self._order[: self._next].tolist()
+        return self._drawn[: self._next]
 
     @property
     def remaining_blocks(self) -> int:
@@ -66,9 +79,29 @@ class BlockSampler:
                 f"relation {self.relation.name!r}: asked for {n_blocks} "
                 f"blocks but only {self.remaining_blocks} remain unsampled"
             )
-        ids = self._order[self._next : self._next + n_blocks]
-        self._next += n_blocks
-        return ids.tolist()
+        stop = self._next + n_blocks
+        if stop > len(self._drawn):
+            self._pick(stop - len(self._drawn))
+        ids = self._drawn[self._next : stop]
+        self._next = stop
+        return ids
+
+    def _pick(self, count: int) -> None:
+        """Extend the draw order by ``count`` Fisher–Yates picks."""
+        if self._bits is None:
+            raise SamplingExhausted(
+                f"relation {self.relation.name!r}: a priced plan has no "
+                "sample stream to draw from"
+            )
+        drawn, swaps, blocks = self._drawn, self._swaps, self._blocks
+        for word in self._bits.random_raw(count).tolist():
+            i = len(drawn)
+            j = i + ((word * (blocks - i)) >> 64)  # uniform on [i, blocks)
+            if j == i:
+                drawn.append(swaps.pop(i, i))
+            else:
+                drawn.append(swaps.get(j, j))
+                swaps[j] = swaps.pop(i, i)
 
     # ------------------------------------------------------------------
     # Salvage support (fault injection)
@@ -80,9 +113,10 @@ class BlockSampler:
     def restore(self, token: int) -> None:
         """Roll the cursor back to a :meth:`snapshot` token.
 
-        The pre-shuffled order is never re-drawn, so a restored sampler
-        hands out exactly the block ids of the discarded attempt — which
-        is what makes a salvaged stage's retry deterministic.
+        Picks are never re-drawn: a restored sampler first hands out the
+        block ids of the discarded attempt, in the same order, and only
+        then continues the scan's stream — which is what makes a salvaged
+        stage's retry deterministic.
         """
         if not 0 <= token <= self._next:
             raise SamplingExhausted(

@@ -15,7 +15,8 @@ A :class:`SynopsisBinder` is the per-session adapter between the shared
   per-relation scan totals, and its final estimate back into the catalog.
 
 Plans lowered only to be priced (``Database.plan``: admission, explain)
-bind but never run, so they absorb nothing; pinned trackers (pure
+bind but never run, so they absorb nothing and their lookups do not count
+as catalog hits or misses; pinned trackers (pure
 prestored mode) are skipped entirely — "prestored" means the operator
 neither learns nor borrows.
 """
@@ -45,10 +46,12 @@ class SynopsisBinder:
         synopses: SynopsisCatalog,
         catalog: "Catalog",
         sink: TraceSink | None = None,
+        counted: bool = True,
     ) -> None:
         self.synopses = synopses
         self.catalog = catalog
         self.sink: TraceSink = sink if sink is not None else NULL_SINK
+        self.counted = counted  # False for a plan that is only priced
         # (key, tracker) per bound operator, in lowering order.
         self._bindings: list[tuple[tuple[str, str], tuple[str, ...], object]] = []
         self.hits = 0
@@ -71,7 +74,7 @@ class SynopsisBinder:
             relation_fingerprint(self.catalog, relations),
         )
         self._bindings.append((key, relations, tracker))
-        posterior = self.synopses.posterior(key)
+        posterior = self.synopses.posterior(key, self.counted)
         if posterior is None:
             return False
         tracker.warm_start(posterior.tuples, posterior.points)

@@ -186,14 +186,20 @@ class SynopsisCatalog:
     # ------------------------------------------------------------------
     # Selectivity posteriors
     # ------------------------------------------------------------------
-    def posterior(self, key: SynopsisKey) -> SelectivityPosterior | None:
-        """The pooled posterior for one operator subtree, if retained."""
+    def posterior(
+        self, key: SynopsisKey, counted: bool = True
+    ) -> SelectivityPosterior | None:
+        """The pooled posterior for one operator subtree, if retained.
+
+        ``counted=False`` (a plan that is only priced) leaves the hit and
+        miss counters alone: they count lookups made by runs.
+        """
         with self._lock:
             post = self._posteriors.get(key)
             if post is None or post.points < MIN_PRIOR_POINTS:
-                self._misses += 1
+                self._misses += counted
                 return None
-            self._hits += 1
+            self._hits += counted
             return post
 
     def record_selectivity(

@@ -322,14 +322,20 @@ class TestPrediction:
     def test_adaptation_improves_prediction(self, catalog):
         """After observing a few stages, the adaptive model predicts the
         next stage's charged cost better than the frozen designer priors
-        (the paper's Section 4 claim), and lands in the right ballpark."""
+        (the paper's Section 4 claim), and lands in the right ballpark.
+
+        A claim about a random sample is checked over many seeds, not one:
+        the adaptive model must beat the frozen priors on every seed, and
+        land within 60 % of the charged cost on most of them (about 93 %
+        of seeds do)."""
         expr = select(rel("r1"), cmp("a", "<", 4))
+        seeds = range(200)
 
         def sel_provider(tracker, points, space):
             return tracker.effective_sel_prev()
 
-        def run(adaptive: bool) -> tuple[float, float]:
-            rng = np.random.default_rng(0)
+        def run(adaptive: bool, seed: int) -> tuple[float, float]:
+            rng = np.random.default_rng(seed)
             charger = CostCharger(
                 MachineProfile.sun3_60(noise_sigma=0.0), rng=rng
             )
@@ -343,13 +349,15 @@ class TestPrediction:
             plan.advance_stage(0.1)
             return predicted, charger.clock.now() - before
 
-        predicted_adaptive, actual = run(adaptive=True)
-        predicted_frozen, actual_frozen = run(adaptive=False)
-        assert actual == pytest.approx(actual_frozen, rel=1e-9)  # same seed
-        err_adaptive = abs(predicted_adaptive - actual)
-        err_frozen = abs(predicted_frozen - actual)
-        assert err_adaptive < err_frozen
-        assert predicted_adaptive == pytest.approx(actual, rel=0.6)
+        within = 0
+        for seed in seeds:
+            predicted_adaptive, actual = run(adaptive=True, seed=seed)
+            predicted_frozen, actual_frozen = run(adaptive=False, seed=seed)
+            assert actual == pytest.approx(actual_frozen, rel=1e-9)  # same seed
+            err_adaptive = abs(predicted_adaptive - actual)
+            assert err_adaptive < abs(predicted_frozen - actual), seed
+            within += err_adaptive <= 0.6 * actual
+        assert within >= 0.85 * len(seeds)
 
     def test_prediction_counts_shared_scans_once(self, catalog):
         plan = free_plan(union(rel("r1"), rel("r2")), catalog)

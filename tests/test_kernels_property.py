@@ -7,9 +7,9 @@ stages computed by the row-at-a-time operators
 (``tests/rowwise_oracle.py``) — the same output rows in the same order, the
 same estimates (value *and* variance), and the same charged simulated time
 down to every per-kind total. The noisy ``sun3_60`` profile makes this stringent:
-cost jitter draws from the same RNG stream as the block sampler, so even
-one extra or re-ordered charge on either path would desynchronise all
-subsequent sampling and show up here.
+every charge draws its jitter from the session's RNG stream, so even one
+extra or re-ordered charge on either path would shift every later charged
+duration (and the Project bootstrap) and show up here.
 
 The oracle keeps its own per-stage sorted runs, so the contract also covers
 rolling a stage back: a stage undone by ``StagedPlan.restore`` (a salvaged
@@ -91,8 +91,8 @@ def run_plan(expr, fractions, seed, rowwise):
     """One full staged run; returns everything observable about it."""
     catalog = build_catalog()
     rng = np.random.default_rng(seed)
-    # The charger shares the sampler's RNG stream (as sessions do), so the
-    # charge sequence itself is under test, not just the charge totals.
+    # The charger draws its jitter from the plan's RNG (as sessions do), so
+    # the charge sequence itself is under test, not just the charge totals.
     charger = CostCharger(MachineProfile.sun3_60(), rng=rng)
     with rowwise_stages(rowwise):
         plan = StagedPlan(expr, catalog, charger, CostModel(), rng)

@@ -4,7 +4,7 @@ The contract (``docs/architecture.md``): for the same seed, the same rows
 loaded into a plain relation ("off") and into a ``partitions=4`` relation
 ("on") produce bit-identical estimates, charged costs and stage schedules.
 A shard is a *label* on a global block: block ids, contents, the sampler's
-global permutation and the per-block read loop are the plain relation's,
+global draw order and the per-block read loop are the plain relation's,
 so the only permitted trace difference is the presence of
 ``shard_scan_started``/``shard_merged`` events (which only a partitioned
 relation's reads emit).

@@ -265,6 +265,20 @@ class TestEndToEnd:
         assert len(hits) == 1 and hits[0].scope == "warm_start"
         assert hits[0].prior_points > 0
 
+    def test_pricing_a_plan_is_not_a_catalog_lookup(self):
+        db = make_db()
+        db.estimate(query(), quota=5.0, seed=3, options=SYN)
+        ran = db.synopses.info()
+        assert (ran.hits, ran.misses) == (0, 1)
+        plans = [db.plan(query(), SYN) for _ in range(3)]
+        db.explain(query(), SYN)
+        priced = db.synopses.info()
+        assert (priced.hits, priced.misses) == (ran.hits, ran.misses)
+        # A priced plan is still warm-started; only the counters ignore it.
+        assert all(p.trackers()[0].prior_points > 0 for p in plans)
+        db.estimate(query(), quota=5.0, seed=4, options=SYN)
+        assert db.synopses.info().hits == ran.hits + 1  # a run still counts
+
     def test_disabled_sessions_never_touch_catalog(self):
         db = make_db()
         db.estimate(query(), quota=5.0, seed=3)  # default: off
