@@ -507,15 +507,6 @@ class Database:
         ``open_session(expr, quota, options, aggregate=agg, seed=seed,
         **overrides).run()``.
         """
-        if "aggregate" in overrides:
-            spec = overrides.pop("aggregate")
-            if agg is not None and spec is not None and spec is not agg:
-                raise ReproError(
-                    "pass the aggregate once: either positionally (agg) "
-                    "or as aggregate=, not both"
-                )
-            if agg is None:
-                agg = spec
-        return self.open_session(
-            expr, quota, options, aggregate=agg, seed=seed, **overrides
-        ).run()
+        if overrides:  # an unknown name (``aggregate=`` too) is refused here
+            options = (options or QueryOptions()).replace(**overrides)
+        return self.open_session(expr, quota, options, aggregate=agg, seed=seed).run()

@@ -1,7 +1,7 @@
 """Staged estimator-evaluation engine (full/partial fulfillment plans)."""
 
 from repro.engine.nodes import (
-    SelProvider,
+    SelCurves,
     StageCurve,
     StagedIntersect,
     StagedJoin,
@@ -19,7 +19,7 @@ from repro.engine.plan import (
 
 __all__ = [
     "DEFAULT_INITIAL_SELECTIVITY",
-    "SelProvider",
+    "SelCurves",
     "StageCurve",
     "StageStats",
     "StagedIntersect",

@@ -65,24 +65,16 @@ from repro.timekeeping.profile import CostKind
 if TYPE_CHECKING:
     from repro.faults.injector import FaultInjector
 
-SelProvider = Callable[[SelectivityTracker, int, int], float]
-"""Strategy hook: (tracker, candidate_new_points, space_points) -> sel used."""
-
 Pricer = Callable[[float, list, list], float]
 """``(f, outs, points) -> seconds``, appending new output tuples and points."""
 
 
 @dataclass(frozen=True)
 class SelCurves:
-    """A :data:`SelProvider` as ``per_tracker(tracker, space_points)`` →
-    ``points -> sel``, built once per :class:`StageCurve`."""
+    """A strategy's selectivities: ``per_tracker(tracker, space_points)`` →
+    ``points -> sel``, asked once per operator and :class:`StageCurve`."""
 
     per_tracker: Callable[[SelectivityTracker, int], Callable[[int], float]]
-
-    def __call__(
-        self, tracker: SelectivityTracker, new_points: int, space_points: int
-    ) -> float:
-        return self.per_tracker(tracker, space_points)(new_points)
 
 
 def _mean_selectivity(tracker: SelectivityTracker, space_points: int):
@@ -104,13 +96,10 @@ class StageCurve:
     seconds in that order in plain floats. No cycle: refcounting frees it.
     """
 
-    def __init__(self, nodes: "list[StagedNode]", sel_provider: SelProvider) -> None:
+    def __init__(self, nodes: "list[StagedNode]", sel_curves: SelCurves) -> None:
         self.nodes = nodes
-        if not isinstance(sel_provider, SelCurves):  # a plain one, asked per point
-            plain = sel_provider
-            sel_provider = SelCurves(lambda t, n: lambda points: plain(t, points, n))
         index = {id(node): i for i, node in enumerate(nodes)}
-        self._pricers = [node.pricer(index, sel_provider) for node in nodes]
+        self._pricers = [node.pricer(index, sel_curves) for node in nodes]
 
     def price(self, fraction: float) -> tuple[float, list[float], list[float]]:
         """``(QCOST, seconds per node, new points per node)`` at ``fraction``."""

@@ -26,7 +26,7 @@ import numpy as np
 from repro.catalog.catalog import Catalog
 from repro.costmodel.model import CostModel
 from repro.engine.nodes import (
-    SelProvider,
+    SelCurves,
     StageCurve,
     StagedNode,
     StagedProject,
@@ -310,12 +310,12 @@ class StagedPlan:
     # ------------------------------------------------------------------
     # Controller operations
     # ------------------------------------------------------------------
-    def stage_curve(self, sel_provider: SelProvider) -> StageCurve:
+    def stage_curve(self, sel_provider: SelCurves) -> StageCurve:
         """``f -> QCOST(f, SEL)`` of the next stage across all terms (seconds),
         for one sizing decision: counts and coefficients are read now."""
         return StageCurve(self._pricing_order, sel_provider)
 
-    def predict_stage(self, fraction: float, sel_provider: SelProvider) -> float:
+    def predict_stage(self, fraction: float, sel_provider: SelCurves) -> float:
         """``QCOST(f, SEL)`` of the next stage across all terms (seconds)."""
         return self.stage_curve(sel_provider)(fraction)
 

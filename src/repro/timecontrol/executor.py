@@ -50,6 +50,10 @@ from repro.timekeeping.profile import CostKind
 if TYPE_CHECKING:
     from repro.core.options import QueryOptions
 
+#: Consecutive attempts a faulted stage gets before the run finishes
+#: ``degraded`` (salvage policy ``"continue"``).
+MAX_STAGE_RETRIES = 3
+
 
 @dataclass
 class StageReport:
@@ -195,7 +199,6 @@ class TimeConstrainedExecutor:
         plan: StagedPlan,
         strategy: TimeControlStrategy,
         options: "QueryOptions | None" = None,
-        max_stage_retries: int = 3,
     ) -> None:
         if options is None:
             from repro.core.options import DEFAULT_OPTIONS as options
@@ -206,7 +209,6 @@ class TimeConstrainedExecutor:
         )
         self.measure_overspend = options.measure_overspend
         self.max_stages = options.max_stages
-        self.max_stage_retries = max_stage_retries
         # The plan's sink, so one wiring point traces the whole run.
         self.sink: TraceSink = plan.sink
 
@@ -443,7 +445,7 @@ class TimeConstrainedExecutor:
         plan = self.plan.injector.plan
         retries = sum(1 for f in report.faults if f.stage == stage_index)
         retry = (
-            plan.salvage == "continue" and retries + 1 < self.max_stage_retries
+            plan.salvage == "continue" and retries + 1 < MAX_STAGE_RETRIES
         )
         record = FaultRecord(
             stage=stage_index,

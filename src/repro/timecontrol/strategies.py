@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from repro.costmodel import steps as step_names
-from repro.engine.nodes import MEAN_SELECTIVITY, SelCurves, SelProvider
+from repro.engine.nodes import MEAN_SELECTIVITY, SelCurves
 from repro.engine.plan import StagedPlan
 from repro.errors import TimeControlError
 from repro.estimation.selectivity import SelectivityTracker
@@ -127,7 +127,7 @@ class OneAtATimeInterval(TimeControlStrategy):
         if self.epsilon_ratio <= 0:
             raise TimeControlError("epsilon_ratio must be positive")
 
-    def sel_provider(self) -> SelProvider:
+    def sel_provider(self) -> SelCurves:
         d_beta = self.d_beta
         return SelCurves(
             lambda tracker, space_points: tracker.sel_plus_curve(d_beta, space_points)
@@ -151,6 +151,10 @@ def default_strategy() -> TimeControlStrategy:
     return OneAtATimeInterval(d_beta=24.0)
 
 
+#: Selectivity bump of :class:`SingleInterval`'s numerical QCOST gradient.
+GRADIENT_STEP = 1e-4
+
+
 @dataclass
 class SingleInterval(TimeControlStrategy):
     """Whole-query risk control: ``T_i = μ_t + d_α·sqrt(Var(t_i))``.
@@ -166,7 +170,6 @@ class SingleInterval(TimeControlStrategy):
 
     d_alpha: float = 2.0
     epsilon_ratio: float = 0.02
-    _gradient_step: float = field(default=1e-4, repr=False)
 
     def __post_init__(self) -> None:
         if self.d_alpha < 0:
@@ -175,16 +178,14 @@ class SingleInterval(TimeControlStrategy):
             raise TimeControlError("epsilon_ratio must be positive")
 
     @staticmethod
-    def _mean_provider() -> SelProvider:
+    def _mean_provider() -> SelCurves:
         return MEAN_SELECTIVITY
 
-    def _bumped_provider(self, bump: SelectivityTracker) -> SelProvider:
-        step = self._gradient_step
-
+    def _bumped_provider(self, bump: SelectivityTracker) -> SelCurves:
         def per_tracker(tracker: SelectivityTracker, space_points: int):
             sel = tracker.mean_selectivity()
             if tracker is bump:
-                sel = min(sel + step, 1.0)
+                sel = min(sel + GRADIENT_STEP, 1.0)
             return lambda new_points: sel
 
         return SelCurves(per_tracker)
@@ -225,11 +226,10 @@ class SingleInterval(TimeControlStrategy):
             [self._covariance(tu, tv) for tv in trackers[u + 1 :]]
             for u, tu in enumerate(trackers)
         ]
-        step = self._gradient_step
 
         def cost(fraction: float) -> float:
             mu, _, new_points = mean.price(fraction)
-            grads = [(curve(fraction) - mu) / step for curve in bumped]
+            grads = [(curve(fraction) - mu) / GRADIENT_STEP for curve in bumped]
             variance = 0.0
             for u, var_u in enumerate(variances):
                 points = max(int(new_points[at[u]]), 1)

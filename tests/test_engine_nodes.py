@@ -14,6 +14,7 @@ import pytest
 from repro.catalog.catalog import Catalog
 from repro.core.options import QueryOptions
 from repro.costmodel.model import CostModel
+from repro.engine.nodes import SelCurves
 from repro.engine.plan import StagedPlan
 from repro.errors import EstimationError, TimeControlError
 from repro.estimation.selectivity import SelectivityTracker, StageLedger
@@ -331,8 +332,9 @@ class TestPrediction:
         expr = select(rel("r1"), cmp("a", "<", 4))
         seeds = range(200)
 
-        def sel_provider(tracker, points, space):
-            return tracker.effective_sel_prev()
+        sel_provider = SelCurves(
+            lambda tracker, space: lambda points: tracker.effective_sel_prev()
+        )
 
         def run(adaptive: bool, seed: int) -> tuple[float, float]:
             rng = np.random.default_rng(seed)
@@ -362,8 +364,9 @@ class TestPrediction:
     def test_prediction_counts_shared_scans_once(self, catalog):
         plan = free_plan(union(rel("r1"), rel("r2")), catalog)
 
-        def sel_provider(tracker, points, space):
-            return tracker.initial
+        sel_provider = SelCurves(
+            lambda tracker, space: lambda points: tracker.initial
+        )
 
         single = free_plan(intersect(rel("r1"), rel("r2")), catalog)
         cost_union = plan.predict_stage(0.1, sel_provider)

@@ -1,21 +1,14 @@
-"""Tests for the experiment harness (small run counts)."""
+"""Tests for the experiment harness (small run counts).
+
+The tables' claims are checked in ``tests/statistical/test_paper_claims.py``.
+"""
 
 import pytest
 
-from repro.experiments.ablations import (
-    ablation_zero_fix,
-    ablation_adaptive_cost,
-    ablation_distinct_estimators,
-    ablation_estimator_quality,
-    ablation_fulfillment,
-    ablation_stopping,
-    ablation_strategies,
-    ablation_variance_formula,
-)
 from repro.errors import CellRunError
+from repro.experiments.ablations import ablation_stopping
 from repro.experiments.formatting import PAPER_COLUMNS, Table
 from repro.experiments.runner import aggregate, run_cell
-from repro.experiments.tables import figure_5_1, figure_5_2, figure_5_3
 from repro.observability import RecordingSink
 from repro.timecontrol.strategies import OneAtATimeInterval
 from repro.workloads.paper import make_selection_setup
@@ -95,60 +88,7 @@ class TestRunCell:
         assert sink.of_kind("query_start")
 
 
-class TestFigureTables:
-    @pytest.mark.parametrize(
-        "figure", [figure_5_1, figure_5_2, figure_5_3], ids=["5.1", "5.2", "5.3"]
-    )
-    def test_figure_renders_with_five_rows(self, figure):
-        table = figure(runs=3)
-        assert len(table.rows) == 5
-        assert table.columns == PAPER_COLUMNS
-        assert "paper rows" in table.render() or "quota" in table.render()
-
-
 class TestAblations:
-    def test_strategies_table(self):
-        table = ablation_strategies(runs=3)
-        assert len(table.rows) == 6
-
-    def test_fulfillment_table(self):
-        table = ablation_fulfillment(runs=3)
-        assert [r[0] for r in table.rows] == ["full", "partial"]
-
-    def test_adaptive_cost_table(self):
-        table = ablation_adaptive_cost(runs=3)
-        assert [r[0] for r in table.rows] == ["adaptive", "fixed-form"]
-
-    def test_variance_table_shows_underestimate_when_clustered(self):
-        table = ablation_variance_formula(samples=120, blocks_per_draw=15)
-        rows = {r[0]: r for r in table.rows}
-        # Random layout (the paper's workload): SRS approximation is close.
-        assert float(rows["random"][4]) == pytest.approx(1.0, abs=0.35)
-        # Clustered layout: the approximation understates severely — the
-        # paper's stated reason for its large d_beta values.
-        assert float(rows["clustered"][4]) < 0.5
-
-    def test_estimator_quality_errors_shrink(self):
-        table = ablation_estimator_quality(
-            fractions=(0.02, 0.2), runs=10
-        )
-        first = float(table.rows[0][1])
-        last = float(table.rows[1][1])
-        assert last <= first
-
-    def test_distinct_estimators_table(self):
-        table = ablation_distinct_estimators(fraction=0.2, runs=5)
-        names = [r[0] for r in table.rows]
-        assert names == ["observed", "goodman", "chao1", "jackknife1"]
-
-    def test_zero_fix_table(self):
-        table = ablation_zero_fix(runs=3)
-        assert len(table.rows) == 5
-
-    def test_stopping_table(self):
-        table = ablation_stopping(runs=3)
-        assert len(table.rows) == 5
-
     def test_hard_and_soft_deadline_rows_differ(self):
         # The hard row runs with the live interrupt armed, so an overspending
         # stage is cut at the deadline instead of running to its end.

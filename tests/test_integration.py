@@ -3,7 +3,7 @@
 These run the whole stack — workload generation, staged sampling, run-time
 selectivity estimation, adaptive cost formulas, time control — and check the
 *statistical* behaviours the paper reports, with run counts small enough for
-CI (the benchmarks run the full-size versions).
+CI (``tests/statistical/test_paper_claims.py`` checks the full-size tables).
 """
 
 import numpy as np

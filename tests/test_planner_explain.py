@@ -332,3 +332,84 @@ def test_setop_normalization_shares_plan_identity():
     ex_b = db.explain(b)
     assert ex_a.after.canonical_str() == ex_b.after.canonical_str()
     assert ex_b.cache_hit  # commuted operands found the same cache entry
+
+
+# ----------------------------------------------------------------------
+# What pushdown buys under a hard quota
+# ----------------------------------------------------------------------
+# The rewrite cannot change what a query means, so its value under a time
+# constraint is throughput: cheaper stages let the Figure 3.4 bisection
+# afford larger fractions inside the same quota. The selective predicate
+# written above the join runs as the rewritten plan every session runs and
+# as a plan of the tree as written: same data, seeds and quota.
+PUSHDOWN_ORDERS = 200_000
+PUSHDOWN_PARTS = 800
+PUSHDOWN_QUOTA = 1_200.0
+PUSHDOWN_TIGHT_QUOTA = 300.0
+PUSHDOWN_SEEDS = (0, 1, 2, 3, 4)
+BLOCKS_FLOOR = 1.5
+
+
+def pushdown_db() -> Database:
+    db = Database(seed=11)
+    db.create_relation(
+        "orders",
+        [("oid", "int"), ("qty", "int"), ("pid", "int")],
+        rows=((i, i % 50, i % 40) for i in range(PUSHDOWN_ORDERS)),
+    )
+    db.create_relation(
+        "parts",
+        [("part", "int"), ("w", "int")],
+        rows=((i, i % 7) for i in range(PUSHDOWN_PARTS)),
+    )
+    return db
+
+
+def pushdown_query():
+    return select(
+        join(rel("orders"), rel("parts"), on=[("pid", "part")]),
+        cmp("qty", ">", 44),
+    )
+
+
+def pushdown_arm(db, seed, quota, as_written):
+    """``(blocks drawn, estimate or None)`` of one run of the query."""
+    if as_written:
+        session = as_written_session(db, pushdown_query(), quota, seed)
+    else:
+        session = db.open_session(pushdown_query(), quota=quota, seed=seed)
+    result = session.run()
+    estimate = None if result.estimate is None else result.estimate.value
+    return session.plan.blocks_drawn(), estimate
+
+
+def test_pushdown_buys_blocks_within_fixed_quota():
+    db = pushdown_db()
+    explanation = db.explain(pushdown_query())
+    assert explanation.optimized
+    blocks = {
+        seed: (
+            pushdown_arm(db, seed, PUSHDOWN_QUOTA, as_written=False)[0],
+            pushdown_arm(db, seed, PUSHDOWN_QUOTA, as_written=True)[0],
+        )
+        for seed in PUSHDOWN_SEEDS
+    }
+    ratios = [rewritten / max(written, 1) for rewritten, written in blocks.values()]
+    measured = (
+        f"blocks drawn (rewritten, as written) per seed {blocks}; ratios "
+        f"{[round(r, 2) for r in ratios]}; predicted cheapest-stage speedup "
+        f"{explanation.predicted_speedup:.2f}x"
+    )
+    # The floor holds on every seed, not just on the mean.
+    assert min(ratios) >= BLOCKS_FLOOR, measured
+    assert sum(ratios) / len(ratios) >= BLOCKS_FLOOR, measured
+    assert explanation.predicted_speedup > 1.0, measured
+    # At a quota where the plan as written cannot afford stage 1, the
+    # rewritten plan still answers.
+    seed = PUSHDOWN_SEEDS[0]
+    _, tight_written = pushdown_arm(db, seed, PUSHDOWN_TIGHT_QUOTA, as_written=True)
+    _, tight_rewritten = pushdown_arm(
+        db, seed, PUSHDOWN_TIGHT_QUOTA, as_written=False
+    )
+    assert tight_written is None
+    assert tight_rewritten is not None

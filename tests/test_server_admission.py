@@ -31,7 +31,11 @@ from repro.server.admission import (
 from repro.server.degrade import degraded_estimate
 from repro.server.request import Outcome, QueryRequest
 from repro.server.scheduler import QueryServer
-from repro.server.workload import demo_database
+from repro.server.workload import (
+    demo_database,
+    open_loop_requests,
+    selection_mix,
+)
 
 TUPLES = 1_000
 
@@ -349,3 +353,55 @@ class TestPricingPlan:
         session = db.open_session(expr, 5.0, options, cost_model=cost_model)
         assert predicted_stage_costs(plan) == predicted_stage_costs(session.plan)
         assert minimum_stage_cost(plan) > 0
+
+
+# ---------------------------------------------------------------------------
+# The overload floor: admission on vs off
+# ---------------------------------------------------------------------------
+# One open-loop request stream at 2x the service capacity (simulated clock)
+# served with admission on — infeasible work turned away at the door, doomed
+# queued work shed — and off, where server time burns on requests whose
+# budgets evaporated in the queue.
+OVERLOAD_TUPLES = 2_000
+OVERLOAD_REQUESTS = 60
+OVERLOAD_SEED = 7
+
+
+def serve_overload(policy) -> QueryServer:
+    server = QueryServer(
+        demo_database(seed=OVERLOAD_SEED, tuples=OVERLOAD_TUPLES), policy=policy
+    )
+    server.process(
+        open_loop_requests(
+            count=OVERLOAD_REQUESTS,
+            quota=2.0,
+            overload=2.0,
+            make_query=selection_mix(OVERLOAD_TUPLES),
+            tuples=OVERLOAD_TUPLES,
+            seed=OVERLOAD_SEED,
+        )
+    )
+    return server
+
+
+def overload_summary(server: QueryServer) -> str:
+    outcomes = {o.value: n for o, n in server.metrics.outcomes.items() if n}
+    return (
+        f"hit ratio among admitted {server.metrics.hit_ratio_admitted}, "
+        f"outcomes {outcomes} in {server.clock.now():.1f} simulated s"
+    )
+
+
+def test_admission_control_protects_deadlines_under_overload():
+    on = serve_overload(RejectInfeasible())
+    off = serve_overload(AdmitAll())
+    hit_on = on.metrics.hit_ratio_admitted
+    hit_off = off.metrics.hit_ratio_admitted
+    measured = f"admission on: {overload_summary(on)}; off: {overload_summary(off)}"
+    # Admitted requests keep their deadlines...
+    assert hit_on is not None and hit_on >= 0.95, measured
+    # ...and the uncontrolled baseline measurably misses.
+    assert hit_off is not None and hit_off < hit_on, measured
+    # Every request ended in a typed outcome in both arms.
+    assert on.metrics.completed == OVERLOAD_REQUESTS
+    assert off.metrics.completed == OVERLOAD_REQUESTS

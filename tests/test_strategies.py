@@ -85,7 +85,8 @@ class TestOneAtATimeInterval:
 
         tracker = SelectivityTracker("x", initial=1.0)
         tracker.record_stage(10, 100)
-        assert provider(tracker, 100, 100_000) > 0.1  # margin added
+        sel = provider.per_tracker(tracker, 100_000)
+        assert sel(100) > 0.1  # margin added
 
     def test_describe(self):
         assert "24" in OneAtATimeInterval(d_beta=24.0).describe()

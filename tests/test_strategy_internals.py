@@ -65,9 +65,9 @@ class TestSingleIntervalInternals:
     def test_mean_provider_initial_before_data(self):
         provider = SingleInterval._mean_provider()
         tracker = SelectivityTracker("x", initial=0.25)
-        assert provider(tracker, 10, 100) == 0.25
+        assert provider.per_tracker(tracker, 100)(10) == 0.25
         tracker.record_stage(5, 10)
-        assert provider(tracker, 10, 100) == 0.5
+        assert provider.per_tracker(tracker, 100)(10) == 0.5
 
 
 class TestRunTrace:

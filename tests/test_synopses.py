@@ -31,6 +31,7 @@ from repro.synopses import (
     relation_fingerprint,
 )
 from repro.synopses.catalog import MAX_PRIOR_POINTS
+from repro.timecontrol import ErrorConstrained
 
 
 @pytest.fixture(autouse=True)
@@ -305,6 +306,81 @@ class TestEndToEnd:
         assert db2.synopses.info().answers == 0
         shared = Database(seed=3, synopsis_catalog=db1.synopses)
         assert shared.synopses is db1.synopses
+
+
+# ---------------------------------------------------------------------------
+# The blocks-per-answer floor on a repeated workload
+# ---------------------------------------------------------------------------
+# SHAPES query shapes, each arriving REPEATS times, driven to the same
+# error-constrained target with the catalog off (every arrival samples) and
+# on (a repeat whose recorded interval already meets the target is answered
+# from the catalog at zero blocks, the server's degraded-answer path).
+REPEAT_TUPLES = 20_000
+SHAPES = 5
+REPEATS = 6
+TARGET = 0.15  # relative halfwidth
+CONFIDENCE = 0.95
+REPEAT_QUOTA = 30.0
+REPEAT_SEED = 7
+
+
+def repeated_workload():
+    """SHAPES x REPEATS arrivals, round-robin."""
+    shapes = [
+        rel("orders").where(cmp("qty", "<", 10 * (s + 1))) for s in range(SHAPES)
+    ]
+    return [shapes[i % SHAPES] for i in range(SHAPES * REPEATS)]
+
+
+def run_repeated_workload(synopses: bool) -> tuple[int, int, int]:
+    """``(answers, sampled blocks, catalog answers)`` of one arm."""
+    caches.get("plans").clear()
+    db = Database(seed=REPEAT_SEED)
+    db.create_relation(
+        "orders",
+        [("id", "int"), ("qty", "int")],
+        rows=[(i, (i * 7919) % 200) for i in range(REPEAT_TUPLES)],
+    )
+    options = QueryOptions(
+        stopping=ErrorConstrained(
+            target_relative_halfwidth=TARGET, confidence=CONFIDENCE
+        ),
+        synopses=synopses,
+    )
+    answers = blocks = catalog_answers = 0
+    for index, expr in enumerate(repeated_workload()):
+        if synopses:
+            recorded = synopsis_degraded_estimate(db, expr)
+            if (
+                recorded is not None
+                and recorded.relative_error_bound(CONFIDENCE) <= TARGET
+            ):
+                catalog_answers += 1
+                answers += 1
+                continue
+        report = db.estimate(
+            expr, quota=REPEAT_QUOTA, seed=REPEAT_SEED + index, options=options
+        ).report
+        assert report.estimate is not None, "arm failed to answer"
+        blocks += sum(s.blocks_read for s in report.stages)
+        answers += 1
+    return answers, blocks, catalog_answers
+
+
+def test_synopses_cut_blocks_per_answer_on_repeated_workload():
+    off_answers, off_blocks, _ = run_repeated_workload(synopses=False)
+    on_answers, on_blocks, catalog_answers = run_repeated_workload(synopses=True)
+    ratio = (off_blocks / off_answers) / (on_blocks / on_answers)
+    measured = (
+        f"sampled blocks off {off_blocks}, on {on_blocks} ({catalog_answers} "
+        f"catalog answers); blocks per answer cut {ratio:.2f}x"
+    )
+    # Both arms answered the whole workload to the same target.
+    assert off_answers == on_answers == SHAPES * REPEATS, measured
+    # The catalog really served the repeats...
+    assert catalog_answers >= SHAPES * (REPEATS - 2), measured
+    # ...and cut the sampled blocks per answer by at least 1.5x.
+    assert ratio >= 1.5, measured
 
 
 # ---------------------------------------------------------------------------
