@@ -27,17 +27,17 @@ def main() -> None:
         f"{'util%':>7}{'rel.err':>9}"
     )
     configurations = [
-        ("one-at-a-time, d_b=0", lambda: OneAtATimeInterval(d_beta=0.0)),
-        ("one-at-a-time, d_b=12", lambda: OneAtATimeInterval(d_beta=12.0)),
-        ("one-at-a-time, d_b=24", lambda: OneAtATimeInterval(d_beta=24.0)),
-        ("one-at-a-time, d_b=72", lambda: OneAtATimeInterval(d_beta=72.0)),
-        ("single-interval, d_a=0", lambda: SingleInterval(d_alpha=0.0)),
-        ("single-interval, d_a=2", lambda: SingleInterval(d_alpha=2.0)),
-        ("heuristic, gamma=0.5", lambda: FixedFractionHeuristic(gamma=0.5)),
-        ("heuristic, gamma=0.9", lambda: FixedFractionHeuristic(gamma=0.9)),
+        ("one-at-a-time, d_b=0", OneAtATimeInterval(d_beta=0.0)),
+        ("one-at-a-time, d_b=12", OneAtATimeInterval(d_beta=12.0)),
+        ("one-at-a-time, d_b=24", OneAtATimeInterval(d_beta=24.0)),
+        ("one-at-a-time, d_b=72", OneAtATimeInterval(d_beta=72.0)),
+        ("single-interval, d_a=0", SingleInterval(d_alpha=0.0)),
+        ("single-interval, d_a=2", SingleInterval(d_alpha=2.0)),
+        ("heuristic, gamma=0.5", FixedFractionHeuristic(gamma=0.5)),
+        ("heuristic, gamma=0.9", FixedFractionHeuristic(gamma=0.9)),
     ]
-    for label, factory in configurations:
-        results = run_cell(setup, factory, runs=RUNS, seed0=7_000)
+    for label, strategy in configurations:
+        results = run_cell(setup, strategy, runs=RUNS, seed0=7_000)
         cell = aggregate(label, results, true_count=setup.exact_count)
         err = (
             f"{cell.mean_relative_error:9.3f}"

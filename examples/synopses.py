@@ -69,7 +69,7 @@ def main() -> None:
     )
 
     # -- 2b. the server answers an infeasible repeat from the catalog -
-    server = QueryServer(db, policy=DegradeInfeasible(), synopses=True)
+    server = QueryServer(db, policy=DegradeInfeasible(), options=SYN)
     served = server.serve(QueryRequest(expr=panel, quota=1e-4, seed=3))
     lo, hi = served.estimate.confidence_interval(0.95)
     print(f"degraded : {served.outcome.value} — {served.reason}")

@@ -17,7 +17,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import Database, ErrorConstrained, MachineProfile, cmp, rel, select
+from repro import (
+    Database,
+    ErrorConstrained,
+    MachineProfile,
+    QueryOptions,
+    cmp,
+    rel,
+    select,
+)
 from repro.estimation.aggregates import avg_of, sum_of
 from repro.realtime import (
     FeedbackAllocator,
@@ -71,7 +79,9 @@ def run_policy(db: Database, allocator_factory, label: str) -> None:
         scheduler = TransactionScheduler(
             db,
             allocator=allocator_factory(),
-            stopping=ErrorConstrained(target_relative_halfwidth=0.3),
+            options=QueryOptions(
+                stopping=ErrorConstrained(target_relative_halfwidth=0.3)
+            ),
         )
         outcome = scheduler.run(
             monitoring_transaction(), deadline=DEADLINE, seed=500 + trial

@@ -29,7 +29,7 @@ import numpy as np
 from repro.catalog.catalog import Catalog
 from repro.catalog.schema import Attribute, Schema
 from repro.catalog.types import AttributeType
-from repro.core.options import QueryOptions
+from repro.core.options import DEFAULT_OPTIONS, QueryOptions
 from repro.core.result import QueryResult
 from repro.core.session import QuerySession
 from repro.costmodel.model import CostModel
@@ -42,7 +42,7 @@ from repro.relational.evaluator import ExactEvaluator
 from repro.relational.expression import Expression
 from repro.storage.heapfile import DEFAULT_BLOCK_SIZE, HeapFile
 from repro.timecontrol.executor import TimeConstrainedExecutor
-from repro.timecontrol.strategies import default_strategy
+from repro.timecontrol.strategies import DEFAULT_STRATEGY
 from repro.timekeeping.charger import CostCharger
 from repro.timekeeping.clock import Clock, SimulatedClock, WallClock
 from repro.timekeeping.profile import MachineProfile
@@ -72,6 +72,13 @@ def _resolve_schema(
             )
         attributes.append(Attribute(name, _TYPE_NAMES[type_name]))
     return Schema(tuple(attributes))
+
+
+def _bundle(options: QueryOptions | None, overrides: dict) -> QueryOptions:
+    """``options`` (all defaults when ``None``) with ``overrides`` applied;
+    a copy is made only when there are overrides."""
+    opts = options if options is not None else DEFAULT_OPTIONS
+    return opts.replace(**overrides) if overrides else opts
 
 
 def _emit_rewrites(sink: TraceSink, expr: Expression, planned: "PlannedQuery") -> None:
@@ -357,13 +364,9 @@ class Database:
         Call :meth:`QuerySession.run` to execute; or use the
         :meth:`estimate` one-shot convenience.
         """
-        opts = (options if options is not None else QueryOptions()).replace(
-            **overrides
-        )
+        opts = _bundle(options, overrides)
         plan, _ = self._lower(expr, opts, aggregate, run=True, seed=seed)
-        strategy = (
-            opts.strategy if opts.strategy is not None else default_strategy()
-        )
+        strategy = opts.strategy if opts.strategy is not None else DEFAULT_STRATEGY
         executor = TimeConstrainedExecutor(plan, strategy, opts)
         return QuerySession(expr, quota, plan, executor, plan.binder)
 
@@ -382,10 +385,7 @@ class Database:
         or injector: the plan is priced and explained, never run
         (``advance_stage`` raises :class:`ReproError`).
         """
-        opts = (options if options is not None else QueryOptions()).replace(
-            **overrides
-        )
-        return self._lower(expr, opts, aggregate, run=False)[0]
+        return self._lower(expr, _bundle(options, overrides), aggregate, run=False)[0]
 
     def _lower(
         self, expr: Expression, opts: QueryOptions, aggregate, run: bool, seed=None,
@@ -470,9 +470,7 @@ class Database:
         """
         from repro.planner.explain import build_explanation
 
-        opts = (options if options is not None else QueryOptions()).replace(
-            **overrides
-        )
+        opts = _bundle(options, overrides)
         before, _ = self._lower(expr, opts, aggregate, run=False, rewrite=False)
         after, planned = self._lower(expr, opts, aggregate, run=False)
         return build_explanation(before, after, planned)
@@ -507,6 +505,6 @@ class Database:
         ``open_session(expr, quota, options, aggregate=agg, seed=seed,
         **overrides).run()``.
         """
-        if overrides:  # an unknown name (``aggregate=`` too) is refused here
-            options = (options or QueryOptions()).replace(**overrides)
+        # An unknown override (``aggregate=`` too) is refused here.
+        options = _bundle(options, overrides)
         return self.open_session(expr, quota, options, aggregate=agg, seed=seed).run()

@@ -15,6 +15,11 @@ Per-call keywords passed to :meth:`Database.estimate` /
 an options bundle is a set of defaults, not a straitjacket. ``aggregate``
 and ``seed`` are deliberately *not* options: they identify the query and
 the run rather than configure the machinery.
+
+Its strategy and stopping criterion are immutable values too, reading a
+run's history from the run, so a reused bundle replays at the same seed.
+``QueryServer(db, options=…)`` and ``TransactionScheduler(db, options=…)``
+take one bundle for every query they run.
 """
 
 from __future__ import annotations
@@ -46,8 +51,8 @@ class QueryOptions:
     This is the one place a per-query option and its default live: the
     plan, the physical builder and the executor all read their knobs from
     the bundle they are handed. ``None`` means "use the database's /
-    engine's default" — :func:`~repro.timecontrol.strategies.
-    default_strategy` for ``strategy``, :class:`~repro.timecontrol.stopping.
+    engine's default" — :data:`~repro.timecontrol.strategies.
+    DEFAULT_STRATEGY` for ``strategy``, :class:`~repro.timecontrol.stopping.
     HardDeadline` for ``stopping``, the database's prior-seeded model for
     ``cost_model`` (pass ``CostModel(specs=…)`` for custom priors).
     ``fault_plan`` attaches a :class:`repro.faults.FaultPlan` so the run
@@ -69,7 +74,6 @@ class QueryOptions:
     zero_fix_beta: float | None = None
     measure_overspend: bool = True
     cost_model: "CostModel | None" = None
-    max_stages: int = 64
     selectivity_source: str = "runtime"
     sink: "TraceSink | None" = None
     trace_costs: bool = False
@@ -104,8 +108,6 @@ class QueryOptions:
                 f"selectivity_source must be one of {SELECTIVITY_SOURCES}, "
                 f"got {self.selectivity_source!r}"
             )
-        if self.max_stages < 1:
-            raise ReproError(f"max_stages must be >= 1: {self.max_stages}")
 
     def replace(self, **changes) -> "QueryOptions":
         """A copy with the given fields changed (unknown names rejected)."""

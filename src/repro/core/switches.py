@@ -1,12 +1,12 @@
 """The two behaviour switches, and where a run's values came from.
 
 A switch selects between two *behaviours* of the engine or the server —
-what a run computes, stores, or schedules. Each is a plain boolean argument
-(``QueryOptions.synopses``, ``QueryServer(synopses=, preempt=)``) whose
-default lives in that signature; nothing is read from the process
-environment. How the host computes a stage (columnar kernels) is not a
-switch, and neither is the logical optimizer: every session runs the
-rewritten plan.
+what a run computes, stores, or schedules. Each is a plain boolean with one
+spelling (``QueryOptions.synopses`` — a server's comes in its ``options`` —
+and ``QueryServer(preempt=)``) whose default lives in that signature;
+nothing is read from the process environment. How the host computes a
+stage (columnar kernels) is not a switch, and neither is the logical
+optimizer: every session runs the rewritten plan.
 
 :data:`SWITCHES` names them and :func:`describe` reports, for an options
 bundle and/or explicit keyword values, each switch's value and whether it

@@ -19,7 +19,7 @@ in DESIGN.md):
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -42,7 +42,6 @@ from repro.timecontrol.strategies import (
     FixedFractionHeuristic,
     OneAtATimeInterval,
     SingleInterval,
-    TimeControlStrategy,
 )
 from repro.workloads.generators import (
     paper_schema,
@@ -64,16 +63,16 @@ def ablation_strategies(runs: int = 100, seed: int = 0) -> Table:
         title=f"A1 — Strategy comparison (join, quota {setup.quota:g}s)",
         columns=["strategy", "stages", "risk%", "ovsp", "util%", "blocks", "rel.err"],
     )
-    strategies: list[tuple[str, Callable[[], TimeControlStrategy]]] = [
-        ("one-at-a-time d_b=24", lambda: OneAtATimeInterval(d_beta=24.0)),
-        ("one-at-a-time d_b=0", lambda: OneAtATimeInterval(d_beta=0.0)),
-        ("single-interval d_a=2", lambda: SingleInterval(d_alpha=2.0)),
-        ("single-interval d_a=0", lambda: SingleInterval(d_alpha=0.0)),
-        ("heuristic g=0.5", lambda: FixedFractionHeuristic(gamma=0.5)),
-        ("heuristic g=0.9", lambda: FixedFractionHeuristic(gamma=0.9)),
+    strategies = [
+        ("one-at-a-time d_b=24", OneAtATimeInterval(d_beta=24.0)),
+        ("one-at-a-time d_b=0", OneAtATimeInterval(d_beta=0.0)),
+        ("single-interval d_a=2", SingleInterval(d_alpha=2.0)),
+        ("single-interval d_a=0", SingleInterval(d_alpha=0.0)),
+        ("heuristic g=0.5", FixedFractionHeuristic(gamma=0.5)),
+        ("heuristic g=0.9", FixedFractionHeuristic(gamma=0.9)),
     ]
-    for label, factory in strategies:
-        results = run_cell(setup, factory, runs=runs, seed0=40_000)
+    for label, strategy in strategies:
+        results = run_cell(setup, strategy, runs=runs, seed0=40_000)
         table.add(aggregate(label, results, setup.exact_count).row())
     table.notes.append(f"{runs} runs per row")
     return table
@@ -89,7 +88,7 @@ def ablation_fulfillment(runs: int = 100, seed: int = 0) -> Table:
     for label, full in (("full", True), ("partial", False)):
         results = run_cell(
             setup,
-            lambda: OneAtATimeInterval(d_beta=12.0),
+            OneAtATimeInterval(d_beta=12.0),
             runs=runs,
             seed0=50_000,
             full_fulfillment=full,
@@ -363,7 +362,7 @@ def ablation_memory_resident(runs: int = 100, seed: int = 0) -> Table:
         setup = make_intersection_setup(seed=seed, profile=profile)
         results = run_cell(
             setup,
-            lambda: OneAtATimeInterval(d_beta=12.0),
+            OneAtATimeInterval(d_beta=12.0),
             runs=runs,
             seed0=95_000,
         )
@@ -395,7 +394,7 @@ def ablation_zero_fix(runs: int = 100, seed: int = 0) -> Table:
     for beta in (0.01, 0.05, 0.25, 0.5, 0.9):
         results = run_cell(
             setup,
-            lambda: OneAtATimeInterval(d_beta=12.0),
+            OneAtATimeInterval(d_beta=12.0),
             runs=runs,
             seed0=97_000,
             zero_fix_beta=beta,

@@ -23,14 +23,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
+from repro.core.options import QueryOptions
 from repro.core.result import QueryResult
 from repro.errors import CellRunError
 from repro.timecontrol.strategies import TimeControlStrategy
 from repro.workloads.paper import PaperSetup
-
-StrategyFactory = Callable[[], TimeControlStrategy]
 
 
 @dataclass(frozen=True)
@@ -63,52 +62,40 @@ class CellResult:
         ]
 
 
-def _run_one(
-    setup: PaperSetup,
-    strategy_factory: StrategyFactory,
-    seed: int,
-    kwargs: dict,
-) -> QueryResult:
-    """One independent evaluation — a fresh session for a fresh seed.
-
-    A failure is re-raised as :class:`CellRunError` naming the seed and the
-    cell, so a crash deep inside one of 200 runs points straight at the
-    reproducing configuration.
-    """
-    strategy = strategy_factory()
-    try:
-        return setup.database.estimate(
-            setup.query,
-            quota=setup.quota,
-            strategy=strategy,
-            seed=seed,
-            **kwargs,
-        )
-    except Exception as exc:
-        raise CellRunError(
-            seed,
-            f"run_cell failed at seed {seed} "
-            f"(query {setup.query}, quota {setup.quota:g}s, "
-            f"strategy {strategy.describe()}): "
-            f"{type(exc).__name__}: {exc}",
-        ) from exc
-
-
 def run_cell(
     setup: PaperSetup,
-    strategy_factory: StrategyFactory,
+    strategy: TimeControlStrategy,
     runs: int,
     seed0: int = 1000,
     **estimate_kwargs,
 ) -> list[QueryResult]:
     """Run one cell: ``runs`` evaluations on seeds ``seed0``, ``seed0 + 1``, …
 
-    ``estimate_kwargs`` are query options applied to every run.
+    Every run gets one bundle: ``strategy`` and the query options in
+    ``estimate_kwargs`` (``initial_selectivities`` defaults to the setup's).
+    A failure is re-raised as :class:`CellRunError` naming the seed and the
+    cell, so a crash deep inside one of 200 runs points straight at the
+    reproducing configuration.
     """
-    kwargs = dict(estimate_kwargs)
-    kwargs.setdefault("initial_selectivities", setup.initial_selectivities)
-    seeds = range(seed0, seed0 + runs)
-    return [_run_one(setup, strategy_factory, seed, kwargs) for seed in seeds]
+    estimate_kwargs.setdefault("initial_selectivities", setup.initial_selectivities)
+    options = QueryOptions(strategy=strategy).replace(**estimate_kwargs)
+    results = []
+    for seed in range(seed0, seed0 + runs):
+        try:
+            results.append(
+                setup.database.estimate(
+                    setup.query, quota=setup.quota, seed=seed, options=options
+                )
+            )
+        except Exception as exc:
+            raise CellRunError(
+                seed,
+                f"run_cell failed at seed {seed} "
+                f"(query {setup.query}, quota {setup.quota:g}s, "
+                f"strategy {strategy.describe()}): "
+                f"{type(exc).__name__}: {exc}",
+            ) from exc
+    return results
 
 
 def aggregate(

@@ -66,7 +66,7 @@ def _sweep(
     for d_beta in d_betas:
         results = run_cell(
             setup,
-            lambda d=d_beta: OneAtATimeInterval(d_beta=d),
+            OneAtATimeInterval(d_beta=d_beta),
             runs=runs,
             seed0=seed0,
             **estimate_kwargs,

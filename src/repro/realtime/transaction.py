@@ -26,14 +26,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from repro.core.database import Database
+from repro.core.options import QueryOptions
 from repro.core.result import QueryResult
 from repro.errors import TimeControlError
 from repro.estimation.aggregates import COUNT, AggregateSpec
 from repro.relational.expression import Expression
 from repro.server.request import Outcome, QueryRequest
 from repro.server.scheduler import QueryServer
-from repro.timecontrol.stopping import StoppingCriterion
-from repro.timecontrol.strategies import default_strategy
 
 
 @dataclass(frozen=True)
@@ -216,14 +215,12 @@ class TransactionScheduler:
         self,
         database: Database,
         allocator: QuotaAllocator | None = None,
-        strategy_factory=default_strategy,
-        stopping: StoppingCriterion | None = None,
+        options: QueryOptions | None = None,
         min_query_quota: float = 1e-6,
     ) -> None:
         self.database = database
         self.allocator = allocator if allocator is not None else FeedbackAllocator()
-        self.strategy_factory = strategy_factory
-        self.stopping = stopping
+        self.options = options
         self.min_query_quota = min_query_quota
 
     def run(
@@ -249,9 +246,8 @@ class TransactionScheduler:
                 task.expr,
                 task.aggregate,
                 quota=quota,
-                strategy=self.strategy_factory(),
-                stopping=self.stopping,
                 seed=None if seed is None else seed + index,
+                options=self.options,
                 **estimate_kwargs,
             )
             report = result.report

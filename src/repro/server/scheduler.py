@@ -61,7 +61,7 @@ from typing import Callable, Iterable
 
 from repro.catalog.catalog import relation_fingerprint
 from repro.core.database import Database
-from repro.core.options import QueryOptions
+from repro.core.options import DEFAULT_OPTIONS, QueryOptions
 from repro.core.result import QueryResult
 from repro.core.session import QuerySession
 from repro.costmodel.model import CostModel
@@ -92,19 +92,16 @@ from repro.server.preempt import PreemptDecision, projected_handback, should_pre
 from repro.server.request import Outcome, QueryRequest, RequestOutcome
 from repro.synopses.events import SynopsisRefreshed
 from repro.timecontrol.stopping import HardDeadline
-from repro.timecontrol.strategies import TimeControlStrategy, default_strategy
 from repro.timekeeping.clock import SimulatedClock
 
 OnComplete = Callable[[RequestOutcome], "QueryRequest | None"]
 
 SERVER_OWNED_OPTIONS = frozenset(
-    ("aggregate", "clock", "cost_model", "measure_overspend")
-    + ("seed", "sink", "stopping", "strategy", "synopses")
+    ("clock", "cost_model", "measure_overspend", "sink", "stopping")
 )
-"""``open_session`` keywords the server sets itself for every session it
-opens (the request's identity, the shared timeline and cost model, the
-hard-deadline run mode, its own ``synopses`` argument): ``session_kwargs``
-may not carry them."""
+""":class:`QueryOptions` fields the server sets itself for every session it
+opens (the shared timeline and cost model, the hard-deadline run mode, the
+trace wiring): a server's ``options`` must leave them at their defaults."""
 
 
 class TicketState(enum.Enum):
@@ -189,21 +186,20 @@ class QueryServer:
         :meth:`Database.analyze` for graceful degradation, or
         :class:`~repro.server.admission.AdmitAll` to switch admission
         control off (the benchmark baseline).
-    strategy_factory:
-        Builds the per-session time-control strategy (default
-        :func:`~repro.timecontrol.strategies.default_strategy`).
+    options:
+        The :class:`~repro.core.options.QueryOptions` every session the
+        server opens starts from (``strategy``, ``fault_plan``,
+        ``synopses``, …). ``synopses=True`` also makes degrade answers
+        prefer recorded synopses and joins the catalog's invalidation
+        events to the server's trace stream. A bundle that sets a field
+        the server owns (:data:`SERVER_OWNED_OPTIONS`) raises
+        ``ValueError`` here rather than failing every request later.
     sink:
         Optional extra trace sink tee'd next to the built-in
         :class:`~repro.server.metrics.ServerMetrics`.
     trace_queries:
         Thread the server sink into each session too, interleaving
         per-stage query events with scheduling events on one stream.
-    session_kwargs:
-        Extra :class:`~repro.core.options.QueryOptions` fields for every
-        session the server opens (``fault_plan``, ``max_stages``, …).
-        Unknown names and the names the server sets itself
-        (:data:`SERVER_OWNED_OPTIONS`) raise ``ValueError`` here rather
-        than failing every request later.
     max_fault_retries:
         How many times a dispatched request defeated by transient
         (injected/storage) faults is re-executed within its own remaining
@@ -214,30 +210,23 @@ class QueryServer:
         Simulated seconds charged to the request's own budget before each
         retry, scaled by the attempt number and capped at the remaining
         budget.
-    synopses:
-        Default off. When on, every session the server opens reads/feeds
-        the database's synopsis catalog, degrade answers prefer recorded
-        synopses, and the catalog's invalidation events join the server's
-        trace stream. The one place to set it: ``session_kwargs`` may not.
     preempt:
         Default off. When on, dispatched queries may be suspended at stage
         boundaries in favour of strictly-earlier-deadline arrivals and
         resumed bit-identically later (see :mod:`repro.server.preempt`);
         when off the server is byte-identical to the run-to-completion
-        scheduler. Both switches take ``True`` / ``False`` only.
+        scheduler. It takes ``True`` / ``False`` only.
     """
 
     def __init__(
         self,
         database: Database,
         policy: AdmissionPolicy | None = None,
-        strategy_factory: Callable[[], TimeControlStrategy] | None = None,
+        options: QueryOptions = DEFAULT_OPTIONS,
         sink: TraceSink | None = None,
         trace_queries: bool = False,
-        session_kwargs: dict | None = None,
         max_fault_retries: int = 1,
         retry_backoff: float = 0.05,
-        synopses: bool = False,
         preempt: bool = False,
     ) -> None:
         if database.clock_kind != "simulated":
@@ -247,7 +236,13 @@ class QueryServer:
             )
         self.database = database
         self.policy = policy if policy is not None else RejectInfeasible()
-        self.strategy_factory = strategy_factory or default_strategy
+        for name in sorted(SERVER_OWNED_OPTIONS):
+            if getattr(options, name) != getattr(DEFAULT_OPTIONS, name):
+                raise ValueError(
+                    f"options cannot set {name!r}: the server sets it "
+                    "itself for every session it opens"
+                )
+        self.options = options
         self.clock = SimulatedClock()
         self.metrics = ServerMetrics()
         self.sink: TraceSink = (
@@ -257,30 +252,15 @@ class QueryServer:
         # as the server executes queries and the model refits.
         self._cost_model: CostModel = database.default_cost_model()
         self.trace_queries = trace_queries
-        self.session_kwargs = dict(session_kwargs or {})
-        options = {f.name for f in dataclasses.fields(QueryOptions)}
-        for name in self.session_kwargs:
-            if name in SERVER_OWNED_OPTIONS:
-                raise ValueError(
-                    f"session_kwargs cannot set {name!r}: the server sets "
-                    "it itself for every session it opens"
-                )
-            if name not in options:
-                raise ValueError(
-                    f"session_kwargs has unknown query option {name!r}; "
-                    f"valid options: {', '.join(sorted(options))}"
-                )
         if max_fault_retries < 0:
             raise ValueError(f"max_fault_retries cannot be negative: {max_fault_retries}")
         if retry_backoff < 0:
             raise ValueError(f"retry_backoff cannot be negative: {retry_backoff}")
-        for name, value in (("synopses", synopses), ("preempt", preempt)):
-            if not isinstance(value, bool):
-                raise ValueError(f"{name} must be True or False, got {value!r}")
+        if not isinstance(preempt, bool):
+            raise ValueError(f"preempt must be True or False, got {preempt!r}")
         self.max_fault_retries = max_fault_retries
         self.retry_backoff = retry_backoff
-        self.synopses = synopses
-        if self.synopses:
+        if options.synopses:
             self.database.synopses.sink = self.sink
         self.preempt = preempt
         self._seq = itertools.count()
@@ -447,20 +427,20 @@ class QueryServer:
     # Arrival and admission
     # ------------------------------------------------------------------
     def _open_session(
-        self, expr, quota: float, aggregate, seed: int | None, **options
+        self, expr, quota: float, aggregate, seed: int | None, **overrides
     ) -> QuerySession:
-        """A session on the server's clock, shared cost model and
-        ``synopses`` setting."""
+        """A session from the server's options on its clock and shared cost
+        model, under a hard deadline."""
         return self.database.open_session(
             expr,
-            quota=quota,
+            quota,
+            self.options,
             aggregate=aggregate,
             seed=seed,
             cost_model=self._cost_model,
             clock=self.clock,
-            synopses=self.synopses,
-            **self.session_kwargs,
-            **options,
+            stopping=HardDeadline(),
+            **overrides,
         )
 
     def _minimum_cost(self, request: QueryRequest) -> float:
@@ -472,10 +452,9 @@ class QueryServer:
         return minimum_stage_cost(
             self.database.plan(
                 request.expr,
+                self.options,
                 aggregate=request.aggregate,
                 cost_model=self._cost_model,
-                synopses=self.synopses,
-                **self.session_kwargs,
             )
         )
 
@@ -548,7 +527,7 @@ class QueryServer:
         Returns ``(estimate, source)``; ``(None, None)`` when neither
         source covers the query.
         """
-        if self.synopses:
+        if self.options.synopses:
             estimate = synopsis_degraded_estimate(
                 self.database,
                 request.expr,
@@ -608,7 +587,7 @@ class QueryServer:
         """
         refreshed = 0
         while (
-            self.synopses
+            self.options.synopses
             and budget > 0
             and (entry := self.database.synopses.pop_refresh()) is not None
         ):
@@ -619,8 +598,6 @@ class QueryServer:
                 quota,
                 entry.aggregate,
                 seed=next(self._refresh_counter),
-                strategy=self.strategy_factory(),
-                stopping=HardDeadline(),
                 measure_overspend=True,
             )
             report = session.run().report
@@ -762,8 +739,6 @@ class QueryServer:
                         attempt_quota,
                         request.aggregate,
                         seed=self._retry_seed(request.seed, ticket.attempt),
-                        strategy=self.strategy_factory(),
-                        stopping=HardDeadline(),
                         measure_overspend=False,
                         sink=self.sink if self.trace_queries else None,
                     )

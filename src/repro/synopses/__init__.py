@@ -7,8 +7,8 @@ warm-start Revise-Selectivities from the posteriors (fewer, bigger stages
 per quota) and the serving layer backs degraded answers with recorded
 estimates instead of flat prestored statistics. Relation mutations invalidate/age the affected entries.
 
-Opt-in via ``QueryOptions(synopses=True)`` (``QueryServer(synopses=True)``
-on a server); off, the engine is bit-identical to one without this package.
+Opt-in via ``QueryOptions(synopses=True)`` (on a server too:
+``QueryServer(db, options=QueryOptions(synopses=True))``); off, the engine is bit-identical to one without this package.
 """
 
 from repro.catalog.catalog import relation_fingerprint

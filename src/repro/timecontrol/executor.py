@@ -54,6 +54,9 @@ if TYPE_CHECKING:
 #: ``degraded`` (salvage policy ``"continue"``).
 MAX_STAGE_RETRIES = 3
 
+#: Stages one run may take before it finishes ``max_stages``.
+MAX_STAGES = 64
+
 
 @dataclass
 class StageReport:
@@ -208,7 +211,6 @@ class TimeConstrainedExecutor:
             options.stopping if options.stopping is not None else HardDeadline()
         )
         self.measure_overspend = options.measure_overspend
-        self.max_stages = options.max_stages
         # The plan's sink, so one wiring point traces the whole run.
         self.sink: TraceSink = plan.sink
 
@@ -332,7 +334,7 @@ class TimeConstrainedExecutor:
         """The Figure 3.1 while-loop; ``True`` = suspend."""
         clock = self.plan.charger.clock
         injector = self.plan.injector
-        while len(report.stages) < self.max_stages:
+        while len(report.stages) < MAX_STAGES:
             # The preemption point: between stages only, never before the
             # first stage has banked an estimate, and costing nothing.
             if (
@@ -350,7 +352,7 @@ class TimeConstrainedExecutor:
                 report.termination = "exhausted"
                 break
             fraction = self.strategy.choose_fraction(
-                self.plan, remaining, self.plan.stages_completed + 1
+                self.plan, remaining, report.stages
             )
             if fraction is None:
                 report.termination = "no_feasible_stage"
@@ -391,7 +393,6 @@ class TimeConstrainedExecutor:
                 )
                 self._emit_stage_end(stage_report)
                 break
-            self.strategy.note_stage(stage_report.duration, stage_report.blocks_read)
             estimate = self.plan.estimate()
             stage_report.estimate = estimate
             self._emit_stage_end(stage_report)
@@ -401,7 +402,6 @@ class TimeConstrainedExecutor:
                 report.estimate_with_overrun = estimate
                 report.termination = "deadline"
                 break
-            self.stopping.note_stage_duration(stage_report.duration)
             state = StopState(
                 stage=stage_report.index,
                 remaining_seconds=deadline - clock.now(),
@@ -410,6 +410,10 @@ class TimeConstrainedExecutor:
                 # estimate, and it ends the loop before reaching here.
                 estimate_history=[s.estimate for s in report.stages],
                 elapsed_seconds=clock.now() - report.started_at,
+                last_stage_seconds=next(
+                    (s.duration for s in reversed(report.stages) if s.duration > 0),
+                    0.0,
+                ),
             )
             if self.stopping.should_stop(state):
                 report.termination = (

@@ -37,12 +37,16 @@ class StopState:
     estimate: Estimate | None
     estimate_history: list[Estimate] = field(default_factory=list)
     elapsed_seconds: float = 0.0
+    last_stage_seconds: float = 0.0
+    """Duration of the latest stage that took any time (0 before one has)."""
 
 
 class StoppingCriterion:
     """Base class; subclasses override :meth:`should_stop`.
 
-    ``hard`` declares whether the executor arms the charger's mid-stage
+    A criterion is an immutable value: everything it reads about a run
+    arrives in the :class:`StopState`, so one instance serves any number of
+    runs. ``hard`` declares whether the executor arms the charger's mid-stage
     timer interrupt (True) or only checks between stages (False).
     """
 
@@ -51,15 +55,11 @@ class StoppingCriterion:
     def should_stop(self, state: StopState) -> bool:
         raise NotImplementedError
 
-    def note_stage_duration(self, seconds: float) -> None:
-        """One in-time stage took ``seconds``; criteria that model future
-        stages override this."""
-
     def describe(self) -> str:
         return type(self).__name__
 
 
-@dataclass
+@dataclass(frozen=True)
 class HardDeadline(StoppingCriterion):
     """Abort mid-stage at the quota — the paper's chosen criterion."""
 
@@ -69,7 +69,7 @@ class HardDeadline(StoppingCriterion):
         return state.remaining_seconds <= 0.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class SoftDeadline(StoppingCriterion):
     """Check the quota only between stages (Figure 3.1 as written)."""
 
@@ -79,7 +79,7 @@ class SoftDeadline(StoppingCriterion):
         return state.remaining_seconds <= 0.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class ErrorConstrained(StoppingCriterion):
     """Stop at a target precision or when improvement stalls.
 
@@ -124,7 +124,7 @@ class ErrorConstrained(StoppingCriterion):
         return False
 
 
-@dataclass
+@dataclass(frozen=True)
 class ValueFunction(StoppingCriterion):
     """Soft deadline via a completion-time value function (Section 3.2).
 
@@ -148,7 +148,6 @@ class ValueFunction(StoppingCriterion):
     value: "Callable[[float], float]" = None  # type: ignore[assignment]
     confidence: float = 0.95
     hard: bool = field(default=False, init=False)
-    _last_stage_seconds: float = field(default=0.0, repr=False)
 
     def __post_init__(self) -> None:
         if self.value is None:
@@ -156,21 +155,16 @@ class ValueFunction(StoppingCriterion):
         if not 0 < self.confidence < 1:
             raise TimeControlError("confidence must be in (0,1)")
 
-    def note_stage_duration(self, seconds: float) -> None:
-        """The executor reports each completed stage's duration here."""
-        if seconds > 0:
-            self._last_stage_seconds = seconds
-
     def should_stop(self, state: StopState) -> bool:
         est = state.estimate
         if est is None:
             return False
         if est.exact:
             return True
-        elapsed = max(getattr(state, "elapsed_seconds", 0.0), 1e-9)
+        elapsed = max(state.elapsed_seconds, 1e-9)
         halfwidth = min(est.relative_error_bound(self.confidence), 1.0)
         utility_now = max(self.value(elapsed), 0.0) * (1.0 - halfwidth)
-        step = self._last_stage_seconds or elapsed
+        step = state.last_stage_seconds or elapsed
         projected_time = elapsed + step
         shrink = (elapsed / projected_time) ** 0.5
         utility_next = max(self.value(projected_time), 0.0) * (
@@ -179,24 +173,23 @@ class ValueFunction(StoppingCriterion):
         return utility_next <= utility_now
 
 
-@dataclass
+@dataclass(frozen=True)
 class AnyOf(StoppingCriterion):
     """Stop when any sub-criterion fires; hard if any sub-criterion is."""
 
-    criteria: tuple[StoppingCriterion, ...]
+    criteria: Sequence[StoppingCriterion]
 
-    def __init__(self, criteria: Sequence[StoppingCriterion]) -> None:
-        if not criteria:
+    def __post_init__(self) -> None:
+        if not self.criteria:
             raise TimeControlError("AnyOf needs at least one criterion")
-        self.criteria = tuple(criteria)
-        self.hard = any(c.hard for c in self.criteria)
+        object.__setattr__(self, "criteria", tuple(self.criteria))
+
+    @property
+    def hard(self) -> bool:
+        return any(c.hard for c in self.criteria)
 
     def should_stop(self, state: StopState) -> bool:
         return any(c.should_stop(state) for c in self.criteria)
-
-    def note_stage_duration(self, seconds: float) -> None:
-        for criterion in self.criteria:
-            criterion.note_stage_duration(seconds)
 
     def describe(self) -> str:
         return " | ".join(c.describe() for c in self.criteria)

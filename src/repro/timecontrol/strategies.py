@@ -26,8 +26,8 @@ should stage i take, given the time left?* The paper compares three:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -39,19 +39,26 @@ from repro.estimation.selectivity import SelectivityTracker
 from repro.observability.trace import FractionChosen
 from repro.timecontrol.sample_size import determine_stage_size
 
+if TYPE_CHECKING:
+    from repro.timecontrol.executor import StageReport
+
+Stages = Sequence["StageReport"]
+"""A run's stages so far, oldest first: all a strategy knows of the run."""
+
 
 class TimeControlStrategy:
-    """Base class: choose the next stage's sample fraction."""
+    """Base class: choose the next stage's sample fraction.
+
+    A strategy is an immutable value that reads the run's history from the
+    run (:data:`Stages`), so one instance serves any number of runs.
+    """
 
     def choose_fraction(
-        self, plan: StagedPlan, remaining_seconds: float, stage: int
+        self, plan: StagedPlan, remaining_seconds: float, stages: Stages
     ) -> float | None:
-        """Fraction for stage ``stage``; ``None`` = no feasible stage."""
+        """Fraction for the stage after ``stages`` (the run's stages so
+        far); ``None`` = no feasible stage."""
         raise NotImplementedError
-
-    def note_stage(self, seconds: float, blocks: int) -> None:
-        """One executed stage's charged seconds and blocks read; strategies
-        that size stages from measured throughput override this."""
 
     def describe(self) -> str:
         return type(self).__name__
@@ -67,7 +74,7 @@ class TimeControlStrategy:
         self,
         plan: StagedPlan,
         remaining_seconds: float,
-        stage: int,
+        stages: Stages,
         cost: Callable[[float], float],
     ) -> float | None:
         """Figure 3.4 over whole stage sizes; returns ``f = k / D_max``.
@@ -86,19 +93,19 @@ class TimeControlStrategy:
             self.epsilon_ratio,
         )
         fraction = None if size is None else size / unit
-        return self._trace_choice(plan, stage, fraction, budget, iterations)
+        return self._trace_choice(plan, stages, fraction, budget, iterations)
 
     @staticmethod
     def _trace_choice(
         plan: StagedPlan,
-        stage: int,
+        stages: Stages,
         fraction: float | None,
         budget: float,
         iterations: int = 0,
     ) -> float | None:
         plan.sink.emit(
             FractionChosen(
-                stage=stage,
+                stage=len(stages) + 1,
                 fraction=fraction,
                 budget_seconds=budget,
                 bisection_iterations=iterations,
@@ -107,7 +114,7 @@ class TimeControlStrategy:
         return fraction
 
 
-@dataclass
+@dataclass(frozen=True)
 class OneAtATimeInterval(TimeControlStrategy):
     """Per-operator risk control via ``sel⁺`` (the prototype's strategy).
 
@@ -134,28 +141,24 @@ class OneAtATimeInterval(TimeControlStrategy):
         )
 
     def choose_fraction(
-        self, plan: StagedPlan, remaining_seconds: float, stage: int
+        self, plan: StagedPlan, remaining_seconds: float, stages: Stages
     ) -> float | None:
         curve = plan.stage_curve(self.sel_provider())
-        return self._bisect(plan, remaining_seconds, stage, curve)
+        return self._bisect(plan, remaining_seconds, stages, curve)
 
     def describe(self) -> str:
         return f"OneAtATimeInterval(d_beta={self.d_beta})"
 
 
-def default_strategy() -> TimeControlStrategy:
-    """The strategy a run gets when none is given: the prototype's d_β = 24.
-
-    A factory, not a constant — strategies carry per-run state.
-    """
-    return OneAtATimeInterval(d_beta=24.0)
+DEFAULT_STRATEGY: TimeControlStrategy = OneAtATimeInterval(d_beta=24.0)
+"""The strategy a run gets when none is given: the prototype's d_β = 24."""
 
 
 #: Selectivity bump of :class:`SingleInterval`'s numerical QCOST gradient.
 GRADIENT_STEP = 1e-4
 
 
-@dataclass
+@dataclass(frozen=True)
 class SingleInterval(TimeControlStrategy):
     """Whole-query risk control: ``T_i = μ_t + d_α·sqrt(Var(t_i))``.
 
@@ -241,17 +244,17 @@ class SingleInterval(TimeControlStrategy):
         return cost
 
     def choose_fraction(
-        self, plan: StagedPlan, remaining_seconds: float, stage: int
+        self, plan: StagedPlan, remaining_seconds: float, stages: Stages
     ) -> float | None:
         return self._bisect(
-            plan, remaining_seconds, stage, self._margin_curve(plan)
+            plan, remaining_seconds, stages, self._margin_curve(plan)
         )
 
     def describe(self) -> str:
         return f"SingleInterval(d_alpha={self.d_alpha})"
 
 
-@dataclass
+@dataclass(frozen=True)
 class FixedFractionHeuristic(TimeControlStrategy):
     """Spend share γ of the remaining quota per stage (the heuristic).
 
@@ -263,7 +266,6 @@ class FixedFractionHeuristic(TimeControlStrategy):
 
     gamma: float = 0.5
     probe_fraction: float = 0.01
-    _seconds_per_block: float | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if not 0 < self.gamma <= 1:
@@ -271,34 +273,23 @@ class FixedFractionHeuristic(TimeControlStrategy):
         if not 0 < self.probe_fraction <= 1:
             raise TimeControlError("probe_fraction must be in (0,1]")
 
-    def note_stage(self, seconds: float, blocks: int) -> None:
-        """Feed back one executed stage (the executor calls this)."""
-        if blocks <= 0 or seconds <= 0:
-            return
-        total_blocks = blocks if self._seconds_per_block is None else None
-        if total_blocks is not None:
-            self._seconds_per_block = seconds / blocks
-        else:
-            # Exponentially smoothed update favouring recent stages.
-            self._seconds_per_block = (
-                0.5 * self._seconds_per_block + 0.5 * seconds / blocks
-            )
-
     def choose_fraction(
-        self, plan: StagedPlan, remaining_seconds: float, stage: int
+        self, plan: StagedPlan, remaining_seconds: float, stages: Stages
     ) -> float | None:
-        fraction = self._choose(plan, remaining_seconds)
-        return self._trace_choice(plan, stage, fraction, remaining_seconds)
+        fraction = self._choose(plan, remaining_seconds, seconds_per_block(stages))
+        return self._trace_choice(plan, stages, fraction, remaining_seconds)
 
-    def _choose(self, plan: StagedPlan, remaining_seconds: float) -> float | None:
+    def _choose(
+        self, plan: StagedPlan, remaining_seconds: float, per_block: float | None
+    ) -> float | None:
         min_f = plan.min_feasible_fraction()
         max_f = plan.max_remaining_fraction()
         if min_f <= 0 or max_f <= 0:
             return None
-        if self._seconds_per_block is None:
+        if per_block is None:
             return min(max(self.probe_fraction, min_f), max_f)
         target = self.gamma * remaining_seconds
-        blocks_affordable = target / self._seconds_per_block
+        blocks_affordable = target / per_block
         total_blocks = sum(s.relation.block_count for s in plan.scans)
         if total_blocks == 0:
             return None
@@ -306,10 +297,25 @@ class FixedFractionHeuristic(TimeControlStrategy):
         if f < min_f:
             # Cannot afford even one block at the target share — but if the
             # *whole* remaining time affords the minimum stage, take it.
-            if remaining_seconds / self._seconds_per_block >= 1.0:
+            if remaining_seconds / per_block >= 1.0:
                 return min_f
             return None
         return min(f, max_f)
 
     def describe(self) -> str:
         return f"FixedFractionHeuristic(gamma={self.gamma})"
+
+
+def seconds_per_block(stages: Stages) -> float | None:
+    """Charged seconds per block read over ``stages``, smoothed towards the
+    recent ones; ``None`` until a stage has read a block in positive time."""
+    per_block = None
+    for stage in stages:
+        seconds, blocks = stage.duration, stage.blocks_read
+        if blocks <= 0 or seconds <= 0:
+            continue
+        if per_block is None:
+            per_block = seconds / blocks
+        else:
+            per_block = 0.5 * per_block + 0.5 * seconds / blocks
+    return per_block

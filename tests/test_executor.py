@@ -11,6 +11,7 @@ from repro.errors import TimeControlError
 from repro.relational.evaluator import count_exact
 from repro.relational.expression import join, rel, select
 from repro.relational.predicate import cmp
+from repro.timecontrol import executor as executor_module
 from repro.timecontrol.executor import TimeConstrainedExecutor
 from repro.timecontrol.stopping import (
     ErrorConstrained,
@@ -229,11 +230,12 @@ class TestStoppingIntegration:
         if report.termination == "stopping_criterion":
             assert report.estimate.relative_error_bound(0.95) <= 0.8
 
-    def test_max_stages_cap(self, catalog):
+    def test_max_stages_cap(self, catalog, monkeypatch):
+        monkeypatch.setattr(executor_module, "MAX_STAGES", 2)
         executor = build_executor(catalog, rel("r1"), noise=0.0)
-        executor.max_stages = 2
-        report = executor.run(quota=1e9)
+        report = executor.run(quota=2.0)  # affords more than two stages
         assert len(report.stages) <= 2
+        assert report.termination == "max_stages"
 
     def test_estimate_history_is_the_reports_stage_estimates(self, catalog):
         class Recording(StoppingCriterion):

@@ -35,7 +35,7 @@ class TestRunnerAggregation:
     def test_aggregate_columns(self):
         setup = make_selection_setup(output_tuples=100, tuples=1_000, seed=1)
         results = run_cell(
-            setup, lambda: OneAtATimeInterval(d_beta=12.0), runs=5, seed0=1
+            setup, OneAtATimeInterval(d_beta=12.0), runs=5, seed0=1
         )
         cell = aggregate("x", results, true_count=setup.exact_count)
         assert cell.runs == 5
@@ -66,7 +66,7 @@ class TestRunCell:
     def test_serial_failure_names_the_seed(self, setup):
         with pytest.raises(CellRunError) as err:
             run_cell(
-                setup, lambda: ExplodingStrategy(d_beta=24.0), 3, seed0=self.SEED0
+                setup, ExplodingStrategy(d_beta=24.0), 3, seed0=self.SEED0
             )
         assert err.value.seed == self.SEED0
         assert f"seed {self.SEED0}" in str(err.value)
@@ -79,7 +79,7 @@ class TestRunCell:
         sink = RecordingSink()
         results = run_cell(
             setup,
-            lambda: OneAtATimeInterval(d_beta=24.0),
+            OneAtATimeInterval(d_beta=24.0),
             2,
             seed0=self.SEED0,
             sink=sink,

@@ -22,6 +22,7 @@ from repro.server.workload import demo_database
 from repro.timecontrol.strategies import FixedFractionHeuristic
 
 SEED = 77
+STRATEGY = FixedFractionHeuristic(gamma=0.25)
 
 # Three operators: two selections under a join (ISSUE's 3-operator plan).
 JOIN_EXPR = (
@@ -40,12 +41,11 @@ def db():
 
 
 def run(db, expr, quota, fault_plan=None, sink=None, **kwargs):
-    # FixedFractionHeuristic is stateful: a fresh instance per run.
     return db.estimate(
         expr,
         quota=quota,
         seed=SEED,
-        strategy=FixedFractionHeuristic(gamma=0.25),
+        strategy=STRATEGY,
         fault_plan=fault_plan,
         sink=sink,
         **kwargs,

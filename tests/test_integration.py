@@ -22,7 +22,7 @@ from repro.workloads.paper import (
 )
 
 
-def batch(setup, strategy_factory, runs=25, quota=None, **kwargs):
+def batch(setup, strategy, runs=25, quota=None, **kwargs):
     kwargs.setdefault("initial_selectivities", setup.initial_selectivities)
     results = []
     for i in range(runs):
@@ -30,7 +30,7 @@ def batch(setup, strategy_factory, runs=25, quota=None, **kwargs):
             setup.database.estimate(
                 setup.query,
                 quota=quota or setup.quota,
-                strategy=strategy_factory(),
+                strategy=strategy,
                 seed=5000 + i,
                 **kwargs,
             )
@@ -48,9 +48,7 @@ class TestRiskControl:
         """The headline claim of Figure 5.1: larger d_β, lower risk."""
         risk = {}
         for d_beta in (0.0, 48.0):
-            results = batch(
-                selection_setup, lambda d=d_beta: OneAtATimeInterval(d_beta=d)
-            )
+            results = batch(selection_setup, OneAtATimeInterval(d_beta=d_beta))
             risk[d_beta] = sum(r.overspent for r in results) / len(results)
         assert risk[48.0] < risk[0.0]
         assert risk[0.0] > 0.2  # d_β = 0 gambles roughly even odds
@@ -58,16 +56,14 @@ class TestRiskControl:
     def test_stages_increase_with_d_beta(self, selection_setup):
         stages = {}
         for d_beta in (0.0, 48.0):
-            results = batch(
-                selection_setup, lambda d=d_beta: OneAtATimeInterval(d_beta=d)
-            )
+            results = batch(selection_setup, OneAtATimeInterval(d_beta=d_beta))
             stages[d_beta] = sum(r.stages for r in results) / len(results)
         assert stages[48.0] > stages[0.0]
 
     def test_overspend_is_small_when_it_happens(self, selection_setup):
         """Adaptive formulas keep ovsp well under the quota (paper: ~0.1 s
         of a 10 s quota)."""
-        results = batch(selection_setup, lambda: OneAtATimeInterval(d_beta=0.0))
+        results = batch(selection_setup, OneAtATimeInterval(d_beta=0.0))
         overspends = [r.overspend_seconds for r in results if r.overspent]
         assert overspends, "expected some overspending at d_beta=0"
         assert np.mean(overspends) < 0.10 * selection_setup.quota
@@ -76,7 +72,7 @@ class TestRiskControl:
 
 class TestEstimateQuality:
     def test_selection_estimate_close(self, selection_setup):
-        results = batch(selection_setup, lambda: OneAtATimeInterval(d_beta=24.0))
+        results = batch(selection_setup, OneAtATimeInterval(d_beta=24.0))
         errors = [
             r.relative_error(selection_setup.exact_count)
             for r in results
@@ -86,7 +82,7 @@ class TestEstimateQuality:
 
     def test_join_estimate_close(self):
         setup = make_join_setup(seed=3)
-        results = batch(setup, lambda: OneAtATimeInterval(d_beta=24.0), runs=15)
+        results = batch(setup, OneAtATimeInterval(d_beta=24.0), runs=15)
         errors = [
             r.relative_error(setup.exact_count)
             for r in results
@@ -99,7 +95,7 @@ class TestEstimateQuality:
         mean_error = {}
         for quota in (2.0, 20.0):
             results = batch(
-                setup, lambda: OneAtATimeInterval(d_beta=24.0),
+                setup, OneAtATimeInterval(d_beta=24.0),
                 runs=20, quota=quota,
             )
             errs = [
@@ -111,7 +107,7 @@ class TestEstimateQuality:
         assert mean_error[20.0] < mean_error[2.0]
 
     def test_ci_covers_truth_reasonably_often(self, selection_setup):
-        results = batch(selection_setup, lambda: OneAtATimeInterval(d_beta=24.0))
+        results = batch(selection_setup, OneAtATimeInterval(d_beta=24.0))
         covered = 0
         usable = 0
         for r in results:
@@ -128,16 +124,16 @@ class TestEstimateQuality:
 class TestStrategiesEndToEnd:
     def test_single_interval_controls_risk(self):
         setup = make_selection_setup(output_tuples=1_000, seed=5)
-        risky = batch(setup, lambda: SingleInterval(d_alpha=0.0), runs=15)
-        safe = batch(setup, lambda: SingleInterval(d_alpha=4.0), runs=15)
+        risky = batch(setup, SingleInterval(d_alpha=0.0), runs=15)
+        safe = batch(setup, SingleInterval(d_alpha=4.0), runs=15)
         risk_risky = sum(r.overspent for r in risky)
         risk_safe = sum(r.overspent for r in safe)
         assert risk_safe <= risk_risky
 
     def test_heuristic_is_usable_but_less_efficient(self):
         setup = make_selection_setup(output_tuples=1_000, seed=6)
-        stat = batch(setup, lambda: OneAtATimeInterval(d_beta=24.0), runs=10)
-        heur = batch(setup, lambda: FixedFractionHeuristic(gamma=0.5), runs=10)
+        stat = batch(setup, OneAtATimeInterval(d_beta=24.0), runs=10)
+        heur = batch(setup, FixedFractionHeuristic(gamma=0.5), runs=10)
         assert all(r.estimate is not None for r in heur)
         blocks_stat = np.mean([r.blocks for r in stat])
         blocks_heur = np.mean([r.blocks for r in heur])
@@ -151,7 +147,7 @@ class TestIntersectionPhenomena:
         """Section 5.B: at large d_β the time left is not enough for a
         further full-fulfillment stage."""
         setup = make_intersection_setup(seed=3)
-        results = batch(setup, lambda: OneAtATimeInterval(d_beta=72.0), runs=10)
+        results = batch(setup, OneAtATimeInterval(d_beta=72.0), runs=10)
         assert all(not r.overspent for r in results)
         mean_stages = np.mean([r.stages for r in results])
         assert mean_stages < 2.5
@@ -162,11 +158,11 @@ class TestIntersectionPhenomena:
         keep going when full fulfillment stops."""
         setup = make_intersection_setup(seed=3)
         full = batch(
-            setup, lambda: OneAtATimeInterval(d_beta=72.0), runs=10,
+            setup, OneAtATimeInterval(d_beta=72.0), runs=10,
             full_fulfillment=True,
         )
         partial = batch(
-            setup, lambda: OneAtATimeInterval(d_beta=72.0), runs=10,
+            setup, OneAtATimeInterval(d_beta=72.0), runs=10,
             full_fulfillment=False,
         )
         assert np.mean([r.stages for r in partial]) >= np.mean(

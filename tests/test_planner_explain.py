@@ -26,7 +26,7 @@ from repro.relational.predicate import cmp
 from repro.server import QueryServer
 from repro.server.admission import minimum_stage_cost
 from repro.timecontrol.executor import TimeConstrainedExecutor
-from repro.timecontrol.strategies import default_strategy
+from repro.timecontrol.strategies import DEFAULT_STRATEGY
 
 
 @pytest.fixture(autouse=True)
@@ -126,7 +126,7 @@ def as_written_session(db, expr, quota, seed):
     plan = StagedPlan(
         expr, db.catalog, db._make_charger(rng), db.default_cost_model(), rng
     )
-    executor = TimeConstrainedExecutor(plan, default_strategy())
+    executor = TimeConstrainedExecutor(plan, DEFAULT_STRATEGY)
     return QuerySession(expr, quota, plan, executor)
 
 
@@ -228,8 +228,8 @@ def test_optimize_is_refused_everywhere():
         QueryOptions(optimize=False)
     with pytest.raises(ReproError, match="unknown query option.*optimize"):
         db.open_session(pushable(), quota=5.0, optimize=False)
-    with pytest.raises(ValueError, match="unknown query option 'optimize'"):
-        QueryServer(db, session_kwargs={"optimize": False})
+    with pytest.raises(TypeError, match="optimize"):
+        QueryServer(db, optimize=False)
 
 
 def test_optimized_run_estimates_the_same_query():

@@ -16,6 +16,7 @@ import random
 
 import pytest
 
+from repro.core.options import QueryOptions
 from repro.errors import ReproError
 from repro.faults.plan import FaultPlan
 from repro.observability import RecordingSink
@@ -390,7 +391,7 @@ def serve_mixed_stream(preempt: bool) -> QueryServer:
         demo_database(seed=STREAM_DB_SEED, tuples=TUPLES),
         policy=AdmitAll(),
         preempt=preempt,
-        strategy_factory=lambda: FixedFractionHeuristic(),
+        options=QueryOptions(strategy=FixedFractionHeuristic()),
     )
     server.process(mixed_deadline_stream())
     return server

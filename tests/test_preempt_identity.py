@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.options import QueryOptions
 from repro.faults.plan import FaultPlan
 from repro.observability import RecordingSink
 from repro.relational.expression import intersect, rel, select
@@ -160,7 +161,7 @@ def run_server(preempt, fault_plan):
         policy=AdmitAll(),
         sink=sink,
         preempt=preempt,
-        session_kwargs={"fault_plan": fault_plan},
+        options=QueryOptions(fault_plan=fault_plan),
     )
     requests = [
         QueryRequest(

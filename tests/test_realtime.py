@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.database import Database
+from repro.core.options import QueryOptions
 from repro.errors import TimeControlError
 from repro.estimation.aggregates import sum_of
 from repro.faults import FaultPlan
@@ -108,7 +109,9 @@ class TestScheduler:
         scheduler = TransactionScheduler(
             db,
             allocator=FeedbackAllocator(),
-            stopping=ErrorConstrained(target_relative_halfwidth=0.5),
+            options=QueryOptions(
+                stopping=ErrorConstrained(target_relative_halfwidth=0.5)
+            ),
         )
         outcome = scheduler.run(tasks, deadline=10.0, seed=3)
         assert outcome.completed_queries == 2
@@ -173,7 +176,9 @@ class TestScheduler:
                 scheduler = TransactionScheduler(
                     db,
                     allocator=allocator_factory(),
-                    stopping=ErrorConstrained(target_relative_halfwidth=0.4),
+                    options=QueryOptions(
+                        stopping=ErrorConstrained(target_relative_halfwidth=0.4)
+                    ),
                 )
                 outcome = scheduler.run(three_tasks(), deadline=6.0, seed=seed)
                 misses += not outcome.met_deadline

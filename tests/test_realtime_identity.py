@@ -28,6 +28,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.options import QueryOptions
 from repro.faults import FaultPlan
 from repro.realtime import (
     FeedbackAllocator,
@@ -85,8 +86,10 @@ def _scheduler_case(deadline, allocator, stop, min_quota, write, faults):
         scheduler = TransactionScheduler(
             db,
             allocator=ALLOCATORS[allocator](),
-            stopping=(
-                ErrorConstrained(target_relative_halfwidth=0.3) if stop else None
+            options=QueryOptions(
+                stopping=(
+                    ErrorConstrained(target_relative_halfwidth=0.3) if stop else None
+                )
             ),
             min_query_quota=min_quota,
         )
@@ -101,14 +104,10 @@ def _scheduler_case(deadline, allocator, stop, min_quota, write, faults):
 def _server_case(deadline, allocator, policy, seeded, write, faults):
     def run() -> dict:
         db = demo_database(seed=17, tuples=TUPLES)
-        session_kwargs = {}
-        if faults:
-            session_kwargs["fault_plan"] = FaultPlan(
-                read_error_prob=0.05, seed_salt=3
-            )
-        server = QueryServer(
-            db, policy=POLICIES[policy](), session_kwargs=session_kwargs
+        options = QueryOptions(
+            fault_plan=FaultPlan(read_error_prob=0.05, seed_salt=3) if faults else None
         )
+        server = QueryServer(db, policy=POLICIES[policy](), options=options)
         outcome = run_transaction(
             server,
             tasks(write),

@@ -8,6 +8,7 @@ from repro.core.database import Database
 from repro.experiments.runner import aggregate, run_cell
 from repro.relational.expression import rel, select
 from repro.relational.predicate import cmp
+from repro.timecontrol import executor as executor_module
 from repro.timecontrol.strategies import OneAtATimeInterval
 from repro.timekeeping.profile import MachineProfile
 from repro.workloads.paper import make_selection_setup
@@ -52,11 +53,12 @@ class TestQueryResultSurfaces:
 
 
 class TestDatabaseKnobs:
-    def test_max_stages_respected(self, db):
-        result = db.estimate(
-            rel("r1"), quota=1e9, seed=1, max_stages=2
-        )
+    def test_max_stages_respected(self, db, monkeypatch):
+        monkeypatch.setattr(executor_module, "MAX_STAGES", 2)
+        # A quota that affords more than two stages.
+        result = db.estimate(rel("r1"), quota=2.0, seed=1)
         assert result.stages_attempted <= 2
+        assert result.termination == "max_stages"
 
     def test_custom_step_specs_accepted(self, db):
         from repro.costmodel.model import CostModel
@@ -100,7 +102,7 @@ class TestRunnerEdges:
     def test_aggregate_without_truth_has_no_error_column(self):
         setup = make_selection_setup(output_tuples=100, tuples=1_000, seed=1)
         results = run_cell(
-            setup, lambda: OneAtATimeInterval(d_beta=12.0), runs=3, seed0=1
+            setup, OneAtATimeInterval(d_beta=12.0), runs=3, seed0=1
         )
         cell = aggregate("x", results, true_count=None)
         assert cell.mean_relative_error is None
@@ -111,7 +113,7 @@ class TestRunnerEdges:
 
         setup = make_join_setup(tuples=700, seed=1)
         results = run_cell(
-            setup, lambda: OneAtATimeInterval(d_beta=12.0), runs=2, seed0=5
+            setup, OneAtATimeInterval(d_beta=12.0), runs=2, seed0=5
         )
         assert len(results) == 2
 
@@ -119,7 +121,7 @@ class TestRunnerEdges:
         setup = make_selection_setup(output_tuples=100, tuples=1_000, seed=1)
         results = run_cell(
             setup,
-            lambda: OneAtATimeInterval(d_beta=12.0),
+            OneAtATimeInterval(d_beta=12.0),
             runs=2,
             seed0=5,
             full_fulfillment=False,

@@ -294,7 +294,7 @@ class TestPricingPlan:
             demo_database(seed=11, tuples=TUPLES),
             policy=DegradeInfeasible(),
             sink=sink,
-            session_kwargs={"fault_plan": lethal},
+            options=QueryOptions(fault_plan=lethal),
             max_fault_retries=1,
         )
         outcomes = server.process(

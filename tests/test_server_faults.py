@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.options import QueryOptions
+from repro.errors import ReproError
 from repro.faults.plan import FaultPlan
 from repro.observability import RecordingSink
 from repro.relational.expression import intersect, rel, select
@@ -55,7 +57,7 @@ def make_server(preempt):
             db,
             policy=AdmitAll(),
             sink=sink,
-            session_kwargs={"fault_plan": plan},
+            options=QueryOptions(fault_plan=plan),
             preempt=preempt,
             **kw,
         )
@@ -114,9 +116,14 @@ class TestRetry:
     @pytest.mark.parametrize("value", [None, "off", "0", 1])
     def test_non_bool_switch_rejected(self, db, switch, value):
         # "off" / "0" are truthy strings: taken at face value they would
-        # turn the behaviour *on*.
-        with pytest.raises(ValueError, match=switch):
-            QueryServer(db, **{switch: value})
+        # turn the behaviour *on*. A server's ``synopses`` is its options
+        # bundle's, refused when the bundle is built.
+        if switch == "synopses":
+            with pytest.raises(ReproError, match=switch):
+                QueryServer(db, options=QueryOptions(synopses=value))
+        else:
+            with pytest.raises(ValueError, match=switch):
+                QueryServer(db, preempt=value)
 
 
 class TestDegradedFallback:

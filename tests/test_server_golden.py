@@ -28,6 +28,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.options import QueryOptions
 from repro.errors import StorageError
 from repro.estimation.aggregates import AggregateSpec
 from repro.faults.plan import FaultPlan
@@ -122,18 +123,18 @@ class Recording:
         self.sink = JsonlSink(self._events)
         self.returned: list[RequestOutcome] = []
 
-    def server(self, db, policy, preempt: bool, fault_plan=None, **kwargs):
+    def server(
+        self, db, policy, preempt: bool, fault_plan=None, strategy=None, **kwargs
+    ):
         """A server with every behavioural switch spelled out at the value
         the streams were recorded under."""
-        session_kwargs = {}
-        if fault_plan is not None:
-            session_kwargs["fault_plan"] = fault_plan
         return QueryServer(
             db,
             policy=policy,
+            options=QueryOptions(
+                strategy=strategy, fault_plan=fault_plan, synopses=False
+            ),
             sink=self.sink,
-            session_kwargs=session_kwargs,
-            synopses=False,
             preempt=preempt,
             **kwargs,
         )
@@ -318,7 +319,7 @@ def stream_preempt() -> str:
         preempt=True,
         # Spending a fixed share of what is left per stage gives every run
         # several stage boundaries — the only points a run can park at.
-        strategy_factory=lambda: FixedFractionHeuristic(gamma=0.3),
+        strategy=FixedFractionHeuristic(gamma=0.3),
         trace_queries=True,
     )
     requests = []

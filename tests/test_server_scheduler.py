@@ -12,6 +12,9 @@ from __future__ import annotations
 import pytest
 
 from repro.core.database import Database
+from repro.core.options import QueryOptions
+from repro.costmodel.model import CostModel
+from repro.errors import ReproError
 from repro.observability import RecordingSink
 from repro.relational.expression import rel, select
 from repro.relational.predicate import cmp
@@ -25,6 +28,9 @@ from repro.server.workload import (
     run_closed_loop,
     selection_mix,
 )
+from repro.timecontrol.stopping import HardDeadline
+from repro.timecontrol.strategies import FixedFractionHeuristic
+from repro.timekeeping.clock import SimulatedClock
 
 TUPLES = 1_000
 
@@ -260,47 +266,60 @@ class TestSharedState:
 
 
 class TestSessionKwargsValidation:
-    """``session_kwargs`` is checked once, at construction. (Regression: a
-    server-owned or misspelt key constructed fine, then every request came
-    back ``REJECTED "query cannot be planned: … got multiple values for
-    keyword argument 'clock'"`` — or, for ``sink``, collided at dispatch
-    and turned every admitted request into ``MISSED``.)"""
+    """A server's ``options`` are checked once, at construction.
+    (Regression: a server-owned or misspelt key constructed fine, then
+    every request came back ``REJECTED "query cannot be planned: … got
+    multiple values for keyword argument 'clock'"`` — or, for ``sink``,
+    collided at dispatch and turned every admitted request into
+    ``MISSED``.)"""
 
     @pytest.mark.parametrize(
-        "name",
-        ["clock", "seed", "cost_model", "strategy", "stopping",
-         "measure_overspend", "aggregate", "synopses"],
+        "name, value",
+        [
+            ("clock", SimulatedClock()),
+            ("cost_model", CostModel()),
+            ("stopping", HardDeadline()),
+            ("measure_overspend", False),
+        ],
     )
-    def test_names_the_server_sets_at_admission_are_refused(self, db, name):
+    def test_names_the_server_sets_at_admission_are_refused(self, db, name, value):
         with pytest.raises(ValueError, match=f"'{name}'.*server sets"):
-            QueryServer(db, session_kwargs={name: None})
+            QueryServer(db, options=QueryOptions(**{name: value}))
 
     def test_the_dispatch_only_sink_is_refused_too(self, db):
         # ``sink`` never reached the admission probe, so it used to pass
         # admission and blow up only when the request was dispatched.
         with pytest.raises(ValueError, match="'sink'.*server sets"):
-            QueryServer(db, session_kwargs={"sink": RecordingSink()})
+            QueryServer(db, options=QueryOptions(sink=RecordingSink()))
 
     @pytest.mark.parametrize(
         "name",
         ["fault_plans", "buffer_pool", "bufferpool", "quota", "partitions",
-         "block_size", "step_specs", "optimize"],
+         "block_size", "step_specs", "optimize", "max_stages",
+         "session_kwargs", "strategy_factory"],
     )
     def test_unknown_or_misspelt_options_are_refused(self, db, name):
-        with pytest.raises(ValueError, match=f"unknown query option '{name}'"):
-            QueryServer(db, session_kwargs={name: None})
+        # Options live in the bundle, which names what it does not know.
+        with pytest.raises(TypeError, match=name):
+            QueryServer(db, **{name: None})
+        with pytest.raises(ReproError, match=f"unknown query option.*{name}"):
+            QueryOptions().replace(**{name: None})
 
     def test_real_query_options_still_flow_into_every_session(self, db):
         from repro.faults.plan import FaultPlan
 
+        sink = RecordingSink()
         server = QueryServer(
             db,
-            session_kwargs={
-                "fault_plan": FaultPlan(),
-                "full_fulfillment": True,
-                "max_stages": 8,
-            },
+            options=QueryOptions(
+                strategy=FixedFractionHeuristic(gamma=0.3),
+                fault_plan=FaultPlan(),
+                full_fulfillment=True,
+            ),
+            sink=sink,
+            trace_queries=True,
         )
         outcome = server.serve(request(quota=2.0, seed=1))
         assert outcome.outcome is Outcome.ANSWERED
-        assert len(outcome.result.report.stages) <= 8
+        (start,) = sink.of_kind("query_start")
+        assert start.strategy == "FixedFractionHeuristic(gamma=0.3)"

@@ -26,6 +26,7 @@ from hypothesis.stateful import (
     rule,
 )
 
+from repro.core.options import QueryOptions
 from repro.errors import ReproError
 from repro.faults.plan import FaultPlan
 from repro.observability import RecordingSink
@@ -81,12 +82,12 @@ class ServerLifecycle(RuleBasedStateMachine):
             policy=POLICIES[policy](),
             # Spending a fixed share of the remaining budget per stage gives
             # runs many stage boundaries — the points preemption acts at.
-            strategy_factory=(
-                (lambda: FixedFractionHeuristic(gamma=0.3)) if many_stages else None
+            options=QueryOptions(
+                strategy=FixedFractionHeuristic(gamma=0.3) if many_stages else None,
+                synopses=synopses,
             ),
             sink=self.sink,
             max_fault_retries=2,
-            synopses=synopses,
             preempt=preempt,
         )
         self.submitted: list[str] = []
@@ -141,7 +142,9 @@ class ServerLifecycle(RuleBasedStateMachine):
 
     @rule(armed=st.booleans())
     def flip_faults(self, armed):
-        self.server.session_kwargs["fault_plan"] = ARMED if armed else FaultPlan()
+        self.server.options = self.server.options.replace(
+            fault_plan=ARMED if armed else FaultPlan()
+        )
 
     # -- invariants (checked after every rule) ------------------------------
     def events(self, kind):

@@ -28,6 +28,7 @@ import gc
 import json
 import math
 import weakref
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import pytest
@@ -69,19 +70,19 @@ def price_single_interval(plan, fraction: float) -> float:
     return SingleInterval(d_alpha=2.0)._stage_cost_with_margin(plan, fraction)
 
 
+@dataclass(frozen=True)
 class _Recording:
-    """Records the prices around each ``choose_fraction`` call."""
+    """Records the prices around each ``choose_fraction`` call in ``log``,
+    a list beside the strategy's frozen parameters."""
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        self.stages: list[dict] = []
+    log: list[dict] = field(default_factory=list, compare=False, repr=False)
 
-    def choose_fraction(self, plan, remaining_seconds, stage):
+    def choose_fraction(self, plan, remaining_seconds, stages):
         unit = plan.max_block_count
         sizes = grid(plan.max_stage_size())
         costs = predicted_stage_costs(plan)
         entry = {
-            "stage": stage,
+            "stage": len(stages) + 1,
             "sizes": sizes,
             "one_at_a_time": [price_one_at_a_time(plan, k / unit) for k in sizes],
             "single_interval": [
@@ -95,16 +96,18 @@ class _Recording:
             },
             "budget": self._budget(plan, remaining_seconds),
         }
-        fraction = super().choose_fraction(plan, remaining_seconds, stage)
+        fraction = super().choose_fraction(plan, remaining_seconds, stages)
         entry["chosen"] = None if fraction is None else round(fraction * unit)
-        self.stages.append(entry)
+        self.log.append(entry)
         return fraction
 
 
+@dataclass(frozen=True)
 class RecordingOneAtATime(_Recording, OneAtATimeInterval):
     pass
 
 
+@dataclass(frozen=True)
 class RecordingSingleInterval(_Recording, SingleInterval):
     pass
 
@@ -206,7 +209,7 @@ def run(plan_name: str, quota: float, strategy_name: str) -> dict:
             result = session.resume(checkpoint=checkpoint)
     else:
         result = session.run()
-    return {"stages": strategy.stages, "termination": result.termination}
+    return {"stages": strategy.log, "termination": result.termination}
 
 
 CASES = [

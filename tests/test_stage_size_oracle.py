@@ -87,14 +87,14 @@ def allowed(sizing: Sizing) -> tuple[str, set]:
     return "largest", {under}
 
 
+@dataclass(frozen=True)
 class _Checked:
-    """Records a :class:`Sizing` per stage, pricing sizes 1 … ``k_max``."""
+    """Records a :class:`Sizing` per stage in ``sizings``, a list beside the
+    strategy's frozen parameters, pricing sizes 1 … ``k_max``."""
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        self.sizings: list[Sizing] = []
+    sizings: list[Sizing] = field(default_factory=list, compare=False, repr=False)
 
-    def choose_fraction(self, plan, remaining_seconds, stage):
+    def choose_fraction(self, plan, remaining_seconds, stages):
         unit = max(scan.relation.block_count for scan in plan.scans)
         assert plan.max_block_count == unit
         k_max = plan.max_stage_size()
@@ -106,7 +106,7 @@ class _Checked:
         price = self._price(plan)
         costs = tuple(price(k / unit) for k in range(1, k_max + 1))
         budget = self._budget(plan, remaining_seconds)
-        fraction = super().choose_fraction(plan, remaining_seconds, stage)
+        fraction = super().choose_fraction(plan, remaining_seconds, stages)
         choice = plan.sink.events[-1]
         assert choice.kind == "fraction_chosen" and choice.fraction == fraction
         chosen = None if fraction is None else round(fraction * unit)
@@ -114,7 +114,7 @@ class _Checked:
             assert fraction == chosen / unit
         self.sizings.append(
             Sizing(
-                stage,
+                len(stages) + 1,
                 costs,
                 budget,
                 self.epsilon_ratio * budget,
@@ -125,12 +125,14 @@ class _Checked:
         return fraction
 
 
+@dataclass(frozen=True)
 class CheckedOneAtATime(_Checked, OneAtATimeInterval):
     def _price(self, plan):
         provider = self.sel_provider()
         return lambda f: plan.predict_stage(f, provider)
 
 
+@dataclass(frozen=True)
 class CheckedSingleInterval(_Checked, SingleInterval):
     def _price(self, plan):
         return lambda f: self._stage_cost_with_margin(plan, f)

@@ -9,10 +9,12 @@ from repro.engine.plan import StagedPlan
 from repro.errors import TimeControlError
 from repro.relational.expression import join, rel, select
 from repro.relational.predicate import cmp
+from repro.timecontrol.executor import StageReport
 from repro.timecontrol.strategies import (
     FixedFractionHeuristic,
     OneAtATimeInterval,
     SingleInterval,
+    seconds_per_block,
 )
 from repro.timekeeping.charger import CostCharger
 from repro.timekeeping.profile import MachineProfile
@@ -43,6 +45,27 @@ def fresh_plan(catalog, expr, seed=0, noise=0.0):
     return StagedPlan(expr, catalog, charger, CostModel(), rng)
 
 
+def reports(*stages):
+    """A run's completed stages, one per ``(seconds, blocks)`` pair — what
+    ``choose_fraction`` is given (the statistical strategies read only how
+    many there are)."""
+    return [
+        StageReport(
+            index=i,
+            fraction=0.0,
+            started_at=0.0,
+            duration=seconds,
+            blocks_read=blocks,
+            new_points=0,
+            new_outputs=0,
+            completed_in_time=True,
+            aborted_mid_stage=False,
+            estimate=None,
+        )
+        for i, (seconds, blocks) in enumerate(stages, start=1)
+    ]
+
+
 class TestOneAtATimeInterval:
     def test_invalid_d_beta_rejected(self):
         with pytest.raises(TimeControlError):
@@ -57,12 +80,12 @@ class TestOneAtATimeInterval:
     def test_infeasible_budget_returns_none(self, catalog):
         plan = fresh_plan(catalog, rel("r1"))
         strategy = OneAtATimeInterval(d_beta=12.0)
-        assert strategy.choose_fraction(plan, 1e-9, 1) is None
+        assert strategy.choose_fraction(plan, 1e-9, []) is None
 
     def test_generous_budget_takes_everything(self, catalog):
         plan = fresh_plan(catalog, rel("r1"))
         strategy = OneAtATimeInterval(d_beta=12.0)
-        f = strategy.choose_fraction(plan, 1e9, 1)
+        f = strategy.choose_fraction(plan, 1e9, [])
         assert f == pytest.approx(plan.max_remaining_fraction())
 
     def test_larger_d_beta_never_larger_fraction(self, catalog):
@@ -73,7 +96,9 @@ class TestOneAtATimeInterval:
         for d_beta in (0.0, 48.0):
             plan = fresh_plan(catalog, expr, seed=1)
             plan.advance_stage(0.05)
-            f = OneAtATimeInterval(d_beta=d_beta).choose_fraction(plan, 1.2, 2)
+            f = OneAtATimeInterval(d_beta=d_beta).choose_fraction(
+                plan, 1.2, reports((1.0, 10))
+            )
             assert f is not None
             fractions[d_beta] = f
         assert fractions[48.0] <= fractions[0.0]
@@ -106,7 +131,9 @@ class TestSingleInterval:
         expr = join(rel("r1"), rel("r2"), on=["a"])
         plan = fresh_plan(catalog, expr, seed=2)
         plan.advance_stage(0.05)
-        f = SingleInterval(d_alpha=2.0).choose_fraction(plan, 2.0, 2)
+        f = SingleInterval(d_alpha=2.0).choose_fraction(
+            plan, 2.0, reports((1.0, 10))
+        )
         assert f is not None and 0 < f <= 1
 
     def test_reservation_shrinks_fraction(self, catalog):
@@ -118,7 +145,9 @@ class TestSingleInterval:
             plan = fresh_plan(catalog, expr, seed=3)
             plan.advance_stage(0.05)
             plan.advance_stage(0.05)  # two stages → covariance data exists
-            f = SingleInterval(d_alpha=d_alpha).choose_fraction(plan, 1.5, 3)
+            f = SingleInterval(d_alpha=d_alpha).choose_fraction(
+                plan, 1.5, reports((1.0, 10), (1.0, 10))
+            )
             assert f is not None
             fractions[d_alpha] = f
         assert fractions[4.0] <= fractions[0.0]
@@ -137,24 +166,27 @@ class TestFixedFractionHeuristic:
     def test_first_stage_is_probe(self, catalog):
         plan = fresh_plan(catalog, rel("r1"))
         strategy = FixedFractionHeuristic(gamma=0.5, probe_fraction=0.02)
-        f = strategy.choose_fraction(plan, 10.0, 1)
+        f = strategy.choose_fraction(plan, 10.0, [])
         assert f == pytest.approx(0.02)
 
     def test_later_stages_sized_from_measured_rate(self, catalog):
         plan = fresh_plan(catalog, rel("r1"))
         strategy = FixedFractionHeuristic(gamma=0.5)
-        strategy.note_stage(seconds=1.0, blocks=10)  # 0.1 s/block
+        stages = reports((1.0, 10))  # 0.1 s/block
         # remaining 4s → target 2s → 20 blocks of 200 total → f = 0.1
-        f = strategy.choose_fraction(plan, 4.0, 2)
+        f = strategy.choose_fraction(plan, 4.0, stages)
         assert f == pytest.approx(0.1, rel=0.01)
 
     def test_exhausted_plan_returns_none(self, catalog):
         plan = fresh_plan(catalog, rel("r1"))
         plan.advance_stage(1.0)
         strategy = FixedFractionHeuristic()
-        assert strategy.choose_fraction(plan, 10.0, 2) is None
+        assert strategy.choose_fraction(plan, 10.0, reports((1.0, 10))) is None
 
-    def test_note_stage_ignores_empty(self):
-        strategy = FixedFractionHeuristic()
-        strategy.note_stage(seconds=0.0, blocks=0)
-        assert strategy._seconds_per_block is None
+    def test_empty_stage_is_not_measured(self):
+        assert seconds_per_block(reports((0.0, 0))) is None
+        assert seconds_per_block(reports((0.0, 0), (1.0, 10))) == 0.1
+
+    def test_rate_is_smoothed_towards_recent_stages(self):
+        # 0.1 s/block, then 0.3 s/block: 0.5 · 0.1 + 0.5 · 0.3
+        assert seconds_per_block(reports((1.0, 10), (3.0, 10))) == pytest.approx(0.2)

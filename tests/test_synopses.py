@@ -461,7 +461,7 @@ class TestWriteTransactions:
 
     def test_adapter_applies_writes_through_server(self):
         db = make_db(rows=1000)
-        server = QueryServer(db, synopses=True)
+        server = QueryServer(db, options=SYN)
         server.serve(QueryRequest(expr=query(), quota=5.0, seed=3))
         assert db.synopses.info().answers == 1
         result = run_transaction(
@@ -484,7 +484,7 @@ class TestWriteTransactions:
 class TestServerSynopses:
     def test_degrade_prefers_synopsis_with_recorded_variance(self):
         db = make_db()
-        server = QueryServer(db, policy=DegradeInfeasible(), synopses=True)
+        server = QueryServer(db, policy=DegradeInfeasible(), options=SYN)
         answered = server.serve(QueryRequest(expr=query(), quota=5.0, seed=3))
         assert answered.outcome is Outcome.ANSWERED
         recorded = db.synopses.answer(
@@ -501,7 +501,7 @@ class TestServerSynopses:
     def test_synopsis_beats_prestored(self):
         db = make_db()
         db.analyze()
-        server = QueryServer(db, policy=DegradeInfeasible(), synopses=True)
+        server = QueryServer(db, policy=DegradeInfeasible(), options=SYN)
         server.serve(QueryRequest(expr=query(), quota=5.0, seed=3))
         degraded = server.serve(QueryRequest(expr=query(), quota=1e-4, seed=4))
         assert "synopsis" in degraded.reason
@@ -511,14 +511,14 @@ class TestServerSynopses:
     def test_prestored_fallback_when_no_synopsis(self):
         db = make_db()
         db.analyze()
-        server = QueryServer(db, policy=DegradeInfeasible(), synopses=True)
+        server = QueryServer(db, policy=DegradeInfeasible(), options=SYN)
         degraded = server.serve(QueryRequest(expr=query(), quota=1e-4, seed=4))
         assert degraded.outcome is Outcome.DEGRADED
         assert "prestored" in degraded.reason
 
     def test_uncovered_outcome_when_nothing_covers(self):
         db = make_db()
-        server = QueryServer(db, policy=DegradeInfeasible(), synopses=True)
+        server = QueryServer(db, policy=DegradeInfeasible(), options=SYN)
         outcome = server.serve(QueryRequest(expr=query(), quota=1e-4, seed=4))
         assert outcome.outcome is Outcome.UNCOVERED
         assert outcome.estimate is None
@@ -532,7 +532,7 @@ class TestServerSynopses:
 
     def test_refresh_synopses_rederives_and_charges_clock(self):
         db = make_db(rows=1000)
-        server = QueryServer(db, synopses=True)
+        server = QueryServer(db, options=SYN)
         server.serve(QueryRequest(expr=query(), quota=5.0, seed=3))
         db.append_rows("r1", [(10**6 + i, 3) for i in range(20)])
         assert db.synopses.info().refresh_pending == 1
@@ -546,7 +546,7 @@ class TestServerSynopses:
 
     def test_refresh_requeues_entry_when_run_fails(self):
         db = make_db(rows=1000)
-        server = QueryServer(db, synopses=True)
+        server = QueryServer(db, options=SYN)
         server.serve(QueryRequest(expr=query(), quota=5.0, seed=3))
         db.append_rows("r1", [(10**6, 1)])
         assert db.synopses.info().refresh_pending == 1
@@ -561,5 +561,5 @@ class TestServerSynopses:
         db = make_db(rows=1000)
         off = QueryServer(db)
         assert off.refresh_synopses(budget=5.0) == 0
-        on = QueryServer(db, synopses=True)
+        on = QueryServer(db, options=SYN)
         assert on.refresh_synopses(budget=5.0) == 0  # nothing queued

@@ -12,13 +12,14 @@ def plateau_then_decay(soft: float, grace: float):
     return lambda t: max(0.0, 1.0 - max(t - soft, 0.0) / grace)
 
 
-def state(elapsed, estimate, stage=2):
+def state(elapsed, estimate, stage=2, last_stage=0.0):
     return StopState(
         stage=stage,
         remaining_seconds=100.0,
         estimate=estimate,
         estimate_history=[estimate] if estimate else [],
         elapsed_seconds=elapsed,
+        last_stage_seconds=last_stage,
     )
 
 
@@ -31,18 +32,20 @@ class TestValueFunctionCriterion:
 
     def test_keeps_going_on_plateau_with_loose_estimate(self):
         criterion = ValueFunction(value=plateau_then_decay(soft=10.0, grace=5.0))
-        criterion.note_stage_duration(1.0)
         loose = Estimate(value=100.0, variance=900.0)  # wide CI
         # Well inside the plateau: another stage costs no value, gains
         # precision → continue.
-        assert not criterion.should_stop(state(elapsed=2.0, estimate=loose))
+        assert not criterion.should_stop(
+            state(elapsed=2.0, estimate=loose, last_stage=1.0)
+        )
 
     def test_stops_deep_in_decay(self):
         criterion = ValueFunction(value=plateau_then_decay(soft=1.0, grace=2.0))
-        criterion.note_stage_duration(1.5)
         tight = Estimate(value=100.0, variance=1.0)
         # Past the soft point, steep decay, already precise → stop.
-        assert criterion.should_stop(state(elapsed=2.5, estimate=tight))
+        assert criterion.should_stop(
+            state(elapsed=2.5, estimate=tight, last_stage=1.5)
+        )
 
     def test_exact_estimate_stops(self):
         criterion = ValueFunction(value=lambda t: 1.0)
@@ -55,9 +58,10 @@ class TestValueFunctionCriterion:
 
     def test_constant_value_never_stops_while_imprecise(self):
         criterion = ValueFunction(value=lambda t: 1.0)
-        criterion.note_stage_duration(1.0)
         loose = Estimate(value=100.0, variance=400.0)
-        assert not criterion.should_stop(state(elapsed=3.0, estimate=loose))
+        assert not criterion.should_stop(
+            state(elapsed=3.0, estimate=loose, last_stage=1.0)
+        )
 
     def test_end_to_end_stops_before_quota(self):
         """On a live database, a decaying value function ends the run while
