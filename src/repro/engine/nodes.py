@@ -24,10 +24,13 @@ Every node also serves the *controller*:
   the measured seconds back into the cost model (the run-time coefficient
   adjustment of Section 4).
 
-Scans are **shared**: when inclusion–exclusion expands a query into several
-terms over the same base relation, one :class:`StagedScan` draws each
-relation's blocks once per stage and every term reads the same sample, as
-the paper's PIE evaluation does.
+A stage crosses each node boundary as one value: ``advance(stage)`` returns
+the node's new outputs as a :class:`~repro.kernels.columns.ColumnBatch`,
+whose ``rows`` stay the authoritative data and whose columns decode lazily,
+once. Scans are **shared**: when inclusion–exclusion expands a query into
+several terms over the same base relation, one :class:`StagedScan` draws
+each relation's blocks once per stage and hands every term the same batch,
+as the paper's PIE evaluation does.
 """
 
 from __future__ import annotations
@@ -135,7 +138,7 @@ class StagedNode(Protocol):
     ledger: StageLedger
     tracker: SelectivityTracker | None
 
-    def advance(self, stage: int) -> list[Row]: ...
+    def advance(self, stage: int) -> ColumnBatch: ...
 
     def pricer(self, index: dict[int, int], sel_curves: SelCurves) -> Pricer: ...
 
@@ -181,9 +184,6 @@ class _NodeBase:
         self._scans = [scan for child in children for scan in child.base_scans()]
         self.tracker = tracker
         self.ledger: StageLedger = tracker if tracker is not None else StageLedger()
-        # Columnar view of this node's latest stage output; consumed by
-        # the parent so columns decoded here aren't decoded twice.
-        self.stage_columns: ColumnBatch | None = None
 
     @property
     def stage(self) -> int:  # completed stages
@@ -196,13 +196,6 @@ class _NodeBase:
     @property
     def points_so_far(self) -> int:
         return self.ledger.total_points
-
-    def _child_batch(self, child: "StagedNode", rows: list[Row]) -> ColumnBatch:
-        """The child's stage batch if it matches ``rows``, else a fresh one."""
-        batch = getattr(child, "stage_columns", None)
-        if batch is not None and batch.rows is rows:
-            return batch
-        return ColumnBatch(rows, child.schema)
 
     def base_scans(self) -> list["StagedScan"]:
         return self._scans
@@ -281,11 +274,10 @@ class _NodeBase:
         rolls back). Every count is in the ledger; subclasses add what it
         cannot know (sampler cursor, consolidated runs, occupancy).
         """
-        return {"ledger": self.ledger.snapshot(), "stage_columns": self.stage_columns}
+        return {"ledger": self.ledger.snapshot()}
 
     def restore(self, token: dict) -> None:
         self.ledger.restore(token["ledger"])
-        self.stage_columns = token["stage_columns"]
 
 
 class StagedScan(_NodeBase):
@@ -311,6 +303,9 @@ class StagedScan(_NodeBase):
         # relation (always empty over a plain one); StagedPlan turns them
         # into ShardScanStarted/ShardMerged trace events.
         self.last_shard_stats: list[ShardReadStats] = []
+        # The latest stage's read: every term sharing this scan gets this
+        # one batch, so each column is decoded at most once per stage.
+        self._batch: ColumnBatch | None = None
 
     def base_scans(self) -> list["StagedScan"]:
         return [self]
@@ -335,9 +330,9 @@ class StagedScan(_NodeBase):
         wanted = fraction_blocks(fraction, self.relation.block_count)
         return min(wanted, self.sampler.remaining_blocks)
 
-    def advance(self, stage: int, fraction: float | None = None) -> list[Row]:
+    def advance(self, stage: int, fraction: float | None = None) -> ColumnBatch:
         if stage == self.stage:  # another term already advanced us
-            return self.stage_columns.rows
+            return self._batch
         self._check_stage(stage)
         if fraction is None:
             raise TimeControlError("scan.advance needs the stage fraction")
@@ -348,21 +343,18 @@ class StagedScan(_NodeBase):
             # global draw order, exactly as the reference read does.
             if isinstance(self.relation, PartitionedHeapFile):
                 # The same read, plus the per-shard tallies of its blocks.
-                rows, batch, self.last_shard_stats = self.relation.read_sharded(
+                batch, self.last_shard_stats = self.relation.read_sharded(
                     block_ids, self.charger, self.injector
                 )
             else:
-                rows, batch = self.relation.read_blocks_decoded(
+                batch = self.relation.read_blocks_decoded(
                     block_ids, self.charger, self.injector
                 )
         if d:
             self.cost_model.observe(step_names.SCAN_READ, [d, 1.0], meter.elapsed)
-        # The stage's rows and their columnar view, decoded once; every
-        # term that shares this scan reuses the same batch. Uncharged: the
-        # simulated block reads above already paid for the I/O.
-        self.stage_columns = batch
-        self.ledger.record_stage(len(rows), len(rows))  # outputs all it reads
-        return rows
+        self._batch = batch
+        self.ledger.record_stage(len(batch), len(batch))  # outputs all it reads
+        return batch
 
     def pricer(self, index: dict[int, int], sel_curves: SelCurves) -> Pricer:
         c0, c1 = self.cost_model.theta(step_names.SCAN_READ)
@@ -389,6 +381,7 @@ class StagedScan(_NodeBase):
     def restore(self, token: dict) -> None:
         super().restore(token)
         self.sampler.restore(token["sampler"])
+        self._batch = None  # a rolled-back stage's read is void
 
 
 class StagedSelect(_NodeBase):
@@ -416,25 +409,21 @@ class StagedSelect(_NodeBase):
         self.schema = child.schema
         self._mask_fn = compiled_predicate(predicate, child.schema).mask_fn
 
-    def _filter(self, rows: list[Row]) -> list[Row]:
+    def _filter(self, batch: ColumnBatch) -> list[Row]:
         """Whole-stage filter: same charges as ``apply_select``, one mask."""
-        out = select_batch(
-            self._child_batch(self.child, rows), self._mask_fn, self.charger, self._bf()
-        )
-        self.stage_columns = ColumnBatch(out, self.schema)
-        return out
+        return select_batch(batch, self._mask_fn, self.charger, self._bf())
 
-    def advance(self, stage: int) -> list[Row]:
+    def advance(self, stage: int) -> ColumnBatch:
         self._check_stage(stage)
-        rows = self.child.advance(stage)
+        batch = self.child.advance(stage)
         with self.charger.measure() as meter:
-            out = self._filter(rows)
+            out = self._filter(batch)
         pages = -(-len(out) // self._bf()) if out else 0
         self.cost_model.observe(
-            step_names.SELECT_OP, [len(rows), pages, 1.0], meter.elapsed
+            step_names.SELECT_OP, [len(batch), pages, 1.0], meter.elapsed
         )
         self._record(len(out))
-        return out
+        return ColumnBatch(out, self.schema)
 
     def _seconds_curve(self, inputs: list[int]) -> Callable[[list, float], float]:
         c0, c1, c2 = self.cost_model.theta(step_names.SELECT_OP)
@@ -507,7 +496,7 @@ class _StagedBinary(_NodeBase):
         raise NotImplementedError
 
     # Execution ----------------------------------------------------------
-    def advance(self, stage: int) -> list[Row]:
+    def advance(self, stage: int) -> ColumnBatch:
         self._check_stage(stage)
         new_left = self.left.advance(stage)
         new_right = self.right.advance(stage)
@@ -517,9 +506,9 @@ class _StagedBinary(_NodeBase):
             # (Full fulfillment's runs stay spooled for cross-stage merges.)
             self.spool.release(len(new_left) + len(new_right))
         self._record(len(out))
-        return out
+        return ColumnBatch(out, self.schema)
 
-    def _spool_writes(self, new_left: list[Row], new_right: list[Row]) -> None:
+    def _spool_writes(self, new_left: ColumnBatch, new_right: ColumnBatch) -> None:
         # Step (1): write the stage's sample tuples to temporary files —
         # "all the intermediate relations are always kept on disks".
         with self.charger.measure() as meter:
@@ -530,28 +519,26 @@ class _StagedBinary(_NodeBase):
         )
 
     def _stage(
-        self, stage: int, new_left: list[Row], new_right: list[Row]
+        self, stage: int, new_left: ColumnBatch, new_right: ColumnBatch
     ) -> list[Row]:
         """One stage's write, sort and merges: reference charges, bulk work."""
         self._spool_writes(new_left, new_right)
         n_left, n_right = len(new_left), len(new_right)
         total_in = n_left + n_right
         left_pos, right_pos = self._key_positions()
-        left_keys = self._child_batch(self.left, new_left).key_columns(left_pos)
-        right_keys = self._child_batch(self.right, new_right).key_columns(
-            right_pos
-        )
+        left_keys = new_left.key_columns(left_pos)
+        right_keys = new_right.key_columns(right_pos)
 
         # Step (2): sort the temporary files — equation (4.3) charged per
         # file exactly as external_sort would, ordering done columnar.
         with self.charger.measure() as meter:
             charge_external_sort(self.charger, n_left)
             left_order = _kernels.stable_lexsort(left_keys)
-            sorted_left = _kernels.rows_array(new_left)[left_order]
+            sorted_left = _kernels.rows_array(new_left.rows)[left_order]
             left_keys = [col[left_order] for col in left_keys]
             charge_external_sort(self.charger, n_right)
             right_order = _kernels.stable_lexsort(right_keys)
-            sorted_right = _kernels.rows_array(new_right)[right_order]
+            sorted_right = _kernels.rows_array(new_right.rows)[right_order]
             right_keys = [col[right_order] for col in right_keys]
         self.cost_model.observe(
             self.sort_step,
@@ -748,10 +735,9 @@ class StagedProject(_NodeBase):
         self.schema = child.schema.project(self.attrs)
         self.occupancy: dict[Row, int] = {}
 
-    def advance(self, stage: int) -> list[Row]:
+    def advance(self, stage: int) -> ColumnBatch:
         self._check_stage(stage)
-        rows = self.child.advance(stage)
-        projected = project_rows(rows, self._positions)
+        projected = project_rows(self.child.advance(stage).rows, self._positions)
 
         # Step (1): spool the projected tuples to a temporary file.
         with self.charger.measure() as meter:
@@ -792,7 +778,7 @@ class StagedProject(_NodeBase):
 
         self.spool.release(len(projected))  # folded into the occupancy table
         self._record(len(new_groups))
-        return new_groups
+        return ColumnBatch(new_groups, self.schema)
 
     def _seconds_curve(self, inputs: list[int]) -> Callable[[list, float], float]:
         w0, w1 = self.cost_model.theta(step_names.PROJECT_WRITE)

@@ -368,9 +368,9 @@ class StagedPlan:
         new_outputs = 0
         new_points = 0
         for term in self.terms:
-            new_rows = term.root.advance(stage)
+            batch = term.root.advance(stage)
             if term.value_index is not None:
-                term.moments.add_many(row[term.value_index] for row in new_rows)
+                term.moments.add_many(row[term.value_index] for row in batch.rows)
             if trace:
                 # Per term: these interleave with its SelectivityRevisions.
                 for node in term.root.iter_nodes():

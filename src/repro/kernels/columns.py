@@ -9,8 +9,8 @@ fall back to ``object`` arrays, which keep exact Python comparison
 semantics at reduced speed — correctness never depends on the fast dtype
 being available.
 
-:class:`ColumnBatch` is the lazy per-stage view a node attaches to its
-output: columns materialize on first access and are cached, so a parent
+:class:`ColumnBatch` is what a staged node hands its parent for one
+stage: columns materialize on first access and are cached, so a parent
 that only needs the join-key columns never pays for the rest.
 """
 
@@ -52,8 +52,8 @@ class ColumnBatch:
     """Lazy columnar view over one stage's row list.
 
     Columns are decoded on first access and cached; ``rows`` stays the
-    authoritative representation (the engine still passes Python tuples
-    between nodes, so estimates and traces are untouched).
+    authoritative representation (the Python tuples every estimate, charge
+    and trace is computed from).
     """
 
     __slots__ = ("rows", "schema", "_cols")

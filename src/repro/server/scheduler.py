@@ -193,13 +193,15 @@ class QueryServer:
         prefer recorded synopses and joins the catalog's invalidation
         events to the server's trace stream. A bundle that sets a field
         the server owns (:data:`SERVER_OWNED_OPTIONS`) raises
-        ``ValueError`` here rather than failing every request later.
+        ``ValueError`` here rather than failing every request later; so
+        does assigning such a bundle to ``server.options`` afterwards.
     sink:
         Optional extra trace sink tee'd next to the built-in
         :class:`~repro.server.metrics.ServerMetrics`.
     trace_queries:
         Thread the server sink into each session too, interleaving
-        per-stage query events with scheduling events on one stream.
+        per-stage query events with scheduling events on one stream
+        (read when ``options`` is set).
     max_fault_retries:
         How many times a dispatched request defeated by transient
         (injected/storage) faults is re-executed within its own remaining
@@ -236,13 +238,6 @@ class QueryServer:
             )
         self.database = database
         self.policy = policy if policy is not None else RejectInfeasible()
-        for name in sorted(SERVER_OWNED_OPTIONS):
-            if getattr(options, name) != getattr(DEFAULT_OPTIONS, name):
-                raise ValueError(
-                    f"options cannot set {name!r}: the server sets it "
-                    "itself for every session it opens"
-                )
-        self.options = options
         self.clock = SimulatedClock()
         self.metrics = ServerMetrics()
         self.sink: TraceSink = (
@@ -252,6 +247,7 @@ class QueryServer:
         # as the server executes queries and the model refits.
         self._cost_model: CostModel = database.default_cost_model()
         self.trace_queries = trace_queries
+        self.options = options
         if max_fault_retries < 0:
             raise ValueError(f"max_fault_retries cannot be negative: {max_fault_retries}")
         if retry_backoff < 0:
@@ -266,6 +262,35 @@ class QueryServer:
         self._seq = itertools.count()
         self._refresh_counter = itertools.count(1)
         self.outcomes: list[RequestOutcome] = []
+
+    @property
+    def options(self) -> QueryOptions:
+        """The bundle every session the server opens starts from."""
+        return self._options
+
+    @options.setter
+    def options(self, options: QueryOptions) -> None:
+        for name in sorted(SERVER_OWNED_OPTIONS):
+            if getattr(options, name) != getattr(DEFAULT_OPTIONS, name):
+                raise ValueError(
+                    f"options cannot set {name!r}: the server sets it "
+                    "itself for every session it opens"
+                )
+        self._options = options
+        # The bundles sessions open from, built once per assignment rather
+        # than copied per request: admission prices on the shared cost
+        # model; dispatch and refresh runs also take the server's clock
+        # and a hard deadline, refresh runs measuring their overspend.
+        self._pricing_options = options.replace(cost_model=self._cost_model)
+        owned = dict(
+            cost_model=self._cost_model, clock=self.clock, stopping=HardDeadline()
+        )
+        self._dispatch_options = options.replace(
+            measure_overspend=False,
+            sink=self.sink if self.trace_queries else None,
+            **owned,
+        )
+        self._refresh_options = options.replace(measure_overspend=True, **owned)
 
     # ------------------------------------------------------------------
     # Public API
@@ -426,23 +451,6 @@ class QueryServer:
     # ------------------------------------------------------------------
     # Arrival and admission
     # ------------------------------------------------------------------
-    def _open_session(
-        self, expr, quota: float, aggregate, seed: int | None, **overrides
-    ) -> QuerySession:
-        """A session from the server's options on its clock and shared cost
-        model, under a hard deadline."""
-        return self.database.open_session(
-            expr,
-            quota,
-            self.options,
-            aggregate=aggregate,
-            seed=seed,
-            cost_model=self._cost_model,
-            clock=self.clock,
-            stopping=HardDeadline(),
-            **overrides,
-        )
-
     def _minimum_cost(self, request: QueryRequest) -> float:
         """Price the cheapest useful stage with the calibrated cost model.
 
@@ -451,10 +459,7 @@ class QueryServer:
         """
         return minimum_stage_cost(
             self.database.plan(
-                request.expr,
-                self.options,
-                aggregate=request.aggregate,
-                cost_model=self._cost_model,
+                request.expr, self._pricing_options, aggregate=request.aggregate
             )
         )
 
@@ -593,12 +598,12 @@ class QueryServer:
         ):
             started = self.clock.now()
             quota = budget
-            session = self._open_session(
+            session = self.database.open_session(
                 entry.expr,
                 quota,
-                entry.aggregate,
+                self._refresh_options,
+                aggregate=entry.aggregate,
                 seed=next(self._refresh_counter),
-                measure_overspend=True,
             )
             report = session.run().report
             budget -= self.clock.now() - started
@@ -734,13 +739,12 @@ class QueryServer:
                 if resuming:
                     result = ticket.session.resume(checkpoint=checkpoint)
                 else:
-                    ticket.session = self._open_session(
+                    ticket.session = self.database.open_session(
                         request.expr,
                         attempt_quota,
-                        request.aggregate,
+                        self._dispatch_options,
+                        aggregate=request.aggregate,
                         seed=self._retry_seed(request.seed, ticket.attempt),
-                        measure_overspend=False,
-                        sink=self.sink if self.trace_queries else None,
                     )
                     result = ticket.session.run(checkpoint=checkpoint)
             except StorageError as exc:

@@ -167,15 +167,13 @@ class HeapFile:
         block_ids: Sequence[int],
         charger: CostCharger,
         injector: "FaultInjector | None" = None,
-    ) -> tuple[list[Row], ColumnBatch]:
-        """:meth:`read_blocks`, plus a lazy columnar view of its rows.
+    ) -> ColumnBatch:
+        """:meth:`read_blocks`'s rows as one lazy columnar batch.
 
-        ``batch.rows`` *is* the returned list, so the engine's
-        batch-identity handoff between nodes keeps working, and each
-        column is decoded at most once per stage.
+        A staged scan hands this batch to every term that shares it, so
+        each column is decoded at most once per stage.
         """
-        rows = self._read(block_ids, charger, injector)
-        return rows, ColumnBatch(rows, self.schema)
+        return ColumnBatch(self._read(block_ids, charger, injector), self.schema)
 
     def _read(
         self,

@@ -27,7 +27,6 @@ from typing import TYPE_CHECKING, Sequence
 from repro.catalog.schema import Schema
 from repro.errors import StorageError
 from repro.kernels.columns import ColumnBatch
-from repro.storage.block import Row
 from repro.storage.heapfile import DEFAULT_BLOCK_SIZE, HeapFile
 from repro.timekeeping.charger import CostCharger
 
@@ -94,23 +93,22 @@ class PartitionedHeapFile(HeapFile):
         block_ids: Sequence[int],
         charger: CostCharger,
         injector: "FaultInjector | None" = None,
-    ) -> tuple[list[Row], ColumnBatch, list[ShardReadStats]]:
+    ) -> tuple[ColumnBatch, list[ShardReadStats]]:
         """:meth:`read_blocks_decoded` plus per-shard tallies of the read.
 
-        Returns ``(rows, batch, stats)``: rows and batch exactly as the
-        plain read returns them (same loop, same charges and injector
-        consultations), and one :class:`ShardReadStats` per shard touched,
-        ascending, for the ``ShardScanStarted`` / ``ShardMerged`` trace
-        events.
+        Returns ``(batch, stats)``: the batch exactly as the plain read
+        returns it (same loop, same charges and injector consultations),
+        and one :class:`ShardReadStats` per shard touched, ascending, for
+        the ``ShardScanStarted`` / ``ShardMerged`` trace events.
         """
-        rows = self._read(block_ids, charger, injector)
+        batch = ColumnBatch(self._read(block_ids, charger, injector), self.schema)
         tallies: dict[int, list[int]] = {}  # shard -> [blocks, tuples]
         for block_id in block_ids:
             tally = tallies.setdefault(self.shard_of_block(block_id), [0, 0])
             tally[0] += 1
             tally[1] += len(self._blocks[block_id])
         stats = [ShardReadStats(shard, *tallies[shard]) for shard in sorted(tallies)]
-        return rows, ColumnBatch(rows, self.schema), stats
+        return batch, stats
 
     def __repr__(self) -> str:
         return (

@@ -33,6 +33,9 @@ from typing import Callable
 
 from repro.errors import TimeControlError
 
+EPSILON_RATIO = 0.02
+"""Figure 3.4's ε, "a system-defined constant", as a fraction of ``T_i``."""
+
 
 def determine_stage_size(
     cost: Callable[[int], float],

@@ -37,7 +37,7 @@ from repro.engine.plan import StagedPlan
 from repro.errors import TimeControlError
 from repro.estimation.selectivity import SelectivityTracker
 from repro.observability.trace import FractionChosen
-from repro.timecontrol.sample_size import determine_stage_size
+from repro.timecontrol.sample_size import EPSILON_RATIO, determine_stage_size
 
 if TYPE_CHECKING:
     from repro.timecontrol.executor import StageReport
@@ -90,7 +90,7 @@ class TimeControlStrategy:
             lambda k: cost(k / unit),
             budget,
             plan.max_stage_size(),
-            self.epsilon_ratio,
+            EPSILON_RATIO,
         )
         fraction = None if size is None else size / unit
         return self._trace_choice(plan, stages, fraction, budget, iterations)
@@ -126,13 +126,10 @@ class OneAtATimeInterval(TimeControlStrategy):
     """
 
     d_beta: float = 12.0
-    epsilon_ratio: float = 0.02
 
     def __post_init__(self) -> None:
         if self.d_beta < 0:
             raise TimeControlError(f"d_beta must be >= 0, got {self.d_beta}")
-        if self.epsilon_ratio <= 0:
-            raise TimeControlError("epsilon_ratio must be positive")
 
     def sel_provider(self) -> SelCurves:
         d_beta = self.d_beta
@@ -172,17 +169,10 @@ class SingleInterval(TimeControlStrategy):
     """
 
     d_alpha: float = 2.0
-    epsilon_ratio: float = 0.02
 
     def __post_init__(self) -> None:
         if self.d_alpha < 0:
             raise TimeControlError(f"d_alpha must be >= 0, got {self.d_alpha}")
-        if self.epsilon_ratio <= 0:
-            raise TimeControlError("epsilon_ratio must be positive")
-
-    @staticmethod
-    def _mean_provider() -> SelCurves:
-        return MEAN_SELECTIVITY
 
     def _bumped_provider(self, bump: SelectivityTracker) -> SelCurves:
         def per_tracker(tracker: SelectivityTracker, space_points: int):
@@ -202,10 +192,6 @@ class SingleInterval(TimeControlStrategy):
         if n < 2:
             return 0.0
         return float(np.cov(sa[-n:], sb[-n:], ddof=1)[0, 1])
-
-    def _stage_cost_with_margin(self, plan: StagedPlan, fraction: float) -> float:
-        """``μ_t + d_α·sqrt(Var(t_i))`` at one fraction."""
-        return self._margin_curve(plan)(fraction)
 
     def _margin_curve(self, plan: StagedPlan) -> Callable[[float], float]:
         """``f -> μ_t + d_α·sqrt(Var(t_i))``: the mean curve, one bumped

@@ -36,8 +36,8 @@ class RowwiseSelect(StagedSelect):
         super().__init__(child, predicate, **kwargs)
         self._row_fn = predicate.compile(child.schema)
 
-    def _filter(self, rows):
-        return apply_select(rows, self._row_fn, self.charger, self._bf())
+    def _filter(self, batch):
+        return apply_select(batch.rows, self._row_fn, self.charger, self._bf())
 
 
 class _RowwiseStage:
@@ -54,6 +54,7 @@ class _RowwiseStage:
 
     def _stage(self, stage, new_left, new_right):
         self._spool_writes(new_left, new_right)
+        new_left, new_right = new_left.rows, new_right.rows
         total_in = len(new_left) + len(new_right)
 
         # Step (2): sort the temporary files.

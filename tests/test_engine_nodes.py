@@ -18,6 +18,7 @@ from repro.engine.nodes import SelCurves
 from repro.engine.plan import StagedPlan
 from repro.errors import EstimationError, TimeControlError
 from repro.estimation.selectivity import SelectivityTracker, StageLedger
+from repro.kernels import columns
 from repro.relational.evaluator import count_exact
 from repro.relational.expression import (
     intersect,
@@ -237,13 +238,53 @@ class TestNodeState:
         plan = free_plan(expr, catalog)
         plan.advance_stage(0.2)
         keys = {type(n).__name__: set(n.snapshot()) for n in plan.nodes}
-        base = {"ledger", "stage_columns"}
+        base = {"ledger"}
         assert keys == {
             "StagedScan": base | {"sampler"},
             "StagedSelect": base,
             "StagedJoin": base | {"left_sorted", "right_sorted"},
             "StagedProject": base | {"occupancy"},
         }
+
+    def test_every_term_gets_its_scans_one_batch_decoded_once(
+        self, catalog, monkeypatch
+    ):
+        """σ(r1) ∪ σ(r2) expands into three terms over two shared scans:
+        every term is handed its scan's one stage batch, so no column of a
+        scan's read is decoded twice."""
+        plan = free_plan(
+            union(
+                select(rel("r1"), cmp("a", "<", 4)),
+                select(rel("r2"), cmp("a", "<", 4)),
+            ),
+            catalog,
+        )
+        assert (len(plan.terms), len(plan.scans)) == (3, 2)
+        handed = {scan: [] for scan in plan.scans}
+        for scan in plan.scans:
+
+            def recording(stage, fraction=None, scan=scan, advance=scan.advance):
+                batch = advance(stage, fraction)
+                handed[scan].append(batch)
+                return batch
+
+            monkeypatch.setattr(scan, "advance", recording)
+        decoded = []
+        column_array = columns.column_array
+
+        def counting(values, attr_type):
+            decoded.append(list(values))
+            return column_array(values, attr_type)
+
+        monkeypatch.setattr(columns, "column_array", counting)
+        plan.advance_stage(0.5)
+        for scan, batches in handed.items():
+            # The plan's own advance, then the term σ(r) and the term ∩.
+            assert len(batches) == 3
+            assert all(batch is batches[0] for batch in batches)
+            rows = batches[0].rows
+            assert [row[0] for row in rows] not in decoded  # id: never needed
+            assert decoded.count([row[1] for row in rows]) == 1  # a: once
 
     def test_an_operators_ledger_is_its_tracker(self, catalog):
         plan = free_plan(

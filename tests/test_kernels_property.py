@@ -102,7 +102,7 @@ def run_plan(expr, fractions, seed, rowwise):
         for scan in plan.scans:
             scan.advance(stage, fraction)
         for term in plan.terms:
-            stage_rows.append(term.root.advance(stage))
+            stage_rows.append(term.root.advance(stage).rows)
         plan.stages_completed = stage
         estimate = plan.estimate()
         stage_stats.append(
@@ -216,9 +216,9 @@ def faulted_run(expr, quota, rowwise):
     stage_rows = []
     for term in session.plan.terms:
         def recording(stage, advance=term.root.advance):
-            rows = advance(stage)
-            stage_rows.append((stage, list(rows)))
-            return rows
+            batch = advance(stage)
+            stage_rows.append((stage, list(batch.rows)))
+            return batch
 
         term.root.advance = recording
     report = session.run().report

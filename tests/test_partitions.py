@@ -137,9 +137,9 @@ class TestReadSharded:
         heap = make_partitioned()
         ref_charger, shard_charger = unit_charger(), unit_charger()
         expected = heap.read_blocks(self.DRAW, ref_charger)
-        rows, batch, stats = heap.read_sharded(self.DRAW, shard_charger)
+        batch, stats = heap.read_sharded(self.DRAW, shard_charger)
+        rows = batch.rows
         assert rows == expected
-        assert batch.rows is rows
         assert shard_charger.total_charged() == ref_charger.total_charged()
         tallies: dict[int, list[int]] = {}
         for block_id in self.DRAW:
@@ -153,7 +153,8 @@ class TestReadSharded:
 
     def test_decoded_returns_column_batch(self):
         heap = make_partitioned()
-        rows, batch, _ = heap.read_sharded(self.DRAW, unit_charger())
+        batch, _ = heap.read_sharded(self.DRAW, unit_charger())
+        rows = batch.rows
         assert isinstance(batch, ColumnBatch)
         assert len(batch) == len(rows)
         assert batch.column(0).tolist() == [row[0] for row in rows]
@@ -185,8 +186,8 @@ class TestShardFaults:
             with pytest.raises(InjectedFault):
                 heap.read_sharded(draw, unit_charger(), injector)
         # … then the stream is clean and the read completes normally.
-        rows, _, _ = heap.read_sharded(draw, unit_charger(), injector)
-        assert rows == heap.read_blocks(draw, unit_charger())
+        batch, _ = heap.read_sharded(draw, unit_charger(), injector)
+        assert batch.rows == heap.read_blocks(draw, unit_charger())
         injected = sink.of_kind("fault_injected")
         assert len(injected) == 2
         assert sorted(e.block_id % 4 for e in injected) == [0, 1]

@@ -68,13 +68,14 @@ def observed_read(
 
 
 def batched_read(heap, draw):
-    """``heap``'s engine-facing read of ``draw``."""
-    read = getattr(heap, "read_sharded", heap.read_blocks_decoded)
+    """``heap``'s engine-facing read of ``draw``, as its batch's rows."""
 
     def run(charger, injector):
-        rows, batch, *_ = read(draw, charger, injector)
-        assert batch.rows is rows
-        return rows
+        if isinstance(heap, PartitionedHeapFile):
+            batch, _stats = heap.read_sharded(draw, charger, injector)
+        else:
+            batch = heap.read_blocks_decoded(draw, charger, injector)
+        return batch.rows
 
     return run
 
@@ -94,8 +95,8 @@ class TestStorageReference:
 
     def test_empty_read_produces_empty_batch(self, int_schema, free_charger):
         heap = make_relation("r1", int_schema, [(i, i % 3) for i in range(25)])
-        rows, batch = heap.read_blocks_decoded([], free_charger)
-        assert rows == [] and len(batch) == 0
+        batch = heap.read_blocks_decoded([], free_charger)
+        assert batch.rows == [] and len(batch) == 0
         assert batch.column(0).shape == (0,)
 
     # On sun3_60 with salt 9 the five jittered BLOCK_READs of DRAW end at

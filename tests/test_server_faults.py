@@ -195,15 +195,10 @@ class TestPersistentFailureFallback:
     def _crash_dispatch_sessions(db, monkeypatch):
         from repro.errors import StorageError
 
-        real = db.open_session
-
         def crashing(*args, **kwargs):
-            # Dispatch sessions pass the stopping criterion; admission
-            # probes do not — they must keep working or the request is
-            # rejected before the execution path under test is reached.
-            if "stopping" in kwargs:
-                raise StorageError("device failed mid-dispatch")
-            return real(*args, **kwargs)
+            # Every session the server opens is a dispatch: admission
+            # prices through ``db.plan``, which this leaves working.
+            raise StorageError("device failed mid-dispatch")
 
         monkeypatch.setattr(db, "open_session", crashing)
 

@@ -283,7 +283,7 @@ def stream_faults() -> str:
         for n in range(30)
     ]
     # Failures that escape salvage, keyed on the dispatch session's seed
-    # (admission probes pass no stopping criterion and are left alone):
+    # (admission prices through ``db.plan`` and opens no session):
     # a storage error on one first attempt (retried), storage errors on
     # every attempt of two requests (persistent: one has prestored
     # coverage, the intersection has none), and one non-storage crash
@@ -298,7 +298,7 @@ def stream_faults() -> str:
     open_session = db.open_session
 
     def crashing(*args, **kwargs):
-        if "stopping" in kwargs and kwargs.get("seed") in crashes:
+        if kwargs.get("seed") in crashes:
             raise crashes[kwargs["seed"]]
         return open_session(*args, **kwargs)
 

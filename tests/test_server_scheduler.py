@@ -266,7 +266,8 @@ class TestSharedState:
 
 
 class TestSessionKwargsValidation:
-    """A server's ``options`` are checked once, at construction.
+    """A server's ``options`` are checked at construction and whenever
+    ``server.options`` is assigned.
     (Regression: a server-owned or misspelt key constructed fine, then
     every request came back ``REJECTED "query cannot be planned: … got
     multiple values for keyword argument 'clock'"`` — or, for ``sink``,
@@ -319,6 +320,18 @@ class TestSessionKwargsValidation:
             sink=sink,
             trace_queries=True,
         )
+        outcome = server.serve(request(quota=2.0, seed=1))
+        assert outcome.outcome is Outcome.ANSWERED
+        (start,) = sink.of_kind("query_start")
+        assert start.strategy == "FixedFractionHeuristic(gamma=0.3)"
+
+    def test_a_bundle_assigned_later_is_checked_then_used(self, db):
+        sink = RecordingSink()
+        server = QueryServer(db, sink=sink, trace_queries=True)
+        with pytest.raises(ValueError, match="'clock'.*server sets"):
+            server.options = QueryOptions(clock=SimulatedClock())
+        assert server.options == QueryOptions()
+        server.options = QueryOptions(strategy=FixedFractionHeuristic(gamma=0.3))
         outcome = server.serve(request(quota=2.0, seed=1))
         assert outcome.outcome is Outcome.ANSWERED
         (start,) = sink.of_kind("query_start")

@@ -67,7 +67,7 @@ def price_one_at_a_time(plan, fraction: float) -> float:
 
 
 def price_single_interval(plan, fraction: float) -> float:
-    return SingleInterval(d_alpha=2.0)._stage_cost_with_margin(plan, fraction)
+    return SingleInterval(d_alpha=2.0)._margin_curve(plan)(fraction)
 
 
 @dataclass(frozen=True)

@@ -38,12 +38,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Database, QueryOptions
+from repro.engine.nodes import MEAN_SELECTIVITY
 from repro.engine.plan import StagedPlan
 from repro.faults.plan import FaultPlan
 from repro.observability import RecordingSink
 from repro.relational.expression import intersect, join, rel, select, union
 from repro.relational.predicate import cmp
 from repro.server.workload import demo_database
+from repro.timecontrol.sample_size import EPSILON_RATIO
 from repro.timecontrol.strategies import OneAtATimeInterval, SingleInterval
 from repro.workloads.generators import paper_schema
 from repro.workloads.paper import (
@@ -117,7 +119,7 @@ class _Checked:
                 len(stages) + 1,
                 costs,
                 budget,
-                self.epsilon_ratio * budget,
+                EPSILON_RATIO * budget,
                 chosen,
                 choice.bisection_iterations,
             )
@@ -135,7 +137,7 @@ class CheckedOneAtATime(_Checked, OneAtATimeInterval):
 @dataclass(frozen=True)
 class CheckedSingleInterval(_Checked, SingleInterval):
     def _price(self, plan):
-        return lambda f: self._stage_cost_with_margin(plan, f)
+        return self._margin_curve(plan)
 
 
 STRATEGIES = {
@@ -325,7 +327,7 @@ def warmed_plan(name: str) -> StagedPlan:
 
 PROVIDERS = {
     "sel_plus": OneAtATimeInterval(d_beta=24.0).sel_provider(),
-    "mean": SingleInterval._mean_provider(),
+    "mean": MEAN_SELECTIVITY,
 }
 
 

@@ -73,8 +73,8 @@ class TestOneAtATimeInterval:
 
     @pytest.mark.parametrize("epsilon_ratio", [0.0, -1.0])
     def test_invalid_epsilon_ratio_rejected_at_construction(self, epsilon_ratio):
-        # At construction: determine_stage_size does not check it again.
-        with pytest.raises(TimeControlError, match="epsilon_ratio"):
+        # No longer an option: Figure 3.4's ε is the constant EPSILON_RATIO.
+        with pytest.raises(TypeError, match="epsilon_ratio"):
             OneAtATimeInterval(epsilon_ratio=epsilon_ratio)
 
     def test_infeasible_budget_returns_none(self, catalog):
@@ -124,7 +124,8 @@ class TestSingleInterval:
 
     @pytest.mark.parametrize("epsilon_ratio", [0.0, -1.0])
     def test_invalid_epsilon_ratio_rejected_at_construction(self, epsilon_ratio):
-        with pytest.raises(TimeControlError, match="epsilon_ratio"):
+        # No longer an option: Figure 3.4's ε is the constant EPSILON_RATIO.
+        with pytest.raises(TypeError, match="epsilon_ratio"):
             SingleInterval(epsilon_ratio=epsilon_ratio)
 
     def test_chooses_feasible_fraction(self, catalog):

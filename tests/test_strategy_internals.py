@@ -5,6 +5,7 @@ import pytest
 
 from repro.catalog.catalog import Catalog
 from repro.costmodel.model import CostModel
+from repro.engine.nodes import MEAN_SELECTIVITY
 from repro.engine.plan import StagedPlan
 from repro.estimation.selectivity import SelectivityTracker
 from repro.relational.expression import join, rel, select
@@ -58,12 +59,12 @@ class TestSingleIntervalInternals:
         expr = join(rel("r1"), rel("r2"), on=["a"])
         plan = warmed_plan(catalog, expr, stages=3)
         strategy = SingleInterval(d_alpha=3.0)
-        mean = SingleInterval(d_alpha=0.0)._stage_cost_with_margin(plan, 0.1)
-        with_margin = strategy._stage_cost_with_margin(plan, 0.1)
+        mean = SingleInterval(d_alpha=0.0)._margin_curve(plan)(0.1)
+        with_margin = strategy._margin_curve(plan)(0.1)
         assert with_margin >= mean
 
     def test_mean_provider_initial_before_data(self):
-        provider = SingleInterval._mean_provider()
+        provider = MEAN_SELECTIVITY
         tracker = SelectivityTracker("x", initial=0.25)
         assert provider.per_tracker(tracker, 100)(10) == 0.25
         tracker.record_stage(5, 10)
